@@ -5,17 +5,13 @@ text discusses qualitatively (packing delay, replication factor,
 watermark dissemination, GC retention window).
 """
 
-from repro.harness import (
-    run_gc_window_ablation,
-    run_packing_delay_ablation,
-    run_replication_factor_ablation,
-    run_watermark_interval_ablation,
-)
+from repro.sweep import default_jobs, sweep_experiment
 
 
 def test_packing_delay_ablation(benchmark, save_result):
     result = benchmark.pedantic(
-        lambda: run_packing_delay_ablation(
+        lambda: sweep_experiment(
+            "ablation-packing", jobs=default_jobs(),
             delays=(0.0, 0.5e-3, 1e-3), num_keys=2000,
             duration=0.05, warmup=0.015, num_workers=48),
         rounds=1, iterations=1)
@@ -30,7 +26,8 @@ def test_packing_delay_ablation(benchmark, save_result):
 
 def test_replication_factor_ablation(benchmark, save_result):
     result = benchmark.pedantic(
-        lambda: run_replication_factor_ablation(
+        lambda: sweep_experiment(
+            "ablation-replication", jobs=default_jobs(),
             replica_counts=(1, 3), num_clients=6, num_keys=800,
             duration=0.15, warmup=0.04),
         rounds=1, iterations=1)
@@ -45,7 +42,8 @@ def test_replication_factor_ablation(benchmark, save_result):
 
 def test_watermark_interval_ablation(benchmark, save_result):
     result = benchmark.pedantic(
-        lambda: run_watermark_interval_ablation(
+        lambda: sweep_experiment(
+            "ablation-watermark", jobs=default_jobs(),
             intervals=(0.01, 0.2), num_clients=6, num_keys=400,
             duration=0.25, warmup=0.05),
         rounds=1, iterations=1)
@@ -60,7 +58,8 @@ def test_watermark_interval_ablation(benchmark, save_result):
 
 def test_gc_window_ablation(benchmark, save_result):
     result = benchmark.pedantic(
-        lambda: run_gc_window_ablation(
+        lambda: sweep_experiment(
+            "ablation-gc-window", jobs=default_jobs(),
             windows=(0.002, 0.02), num_keys=2000,
             duration=0.06, warmup=0.02, num_workers=48),
         rounds=1, iterations=1)
@@ -72,10 +71,9 @@ def test_gc_window_ablation(benchmark, save_result):
 
 
 def test_client_caching_ablation(benchmark, save_result):
-    from repro.harness import run_client_caching_ablation
-
     result = benchmark.pedantic(
-        lambda: run_client_caching_ablation(
+        lambda: sweep_experiment(
+            "ablation-caching", jobs=default_jobs(),
             num_clients=4, txns_per_client=80),
         rounds=1, iterations=1)
     save_result("ablation_client_caching", result)

@@ -10,12 +10,13 @@ Paper claims (§5.3):
   transactions.
 """
 
-from repro.harness import run_figure9
+from repro.sweep import default_jobs, sweep_experiment
 
 
 def test_figure9_centiman_comparison(benchmark, save_result):
     result = benchmark.pedantic(
-        lambda: run_figure9(
+        lambda: sweep_experiment(
+            "figure9", jobs=default_jobs(),
             alphas=(0.4, 0.8),
             num_clients=18,
             num_keys=2000,

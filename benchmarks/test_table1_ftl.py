@@ -13,13 +13,14 @@ Paper claims validated here (§5.1):
   deviation.
 """
 
-from repro.harness import run_table1
+from repro.sweep import default_jobs, sweep_experiment
 
 
 def test_table1_single_ssd_ftl_performance(benchmark, save_result):
     result = benchmark.pedantic(
-        lambda: run_table1(num_keys=4000, duration=0.06, warmup=0.02,
-                           num_workers=96),
+        lambda: sweep_experiment(
+            "table1", jobs=default_jobs(), num_keys=4000, duration=0.06,
+            warmup=0.02, num_workers=96),
         rounds=1, iterations=1)
     save_result("table1_ftl", result)
 

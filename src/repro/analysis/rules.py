@@ -170,19 +170,22 @@ class EnvironmentReadRule(Rule):
     """DET004: no nondeterministic environment reads in sim paths.
 
     ``os.urandom`` / ``uuid.uuid4`` smuggle entropy past the seed;
-    ``os.environ`` makes results depend on the invoking shell. Ids must
-    derive from seeded streams or counters, configuration from explicit
-    parameters.
+    ``os.environ`` makes results depend on the invoking shell; the
+    builtin ``hash`` of a str/bytes is salted per process
+    (``PYTHONHASHSEED``). Ids must derive from seeded streams or
+    counters, configuration from explicit parameters, key placement from
+    ``repro.semel.sharding.stable_hash``.
     """
 
     rule_id = "DET004"
     severity = Severity.ERROR
     description = ("entropy/environment read (os.urandom, uuid.uuid4, "
-                   "os.environ); derive from the seed or explicit config")
+                   "os.environ, builtin hash); derive from the seed or "
+                   "explicit config")
 
     ENTROPY_CALLS = frozenset({
         "os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4",
-        "os.getenv",
+        "os.getenv", "hash",
     })
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -156,15 +156,16 @@ def _ycsb_material(simulator_factory=None) -> Dict[str, Any]:
 
 
 def _figure6_material(simulator_factory=None) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure6
+    # Deferred: repro.sweep's worker imports repro.bench for host_clock.
+    from ..sweep import sweep_experiment
 
     if simulator_factory is not None:
         raise ValueError(
             "figure6 builds its own clusters per data point and does not "
             "take a simulator_factory; use retwis/ycsb for traced-kernel "
             "equivalence checks")
-    result = run_figure6(client_counts=(2,), alphas=(0.95,),
-                         num_keys=150, duration=0.08, warmup=0.02)
+    result = sweep_experiment("figure6", client_counts=(2,), alphas=(0.95,),
+                              num_keys=150, duration=0.08, warmup=0.02)
     return {"kind": "figure6", "rendering": result.render()}
 
 

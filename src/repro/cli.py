@@ -7,7 +7,9 @@ Commands
 ``experiment <name>``
     Regenerate one of the paper's tables/figures (``table1``,
     ``figure1``, ``figure6`` ... ``figure9``) or an ablation, at quick or
-    full scale, printing the same rows/series the paper reports.
+    full scale, printing the same rows/series the paper reports. Every
+    name is a row of the experiment table (``repro.harness.EXPERIMENTS``),
+    run serially through the sweep runner.
 ``retwis``
     Run the Retwis benchmark on a configurable cluster and print
     throughput / abort rate / latency percentiles.
@@ -49,89 +51,12 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
-from .harness import (
-    ClusterConfig,
-    run_client_caching_ablation,
-    run_figure1,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_gc_window_ablation,
-    run_packing_delay_ablation,
-    run_replication_factor_ablation,
-    run_retwis_on_cluster,
-    run_table1,
-    run_watermark_interval_ablation,
-)
+from .harness import EXPERIMENTS, ClusterConfig, run_retwis_on_cluster
 from .harness.cluster import BACKEND_KINDS, Cluster
 from .harness.metrics import merged_latency_histogram
 from .workloads import YCSB_WORKLOADS, YcsbInstance
 
-__all__ = ["main", "EXPERIMENTS"]
-
-#: name -> (full-scale runner, quick-scale runner)
-EXPERIMENTS: Dict[str, tuple] = {
-    "table1": (
-        lambda: run_table1(),
-        lambda: run_table1(num_keys=2000, duration=0.05, warmup=0.02,
-                           num_workers=64),
-    ),
-    "figure1": (
-        lambda: run_figure1(),
-        lambda: run_figure1(rounds=60),
-    ),
-    "figure6": (
-        lambda: run_figure6(),
-        lambda: run_figure6(client_counts=(2, 8), alphas=(0.5, 0.95),
-                            num_keys=200, duration=0.15, warmup=0.04),
-    ),
-    "figure7": (
-        lambda: run_figure7(),
-        lambda: run_figure7(alphas=(0.5, 0.8), backends=("dram", "mftl"),
-                            num_clients=10, duration=0.2, warmup=0.05),
-    ),
-    "figure8": (
-        lambda: run_figure8(),
-        lambda: run_figure8(client_counts=(8, 24),
-                            backends=("dram", "mftl"),
-                            duration=0.15, warmup=0.04),
-    ),
-    "figure9": (
-        lambda: run_figure9(),
-        lambda: run_figure9(alphas=(0.4, 0.8), num_clients=12,
-                            num_keys=4000, duration=0.2, warmup=0.05),
-    ),
-    "ablation-packing": (
-        lambda: run_packing_delay_ablation(),
-        lambda: run_packing_delay_ablation(
-            delays=(0.0, 1e-3), duration=0.04, warmup=0.01,
-            num_workers=32),
-    ),
-    "ablation-replication": (
-        lambda: run_replication_factor_ablation(),
-        lambda: run_replication_factor_ablation(
-            replica_counts=(1, 3), num_clients=4, duration=0.12,
-            warmup=0.03),
-    ),
-    "ablation-watermark": (
-        lambda: run_watermark_interval_ablation(),
-        lambda: run_watermark_interval_ablation(
-            intervals=(0.01, 0.2), num_clients=4, duration=0.15,
-            warmup=0.04),
-    ),
-    "ablation-gc-window": (
-        lambda: run_gc_window_ablation(),
-        lambda: run_gc_window_ablation(
-            windows=(0.002, 0.02), duration=0.04, warmup=0.01,
-            num_workers=32),
-    ),
-    "ablation-caching": (
-        lambda: run_client_caching_ablation(),
-        lambda: run_client_caching_ablation(
-            num_clients=4, txns_per_client=60),
-    ),
-}
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment",
                          help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=sorted(EXPERIMENTS))
+    exp.add_argument("name", choices=[row.name for row in EXPERIMENTS])
     exp.add_argument("--scale", choices=("quick", "full"),
                      default="quick")
     exp.add_argument("--out", help="also write the rendering to a file")
@@ -289,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _command_list(_args) -> int:
     print("experiments:")
-    for name in sorted(EXPERIMENTS):
-        print(f"  {name}")
+    for row in EXPERIMENTS:
+        print(f"  {row.name}")
     print("workloads:")
     print("  retwis (Table 2 mix; --alpha sets contention)")
     for name in sorted(YCSB_WORKLOADS):
@@ -301,9 +226,9 @@ def _command_list(_args) -> int:
 
 
 def _command_experiment(args) -> int:
-    full, quick = EXPERIMENTS[args.name]
-    result = full() if args.scale == "full" else quick()
-    text = result.render()
+    from .sweep import sweep_experiment
+
+    text = sweep_experiment(args.name, scale=args.scale).render()
     print(text)
     if args.out:
         with open(args.out, "w") as handle:

@@ -1,17 +1,11 @@
 """Experiment harness: cluster construction, metric windows, Retwis
-runner, per-table/figure experiment drivers, and plain-text reporting."""
+runner, the experiment table (one row per table/figure/ablation), and
+plain-text reporting."""
 
-from .ablations import (
-    run_client_caching_ablation,
-    run_gc_window_ablation,
-    run_packing_delay_ablation,
-    run_replication_factor_ablation,
-    run_watermark_interval_ablation,
-)
+from .ablations import ABLATIONS
 from .audit import AuditReport, collect_history, run_audit, sync_replicas
 from .chaos import (
     ChaosMonkey,
-    FailurePlan,
     NemesisPlan,
     clock_storm,
     isolate_master,
@@ -21,15 +15,7 @@ from .chaos import (
     partition_primary_from_backups,
 )
 from .cluster import BACKEND_KINDS, Cluster, ClusterConfig
-from .experiments import (
-    ExperimentResult,
-    run_figure1,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_table1,
-)
+from .experiments import FIGURES, Experiment, ExperimentResult
 from .metrics import StatsSnapshot, WindowMetrics, snapshot, window_metrics
 from .nemesis import (
     SCENARIOS,
@@ -40,22 +26,16 @@ from .nemesis import (
 from .report import format_table, format_value, series_block
 from .runner import RetwisRunResult, run_retwis_on_cluster
 
+#: The eleven paper experiments and ablations, in listing order.
+EXPERIMENTS = FIGURES + ABLATIONS
+
 __all__ = [
     "Cluster",
     "ClusterConfig",
     "BACKEND_KINDS",
+    "Experiment",
     "ExperimentResult",
-    "run_table1",
-    "run_figure1",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_packing_delay_ablation",
-    "run_replication_factor_ablation",
-    "run_watermark_interval_ablation",
-    "run_gc_window_ablation",
-    "run_client_caching_ablation",
+    "EXPERIMENTS",
     "StatsSnapshot",
     "WindowMetrics",
     "snapshot",
@@ -69,7 +49,6 @@ __all__ = [
     "collect_history",
     "run_audit",
     "sync_replicas",
-    "FailurePlan",
     "NemesisPlan",
     "ChaosMonkey",
     "largest_connected_majority",

@@ -1,17 +1,13 @@
 """Scripted and randomized failure injection.
 
 Recovery code that is only exercised by hand-built scenarios rots; a
-chaos schedule keeps it honest. Three tools:
+chaos schedule keeps it honest. Two tools:
 
-* :class:`FailurePlan` — a deterministic script of (time, action, node)
-  events: ``crash`` / ``recover`` at exact simulated instants, for
-  reproducible failure scenarios in tests and examples. Its failures
-  are link-level pauses (the node's memory survives); use
-  :meth:`NemesisPlan.crash` for amnesia crashes.
-* :class:`NemesisPlan` — the full fault DSL: partitions (symmetric and
+* :class:`NemesisPlan` — the fault DSL: partitions (symmetric and
   asymmetric), probabilistic link loss, latency spikes, clock anomalies
-  (steps, drift, spike storms) and crashes, all scheduled at exact
-  instants and recorded on a fault-event timeline. Named builders
+  (steps, drift, spike storms), link-level pauses (the node's memory
+  survives) and amnesia crashes, all scheduled at exact instants and
+  recorded on a fault-event timeline. Named builders
   (:func:`partition_primary_from_backups`, :func:`isolate_master`,
   :func:`majority_minority_split`, :func:`clock_storm`,
   :func:`loss_storm`) compose onto one plan via their ``plan=``
@@ -34,7 +30,6 @@ from ..sim.rng import SeededRng
 from .cluster import Cluster
 
 __all__ = [
-    "FailurePlan",
     "NemesisPlan",
     "ChaosMonkey",
     "largest_connected_majority",
@@ -44,38 +39,6 @@ __all__ = [
     "clock_storm",
     "loss_storm",
 ]
-
-
-class FailurePlan:
-    """A deterministic script of pause/unpause (link-cut) events."""
-
-    def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self._events: List[Tuple[float, str, str]] = []
-        self.executed: List[Tuple[float, str, str]] = []
-
-    def crash(self, at: float, node: str) -> "FailurePlan":
-        self._events.append((at, "crash", node))
-        return self
-
-    def recover(self, at: float, node: str) -> "FailurePlan":
-        self._events.append((at, "recover", node))
-        return self
-
-    def start(self) -> Process:
-        """Begin executing the schedule; returns the driver process."""
-        return self.cluster.sim.process(self._run())
-
-    def _run(self):
-        sim = self.cluster.sim
-        for at, action, node in sorted(self._events):
-            if at > sim.now:
-                yield sim.timeout(at - sim.now)
-            if action == "crash":
-                self.cluster.pause_server(node)
-            else:
-                self.cluster.unpause_server(node)
-            self.executed.append((sim.now, action, node))
 
 
 class NemesisPlan:

@@ -271,17 +271,6 @@ class Cluster:
     #: Historical name: ``fail_server`` always only cut links.
     fail_server = pause_server
 
-    def recover_server(self, name: str) -> None:
-        """Removed: silently resurrecting a 'failed' server with all its
-        volatile state intact made every crash test a lie."""
-        raise RuntimeError(
-            "Cluster.recover_server() no longer exists: it resurrected "
-            "the server's memory, timers, and in-flight handlers as if "
-            "the failure never happened. Use unpause_server() to undo a "
-            "pause_server()/fail_server() link cut, or restart_server() "
-            "to bring an amnesia-crashed server back through WAL replay "
-            "and the recovery protocol.")
-
     def crash_server(self, name: str, amnesia: bool = True) -> None:
         """Fail-stop ``name``. With ``amnesia`` (the default) this is a
         real crash: links cut, every in-flight handler and daemon

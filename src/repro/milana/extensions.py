@@ -26,6 +26,7 @@ from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
 from ..net.rpc import RpcError
+from ..semel.sharding import stable_hash
 from ..sim.process import Process
 from ..versioning import Version
 from ..wire import MilanaGetUnvalidated
@@ -157,7 +158,7 @@ class NearestReplicaClient(MilanaClient):
         shard = self.directory.shard_of(key)
         # "Nearest" in the simulated LAN: spread load deterministically
         # by key so hot keys fan out across the replica set.
-        replica = shard.replicas[hash(key) % len(shard.replicas)]
+        replica = shard.replicas[stable_hash(key) % len(shard.replicas)]
         try:
             reply = yield self.node.call(
                 replica, "milana.get_unvalidated",

@@ -20,10 +20,10 @@ import hashlib
 from bisect import bisect_right
 from typing import Dict, List, Sequence
 
-__all__ = ["HashRing", "ShardInfo", "Directory"]
+__all__ = ["HashRing", "ShardInfo", "Directory", "stable_hash"]
 
 
-def _stable_hash(value: str) -> int:
+def stable_hash(value: str) -> int:
     """A process-independent 64-bit hash (Python's hash() is salted)."""
     digest = hashlib.md5(value.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -46,7 +46,7 @@ class HashRing:
         self._owners: List[str] = []
         for shard in shards:
             for replica_index in range(vnodes):
-                point = _stable_hash(f"{shard}#{replica_index}")
+                point = stable_hash(f"{shard}#{replica_index}")
                 self._points.append(point)
                 self._owners.append(shard)
         order = sorted(range(len(self._points)),
@@ -56,7 +56,7 @@ class HashRing:
 
     def owner_of(self, key: str) -> str:
         """The shard owning ``key``."""
-        point = _stable_hash(key)
+        point = stable_hash(key)
         index = bisect_right(self._points, point)
         if index == len(self._points):
             index = 0

@@ -1,30 +1,40 @@
-"""Deterministic parallel experiment sweeps (ROADMAP item 4, phase 2).
+"""Deterministic parallel experiment sweeps over the experiment table.
 
-The figures, ablations, nemesis scenarios and sansim trials are
-embarrassingly parallel across (experiment, config, seed) *cells*: every
-grid point builds a fresh :class:`~repro.sim.core.Simulator` and a fresh
-seeded RNG, so cells share no state and can run in any order — or in
-different processes — without changing a single bit of any result.
+Every table, figure, ablation, nemesis-scenario grid and sansim-trial
+grid is one row of a single table (:data:`TABLE`: the paper rows live in
+:mod:`repro.harness.experiments` / :mod:`repro.harness.ablations`, the
+sweep-only rows in :mod:`repro.sweep.cells`). A row declares its ordered
+axes, its full-scale parameters with the quick-scale differences, and a
+``point`` function that runs one grid point on a fresh
+:class:`~repro.sim.core.Simulator` and a fresh seeded RNG — so grid
+points (*cells*) share no state and can run in any order, or in
+different processes, without changing a single bit of any result.
 
-This package exploits that:
+This package is the one loop that walks those grids:
 
-* :mod:`repro.sweep.cells` enumerates the cells of a named sweep in a
-  canonical order;
-* :mod:`repro.sweep.worker` runs one cell and returns a typed, picklable
-  :class:`CellResult` (an ExperimentResult-shaped payload plus a SHA-256
-  fingerprint of it);
+* :mod:`repro.sweep.cells` enumerates the cells of any row generically,
+  in canonical (axis) order;
+* :mod:`repro.sweep.worker` runs one cell through its row's ``point``
+  and returns a typed, picklable :class:`CellResult` (an
+  ExperimentResult-shaped payload plus a SHA-256 fingerprint of it);
 * :mod:`repro.sweep.cache` is a content-addressed on-disk cell cache
   keyed by (cell config, code fingerprint), so re-running a sweep only
   recomputes cells whose inputs actually changed;
-* :mod:`repro.sweep.runner` fans cells across cores with a
-  spawn-context ``ProcessPoolExecutor`` and merges results in canonical
-  cell order, making the merged report byte-identical to a serial run.
+* :mod:`repro.sweep.runner` runs the cells serially (``jobs=1``) or fans
+  them across cores with a spawn-context ``ProcessPoolExecutor``, and
+  merges results in canonical cell order, so the merged report is
+  byte-identical for every ``jobs``.
 
-Surfaced on the CLI as ``repro sweep`` (see docs/PERFORMANCE.md).
+To add an experiment, add one row (and its ``point`` function) to the
+table; ``repro list``, ``repro experiment``, ``repro sweep``, caching
+and parallel fan-out need no further edits.
+
+Surfaced on the CLI as ``repro experiment`` (serial, rendered table) and
+``repro sweep`` (parallel, cached; see docs/PERFORMANCE.md).
 """
 
 from .cache import CellCache, code_fingerprint
-from .cells import SweepCell, sweep_cells, sweep_names
+from .cells import TABLE, SweepCell, sweep_cells, sweep_names
 from .runner import (
     SweepResult,
     SweepWorkerError,
@@ -40,6 +50,7 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "SweepWorkerError",
+    "TABLE",
     "code_fingerprint",
     "default_jobs",
     "run_cell",

@@ -2,7 +2,7 @@
 
 A cell's cache key is the SHA-256 of the canonical JSON of::
 
-    {schema, code fingerprint, runner, params}
+    {schema, code fingerprint, sweep, params}
 
 * ``params`` already pins the seed (it is an ordinary cell parameter),
   so two cells differing only in seed never collide;
@@ -10,9 +10,11 @@ A cell's cache key is the SHA-256 of the canonical JSON of::
   installed ``repro`` package (path + content), so any source change —
   kernel, harness, workloads — invalidates the whole cache rather than
   risking stale results after a refactor;
-* the sweep name and cell index are deliberately **excluded**: a quick
-  grid is a subset of the full grid, and shared cells hit the same
-  entries regardless of which sweep or position enumerated them.
+* the sweep name picks the table row whose ``point`` function the
+  params are arguments of; the scale, cell index and label are
+  deliberately **excluded**: a quick grid often shares points with the
+  full grid, and shared cells hit the same entries regardless of which
+  scale or position enumerated them.
 
 Entries are single JSON files under ``<root>/<key[:2]>/<key>.json``,
 written atomically (tmp + rename) so a crashed or parallel writer can
@@ -68,7 +70,7 @@ class CellCache:
         material = canonical_json({
             "schema": CACHE_SCHEMA,
             "code": self.code_fp,
-            "runner": cell.runner,
+            "sweep": cell.sweep,
             "params": dict(cell.params),
         })
         return hashlib.sha256(material.encode()).hexdigest()
@@ -106,7 +108,7 @@ class CellCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA,
-            "runner": cell.runner,
+            "sweep": cell.sweep,
             "params": dict(cell.params),
             "payload": result.payload,
             "fingerprint": result.fingerprint,

@@ -1,31 +1,38 @@
-"""Cell enumeration: decompose a sweep into independent grid points.
+"""The sweep table and cell enumeration.
 
-A *cell* is one independently runnable grid point of an experiment
-sweep. The decomposition leans on a property every harness driver
-already has: each grid point builds a fresh ``Simulator`` and derives
-its RNG from a fixed seed (or a per-point substream that draws nothing
-from the parent), so running one point alone produces bit-identical
-results to running it inside the full driver loop.
+A *cell* is one independently runnable grid point of a row of the
+experiment table (:class:`~repro.harness.experiments.Experiment`). The
+decomposition leans on a property every row's ``point`` function has:
+each grid point builds a fresh ``Simulator`` and derives its RNG from a
+fixed seed (or a per-point substream that draws nothing from a parent),
+so a point run alone, in any order, in any process, produces
+bit-identical results.
 
-Cells are enumerated in **canonical order** — exactly the driver's loop
-nesting — so that results merged in cell order reproduce the serial
-driver's row order. Grid parameters may be overridden per sweep
-invocation (``repro sweep figure8 --scale quick`` and the benchmark
-drivers in ``benchmarks/`` both go through here).
+:data:`TABLE` is the paper experiments and ablations declared in
+:mod:`repro.harness` plus the three sweep-only grids below (nemesis
+scenarios, sansim trials, the hidden ``selftest``). Cells are enumerated
+generically, in **canonical order** — the row's axes, outermost first —
+so results merged in cell order always give the same table. Grid
+parameters may be overridden per invocation (the benchmark drivers in
+``benchmarks/`` do).
 
 Parallelism hygiene (simlint rule PAR001): this module keeps **no**
-module-level mutable state — sweep definitions are plain functions and
-the registry is rebuilt per call — because every module imported by a
-sweep worker is re-imported in a fresh spawn-context interpreter and
-module state would silently diverge between parent and workers.
+module-level mutable state — the table is a tuple of frozen rows —
+because every module imported by a sweep worker is re-imported in a
+fresh spawn-context interpreter and module state would silently diverge
+between parent and workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
-__all__ = ["SweepCell", "sweep_cells", "sweep_names"]
+from ..harness import EXPERIMENTS, Experiment
+from ..harness.experiments import Point
+from ..harness.nemesis import SCENARIOS, nemesis_config, run_nemesis
+
+__all__ = ["TABLE", "SweepCell", "experiment", "sweep_cells", "sweep_names"]
 
 
 @dataclass(frozen=True)
@@ -34,363 +41,133 @@ class SweepCell:
 
     ``params`` is a tuple of ``(name, value)`` pairs (scalars only) so
     the cell is hashable, picklable and JSON-stable — the cache key is
-    derived from it. ``index`` is the cell's position in canonical
-    order; merging results sorted by ``index`` reproduces the serial
-    driver's output.
+    derived from it; they are the keyword arguments of the row's
+    ``point`` function. ``index`` is the cell's position in canonical
+    order; results are merged sorted by ``index``.
     """
 
     sweep: str
     index: int
     label: str
-    runner: str
     params: Tuple[Tuple[str, Any], ...]
 
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
 
-def _cell(sweep: str, index: int, label: str, runner: str,
-          params: Dict[str, Any]) -> SweepCell:
-    return SweepCell(sweep=sweep, index=index, label=label, runner=runner,
-                     params=tuple(sorted(params.items())))
-
-
-def _merged(defaults: Dict[str, Any],
-            overrides: Dict[str, Any]) -> Dict[str, Any]:
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ValueError(
-            f"unknown sweep override(s) {sorted(unknown)}; expected a "
-            f"subset of {sorted(defaults)}")
-    merged = dict(defaults)
-    merged.update(overrides)
-    return merged
-
-
 # ---------------------------------------------------------------------------
-# Sweep definitions. Each returns cells in canonical (driver loop) order.
+# Sweep-only rows: grids that are not paper tables/figures.
 # ---------------------------------------------------------------------------
 
-def _figure1_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    defaults: Dict[str, Any] = {
-        "write_latencies": (0.2e-6, 100e-6),
-        "skews": (0.0, 1e-6, 10e-6, 100e-6, 1e-3),
-        "rounds": 150 if scale == "full" else 60,
-        "seed": 3,
-    }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for t_w in grid["write_latencies"]:
-        for epsilon in grid["skews"]:
-            cells.append(_cell(
-                "figure1", len(cells),
-                f"tw={t_w * 1e6:g}us/eps={epsilon * 1e6:g}us",
-                "figure1_cell",
-                {"write_latency": t_w, "skew": epsilon,
-                 "rounds": grid["rounds"], "seed": grid["seed"]}))
-    return cells
+def _nemesis_point(scenario, workload, duration, fault_start,
+                   fault_duration, alpha) -> Point:
+    config = nemesis_config(with_master=(scenario == "isolate-master"))
+    result = run_nemesis(
+        scenario, config=config, workload=workload, duration=duration,
+        fault_start=fault_start, fault_duration=fault_duration, alpha=alpha)
+    metrics = result.metrics
+    return [[scenario, metrics.committed, metrics.aborted,
+             metrics.abort_rate, metrics.throughput,
+             result.passed, result.records_synced]], {}
 
 
-def _figure6_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    # run_figure6 iterates both backends internally (they are not a
-    # parameter), so the cell granularity is (alpha, clients); each cell
-    # carries both backends' rows and the merge orders rows
-    # alpha-major rather than the serial driver's backend-major order.
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "client_counts": (2, 4, 8, 12, 16),
-            "alphas": (0.5, 0.75, 0.95),
-            "num_keys": 400, "duration": 0.4, "warmup": 0.1, "seed": 11,
-        }
-    else:
-        defaults = {
-            "client_counts": (2, 8), "alphas": (0.5, 0.95),
-            "num_keys": 200, "duration": 0.15, "warmup": 0.04, "seed": 11,
-        }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for alpha in grid["alphas"]:
-        for num_clients in grid["client_counts"]:
-            cells.append(_cell(
-                "figure6", len(cells), f"a={alpha:g}/c={num_clients}",
-                "figure6_cell",
-                {"alpha": alpha, "num_clients": num_clients,
-                 "num_keys": grid["num_keys"],
-                 "duration": grid["duration"], "warmup": grid["warmup"],
-                 "seed": grid["seed"]}))
-    return cells
+def _sansim_point(workload, trial, seed) -> Point:
+    # Deferred: only sansim cells pay for importing the sanitizer.
+    from ..sansim.explorer import TrialSpec, run_trial
 
-
-def _figure7_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "alphas": (0.4, 0.5, 0.6, 0.7, 0.8),
-            "clock_presets": ("ptp-sw", "ntp"),
-            "backends": ("dram", "vftl", "mftl"),
-            "num_clients": 20, "num_keys": 1000,
-            "duration": 0.4, "warmup": 0.1, "seed": 13,
-        }
-    else:
-        defaults = {
-            "alphas": (0.5, 0.8), "clock_presets": ("ptp-sw", "ntp"),
-            "backends": ("dram", "mftl"), "num_clients": 10,
-            "num_keys": 1000, "duration": 0.2, "warmup": 0.05, "seed": 13,
-        }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for clock_preset in grid["clock_presets"]:
-        for backend in grid["backends"]:
-            for alpha in grid["alphas"]:
-                cells.append(_cell(
-                    "figure7", len(cells),
-                    f"{clock_preset}/{backend}/a={alpha:g}",
-                    "figure7_cell",
-                    {"clock_preset": clock_preset, "backend": backend,
-                     "alpha": alpha, "num_clients": grid["num_clients"],
-                     "num_keys": grid["num_keys"],
-                     "duration": grid["duration"],
-                     "warmup": grid["warmup"], "seed": grid["seed"]}))
-    return cells
-
-
-def _figure8_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "client_counts": (4, 8, 16, 28, 40),
-            "backends": ("dram", "vftl", "mftl"),
-            "local_validation": (True, False),
-            "alpha": 0.6, "num_keys": 3000,
-            "duration": 0.4, "warmup": 0.1, "seed": 17,
-        }
-    else:
-        defaults = {
-            "client_counts": (8, 24), "backends": ("dram", "mftl"),
-            "local_validation": (True, False),
-            "alpha": 0.6, "num_keys": 3000,
-            "duration": 0.15, "warmup": 0.04, "seed": 17,
-        }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for backend in grid["backends"]:
-        for lv in grid["local_validation"]:
-            for num_clients in grid["client_counts"]:
-                cells.append(_cell(
-                    "figure8", len(cells),
-                    f"{backend}/{'LV' if lv else 'noLV'}/c={num_clients}",
-                    "figure8_cell",
-                    {"backend": backend, "local_validation": lv,
-                     "num_clients": num_clients, "alpha": grid["alpha"],
-                     "num_keys": grid["num_keys"],
-                     "duration": grid["duration"],
-                     "warmup": grid["warmup"], "seed": grid["seed"]}))
-    return cells
-
-
-def _ablation_cells(sweep: str, runner: str, value_key: str,
-                    cell_key: str, scale: str, defaults: Dict[str, Any],
-                    overrides: Dict[str, Any]) -> List[SweepCell]:
-    grid = _merged(defaults, overrides)
-    values = grid.pop(value_key)
-    cells = []
-    for value in values:
-        params = dict(grid)
-        params[cell_key] = value
-        cells.append(_cell(
-            sweep, len(cells), f"{cell_key}={value:g}", runner, params))
-    return cells
-
-
-def _ablation_packing_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "delays": (0.0, 0.25e-3, 0.5e-3, 1e-3, 2e-3),
-            "num_keys": 2000, "get_percent": 50.0, "duration": 0.06,
-            "warmup": 0.02, "num_workers": 64, "seed": 41,
-        }
-    else:
-        defaults = {
-            "delays": (0.0, 1e-3), "num_keys": 2000, "get_percent": 50.0,
-            "duration": 0.04, "warmup": 0.01, "num_workers": 32,
-            "seed": 41,
-        }
-    return _ablation_cells("ablation-packing", "ablation_packing_cell",
-                           "delays", "delay", scale, defaults, overrides)
-
-
-def _ablation_replication_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "replica_counts": (1, 3, 5), "num_clients": 8,
-            "num_keys": 1000, "alpha": 0.6, "duration": 0.25,
-            "warmup": 0.05, "seed": 43,
-        }
-    else:
-        defaults = {
-            "replica_counts": (1, 3), "num_clients": 4, "num_keys": 1000,
-            "alpha": 0.6, "duration": 0.12, "warmup": 0.03, "seed": 43,
-        }
-    return _ablation_cells(
-        "ablation-replication", "ablation_replication_cell",
-        "replica_counts", "replicas", scale, defaults, overrides)
-
-
-def _ablation_watermark_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "intervals": (0.01, 0.05, 0.2), "num_clients": 8,
-            "num_keys": 800, "alpha": 0.7, "duration": 0.3,
-            "warmup": 0.05, "seed": 47,
-        }
-    else:
-        defaults = {
-            "intervals": (0.01, 0.2), "num_clients": 4, "num_keys": 800,
-            "alpha": 0.7, "duration": 0.15, "warmup": 0.04, "seed": 47,
-        }
-    return _ablation_cells(
-        "ablation-watermark", "ablation_watermark_cell",
-        "intervals", "interval", scale, defaults, overrides)
-
-
-def _ablation_gc_window_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "windows": (0.002, 0.01, 0.05), "num_keys": 2000,
-            "get_percent": 50.0, "duration": 0.08, "warmup": 0.02,
-            "num_workers": 64, "seed": 53,
-        }
-    else:
-        defaults = {
-            "windows": (0.002, 0.02), "num_keys": 2000,
-            "get_percent": 50.0, "duration": 0.04, "warmup": 0.01,
-            "num_workers": 32, "seed": 53,
-        }
-    return _ablation_cells(
-        "ablation-gc-window", "ablation_gc_window_cell",
-        "windows", "window", scale, defaults, overrides)
-
-
-def _ablation_caching_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "alphas": (0.4, 0.8), "num_clients": 8, "num_keys": 1000,
-            "txns_per_client": 150, "seed": 59,
-        }
-    else:
-        defaults = {
-            "alphas": (0.4, 0.8), "num_clients": 4, "num_keys": 1000,
-            "txns_per_client": 60, "seed": 59,
-        }
-    return _ablation_cells(
-        "ablation-caching", "ablation_caching_cell",
-        "alphas", "alpha", scale, defaults, overrides)
-
-
-def _nemesis_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    # Import deferred: cells.py is imported by spawn workers.
-    from ..harness.nemesis import SCENARIOS
-
-    quick_scenarios = ("partition", "crash-restart", "clock-storm")
-    defaults: Dict[str, Any] = {
-        "scenarios": (tuple(sorted(SCENARIOS)) if scale == "full"
-                      else quick_scenarios),
-        "workload": "retwis",
-        "duration": 0.3 if scale == "full" else 0.2,
-        "fault_start": 0.05,
-        "fault_duration": 0.15 if scale == "full" else 0.1,
-        "alpha": 0.8,
-    }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for scenario in grid["scenarios"]:
-        cells.append(_cell(
-            "nemesis", len(cells), scenario, "nemesis_cell",
-            {"scenario": scenario, "workload": grid["workload"],
-             "duration": grid["duration"],
-             "fault_start": grid["fault_start"],
-             "fault_duration": grid["fault_duration"],
-             "alpha": grid["alpha"]}))
-    return cells
-
-
-def _sansim_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
     # Targeted-policy trials feed hot locations discovered by earlier
     # trials back into the scheduler, which is inherently sequential;
     # the sweep therefore runs only the feedback-free fifo/random
     # policies, which are independent per (workload, trial).
-    defaults: Dict[str, Any] = {
-        "workloads": ("retwis", "ycsb", "ctp-race"),
-        "trials": 8 if scale == "full" else 3,
-        "seed": 0,
-    }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for workload in grid["workloads"]:
-        for trial in range(grid["trials"]):
-            policy = "fifo" if trial == 0 else "random"
-            cells.append(_cell(
-                "sansim", len(cells), f"{workload}:{trial}:{policy}",
-                "sansim_cell",
-                {"workload": workload, "trial": trial, "policy": policy,
-                 "seed": grid["seed"]}))
-    return cells
+    spec = TrialSpec(workload=workload, trial=trial,
+                     policy="fifo" if trial == 0 else "random", seed=seed)
+    result = run_trial(spec)
+    fingerprints = sorted({w.fingerprint for w in result.witnesses})
+    return [[spec.workload, spec.trial, spec.policy,
+             len(result.witnesses), len(fingerprints)]], {}
 
 
-def _selftest_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    # Hidden sweep used by the test suite: cheap deterministic cells
-    # with an optional injected failure at one index.
-    defaults: Dict[str, Any] = {
-        "values": tuple(range(6 if scale == "full" else 4)),
-        "fail_at": -1,
-        "seed": 1,
-    }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for value in grid["values"]:
-        index = len(cells)
-        cells.append(_cell(
-            "selftest", index, f"v={value}", "selftest_cell",
-            {"value": value, "fail": index == grid["fail_at"],
-             "seed": grid["seed"]}))
-    return cells
+def _selftest_point(value, fail_at, seed) -> Point:
+    if value == fail_at:
+        raise ValueError("selftest cell failure injected via fail_at")
+    return ([[value, value * value, value * 0.1 + seed]],
+            {"square": (value, value * value)})
 
 
-def _definitions() -> Dict[str, Any]:
-    return {
-        "figure1": _figure1_cells,
-        "figure6": _figure6_cells,
-        "figure7": _figure7_cells,
-        "figure8": _figure8_cells,
-        "ablation-packing": _ablation_packing_cells,
-        "ablation-replication": _ablation_replication_cells,
-        "ablation-watermark": _ablation_watermark_cells,
-        "ablation-gc-window": _ablation_gc_window_cells,
-        "ablation-caching": _ablation_caching_cells,
-        "nemesis": _nemesis_cells,
-        "sansim": _sansim_cells,
-        "selftest": _selftest_cells,
-    }
+TABLE: Tuple[Experiment, ...] = EXPERIMENTS + (
+    Experiment(
+        name="nemesis",
+        title="Nemesis scenario sweep",
+        headers=("scenario", "committed", "aborted", "abort rate",
+                 "txn/s", "audit passed", "records synced"),
+        axes=(("scenarios", "scenario"),),
+        full=dict(scenarios=tuple(sorted(SCENARIOS)), workload="retwis",
+                  duration=0.3, fault_start=0.05, fault_duration=0.15,
+                  alpha=0.8),
+        quick=dict(scenarios=("partition", "crash-restart", "clock-storm"),
+                   duration=0.2, fault_duration=0.1),
+        point=_nemesis_point,
+        notes="Every scenario must pass its post-heal audit.",
+    ),
+    Experiment(
+        name="sansim",
+        title="Sansim trial sweep",
+        headers=("workload", "trial", "policy", "witnesses",
+                 "distinct fingerprints"),
+        axes=(("workloads", "workload"), ("trials", "trial")),
+        full=dict(workloads=("retwis", "ycsb", "ctp-race"),
+                  trials=tuple(range(8)), seed=0),
+        quick=dict(trials=tuple(range(3))),
+        point=_sansim_point,
+        notes="Feedback-free policies only (fifo/random); targeted "
+              "trials need cross-trial state and stay serial.",
+    ),
+    # Used by the test suite: cheap deterministic cells with an optional
+    # injected failure at the cell whose value is ``fail_at``.
+    Experiment(
+        name="selftest",
+        title="Sweep selftest",
+        headers=("value", "square", "scaled"),
+        axes=(("values", "value"),),
+        full=dict(values=tuple(range(6)), fail_at=-1, seed=1),
+        quick=dict(values=tuple(range(4))),
+        point=_selftest_point,
+        hidden=True,
+    ),
+)
+
+
+def experiment(name: str) -> Experiment:
+    """The table row called ``name``."""
+    for row in TABLE:
+        if row.name == name:
+            return row
+    raise ValueError(
+        f"unknown sweep {name!r}; choose from "
+        f"{sorted(row.name for row in TABLE)}")
 
 
 def sweep_names(include_hidden: bool = False) -> Tuple[str, ...]:
-    """Names accepted by :func:`sweep_cells`, in display order."""
-    names = [name for name in _definitions()
-             if include_hidden or name != "selftest"]
-    return tuple(names)
+    """Names accepted by :func:`sweep_cells`, in table order."""
+    return tuple(row.name for row in TABLE
+                 if include_hidden or not row.hidden)
 
 
 def sweep_cells(name: str, scale: str = "quick",
                 **overrides: Any) -> Sequence[SweepCell]:
     """Enumerate the cells of sweep ``name`` in canonical order.
 
-    ``scale`` selects the full grids (driver defaults) or the quick CI
-    grids; keyword overrides replace individual grid/shared parameters
-    (unknown keys raise, so typos cannot silently shrink a sweep).
+    ``scale`` selects the row's full or quick (CI) parameter values;
+    keyword overrides replace individual grid/shared parameters (unknown
+    keys raise, so typos cannot silently shrink a sweep).
     """
-    definitions = _definitions()
-    if name not in definitions:
-        raise ValueError(
-            f"unknown sweep {name!r}; choose from "
-            f"{sorted(definitions)}")
-    if scale not in ("quick", "full"):
-        raise ValueError(f"unknown scale {scale!r}; use 'quick' or 'full'")
-    return definitions[name](scale, dict(overrides))
+    row = experiment(name)
+    cells = []
+    for params in row.points(scale, **overrides):
+        axis_values = [(param, params[param]) for _, param in row.axes]
+        label = "/".join(
+            value if isinstance(value, str) else f"{param}={value}"
+            for param, value in axis_values)
+        cells.append(SweepCell(sweep=name, index=len(cells), label=label,
+                               params=tuple(sorted(params.items()))))
+    return cells

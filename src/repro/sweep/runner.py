@@ -125,9 +125,7 @@ class SweepResult:
         """Merge cell payloads into one ExperimentResult.
 
         Rows concatenate in cell order; series points append per key in
-        cell order — for sweeps whose cell order matches the serial
-        driver's loop nesting (figures 1/7/8, the ablations) the merged
-        result equals the driver's output exactly.
+        cell order — the row's axis order is the table's row order.
         """
         if not self.results:
             return ExperimentResult(
@@ -280,11 +278,11 @@ def sweep_experiment(
     refresh: bool = False,
     **overrides: Any,
 ) -> ExperimentResult:
-    """Drop-in ExperimentResult via the sweep runner.
+    """Run table row ``name`` and merge it into an ExperimentResult.
 
-    The benchmark drivers in ``benchmarks/`` call this instead of the
-    serial ``run_figureX`` drivers; keyword overrides are the same grid
-    parameters those drivers take.
+    This is how every table/figure is produced — ``repro experiment``,
+    the benchmark drivers in ``benchmarks/`` and library users all call
+    it; keyword overrides replace the row's grid/shared parameters.
     """
     return run_sweep(name, scale=scale, jobs=jobs, cache=cache,
                      refresh=refresh,

@@ -1,12 +1,13 @@
 """Run one sweep cell; return a typed, picklable result.
 
-Every cell runner returns the same payload shape — a JSON-safe dict
-with ``name``/``headers``/``rows``/``series``/``notes``, i.e. an
-:class:`~repro.harness.experiments.ExperimentResult` flattened to plain
-lists — so merging is uniform across figures, ablations, nemesis
-scenarios and sansim trials, and the merged report serializes
-identically whether a cell was computed in-process, in a spawn worker,
-or loaded from the on-disk cache.
+A cell is run by calling its table row's ``point`` function with the
+cell's parameters. Every cell yields the same payload shape — a
+JSON-safe dict with ``name``/``headers``/``rows``/``series``/``notes``,
+i.e. a one-point :class:`~repro.harness.experiments.ExperimentResult`
+flattened to plain lists — so merging is uniform across figures,
+ablations, nemesis scenarios and sansim trials, and the merged report
+serializes identically whether a cell was computed in-process, in a
+spawn worker, or loaded from the on-disk cache.
 
 Determinism: the payload is normalized by :func:`_jsonify` (tuples to
 lists, nothing else touched — floats keep their exact values, and
@@ -20,10 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 from ..bench.runner import host_clock
-from .cells import SweepCell
+from .cells import SweepCell, experiment
 
 __all__ = ["CellResult", "run_cell", "canonical_json", "payload_fingerprint"]
 
@@ -76,199 +77,19 @@ def _jsonify(value: Any) -> Any:
         f"{value!r}")
 
 
-def _experiment_payload(result: Any) -> Dict[str, Any]:
-    """Flatten an ExperimentResult to the uniform payload shape."""
-    return _jsonify({
-        "name": result.name,
-        "headers": result.headers,
-        "rows": result.rows,
-        "series": {key: [xs, ys]
-                   for key, (xs, ys) in result.series.items()},
-        "notes": result.notes,
-    })
-
-
-# ---------------------------------------------------------------------------
-# Cell runners. Imports are deferred so a spawn worker only pays for the
-# subsystems its cells actually touch.
-# ---------------------------------------------------------------------------
-
-def _figure1_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure1
-
-    return _experiment_payload(run_figure1(
-        write_latencies=(params["write_latency"],),
-        skews=(params["skew"],),
-        rounds=params["rounds"], seed=params["seed"]))
-
-
-def _figure6_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure6
-
-    return _experiment_payload(run_figure6(
-        client_counts=(params["num_clients"],),
-        alphas=(params["alpha"],),
-        num_keys=params["num_keys"], duration=params["duration"],
-        warmup=params["warmup"], seed=params["seed"]))
-
-
-def _figure7_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure7
-
-    return _experiment_payload(run_figure7(
-        alphas=(params["alpha"],),
-        clock_presets=(params["clock_preset"],),
-        backends=(params["backend"],),
-        num_clients=params["num_clients"], num_keys=params["num_keys"],
-        duration=params["duration"], warmup=params["warmup"],
-        seed=params["seed"]))
-
-
-def _figure8_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure8
-
-    return _experiment_payload(run_figure8(
-        client_counts=(params["num_clients"],),
-        backends=(params["backend"],),
-        local_validation=(params["local_validation"],),
-        alpha=params["alpha"], num_keys=params["num_keys"],
-        duration=params["duration"], warmup=params["warmup"],
-        seed=params["seed"]))
-
-
-def _ablation_packing_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_packing_delay_ablation
-
-    return _experiment_payload(run_packing_delay_ablation(
-        delays=(params["delay"],), num_keys=params["num_keys"],
-        get_percent=params["get_percent"], duration=params["duration"],
-        warmup=params["warmup"], num_workers=params["num_workers"],
-        seed=params["seed"]))
-
-
-def _ablation_replication_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_replication_factor_ablation
-
-    return _experiment_payload(run_replication_factor_ablation(
-        replica_counts=(params["replicas"],),
-        num_clients=params["num_clients"], num_keys=params["num_keys"],
-        alpha=params["alpha"], duration=params["duration"],
-        warmup=params["warmup"], seed=params["seed"]))
-
-
-def _ablation_watermark_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_watermark_interval_ablation
-
-    return _experiment_payload(run_watermark_interval_ablation(
-        intervals=(params["interval"],),
-        num_clients=params["num_clients"], num_keys=params["num_keys"],
-        alpha=params["alpha"], duration=params["duration"],
-        warmup=params["warmup"], seed=params["seed"]))
-
-
-def _ablation_gc_window_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_gc_window_ablation
-
-    return _experiment_payload(run_gc_window_ablation(
-        windows=(params["window"],), num_keys=params["num_keys"],
-        get_percent=params["get_percent"], duration=params["duration"],
-        warmup=params["warmup"], num_workers=params["num_workers"],
-        seed=params["seed"]))
-
-
-def _ablation_caching_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_client_caching_ablation
-
-    return _experiment_payload(run_client_caching_ablation(
-        alphas=(params["alpha"],), num_clients=params["num_clients"],
-        num_keys=params["num_keys"],
-        txns_per_client=params["txns_per_client"],
-        seed=params["seed"]))
-
-
-def _nemesis_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.nemesis import nemesis_config, run_nemesis
-
-    scenario = params["scenario"]
-    config = nemesis_config(
-        with_master=(scenario == "isolate-master"))
-    result = run_nemesis(
-        scenario, config=config, workload=params["workload"],
-        duration=params["duration"], fault_start=params["fault_start"],
-        fault_duration=params["fault_duration"], alpha=params["alpha"])
-    metrics = result.metrics
-    return _jsonify({
-        "name": "Nemesis scenario sweep",
-        "headers": ["scenario", "committed", "aborted", "abort rate",
-                    "txn/s", "audit passed", "records synced"],
-        "rows": [[scenario, metrics.committed, metrics.aborted,
-                  metrics.abort_rate, metrics.throughput,
-                  result.passed, result.records_synced]],
-        "series": {},
-        "notes": "Every scenario must pass its post-heal audit.",
-    })
-
-
-def _sansim_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..sansim.explorer import TrialSpec, run_trial
-
-    spec = TrialSpec(workload=params["workload"], trial=params["trial"],
-                     policy=params["policy"], seed=params["seed"])
-    result = run_trial(spec)
-    fingerprints = sorted({w.fingerprint for w in result.witnesses})
-    return _jsonify({
-        "name": "Sansim trial sweep",
-        "headers": ["workload", "trial", "policy", "witnesses",
-                    "distinct fingerprints"],
-        "rows": [[spec.workload, spec.trial, spec.policy,
-                  len(result.witnesses), len(fingerprints)]],
-        "series": {},
-        "notes": "Feedback-free policies only (fifo/random); targeted "
-                 "trials need cross-trial state and stay serial.",
-    })
-
-
-def _selftest_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    if params["fail"]:
-        raise ValueError("selftest cell failure injected via fail_at")
-    value = params["value"]
-    seed = params["seed"]
-    return _jsonify({
-        "name": "Sweep selftest",
-        "headers": ["value", "square", "scaled"],
-        "rows": [[value, value * value, value * 0.1 + seed]],
-        "series": {"square": [[value], [value * value]]},
-        "notes": "",
-    })
-
-
-def _runner_for(name: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
-    # Rebuilt per call rather than held as module state (PAR001).
-    runners: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-        "figure1_cell": _figure1_cell,
-        "figure6_cell": _figure6_cell,
-        "figure7_cell": _figure7_cell,
-        "figure8_cell": _figure8_cell,
-        "ablation_packing_cell": _ablation_packing_cell,
-        "ablation_replication_cell": _ablation_replication_cell,
-        "ablation_watermark_cell": _ablation_watermark_cell,
-        "ablation_gc_window_cell": _ablation_gc_window_cell,
-        "ablation_caching_cell": _ablation_caching_cell,
-        "nemesis_cell": _nemesis_cell,
-        "sansim_cell": _sansim_cell,
-        "selftest_cell": _selftest_cell,
-    }
-    if name not in runners:
-        raise ValueError(f"unknown cell runner {name!r}")
-    return runners[name]
-
-
 def run_cell(cell: SweepCell) -> CellResult:
     """Execute one cell in the current process and package the result."""
-    runner = _runner_for(cell.runner)
+    row = experiment(cell.sweep)
     start = host_clock()
-    payload = runner(cell.params_dict())
+    rows, series = row.point(**cell.params_dict())
     seconds = host_clock() - start
+    payload = _jsonify({
+        "name": row.title,
+        "headers": row.headers,
+        "rows": rows,
+        "series": {key: [[x], [y]] for key, (x, y) in series.items()},
+        "notes": row.notes,
+    })
     return CellResult(
         sweep=cell.sweep, index=cell.index, label=cell.label,
         payload=payload, fingerprint=payload_fingerprint(payload),

@@ -205,10 +205,10 @@ class TestDet004EnvironmentReads:
     def test_positive_uuid_and_urandom(self, tmp_path):
         findings = run_on(tmp_path, """\
             import os, uuid
-            def ident():
-                return uuid.uuid4(), os.urandom(8)
+            def ident(key):
+                return uuid.uuid4(), os.urandom(8), hash(key)
             """)
-        assert rule_ids(findings) == ["DET004", "DET004"]
+        assert rule_ids(findings) == ["DET004", "DET004", "DET004"]
 
     def test_positive_os_environ(self, tmp_path):
         findings = run_on(tmp_path, """\

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.durability import DurabilityConfig
-from repro.harness.chaos import ChaosMonkey, FailurePlan
+from repro.harness.chaos import ChaosMonkey, NemesisPlan
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.milana import COMMITTED
 from repro.sim import SeededRng
@@ -18,27 +18,26 @@ def make_cluster(**overrides):
     return Cluster(ClusterConfig(**defaults))
 
 
-class TestFailurePlan:
+class TestPausePlan:
     def test_executes_in_time_order(self):
         cluster = make_cluster()
-        plan = (FailurePlan(cluster)
-                .recover(30e-3, "srv-0-1")
-                .crash(10e-3, "srv-0-1"))
+        plan = (NemesisPlan(cluster)
+                .unpause(30e-3, "srv-0-1")
+                .pause(10e-3, "srv-0-1"))
         plan.start()
         cluster.sim.run(until=0.05)
-        assert [(round(t, 4), action, node)
-                for t, action, node in plan.executed] == [
-            (0.01, "crash", "srv-0-1"),
-            (0.03, "recover", "srv-0-1"),
+        assert [(round(t, 4), label) for t, label in plan.timeline] == [
+            (0.01, "pause srv-0-1"),
+            (0.03, "unpause srv-0-1"),
         ]
         assert not cluster.network.is_crashed("srv-0-1")
 
     def test_backup_blip_does_not_lose_commits(self):
         cluster = make_cluster()
         client = cluster.clients[0]
-        (FailurePlan(cluster)
-            .crash(5e-3, "srv-0-1")
-            .recover(25e-3, "srv-0-1")
+        (NemesisPlan(cluster)
+            .pause(5e-3, "srv-0-1")
+            .unpause(25e-3, "srv-0-1")
             .start())
 
         def work():

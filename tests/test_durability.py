@@ -6,8 +6,7 @@ Three layers, matching the crash model in docs/NEMESIS.md:
   points, the crash-droppable volatile tail, replay-cost accounting;
 * cluster-level crash/restart — volatile state is really wiped, the
   restart protocol really replays the WAL and rejoins via Algorithm 2
-  (primary) or catch-up (backup), and the legacy ``recover_server``
-  resurrection is gone;
+  (primary) or catch-up (backup);
 * end-to-end nemesis acceptance — the ``crash-restart`` scenario passes
   the post-heal audit with durable logging on, and the ack-before-fsync
   control demonstrably *fails* the same audit (lost acked writes), so
@@ -210,13 +209,6 @@ class TestClusterCrashRestart:
 
         cluster.crash_server("srv-0-0")
         assert not primary.txn_table
-
-    def test_recover_server_resurrection_is_removed(self):
-        cluster = make_cluster()
-        cluster.fail_server("srv-0-1")
-        with pytest.raises(RuntimeError, match="no longer exists"):
-            cluster.recover_server("srv-0-1")
-        cluster.unpause_server("srv-0-1")  # the honest replacement
 
     def test_restart_guards(self):
         cluster = make_cluster()

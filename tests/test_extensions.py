@@ -240,6 +240,26 @@ class TestNearestReplicaClient:
             for name in ("srv-0-1", "srv-0-2"))
         assert backup_gets > 0
 
+    @pytest.mark.parametrize("key, replica", [("key:0", "srv-0-1"),
+                                              ("key:2", "srv-0-2")])
+    def test_replica_choice_is_process_independent(self, key, replica):
+        """The replica is picked by the stable hash, not the salted
+        builtin ``hash``: the same key reads from the same replica under
+        every PYTHONHASHSEED."""
+        cluster = nearest_cluster()
+        client = cluster.clients[0]
+
+        def gets():
+            return {name: server.backend.stats.gets
+                    for name, server in cluster.servers.items()}
+
+        before = gets()
+        txn = client.begin(read_write_hint=True)
+        cluster.sim.run_until_event(client.txn_get(txn, key))
+        served = [name for name, count in gets().items()
+                  if count > before[name]]
+        assert served == [replica]
+
     def test_hinted_commits_still_serializable(self):
         """A stale backup read must be caught by primary validation."""
         cluster = nearest_cluster(num_clients=2)

@@ -3,9 +3,8 @@ fault plans, protocol hardening under faults, and post-heal audits."""
 
 import pytest
 
-from repro.faults import (
-    FaultyClock,
-    LinkFaults,
+from repro.clocks.anomalies import FaultyClock
+from repro.harness import (
     NemesisPlan,
     clock_storm,
     partition_primary_from_backups,
@@ -15,6 +14,7 @@ from repro.faults import (
 )
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.milana import ABORTED, COMMITTED, PREPARED, TransactionRecord
+from repro.net.faults import LinkFaults
 from repro.net.rpc import RpcTimeout
 from repro.sim import SeededRng
 from repro.verify import TxnEntry

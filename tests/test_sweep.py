@@ -1,19 +1,21 @@
-"""Tier-1 tests for the deterministic parallel sweep runner.
+"""Tier-1 tests for the experiment table and the sweep runner.
 
 The contract under test: for any ``-j`` value and any cache state, a
 sweep's merged report is **byte-identical** to the serial run — workers
 race only for completion order, which the canonical-order merge
 discards. The cheap hidden ``selftest`` sweep keeps the parallel
-determinism tests fast; one real (tiny) figure-1 sweep pins merge
-equality against the serial harness driver.
+determinism tests fast; tiny grids of the eleven paper experiments pin
+the table-driven renderings to digests recorded from the hand-written
+serial drivers the table replaced.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.harness import run_figure1
 from repro.sweep import (
+    TABLE,
     CellCache,
     SweepWorkerError,
     code_fingerprint,
@@ -30,19 +32,41 @@ from repro.sweep import (
 # ---------------------------------------------------------------------------
 
 
+ALL_SWEEPS = [row.name for row in TABLE]
+
+
 class TestCellEnumeration:
-    def test_canonical_order_and_indices(self):
+    def test_canonical_order_is_the_axis_order(self):
         cells = sweep_cells("figure8", scale="quick")
-        assert [cell.index for cell in cells] == list(range(len(cells)))
-        # Canonical order is the serial driver's loop nesting:
-        # backend-major, then local-validation, then client count.
-        assert cells[0].label.startswith("dram/LV")
+        # Outermost axis first: backend, then local validation, then
+        # client count.
+        assert [cell.label for cell in cells[:3]] == [
+            "dram/local_validation=True/num_clients=8",
+            "dram/local_validation=True/num_clients=24",
+            "dram/local_validation=False/num_clients=8",
+        ]
         assert all(cell.sweep == "figure8" for cell in cells)
 
-    def test_full_grid_is_superset_scale(self):
-        quick = sweep_cells("figure7", scale="quick")
-        full = sweep_cells("figure7", scale="full")
-        assert len(full) > len(quick)
+    @pytest.mark.parametrize("name", ALL_SWEEPS)
+    def test_every_row_enumerates_consistently(self, name):
+        quick = sweep_cells(name, scale="quick")
+        full = sweep_cells(name, scale="full")
+        for cells in (quick, full):
+            assert [cell.index for cell in cells] == list(range(len(cells)))
+            assert len({cell.label for cell in cells}) == len(cells)
+        assert len(full) >= len(quick) > 0
+        # Both scales accept the same override keys...
+        assert ({key for key, _ in quick[0].params}
+                == {key for key, _ in full[0].params})
+        # ...and a typo must not silently shrink a sweep.
+        for scale in ("quick", "full"):
+            with pytest.raises(ValueError, match="unknown sweep override"):
+                sweep_cells(name, scale=scale, no_such_parameter=1)
+
+    def test_override_replaces_an_axis(self):
+        cells = sweep_cells("figure8", client_counts=(8,))
+        assert len(cells) == 4
+        assert {cell.params_dict()["num_clients"] for cell in cells} == {8}
 
     def test_unknown_sweep_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep"):
@@ -51,11 +75,6 @@ class TestCellEnumeration:
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError, match="unknown scale"):
             sweep_cells("figure8", scale="medium")
-
-    def test_unknown_override_rejected(self):
-        # Typos must not silently shrink a sweep.
-        with pytest.raises(ValueError, match="unknown sweep override"):
-            sweep_cells("figure8", client_count=(8,))
 
     def test_sweep_names_hides_selftest(self):
         names = sweep_names()
@@ -100,15 +119,64 @@ class TestParallelDeterminism:
         assert default_jobs() >= 1
 
 
-class TestMergeMatchesSerialDriver:
-    def test_figure1_sweep_equals_driver(self):
-        grid = dict(write_latencies=(0.2e-6,), skews=(0.0, 1e-6),
-                    rounds=10, seed=3)
-        merged = sweep_experiment("figure1", jobs=1, **grid)
-        serial = run_figure1(**grid)
-        assert merged.render() == serial.render()
-        assert merged.rows == serial.rows
-        assert merged.series == serial.series
+#: One-or-two-point grids with tiny durations, and the SHA-256 of each
+#: ``ExperimentResult.render()`` recorded from the serial ``run_*``
+#: drivers at the commit before the experiment table replaced them.
+SERIAL_DRIVER_DIGESTS = {
+    "table1": (
+        dict(get_percents=(100, 50), num_keys=400, duration=0.01,
+             warmup=0.004, num_workers=16),
+        "e6111e37cc744281d3693d148c384dd003c14fb4866286ab4cdaf54bd2dc2fd5"),
+    "figure1": (
+        dict(write_latencies=(0.2e-6,), skews=(0.0, 1e-4), rounds=10),
+        "0aa23a02a3cac120f3d0bcf48643d2d50efedc227bde9cd568941a048ad6cecd"),
+    "figure6": (
+        dict(client_counts=(2,), alphas=(0.5, 0.95), num_keys=100,
+             duration=0.03, warmup=0.01),
+        "ed84b46f40b6496e4aac117f9b446cd754ae66c434da5b45706188e2cdbc4784"),
+    "figure7": (
+        dict(alphas=(0.8,), clock_presets=("ptp-sw", "ntp"),
+             backends=("dram",), num_clients=3, num_keys=200,
+             duration=0.03, warmup=0.01),
+        "92110dca0794d4516b38bb92ec96cb907384f7ef66fab4689ec58120bfcc2368"),
+    "figure8": (
+        dict(client_counts=(4,), backends=("mftl",),
+             local_validation=(True, False), num_keys=300,
+             duration=0.03, warmup=0.01),
+        "2d46bfe4db7bf6fcc7be9d82cb4ccc1dce8d47b705de2a4d3ce7441cbd059f9d"),
+    "figure9": (
+        dict(alphas=(0.8,), num_clients=4, num_keys=300, duration=0.03,
+             warmup=0.01),
+        "2d73ba86187e6f3d6a7a96d5f1386c7f5e2db5bb8463a2ae87e3aaa005bcb5c6"),
+    "ablation-packing": (
+        dict(delays=(0.0, 1e-3), num_keys=400, duration=0.01,
+             warmup=0.004, num_workers=16),
+        "d79a97906a459440771e9a429c7f02efb99eb7828eac758f30eb0edbdb3d6eb8"),
+    "ablation-replication": (
+        dict(replica_counts=(1, 3), num_clients=2, num_keys=200,
+             duration=0.03, warmup=0.01),
+        "966c4dc0ba1e230a32b5f72fe0cd2b45a24d0102e043cbfdc397a174e0452c8e"),
+    "ablation-watermark": (
+        dict(intervals=(0.01, 0.05), num_clients=2, num_keys=200,
+             duration=0.04, warmup=0.01),
+        "5b6e37ef9cf8a95f0a0c73566dc298aef98ae20f875f05e690cea41154ac15d4"),
+    "ablation-gc-window": (
+        dict(windows=(0.002, 0.01), num_keys=400, duration=0.01,
+             warmup=0.004, num_workers=16),
+        "8e00fa4fb16605ee0b1c77a2c0e0138e90c90bcf8a4d0f9e95deb402a69f1f67"),
+    "ablation-caching": (
+        dict(alphas=(0.8,), num_clients=2, num_keys=200,
+             txns_per_client=15),
+        "eacc32eb863c4c2f5f3a6b7795ff3b268f1ea87b763b39e1704da12feadcfcba"),
+}
+
+
+class TestTableMatchesSerialDrivers:
+    @pytest.mark.parametrize("name", sorted(SERIAL_DRIVER_DIGESTS))
+    def test_rendering_equals_the_recorded_serial_driver(self, name):
+        grid, digest = SERIAL_DRIVER_DIGESTS[name]
+        text = sweep_experiment(name, scale="full", **grid).render()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
