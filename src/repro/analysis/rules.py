@@ -444,11 +444,12 @@ class CrashStatePokeRule(Rule):
     """FLT001: fault state is mutated through the fault API only.
 
     Poking ``network._crashed`` directly bypasses the fault-injection
-    surface: no tracer event fires, ``can_communicate`` and the nemesis
-    audit see state that no plan recorded, and in-flight delivery checks
-    can disagree with the poked set. Use ``Network.crash`` /
-    ``Network.recover`` / ``Network.is_crashed`` (or a
-    ``NemesisPlan``), and ``Network.install_faults`` for link faults.
+    surface: the nemesis timeline never records it, so
+    ``can_communicate`` and the post-heal audit see state that no plan
+    made, and in-flight delivery checks can disagree with the poked
+    set. Use ``Network.crash`` / ``Network.recover`` /
+    ``Network.is_crashed`` (or a ``NemesisPlan``), and
+    ``Network.install_faults`` for link faults.
     """
 
     rule_id = "FLT001"
@@ -465,8 +466,9 @@ class CrashStatePokeRule(Rule):
                 yield self.finding(
                     ctx, node,
                     "touching Network._crashed bypasses the fault API "
-                    "(no tracer event, invisible to can_communicate "
-                    "audits); go through crash()/recover()/is_crashed() "
+                    "(absent from the nemesis timeline, so "
+                    "can_communicate audits disagree with the poked "
+                    "set); go through crash()/recover()/is_crashed() "
                     "or a NemesisPlan")
 
 

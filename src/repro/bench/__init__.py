@@ -8,8 +8,6 @@ the CI smoke job protects — how fast the simulator itself runs:
   (event dispatch and allocation, timeout trampolines, RPC
   round-trips, store handoffs), reported as operations per **host**
   second;
-* :mod:`repro.bench.macro` — wall-clock timings of real experiment
-  configurations (Retwis, YCSB, one figure-8 point) at reduced scale;
 * :mod:`repro.bench.fingerprint` — schedule fingerprints that gate
   every optimisation: a kernel change may only land if the
   default-config Retwis/YCSB/figure-6 fingerprints are byte-identical
@@ -17,6 +15,11 @@ the CI smoke job protects — how fast the simulator itself runs:
 * :mod:`repro.bench.runner` — the ``repro bench`` CLI engine: suite
   assembly, optional ``cProfile`` capture, ``BENCH_kernel.json``
   emission and baseline regression checks.
+
+Whole-stack performance (Retwis, the KV device path; host and simulated
+clocks, per-layer attribution) is measured by ``BENCHMARK.json`` and
+``benchmarks/e2e/``, which import :func:`~repro.bench.runner.host_clock`
+and :func:`~repro.bench.runner.host_metadata` from here.
 
 Wall-clock reads live here *only*: simulated components must never
 consult the host clock (simlint DET001); the benchmark harness is the
@@ -32,7 +35,6 @@ from .kernel import (
     bench_store_handoff,
     bench_timeout_chain,
 )
-from .macro import bench_figure8_point, bench_retwis, bench_ycsb
 from .runner import (
     BenchResult,
     check_against_baseline,
@@ -47,12 +49,9 @@ __all__ = [
     "all_fingerprints",
     "bench_event_alloc",
     "bench_event_dispatch",
-    "bench_figure8_point",
-    "bench_retwis",
     "bench_rpc_roundtrips",
     "bench_store_handoff",
     "bench_timeout_chain",
-    "bench_ycsb",
     "check_against_baseline",
     "host_metadata",
     "load_report",

@@ -74,13 +74,15 @@ class BenchResult:
                 + (f"; {detail}" if detail else "") + ")")
 
 
-def _suite() -> List[Tuple[str, Callable[[float], BenchResult], int]]:
-    # Imported lazily so ``repro bench --help`` stays instant. The third
-    # element is the repeat count: kernel microbenchmarks run in well under
-    # a second, so scheduler noise can swing a single sample by 2x; running
-    # each a few times and keeping the best (fresh Simulator per repeat)
-    # measures the code rather than the neighbours. The macro benchmarks
-    # run long enough to amortise the noise on their own.
+#: Kernel microbenchmarks run in well under a second, so scheduler noise
+#: can swing a single sample by 2x; running each a few times and keeping
+#: the best (fresh Simulator per repeat) measures the code rather than
+#: the neighbours.
+_REPEATS = 3
+
+
+def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
+    # Imported lazily so ``repro bench --help`` stays instant.
     from .kernel import (
         bench_event_alloc,
         bench_event_dispatch,
@@ -88,17 +90,13 @@ def _suite() -> List[Tuple[str, Callable[[float], BenchResult], int]]:
         bench_store_handoff,
         bench_timeout_chain,
     )
-    from .macro import bench_figure8_point, bench_retwis, bench_ycsb
 
     return [
-        ("kernel/events", bench_event_dispatch, 3),
-        ("kernel/alloc", bench_event_alloc, 3),
-        ("kernel/timeouts", bench_timeout_chain, 3),
-        ("kernel/store", bench_store_handoff, 3),
-        ("kernel/rpc", bench_rpc_roundtrips, 3),
-        ("macro/retwis", bench_retwis, 1),
-        ("macro/ycsb", bench_ycsb, 1),
-        ("macro/figure8-point", bench_figure8_point, 1),
+        ("kernel/events", bench_event_dispatch),
+        ("kernel/alloc", bench_event_alloc),
+        ("kernel/timeouts", bench_timeout_chain),
+        ("kernel/store", bench_store_handoff),
+        ("kernel/rpc", bench_rpc_roundtrips),
     ]
 
 
@@ -118,7 +116,7 @@ def run_suite(
     emit = report if report is not None else print
     scale = 0.1 if quick else 1.0
     results: List[BenchResult] = []
-    for name, benchmark, repeats in _suite():
+    for name, benchmark in _suite():
         if only and not name.startswith(only):
             continue
         if profile:
@@ -138,12 +136,11 @@ def run_suite(
                 emit(line)
         else:
             result = benchmark(scale)
-            for _ in range(repeats - 1):
+            for _ in range(_REPEATS - 1):
                 repeat = benchmark(scale)
                 if repeat.value > result.value:
                     result = repeat
-            if repeats > 1:
-                result.extra["best_of"] = repeats
+            result.extra["best_of"] = _REPEATS
         results.append(result)
         emit(result.render())
     return results
@@ -203,30 +200,10 @@ def load_report(path: str) -> Dict[str, Any]:
     return document
 
 
-def _tolerance_for(name: str, tolerance: float,
-                   tolerances: Optional[Dict[str, float]]) -> float:
-    """Per-benchmark tolerance: longest matching name prefix wins.
-
-    ``tolerances`` maps name prefixes (``"kernel/"``, ``"macro/"``, or
-    a full benchmark name for a single outlier) to fractional allowed
-    slowdowns; ``tolerance`` is the fallback for names no prefix
-    matches.
-    """
-    if not tolerances:
-        return tolerance
-    best: Optional[str] = None
-    for prefix in tolerances:
-        if name.startswith(prefix):
-            if best is None or len(prefix) > len(best):
-                best = prefix
-    return tolerances[best] if best is not None else tolerance
-
-
 def check_against_baseline(
     results: Sequence[BenchResult],
     baseline_path: str,
     tolerance: float = 0.30,
-    tolerances: Optional[Dict[str, float]] = None,
 ) -> List[str]:
     """Compare ``results`` to a checked-in baseline report.
 
@@ -234,17 +211,9 @@ def check_against_baseline(
     within tolerance (fractional allowed slowdown) of the baseline on
     every benchmark both sides know about. Benchmarks only present on
     one side are reported too, so the baseline cannot silently rot.
-
-    ``tolerance`` applies globally; ``tolerances`` overrides it per
-    name prefix (longest match wins), so the tight kernel
-    microbenchmarks and the noisier macro workloads can be gated at
-    different thresholds in one pass.
     """
-    for label, value in [("tolerance", tolerance)] + sorted(
-            (tolerances or {}).items()):
-        if not 0.0 <= value < 1.0:
-            raise ValueError(
-                f"{label} must be in [0, 1), got {value}")
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
     baseline = load_report(baseline_path)
     baseline_by_name = {entry["name"]: entry
                         for entry in baseline["results"]}
@@ -259,14 +228,13 @@ def check_against_baseline(
                 f"re-run `repro bench --quick --out {baseline_path}` "
                 f"to record it")
             continue
-        allowed = _tolerance_for(result.name, tolerance, tolerances)
-        floor = entry["value"] * (1.0 - allowed)
+        floor = entry["value"] * (1.0 - tolerance)
         if result.value < floor:
             slowdown = 1.0 - result.value / entry["value"]
             problems.append(
                 f"{result.name}: {result.value:,.0f} {result.metric} is "
                 f"{slowdown:.0%} below baseline {entry['value']:,.0f} "
-                f"(tolerance {allowed:.0%})")
+                f"(tolerance {tolerance:.0%})")
     for name in baseline_by_name:
         if name not in seen:
             problems.append(

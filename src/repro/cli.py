@@ -39,9 +39,9 @@ Commands
     content-addressed cell cache (see ``repro.sweep``); the merged
     report is byte-identical for every ``-j``.
 ``bench``
-    Measure host-side kernel performance (events/s, timeouts/s, RPC
-    round-trips/s, macro workload rates), optionally under cProfile,
-    write ``BENCH_kernel.json``, and check for regressions against a
+    Measure host-side kernel performance (events/s, timeouts/s, store
+    handoffs/s, RPC round-trips/s), optionally under cProfile, write
+    ``BENCH_kernel.json``, and check for regressions against a
     checked-in baseline (see docs/PERFORMANCE.md).
 """
 
@@ -200,12 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tolerance", type=float, default=0.30,
                        help="allowed fractional slowdown for --check "
                             "(default 0.30)")
-    bench.add_argument("--kernel-tolerance", type=float, default=None,
-                       help="override --tolerance for kernel/* "
-                            "microbenchmarks")
-    bench.add_argument("--macro-tolerance", type=float, default=None,
-                       help="override --tolerance for macro/* workloads "
-                            "(noisier; usually gated looser)")
     bench.add_argument("--fingerprints", action="store_true",
                        help="also print the schedule fingerprints that "
                             "gate kernel optimisations")
@@ -423,14 +417,8 @@ def _command_bench(args) -> int:
         write_report(results, args.out, quick=args.quick)
         print(f"[report written to {args.out}]")
     if args.check:
-        tolerances = {}
-        if args.kernel_tolerance is not None:
-            tolerances["kernel/"] = args.kernel_tolerance
-        if args.macro_tolerance is not None:
-            tolerances["macro/"] = args.macro_tolerance
         problems = check_against_baseline(
-            results, args.check, tolerance=args.tolerance,
-            tolerances=tolerances or None)
+            results, args.check, tolerance=args.tolerance)
         if args.only:
             # A filtered run legitimately misses baseline entries.
             problems = [problem for problem in problems

@@ -2,8 +2,10 @@
 
 Every node owns an inbox (:class:`~repro.sim.resources.Store`). ``send``
 delivers a message into the destination inbox after a latency-model draw;
-messages may therefore arrive out of order. The fault model has three
-layers (see DESIGN.md "Fault model" for the full taxonomy):
+messages may therefore arrive out of order. Every message that gets on
+the wire is one ``_Delivery`` heap entry, the only arrival path, with or
+without a fault table installed. The fault model has three layers (see
+DESIGN.md "Fault model" for the full taxonomy):
 
 * **fail-stop crashes** — :meth:`crash` silently drops all traffic to and
   from a node until :meth:`recover`; senders observe the failure only as
@@ -112,13 +114,11 @@ class Network:
         self.topology = topology
         self.duplicate_probability = duplicate_probability
         self.stats = NetworkStats()
-        #: Optional repro.sim.trace.Tracer; categories used: "net".
-        self.tracer = None
         self._inboxes: Dict[str, Store] = {}
         self._crashed: Set[str] = set()
         self._faults: Optional[LinkFaults] = None
-        # Bound once so each fast-path delivery shares one callback
-        # object instead of allocating a new bound method per message.
+        # Bound once so every delivery shares one callback object
+        # instead of allocating a new bound method per message.
         self._delivery_callback = self._finish_delivery
         # Per-network RPC request ids: identical seeds give identical
         # traces regardless of what other Simulators ran in-process.
@@ -191,9 +191,6 @@ class Network:
         self.stats.messages_sent += 1
         if src in self._crashed or dst in self._crashed:
             self.stats.messages_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record("net", "drop", src=src, dst=dst,
-                                   reason="crashed endpoint")
             return
         # Link faults are checked at send time: a message already in
         # flight when a partition begins is a packet on the wire and
@@ -204,14 +201,8 @@ class Network:
             dropped, extra_delay = self._faults.apply(src, dst)
             if dropped:
                 self.stats.messages_dropped += 1
-                if self.tracer is not None:
-                    self.tracer.record("net", "drop", src=src, dst=dst,
-                                       reason="link fault")
                 return
         size = wire_size_of(message)
-        if self.tracer is not None:
-            self.tracer.record("net", "send", src=src, dst=dst,
-                               kind=type(message).__name__, size=size)
         self._schedule_delivery(src, dst, message, size, extra_delay)
         if (self.duplicate_probability > 0
                 and self.rng.random() < self.duplicate_probability):
@@ -229,29 +220,12 @@ class Network:
         edge = (src, dst)
         stats.bytes_by_edge[edge] = stats.bytes_by_edge.get(edge, 0) + size
         stats.total_bytes += size
-        # Fast path: a single arrival event per message instead of the
-        # process/timeout/inbox-put chain (one heap entry rather than
-        # four, and no generator frames). Kept to the no-active-faults
-        # case so the legacy chain stays exercised under nemesis runs;
-        # both paths draw latency identically above, re-check crashes at
-        # arrival, and wake inbox getters in the same order, so the
-        # message schedule is the same either way.
-        if self._faults is not None and self._faults.active:
-            self.sim.process(self._deliver(src, dst, message, delay))
-        else:
-            _Delivery(self, src, dst, message, delay)
-
-    def _deliver(self, src: str, dst: str, message: Any, delay: float):
-        yield self.sim.timeout(delay)
-        if dst in self._crashed or src in self._crashed:
-            # Crashed while the message was in flight.
-            self.stats.messages_dropped += 1
-            return
-        self.stats.messages_delivered += 1
-        yield self._inboxes[dst].put(message)
+        # A single arrival event per message (one heap entry, no
+        # generator frames); crashes are re-checked when it fires.
+        _Delivery(self, src, dst, message, delay)
 
     def _finish_delivery(self, event: "_Delivery") -> None:
-        """Complete a fast-path arrival: the inline `_deliver` body."""
+        """Complete an arrival: re-check crashes, hand to the inbox."""
         src = event.src
         dst = event.dst
         if dst in self._crashed or src in self._crashed:
@@ -260,11 +234,11 @@ class Network:
             return
         self.stats.messages_delivered += 1
         message = event.message
-        sanitizer = self.sim.tracer
-        if sanitizer is not None:
+        tracer = self.sim.tracer
+        if tracer is not None:
             # Sanitizer seam: remember the sender clock this message
             # carries so the receiver's dispatch loop can adopt it.
-            sanitizer.tag_payload(message)
+            tracer.tag_payload(message)
         inbox = self._inboxes[dst]
         getters = inbox._getters
         if getters:

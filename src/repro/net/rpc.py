@@ -142,11 +142,6 @@ class RpcNode:
                 f"MethodSpec before registering a handler")
         self._handlers[method] = handler
 
-    def _trace(self, message: str, **fields):
-        tracer = getattr(self.network, "tracer", None)
-        if tracer is not None:
-            tracer.record("rpc", message, node=self.name, **fields)
-
     def _dispatch_loop(self):
         # Hot-path note: this generator runs once per delivered message on
         # every node. The loop-invariant lookups (inbox.get, the sim, the
@@ -169,9 +164,6 @@ class RpcNode:
                 # rather than accumulating one across all of them.
                 tracer.adopt_payload(message)
             if isinstance(message, Request):
-                self._trace("request", method=message.method,
-                            request_id=message.request_id,
-                            src=message.src)
                 track(new_process(serve(message)))
             elif isinstance(message, Response):
                 waiter = pending_pop(message.request_id, None)

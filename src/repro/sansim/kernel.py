@@ -1,8 +1,9 @@
-"""Traced simulator/process: the sanitizer-enabled kernel twin.
+"""Traced simulator/process: the sanitizer-enabled kernel.
 
 :class:`TracedSimulator` subclasses the production
-:class:`~repro.sim.core.Simulator` and re-implements the (deliberately
-non-inlined) event loop with three additions:
+:class:`~repro.sim.core.Simulator` and overrides its one loop
+(``_drain``) as a plain walk over :meth:`TracedSimulator.step`, the
+single traced fire body, which adds two things to the base kernel:
 
 1. every pop consults the :class:`~repro.sansim.runtime.SanitizerRuntime`
    so the fired event's *origin clock* becomes ambient, and every push
@@ -11,15 +12,13 @@ non-inlined) event loop with three additions:
    tie-break policy (:mod:`repro.sansim.policies`) instead of strict
    sequence order — the schedule explorer's lever. The default
    :class:`~repro.sansim.policies.FifoTieBreak` picks index 0, which is
-   byte-identical to the base kernel's ``(time, seq)`` order;
-3. ``process()`` returns a :class:`TracedProcess` whose ``_resume``
-   duplicates the base body inside begin/end-resume bookkeeping (a
-   wrapper could not see the relay special case, which needs the target
-   process's final clock to keep the happens-before edge).
+   byte-identical to the base kernel's ``(time, seq)`` order.
 
-``events_processed`` keeps the base kernel's arithmetic accounting:
-pushed-back tie entries bump neither ``_seq`` nor the net heap length,
-so the pops = pushes + shrinkage identity still holds.
+``run`` and ``run_until_event`` are inherited. ``process()`` returns a
+:class:`TracedProcess`, which wraps the one resume body
+(``Process._resume``) in begin/end-resume bookkeeping and overrides
+``_relay``, whose push needs the target process's final clock to keep
+the happens-before edge.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from heapq import heappop, heappush
 from typing import Any, Generator, Optional, Tuple
 
 from ..sim.core import Simulator
-from ..sim.events import Event, Interrupt
+from ..sim.events import Event
 from ..sim.process import Process
 from .policies import FifoTieBreak, TieBreakPolicy
 from .runtime import SanitizerRuntime
@@ -39,79 +38,37 @@ __all__ = ["TracedProcess", "TracedSimulator"]
 class TracedProcess(Process):
     """A process that reports resume windows to the sanitizer runtime.
 
-    The body of :meth:`_resume` mirrors ``Process._resume`` statement
-    for statement (see the lockstep note in ``sim/process.py``); the
-    only behavioural additions are the tracer calls, which never touch
-    the heap themselves.
+    The tracer calls never touch the heap themselves, so the schedule
+    is the base kernel's.
     """
 
     __slots__ = ()
 
+    #: Narrowed from the base class: only ``TracedSimulator.process``
+    #: builds these, so ``sim.tracer`` is a live runtime.
+    sim: TracedSimulator
+
     def _resume(self, trigger: Event) -> None:
-        sim = self.sim
-        tracer = sim.tracer
-        if tracer is None:  # pragma: no cover - traced sims carry one
-            Process._resume(self, trigger)
-            return
         if trigger is not self._waiting_on:
             return
-        self._waiting_on = None  # type: ignore[assignment]
+        sim = self.sim
+        tracer = sim.tracer
         ctx = tracer.begin_resume(self)
         s0 = sim._seq
         try:
-            self._resume_body(trigger, sim, tracer)
+            Process._resume(self, trigger)
         finally:
             tracer.end_resume(ctx, s0, sim._seq)
 
-    def _resume_body(self, trigger: Event, sim: Simulator,
-                     tracer: SanitizerRuntime) -> None:
-        try:
-            if trigger._ok:
-                target = self._generator.send(trigger._value)
-            else:
-                trigger.defused = True
-                target = self._generator.throw(trigger._value)
-        except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
-            return
-        except Interrupt as exc:
-            self._ok = False
-            self._value = exc
-            self.defused = True
-            heappush(sim._heap, (sim._now, sim._seq, self))
-            sim._seq += 1
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-            self.fail(exc)
-            return
-
-        if not isinstance(target, Event):
-            error = TypeError(
-                f"process yielded {target!r}; processes must yield Events")
-            self._crash(error)
-            return
-
-        if target._processed:
-            relay = Event(sim)
-            relay._ok = target._ok
-            relay._value = target._value
-            if relay._ok is False:
-                target.defused = True
-                relay.defused = True
-            self._waiting_on = relay
-            relay.callbacks.append(self._resume)
-            seq = sim._seq
-            sim.schedule(relay)
-            # The completion push of ``target`` was consumed in an earlier
-            # step; re-attach its final clock here or the join edge from
-            # the finished process would be lost (a lost edge reads as a
-            # false race downstream).
-            tracer.attribute_relay(seq, target)
-        else:
-            if target._ok is False:
-                target.defused = True
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
+    def _relay(self, target: Event) -> None:
+        sim = self.sim
+        seq = sim._seq
+        Process._relay(self, target)
+        # The completion push of ``target`` was consumed in an earlier
+        # step; re-attach its final clock here or the join edge from
+        # the finished process would be lost (a lost edge reads as a
+        # false race downstream).
+        sim.tracer.attribute_relay(seq, target)
 
 
 class TracedSimulator(Simulator):
@@ -171,52 +128,9 @@ class TracedSimulator(Simulator):
         event._fire()
         tracer.end_fire(s0, self._seq)
 
-    def run(self, until: Optional[float] = None) -> None:
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"cannot run backwards: until={until} < now={self._now}")
+    def _drain(self, until: float, stop: Optional[Event]) -> None:
         heap = self._heap
-        tracer = self.tracer
-        seq0 = self._seq
-        len0 = len(heap)
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                time, seq, event = self._pop_next()
-                self._now = time
-                tracer.on_pop(seq, event)
-                s0 = self._seq
-                event._fire()
-                tracer.end_fire(s0, self._seq)
-        finally:
-            self.events_processed += self._seq - seq0 + len0 - len(heap)
-        if until is not None and self._now < until:
-            self._now = until
-
-    def run_until_event(self, event: Event,
-                        limit: Optional[float] = None) -> Any:
-        heap = self._heap
-        tracer = self.tracer
-        seq0 = self._seq
-        len0 = len(heap)
-        try:
-            while not event._processed:
-                if not heap:
-                    raise RuntimeError(
-                        f"simulation queue drained before {event!r} fired")
-                if limit is not None and heap[0][0] > limit:
-                    raise RuntimeError(
-                        f"simulated time limit {limit} reached before "
-                        f"{event!r} fired")
-                time, seq, popped = self._pop_next()
-                self._now = time
-                tracer.on_pop(seq, popped)
-                s0 = self._seq
-                popped._fire()
-                tracer.end_fire(s0, self._seq)
-        finally:
-            self.events_processed += self._seq - seq0 + len0 - len(heap)
-        if event._ok is False:
-            raise event._value
-        return event._value
+        while heap and heap[0][0] <= until:
+            self.step()
+            if stop is not None and stop._processed:
+                return

@@ -6,16 +6,14 @@ generator-based processes, condition events, FIFO stores, counted
 resources, and named seedable random streams.
 """
 
-from .core import Simulator, StopSimulation
+from .core import Simulator
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .process import Process
 from .resources import Resource, Store
 from .rng import SeededRng
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
-    "StopSimulation",
     "Event",
     "Timeout",
     "AnyOf",
@@ -25,6 +23,4 @@ __all__ = [
     "Store",
     "Resource",
     "SeededRng",
-    "Tracer",
-    "TraceRecord",
 ]

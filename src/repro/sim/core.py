@@ -17,13 +17,14 @@ Example
 >>> proc.value
 'done'
 
-Hot-path note: :meth:`Simulator.run` is the single hottest loop in the
-whole reproduction — every experiment spends most of its host wall-clock
-inside it — so the loop inlines :meth:`step` and :meth:`Event._fire`
-with local bindings instead of making three method calls per event. The
-inlined bodies must stay in behavioural lockstep with the originals
-(``tests/test_fingerprints.py`` pins the resulting schedules
-byte-for-byte). ``events_processed`` counts popped events so
+Hot-path note: :meth:`Simulator._drain` is the single hottest loop in
+the whole reproduction (every experiment spends most of its host
+wall-clock inside it) and the only loop the kernel has: :meth:`run` and
+:meth:`run_until_event` differ just in the ``until`` / ``stop``
+arguments they pass it. It holds the one inlined copy of :meth:`step`
+plus :meth:`Event._fire`, with local bindings instead of three method
+calls per event; ``tests/test_fingerprints.py`` pins the resulting
+schedules byte-for-byte. ``events_processed`` counts popped events so
 ``repro bench`` can report kernel throughput as events per host second.
 """
 
@@ -35,11 +36,9 @@ from typing import Any, Generator, Iterable, List, Optional, Tuple
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
-__all__ = ["Simulator", "StopSimulation"]
+__all__ = ["Simulator"]
 
-
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Simulator.run` at an event."""
+_INF = float("inf")
 
 
 class Simulator:
@@ -56,7 +55,7 @@ class Simulator:
     #: carries a ``SanitizerRuntime`` here; on the base class this is a
     #: plain class attribute, so instrumentation sites in the protocol
     #: layers pay exactly one attribute load to observe ``None`` and the
-    #: hot loops below stay byte-identical to the PR 5 fast path.
+    #: hot loop below never consults it.
     #: Typed ``Any`` rather than the concrete runtime: the sim layer
     #: must not import upward into ``repro.sansim``.
     tracer: Optional[Any] = None
@@ -107,26 +106,21 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         if not self._heap:
-            return float("inf")
+            return _INF
         return self._heap[0][0]
 
     def step(self) -> None:
-        """Pop and process the single next event.
-
-        :meth:`run` and :meth:`run_until_event` inline this body (plus
-        ``Event._fire``) in their loops; keep them in sync.
-        """
+        """Pop and process the single next event."""
         time, _, event = heappop(self._heap)
         self._now = time
         self.events_processed += 1
         event._fire()
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue empties or simulated time reaches ``until``.
+    def _drain(self, until: float, stop: Optional[Event]) -> None:
+        """Fire events in ``(time, seq)`` order; the kernel's only loop.
 
-        When ``until`` is given, time is advanced exactly to ``until`` even
-        if the queue drains earlier, so that back-to-back ``run`` calls see
-        consistent clocks.
+        Returns as soon as the next entry is later than ``until`` (or
+        the heap is empty), or right after ``stop`` has fired.
         """
         heap = self._heap
         pop = heappop
@@ -135,60 +129,23 @@ class Simulator:
         # pops = pushes-during-run + how much the heap shrank.
         seq0 = self._seq
         len0 = len(heap)
-        if until is None:
-            try:
-                while True:
-                    try:
-                        time, _, event = pop(heap)
-                    except IndexError:
-                        break
-                    self._now = time
-                    # Same-timestamp batch drain: zero-latency cascades
-                    # (event chains, inbox handoffs) put long runs of
-                    # entries at one timestamp on the heap; the inner
-                    # loop pops them without re-storing ``_now`` per
-                    # event. Pops still come off the heap one at a time
-                    # in (time, seq) order, so the schedule is the one
-                    # the un-batched loop produces.
-                    while True:
-                        # Inlined Event._fire (see events.py). The
-                        # one-callback case dominates, so it skips the
-                        # defensive list swap: clearing before the call
-                        # keeps late appends dropped, exactly like the
-                        # swap does.
-                        event._processed = True
-                        callbacks = event.callbacks
-                        if callbacks:
-                            if len(callbacks) == 1:
-                                callback = callbacks[0]
-                                callbacks.clear()
-                                callback(event)
-                            else:
-                                event.callbacks = []
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._ok is False:
-                            if not event.defused:
-                                raise event._value
-                        if heap and heap[0][0] == time:
-                            _, _, event = pop(heap)
-                        else:
-                            break
-            finally:
-                self.events_processed += (self._seq - seq0
-                                          + len0 - len(heap))
-            return
-        if until < self._now:
-            raise ValueError(
-                f"cannot run backwards: until={until} < now={self._now}")
         try:
             while heap and heap[0][0] <= until:
                 time, _, event = pop(heap)
                 self._now = time
-                # Same-timestamp batch drain plus the one-callback fast
-                # dispatch, exactly as in the ``until is None`` loop
-                # above (the equal-time guard implies ``<= until``).
+                # Same-timestamp batch drain: zero-latency cascades
+                # (event chains, inbox handoffs) put long runs of
+                # entries at one timestamp on the heap; the inner loop
+                # pops them without re-storing ``_now`` per event (the
+                # equal-time guard implies ``<= until``). Pops still
+                # come off the heap one at a time in (time, seq) order,
+                # so the schedule is the one the un-batched loop
+                # produces.
                 while True:
+                    # Event._fire, inlined. The one-callback case
+                    # dominates, so it skips the defensive list swap:
+                    # clearing before the call keeps late appends
+                    # dropped, exactly like the swap does.
                     event._processed = True
                     callbacks = event.callbacks
                     if callbacks:
@@ -203,12 +160,29 @@ class Simulator:
                     if event._ok is False:
                         if not event.defused:
                             raise event._value
+                    if event is stop:
+                        return
                     if heap and heap[0][0] == time:
                         _, _, event = pop(heap)
                     else:
                         break
         finally:
             self.events_processed += self._seq - seq0 + len0 - len(heap)
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue empties or simulated time reaches ``until``.
+
+        When ``until`` is given, time is advanced exactly to ``until`` even
+        if the queue drains earlier, so that back-to-back ``run`` calls see
+        consistent clocks.
+        """
+        if until is None:
+            self._drain(_INF, None)
+            return
+        if until < self._now:
+            raise ValueError(
+                f"cannot run backwards: until={until} < now={self._now}")
+        self._drain(until, None)
         if self._now < until:
             self._now = until
 
@@ -219,64 +193,15 @@ class Simulator:
         seconds pass) before the event fires, and re-raises the failure
         exception if the event failed.
         """
-        heap = self._heap
-        pop = heappop
-        seq0 = self._seq
-        len0 = len(heap)
-        try:
-            # The limit check is hoisted out of the hot loop by splitting
-            # it: the limit-free variant (the common case — every
-            # workload drain goes through it) pays no per-event
-            # ``is not None`` test, and both get the one-callback fast
-            # dispatch from the ``run`` loops.
-            if limit is None:
-                while not event._processed:
-                    if not heap:
-                        raise RuntimeError(
-                            f"simulation queue drained before {event!r} "
-                            f"fired")
-                    time, _, popped = pop(heap)
-                    self._now = time
-                    popped._processed = True
-                    callbacks = popped.callbacks
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callback = callbacks[0]
-                            callbacks.clear()
-                            callback(popped)
-                        else:
-                            popped.callbacks = []
-                            for callback in callbacks:
-                                callback(popped)
-                    if popped._ok is False and not popped.defused:
-                        raise popped._value
-            else:
-                while not event._processed:
-                    if not heap:
-                        raise RuntimeError(
-                            f"simulation queue drained before {event!r} "
-                            f"fired")
-                    if heap[0][0] > limit:
-                        raise RuntimeError(
-                            f"simulated time limit {limit} reached before "
-                            f"{event!r} fired")
-                    time, _, popped = pop(heap)
-                    self._now = time
-                    popped._processed = True
-                    callbacks = popped.callbacks
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callback = callbacks[0]
-                            callbacks.clear()
-                            callback(popped)
-                        else:
-                            popped.callbacks = []
-                            for callback in callbacks:
-                                callback(popped)
-                    if popped._ok is False and not popped.defused:
-                        raise popped._value
-        finally:
-            self.events_processed += self._seq - seq0 + len0 - len(heap)
+        if not event._processed:
+            self._drain(_INF if limit is None else limit, event)
+            if not event._processed:
+                if not self._heap:
+                    raise RuntimeError(
+                        f"simulation queue drained before {event!r} fired")
+                raise RuntimeError(
+                    f"simulated time limit {limit} reached before "
+                    f"{event!r} fired")
         if event._ok is False:
             raise event._value
         return event._value

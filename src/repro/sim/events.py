@@ -142,8 +142,7 @@ class Event:
     def _fire(self) -> None:
         """Run callbacks; invoked by the simulator when the event is popped.
 
-        :meth:`Simulator.run` inlines this body in its inner loop; keep
-        the two in sync when changing it.
+        ``Simulator._drain`` holds the one inlined copy of this body.
         """
         self._processed = True
         callbacks = self.callbacks

@@ -13,12 +13,11 @@ the kernel (see events.py). The constructor caches three bound methods
 in slots — ``generator.send``/``generator.throw`` (``_send``/``_throw``)
 and the resume callback itself (``_resume_cb``) — so the per-yield path
 neither re-binds generator methods nor allocates a fresh bound-method
-object for every ``callbacks.append``. ``repro.sansim`` carries a traced
-twin (``TracedProcess``) that duplicates this body with happens-before
-bookkeeping around it; keep the two in behavioural lockstep when
-changing the resume protocol. (``_resume_cb`` binds the *overridden*
-``_resume`` for subclasses, and callback removal compares bound methods
-by ``==``, so the traced twin may keep appending ``self._resume``.)
+object for every ``callbacks.append``. :meth:`Process._resume` is the
+only resume body: ``repro.sansim``'s ``TracedProcess`` wraps it in
+happens-before bookkeeping (``_resume_cb`` binds the *overridden*
+``_resume`` for subclasses) and overrides :meth:`Process._relay`, the
+one branch whose heap push needs extra attribution.
 """
 
 from __future__ import annotations
@@ -128,22 +127,25 @@ class Process(Event):
             return
 
         if target._processed:
-            # The yielded event fired during an earlier simulator step; relay
-            # its outcome through a fresh immediate event.
-            relay = Event(self.sim)
-            relay._ok = target._ok
-            relay._value = target._value
-            if relay._ok is False:
-                target.defused = True
-                relay.defused = True
-            self._waiting_on = relay
-            relay.callbacks.append(self._resume_cb)
-            self.sim.schedule(relay)
+            self._relay(target)
         else:
             if target._ok is False:
                 target.defused = True
             self._waiting_on = target
             target.callbacks.append(self._resume_cb)
+
+    def _relay(self, target: Event) -> None:
+        """Wait on ``target``, which fired during an earlier simulator
+        step, by relaying its outcome through a fresh immediate event."""
+        relay = Event(self.sim)
+        relay._ok = target._ok
+        relay._value = target._value
+        if relay._ok is False:
+            target.defused = True
+            relay.defused = True
+        self._waiting_on = relay
+        relay.callbacks.append(self._resume_cb)
+        self.sim.schedule(relay)
 
     def _crash(self, error: BaseException) -> None:
         """Terminate the generator with ``error`` and fail the process."""

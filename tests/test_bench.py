@@ -147,52 +147,3 @@ class TestReports:
         with open(path, "w") as handle:
             json.dump({"schema": 1, "quick": True, "results": []}, handle)
         assert load_report(path)["schema"] == 1
-
-
-class TestPerMetricTolerances:
-    def _mixed_results(self):
-        return [
-            BenchResult(name="kernel/events", metric="events_per_s",
-                        value=1000.0, n=100, seconds=0.1),
-            BenchResult(name="macro/retwis", metric="txns_per_host_s",
-                        value=1000.0, n=100, seconds=0.1),
-        ]
-
-    def test_prefix_tolerances_split_kernel_and_macro(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_report(self._mixed_results(), path)
-        current = self._mixed_results()
-        current[0].value = 650.0  # kernel down 35%
-        current[1].value = 650.0  # macro down 35%
-        problems = check_against_baseline(
-            current, path, tolerances={"kernel/": 0.30, "macro/": 0.50})
-        assert len(problems) == 1
-        assert "kernel/events" in problems[0]
-        assert "tolerance 30%" in problems[0]
-
-    def test_longest_prefix_wins(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_report(self._mixed_results(), path)
-        current = self._mixed_results()
-        current[0].value = 650.0  # down 35%; exact-name override allows
-        problems = check_against_baseline(
-            current, path,
-            tolerances={"kernel/": 0.30, "kernel/events": 0.40})
-        assert problems == []
-
-    def test_global_tolerance_is_the_fallback(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_report(self._mixed_results(), path)
-        current = self._mixed_results()
-        current[1].value = 650.0  # down 35%, only kernel/ overridden
-        problems = check_against_baseline(
-            current, path, tolerance=0.30, tolerances={"kernel/": 0.10})
-        assert len(problems) == 1
-        assert "macro/retwis" in problems[0]
-
-    def test_bad_mapped_tolerance_rejected(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_report(self._mixed_results(), path)
-        with pytest.raises(ValueError, match="macro/"):
-            check_against_baseline(
-                self._mixed_results(), path, tolerances={"macro/": 1.2})

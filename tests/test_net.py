@@ -10,6 +10,7 @@ from repro.net import (
     RpcNode,
     RpcTimeout,
 )
+from repro.sansim import FifoTieBreak, SanitizerRuntime, TracedSimulator
 from repro.sim import SeededRng, Simulator
 
 
@@ -292,22 +293,28 @@ class TestRpc:
 
 
 class TestDeliveryFastPath:
-    """The fast-path arrival event and the legacy process chain must
-    produce identical message schedules; only host speed may differ."""
+    """Every message arrives through one ``_Delivery`` heap entry, with
+    or without an active fault table (class name kept from when a
+    second, generator-chain path existed under faults)."""
 
-    def _run_exchange(self, activate_faults):
-        sim = Simulator()
-        network = Network(sim, SeededRng(11),
-                          latency=JitteredLatency(base=50e-6,
-                                                  jitter_fraction=0.3))
+    EXTRA = 2e-3
+
+    def _faulty_net(self, sim, latency):
+        # Extra latency on the edge under test plus a blocked edge
+        # between two ghost nodes: the table is active and is consulted
+        # for every tx -> rx message.
+        network = make_net(sim, latency=latency)
         inbox = network.register("rx")
         network.register("tx")
-        if activate_faults:
-            # A blocked edge between two ghost nodes flips the table to
-            # active — forcing every real message down the legacy
-            # process chain — without touching tx -> rx traffic.
-            network.install_faults().block("ghost-a", "ghost-b")
-            assert network.faults.active
+        faults = network.install_faults()
+        faults.block("ghost-a", "ghost-b")
+        faults.set_extra_latency(self.EXTRA, "tx", "rx")
+        assert faults.active
+        return network, inbox
+
+    def _run_exchange(self, sim):
+        network, inbox = self._faulty_net(
+            sim, JitteredLatency(base=50e-6, jitter_fraction=0.3))
         received = []
 
         def sender():
@@ -323,14 +330,36 @@ class TestDeliveryFastPath:
         sim.process(sender())
         done = sim.process(receiver())
         sim.run_until_event(done, limit=1.0)
-        return received, network.stats
+        assert network.stats.messages_delivered == 20
+        return received
 
-    def test_fast_and_slow_paths_deliver_identically(self):
-        fast_log, fast_stats = self._run_exchange(activate_faults=False)
-        slow_log, slow_stats = self._run_exchange(activate_faults=True)
-        assert fast_log == slow_log
-        assert fast_stats.messages_delivered == slow_stats.messages_delivered
-        assert fast_stats.total_bytes == slow_stats.total_bytes
+    def test_active_fault_table_costs_one_heap_entry_per_message(self):
+        sim = Simulator()
+        network, inbox = self._faulty_net(sim, FixedLatency(1e-3))
+        stats = network.stats
+        seq0 = sim._seq
+        network.send("tx", "rx", "late")
+        # One arrival entry, no Process bootstrap / timeout / put chain.
+        assert sim._seq - seq0 == 1
+        assert sim.peek() == 1e-3 + self.EXTRA
+        sim.run()
+        assert sim._seq - seq0 == 1
+        assert sim.now == 1e-3 + self.EXTRA
+        assert inbox.items == ("late",)
+        assert (stats.messages_delivered, stats.messages_dropped) == (1, 0)
+        assert list(stats.bytes_by_edge) == [("tx", "rx")]
+        assert stats.total_bytes == stats.bytes_by_edge[("tx", "rx")] > 0
+        # A crash while the next message is in flight still drops it.
+        network.send("tx", "rx", "doomed")
+        network.crash("tx")
+        sim.run()
+        assert (stats.messages_delivered, stats.messages_dropped) == (1, 1)
+        assert inbox.items == ("late",)
+
+    def test_traced_kernel_sees_the_same_receive_log_under_faults(self):
+        traced = TracedSimulator(tracer=SanitizerRuntime(),
+                                 tie_break=FifoTieBreak())
+        assert self._run_exchange(Simulator()) == self._run_exchange(traced)
 
     def test_fast_path_drops_on_crash_during_flight(self):
         sim = Simulator()

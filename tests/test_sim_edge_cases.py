@@ -1,7 +1,10 @@
 """Edge-case tests for the simulation kernel beyond the basics."""
 
+import re
+
 import pytest
 
+from repro.sansim import FifoTieBreak, SanitizerRuntime, TracedSimulator
 from repro.sim import (
     Interrupt,
     Resource,
@@ -9,6 +12,11 @@ from repro.sim import (
     Simulator,
     Store,
 )
+
+
+def _traced_fifo():
+    return TracedSimulator(tracer=SanitizerRuntime(),
+                           tie_break=FifoTieBreak())
 
 
 class TestEventEdgeCases:
@@ -337,8 +345,9 @@ class TestRunLoopEdgeCases:
 class TestKernelFastPathGuards:
     """Pin behaviours the batched/cached fast paths could regress.
 
-    ``run``/``run_until_event`` drain same-timestamp events in an inner
-    batch loop, single-callback events take a cheaper dispatch branch,
+    The kernel's one loop (``Simulator._drain``, behind ``run`` and
+    ``run_until_event``) drains same-timestamp events in an inner batch
+    loop, single-callback events take a cheaper dispatch branch,
     ``Process`` caches its resume callback as a bound method, and
     ``Store.put``/``get`` inline the immediate-success case. Each test
     here fails if one of those shortcuts changes observable behaviour.
@@ -421,6 +430,44 @@ class TestKernelFastPathGuards:
         proc = sim.process(worker())
         assert sim.run_until_event(proc, limit=10.0) == "done"
         assert sim.now == 10.0
+
+    @pytest.mark.parametrize("make_sim", [Simulator, _traced_fifo],
+                             ids=["base", "traced"])
+    def test_run_until_event_stops_at_awaited(self, make_sim):
+        # N entries at one timestamp, await the k-th: the loop must stop
+        # inside the same-timestamp batch, exactly where k step() calls
+        # stop, not run on through the rest of the batch.
+        n, k = 6, 3
+
+        def build():
+            sim = make_sim()
+            events = [sim.timeout(1.0, value=index) for index in range(n)]
+            sim.timeout(2.0)
+            return sim, events
+
+        stepped, _ = build()
+        for _ in range(k):
+            stepped.step()
+        sim, events = build()
+        assert sim.run_until_event(events[k - 1]) == k - 1
+        state = (sim.events_processed, len(sim._heap), sim.now)
+        assert state == (k, n + 1 - k, 1.0)
+        assert state == (stepped.events_processed, len(stepped._heap),
+                         stepped.now)
+        assert [e.processed for e in events] == [True] * k + [False] * (n - k)
+        # An already-processed event returns its value without popping.
+        assert sim.run_until_event(events[0]) == 0
+        assert (sim.events_processed, len(sim._heap)) == (k, n + 1 - k)
+        # The two failure messages, decided after the loop has stopped.
+        never = sim.event()
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"simulated time limit 1.5 reached before {never!r} fired")):
+            sim.run_until_event(never, limit=1.5)
+        assert (sim.now, sim.peek()) == (1.0, 2.0)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"simulation queue drained before {never!r} fired")):
+            sim.run_until_event(never)
+        assert sim.events_processed == n + 1
 
     def test_interrupt_removes_cached_resume_callback(self):
         # Process caches its resume bound method; interrupt() must
