@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.single_version import SingleVersionBackend
 from repro.flash import FlashDevice, FlashGeometry
 from repro.ftl import (
     CapacityError,
@@ -15,7 +16,9 @@ from repro.ftl import (
     retained_versions,
 )
 from repro.sim import Simulator
+from repro.sim.rng import SeededRng
 from repro.versioning import Version
+from repro.workloads.microbench import run_kv_microbench
 
 
 GEOM = FlashGeometry(page_size=4096, pages_per_block=4, num_blocks=16,
@@ -629,3 +632,104 @@ class TestPackerPlacementProperty:
         # flattening pages in order reproduces submission order
         flattened = [record for page in pages for record in page]
         assert flattened == list(range(count))
+
+
+class TestGcActiveSchedulePins:
+    """Exact schedules with every collector running.
+
+    The sweep and fingerprint goldens end with ``gc_runs == 0`` on VFTL
+    and the generic FTL, so these pins are what holds a refactor of the
+    shared store, pools and collector to the same event order. The
+    numbers were recorded before the engines were merged; the shape
+    assertions say what they mean (Table 1, §5.1).
+    """
+
+    GC_GEOM = FlashGeometry(page_size=4096, pages_per_block=32,
+                            num_blocks=40, num_channels=32)
+
+    #: kind -> (events, now, gets, puts, gc_runs, remapped, discarded,
+    #:          page_reads, page_writes, block_erases)
+    PINS = {
+        "vftl": (145372, 0.08110109999999855, 4019, 11856, 785, 146, 9362,
+                 4894, 1636, 20),
+        "mftl": (115521, 0.08128459999999926, 4055, 11999, 17, 65, 9497,
+                 4547, 1514, 17),
+        "sftl": (116137, 0.08105719999999823, 4101, 12029, 17, 37, 12029,
+                 4607, 1515, 17),
+    }
+    ENGINES = {"vftl": VFTLBackend, "mftl": MFTLBackend,
+               "sftl": SingleVersionBackend}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        for kind, engine in self.ENGINES.items():
+            sim = Simulator()
+            device = FlashDevice(sim, self.GC_GEOM)
+            backend = engine(sim, device)
+            run_kv_microbench(
+                sim, backend, SeededRng(1).substream(kind).substream("g25"),
+                num_keys=2000, get_percent=25, duration=0.06, warmup=0.02,
+                num_workers=32, version_window=0.005)
+            out[kind] = (sim, device, backend)
+        return out
+
+    @pytest.mark.parametrize("kind", sorted(PINS))
+    def test_kv_schedule_pinned(self, runs, kind):
+        sim, device, backend = runs[kind]
+        stats = backend.stats
+        assert (sim.events_processed, sim.now, stats.gets, stats.puts,
+                stats.gc_runs, stats.records_remapped,
+                stats.records_discarded, device.stats.page_reads,
+                device.stats.page_writes,
+                device.stats.block_erases) == self.PINS[kind]
+
+    def test_vftl_second_level_collector_pinned(self, runs):
+        _, _, vftl = runs["vftl"]
+        assert (vftl.ftl.gc_runs, vftl.ftl.pages_remapped) == (20, 131)
+
+    def test_generic_ftl_churn_pinned(self):
+        """Four writers rewrite 48 LBAs with read-back: most rewrites hit
+        a writer's first three LBAs, every fifth walks its colder rest,
+        so victims carry valid pages and the collector remaps."""
+        sim = Simulator()
+        device = FlashDevice(sim, GEOM)
+        ftl = GenericFTL(sim, device)
+        stale = []
+
+        def writer(index):
+            own = list(range(index, 48, 4))
+            for i in range(250):
+                lba = own[(i // 5) % len(own)] if i % 5 == 0 else own[i % 3]
+                yield ftl.write(lba, (index, i))
+                data = yield ftl.read(lba)
+                if data != (index, i):
+                    stale.append((index, i, data))
+
+        for proc in [sim.process(writer(index)) for index in range(4)]:
+            run(sim, proc)
+        assert not stale
+        assert (sim.events_processed, sim.now, ftl.gc_runs,
+                ftl.pages_remapped, device.stats.page_reads,
+                device.stats.page_writes, device.stats.block_erases,
+                ftl.mapped_count) == (
+            25661, 0.6102499999999845, 429, 772, 1787, 1775, 429, 48)
+
+    def test_table1_shape(self, runs):
+        """What the pins mean: the split design pays for its second
+        layer in write amplification, GET latency and usable space."""
+        _, _, vftl = runs["vftl"]
+        _, _, mftl = runs["mftl"]
+        assert vftl.write_amplification > mftl.write_amplification
+        assert vftl.write_amplification == pytest.approx(1.104, abs=1e-3)
+        assert mftl.write_amplification == pytest.approx(1.009, abs=1e-3)
+        assert vftl.stats.mean_get_latency > mftl.stats.mean_get_latency
+        assert vftl.stats.mean_get_latency == pytest.approx(83.7e-6,
+                                                            abs=0.1e-6)
+        assert mftl.stats.mean_get_latency == pytest.approx(68.8e-6,
+                                                            abs=0.1e-6)
+        assert vftl.usable_lbas < vftl.ftl.usable_lbas
+
+    def test_single_version_mode_discards_every_put(self, runs):
+        _, _, sftl = runs["sftl"]
+        assert sftl.stats.records_discarded == sftl.stats.puts

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash import FlashDevice, FlashGeometry
-from repro.ftl import MFTLBackend, StaticWearLeveler
+from repro.ftl import GenericFTL, MFTLBackend, StaticWearLeveler
 from repro.sim import Simulator
 from repro.versioning import Version
 
@@ -25,6 +25,17 @@ def cold_hot_churn(sim, backend, rounds):
             yield backend.put(f"hot{i % 4}", f"h{i}",
                               Version(timestamp, 1))
             backend.set_watermark(timestamp - 3.0)
+
+    return sim.process(workload())
+
+
+def cold_hot_lba_churn(sim, ftl, rounds):
+    """The LBA twin: 24 cold LBAs written once, 4 hot ones rewritten."""
+    def workload():
+        for i in range(24):
+            yield ftl.write(4 + i, f"c{i}")
+        for i in range(rounds):
+            yield ftl.write(i % 4, f"h{i}")
 
     return sim.process(workload())
 
@@ -74,3 +85,27 @@ class TestStaticWearLeveler:
         leveler.start()
         sim.run(until=0.2)
         assert leveler.migrations == 0
+
+
+class TestStaticWearLevelerOnGenericFTL:
+    def _run(self, with_leveler):
+        sim = Simulator()
+        device = FlashDevice(sim, GEOM)
+        ftl = GenericFTL(sim, device)
+        leveler = StaticWearLeveler(ftl, threshold=4, interval=5e-3)
+        if with_leveler:
+            leveler.start()
+        sim.run_until_event(cold_hot_lba_churn(sim, ftl, rounds=3000))
+        wears = device.chip.wear_counters()
+        return sim, ftl, leveler, max(wears) - min(wears)
+
+    def test_reduces_wear_spread(self):
+        _, _, _, unleveled = self._run(with_leveler=False)
+        _, _, leveler, leveled = self._run(with_leveler=True)
+        assert (unleveled, leveled, leveler.migrations) == (75, 4, 50)
+
+    def test_migrations_preserve_cold_data(self):
+        sim, ftl, leveler, _ = self._run(with_leveler=True)
+        assert leveler.migrations > 0
+        for i in range(24):
+            assert sim.run_until_event(ftl.read(4 + i)) == f"c{i}"
