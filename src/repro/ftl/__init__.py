@@ -8,6 +8,14 @@ Four engines, matching the paper's evaluation backends:
 * :class:`MFTLBackend` with ``multi_version=False`` — the single-version
   "SFTL" mode of Figure 6 (see ``repro.baselines.single_version``);
 * :class:`DRAMBackend` — byte-addressable persistent memory.
+
+The two flash engines are one store, :class:`PackedVersionStore`
+(``versionstore.py``: version lists, request path, write buffer,
+watermark trimming, victim scan), placed two ways: ``mftl.py`` puts a
+page at a physical ``(block, page)`` and erases blocks; ``vftl.py`` puts
+it at an LBA of a :class:`GenericFTL` and trims LBAs. All three
+log-structured layers share the pool signalling and the one GC daemon
+in ``gc.py`` (:class:`SpacePool`, :class:`Collector`).
 """
 
 from .base import (
@@ -20,11 +28,11 @@ from .base import (
     retained_versions,
 )
 from .dram import DRAMBackend
-from .gc import BlockAllocator
-from .mapcache import MappingCache
+from .gc import BlockAllocator, Collector, SpacePool
 from .mftl import DEFAULT_MFTL_OP_CPU, MFTLBackend
 from .packing import DEFAULT_PACKING_DELAY, PagePacker
 from .sftl import DEFAULT_FTL_OP_CPU, GenericFTL
+from .versionstore import PackedVersionStore
 from .vftl import DEFAULT_KV_OP_CPU, VFTLBackend
 from .wear import DEFAULT_WEAR_THRESHOLD, StaticWearLeveler
 
@@ -36,13 +44,15 @@ __all__ = [
     "CapacityError",
     "Cpu",
     "retained_versions",
+    "SpacePool",
     "BlockAllocator",
+    "Collector",
     "PagePacker",
     "DEFAULT_PACKING_DELAY",
     "GenericFTL",
     "DEFAULT_FTL_OP_CPU",
+    "PackedVersionStore",
     "MFTLBackend",
-    "MappingCache",
     "DEFAULT_MFTL_OP_CPU",
     "VFTLBackend",
     "DEFAULT_KV_OP_CPU",

@@ -1,38 +1,34 @@
 """MFTL: the unified multi-version key-value FTL (Contribution 3).
 
 The paper's key storage idea: because flash remaps on every write anyway,
-the FTL can keep *multiple versions per key* nearly for free. MFTL:
+the FTL can keep *multiple versions per key* nearly for free. The store
+itself (version lists, packing, trimming, the victim scan) is
+:class:`~repro.ftl.versionstore.PackedVersionStore`, shared with the
+split VFTL baseline. This file is only what makes the design *unified*:
 
-* maps each key **directly** to physical record locations — one map access,
-  no LBA indirection (``Key -> (block, page, offset)``, Figure 3);
-* maintains the version list per key sorted by create timestamp;
-* writes values log-structured through the shared page packer (§5: up to
-  1 ms to pack 512 B records into a 4 KB page);
-* integrates version management with garbage collection: when GC scans a
-  victim block it simply *drops* versions that are dead under the
-  watermark rule (§3.1) instead of remapping them — the structural
-  advantage over the split VFTL design, which must remap first and
-  collect at a second layer.
-
-``multi_version=False`` turns the engine into the paper's "SFTL" baseline
-for Figure 6: every put supersedes the previous version immediately, so
-snapshot reads in the past miss and the corresponding transactions abort.
+* a page lives at a physical ``(block, page)``: keys map **directly** to
+  record locations — one map access, one layer crossing, no LBA
+  indirection (``Key -> (block, page, offset)``, Figure 3);
+* the pool is the device's erased blocks, the victim is the block with
+  the fewest valid records (wear breaks ties);
+* version management is integrated with garbage collection: the scan
+  simply *drops* versions that are dead under the watermark rule (§3.1)
+  and the block is erased in the same pass — the structural advantage
+  over VFTL, which must remap first and collect again at a second layer.
+  A block whose erase fails has worn out and is retired.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..sim.core import Simulator
-from ..sim.process import Process
 from ..flash.device import FlashDevice
 from ..flash.errors import WearOutError
-from ..versioning import Version
-from .base import BlockPins, Cpu, KVBackend, retained_versions
+from .base import Cpu
 from .gc import BlockAllocator
-from .mapcache import MappingCache
-from .packing import DEFAULT_PACKING_DELAY, PagePacker
+from .packing import DEFAULT_PACKING_DELAY
+from .versionstore import PackedVersionStore
 
 __all__ = ["MFTLBackend", "DEFAULT_MFTL_OP_CPU"]
 
@@ -41,22 +37,7 @@ __all__ = ["MFTLBackend", "DEFAULT_MFTL_OP_CPU"]
 DEFAULT_MFTL_OP_CPU = 2.2e-6
 
 
-class _Entry:
-    """One version of one key inside the mapping table."""
-
-    __slots__ = ("version", "location", "offset", "cached_value", "alive")
-
-    def __init__(self, version: Version, cached_value: Any) -> None:
-        self.version = version
-        #: (block, page) once durable; None while buffered in the packer.
-        self.location: Optional[Tuple[int, int]] = None
-        self.offset: Optional[int] = None
-        #: Value served from the FTL write buffer until the page lands.
-        self.cached_value: Any = cached_value
-        self.alive = True
-
-
-class MFTLBackend(KVBackend):
+class MFTLBackend(PackedVersionStore):
     """Versioned KV store with flash-integrated version management."""
 
     def __init__(
@@ -65,260 +46,30 @@ class MFTLBackend(KVBackend):
         device: FlashDevice,
         op_cpu: float = DEFAULT_MFTL_OP_CPU,
         packing_delay: float = DEFAULT_PACKING_DELAY,
-        reserve_fraction: float = 0.10,
         multi_version: bool = True,
-        cpu: Optional[Cpu] = None,
-        gc_concurrency: int = 4,
-        map_cache_capacity: Optional[int] = None,
     ) -> None:
-        super().__init__(sim)
-        self.device = device
-        self.op_cpu = op_cpu
-        self.multi_version = multi_version
-        self.reserve_fraction = reserve_fraction
-        self.cpu = cpu if cpu is not None else Cpu(sim)
-        self.records_per_page = max(
-            1, device.geometry.page_size // self.record_size)
-        self.gc_concurrency = max(1, gc_concurrency)
-        self._collecting: set = set()
+        super().__init__(
+            sim, device, Cpu(sim),
+            BlockAllocator(sim, device, self._reclaimable),
+            op_cpu, packing_delay, multi_version)
         #: Blocks retired after exhausting erase endurance.
         self.bad_blocks: set = set()
-        self._map: Dict[str, List[_Entry]] = {}
-        self._valid_records = [0] * device.geometry.num_blocks
-        #: Records physically stored per block (reset on erase); a
-        #: block is a GC victim only when valid < stored, i.e. it
-        #: holds actual garbage — compacting garbage-free partial
-        #: pages would just cycle them through the packer forever.
-        self._stored_records = [0] * device.geometry.num_blocks
-        self._allocator = BlockAllocator(
-            sim, device,
-            reclaimable=lambda: (self._has_garbage()
-                                 or bool(self._collecting)))
-        self._pins = BlockPins(sim)
-        #: Optional two-level mapping (the paper's DFTL-style extension):
-        #: a bounded LRU of hot keys; a miss costs one translation-page
-        #: read before the operation proceeds.
-        self.map_cache = (MappingCache(map_cache_capacity)
-                          if map_cache_capacity else None)
-        self.translation_reads = 0
-        self.packer = PagePacker(
-            sim, self._write_packed_page, self.records_per_page,
-            packing_delay)
-        self.gc_daemon_process = sim.process(self._gc_daemon())
 
-    # -- public API ---------------------------------------------------------
+    # -- placement: a page is a physical (block, page) -----------------------
 
-    def put(self, key: str, value: Any, version: Version,
-            visible=None) -> Process:
-        return self.sim.process(self._put(key, value, version, visible))
+    def _unit_of(self, address: Tuple[int, int]) -> int:
+        return address[0]
 
-    def get(self, key: str, max_timestamp: Optional[float] = None) -> Process:
-        return self.sim.process(self._get(key, max_timestamp))
+    def _read_page(self, address: Tuple[int, int]):
+        return self.device.read_page(*address)
 
-    def delete(self, key: str) -> Process:
-        return self.sim.process(self._delete(key))
+    def _program_page(self, address: Tuple[int, int], payload: tuple):
+        return self.device.write_page(*address, payload)
 
-    def versions_of(self, key: str) -> List[Version]:
-        entries = self._map.get(key, [])
-        return [entry.version for entry in reversed(entries)]
+    def _bulk_place(self, address: Tuple[int, int], payload: tuple) -> None:
+        self.device.chip.program(*address, payload)
 
-    def contains(self, key: str) -> bool:
-        return bool(self._map.get(key))
-
-    @property
-    def write_amplification(self) -> float:
-        """Physical page writes per host-data page equivalent.
-
-        1.0 means every flash write carried fresh host data at full
-        density; anything above is GC remapping and packing slack. The
-        unified-vs-split comparison of §5.1 ("VFTL remaps 15% more
-        data") is exactly a write-amplification gap.
-        """
-        host_pages = (self.stats.host_records_written
-                      / self.records_per_page)
-        if host_pages == 0:
-            return 0.0
-        return self.device.stats.page_writes / host_pages
-
-    def keys(self) -> List[str]:
-        return [key for key, entries in self._map.items() if entries]
-
-    def bulk_load(self, items) -> None:
-        """Place records directly onto flash, bypassing simulated timing."""
-        items = list(items)
-        for start in range(0, len(items), self.records_per_page):
-            chunk = items[start:start + self.records_per_page]
-            block, page = self._allocator.allocate_page()
-            records = tuple(
-                (key, version, value) for key, value, version in chunk)
-            self.device.chip.program(block, page, records)
-            self._stored_records[block] += len(records)
-            for offset, (key, value, version) in enumerate(chunk):
-                entry = _Entry(version, cached_value=None)
-                entry.location = (block, page)
-                entry.offset = offset
-                entries = self._map.setdefault(key, [])
-                index = bisect.bisect(
-                    [existing.version for existing in entries], version)
-                entries.insert(index, entry)
-                self._valid_records[block] += 1
-
-    # -- put ------------------------------------------------------------------
-
-    def _map_lookup_cost(self, key: str):
-        """Generator: pay the translation fetch for a cold mapping."""
-        if self.map_cache is not None and not self.map_cache.touch(key):
-            self.translation_reads += 1
-            yield self.sim.timeout(self.device.timing.read_page)
-
-    def _put(self, key: str, value: Any, version: Version, visible=None):
-        start = self.sim.now
-        yield from self.cpu.charge(self.op_cpu)
-        yield from self._map_lookup_cost(key)
-        yield from self._allocator.writer_gate()
-        entry = _Entry(version, cached_value=value)
-        entries = self._map.setdefault(key, [])
-        index = bisect.bisect(
-            [existing.version for existing in entries], version)
-        entries.insert(index, entry)
-        if visible is not None:
-            # Readable from the FTL write buffer from this instant on.
-            visible.succeed()
-        self._trim(key)
-        # The flush attaches the entry to its page synchronously; the
-        # placed event only signals durability for this put's latency.
-        placed = self.packer.submit((key, version, value, entry))
-        yield placed
-        self.stats.observe_put(self.sim.now - start)
-
-    # -- get -------------------------------------------------------------------
-
-    def _get(self, key: str, max_timestamp: Optional[float]):
-        start = self.sim.now
-        yield from self.cpu.charge(self.op_cpu)
-        yield from self._map_lookup_cost(key)
-        entry = self._lookup(key, max_timestamp)
-        if entry is None:
-            self.stats.observe_get(self.sim.now - start)
-            return None
-        if entry.location is None:
-            # Buffer hit: the record is still in the packer's DRAM buffer.
-            value = entry.cached_value
-            self.stats.observe_get(self.sim.now - start)
-            return entry.version, value
-        block, _ = entry.location
-        version, location, offset = entry.version, entry.location, entry.offset
-        self._pins.pin(block)
-        try:
-            records = yield self.device.read_page(*location)
-        finally:
-            self._pins.unpin(block)
-        record_key, record_version, value = records[offset]
-        if record_key != key or record_version != version:
-            raise RuntimeError(
-                f"mapping corruption: expected {key}/{version} at "
-                f"{location}+{offset}, found {record_key}/{record_version}")
-        self.stats.observe_get(self.sim.now - start)
-        return version, value
-
-    def _lookup(self, key: str,
-                max_timestamp: Optional[float]) -> Optional[_Entry]:
-        entries = self._map.get(key)
-        if not entries:
-            return None
-        if max_timestamp is None:
-            return entries[-1]
-        probe = Version(max_timestamp, float("inf"))
-        versions = [entry.version for entry in entries]
-        index = bisect.bisect(versions, probe) - 1
-        if index < 0:
-            return None
-        return entries[index]
-
-    # -- delete -------------------------------------------------------------------
-
-    def _delete(self, key: str):
-        yield from self.cpu.charge(self.op_cpu)
-        entries = self._map.pop(key, [])
-        for entry in entries:
-            self._kill(entry)
-        self.stats.deletes += 1
-
-    # -- version retention ------------------------------------------------------------
-
-    def _kill(self, entry: _Entry) -> None:
-        if not entry.alive:
-            return
-        entry.alive = False
-        if entry.location is not None:
-            self._valid_records[entry.location[0]] -= 1
-        entry.cached_value = None
-
-    def _trim(self, key: str) -> None:
-        """Drop versions dead under the watermark (or all-but-newest in
-        single-version mode)."""
-        entries = self._map.get(key)
-        if not entries:
-            return
-        if self.multi_version:
-            versions_desc = [entry.version for entry in reversed(entries)]
-            kept = len(retained_versions(versions_desc, self.watermark))
-        else:
-            kept = 1
-        dropped = len(entries) - kept
-        if dropped <= 0:
-            return
-        for entry in entries[:dropped]:
-            self._kill(entry)
-            self.stats.records_discarded += 1
-        self._map[key] = entries[dropped:]
-
-    # -- physical write path --------------------------------------------------------------
-
-    def _write_packed_page(self, records: List[Any]):
-        """Packer callback: allocate a page, program it, return its address.
-
-        Waits for GC to recycle a block if the pool is momentarily dry —
-        safe because GC never waits on the packer (records detach first).
-
-        Entries attach to the new page *synchronously* once the program
-        completes, while the block is still pinned: the mapping table and
-        per-block valid counts are never observable out of sync.
-        """
-        while (self._allocator.free_block_count == 0
-                and self._allocator.free_pages == 0):
-            yield self._allocator.state_change()
-        block, page = self._allocator.allocate_page()
-        self._stored_records[block] += len(records)
-        payload = tuple((key, version, value)
-                        for key, version, value, _entry in records)
-        self._pins.pin(block)
-        try:
-            yield self.device.write_page(block, page, payload)
-            for offset, (_key, _version, value, entry) in \
-                    enumerate(records):
-                if entry.alive and entry.location is None:
-                    entry.location = (block, page)
-                    entry.offset = offset
-                    entry.cached_value = None
-                    self._valid_records[block] += 1
-                # else: superseded while buffered; the flash copy is
-                # garbage and GC will skip it.
-        finally:
-            self._pins.unpin(block)
-        return (block, page)
-
-    # -- garbage collection ------------------------------------------------------------------
-
-    def _has_garbage(self) -> bool:
-        """Whether any block holds dead records (ignores pins)."""
-        return any(
-            valid < stored for valid, stored in
-            zip(self._valid_records, self._stored_records))
-
-    def _block_capacity_records(self, block: int) -> int:
-        return (self.device.chip.programmed_pages(block)
-                * self.records_per_page)
+    # -- garbage collection: erase blocks -------------------------------------
 
     def _pick_victim(self) -> Optional[int]:
         best, best_valid = None, None
@@ -327,7 +78,7 @@ class MFTLBackend(KVBackend):
                 continue
             if block == self._allocator.active_block:
                 continue
-            if block in self._collecting:
+            if block in self.collector.in_flight:
                 continue
             if block in self.bad_blocks:
                 continue
@@ -346,101 +97,19 @@ class MFTLBackend(KVBackend):
                 best, best_valid = block, score
         return best
 
-    def _gc_daemon(self):
-        """Run up to ``gc_concurrency`` collections concurrently.
-
-        Serial collection cannot keep pace with sustained writes: each
-        round pays an erase (1 ms) plus remap-placement waits, while the
-        foreground consumes pages continuously. Real FTLs collect across
-        channels in parallel; so do we.
-        """
-        while True:
-            yield self._allocator.gc_request()
-            inflight: List = []
-            while self._allocator.under_pressure or inflight:
-                # Each in-flight collection may consume up to a block of
-                # remap destinations, so cap concurrency by the free-pool
-                # headroom to avoid running the allocator dry.
-                slots = min(self.gc_concurrency,
-                            max(1, self._allocator.free_block_count - 1))
-                while (self._allocator.under_pressure
-                        and len(inflight) < slots):
-                    victim = self._pick_victim()
-                    if victim is None:
-                        break
-                    self._collecting.add(victim)
-                    inflight.append(
-                        self.sim.process(self._collect_guarded(victim)))
-                if not inflight:
-                    if self._allocator.under_pressure:
-                        # Nothing reclaimable; park until the pool changes.
-                        yield self._allocator.state_change()
-                        continue
-                    break
-                yield self.sim.any_of(inflight)
-                inflight = [proc for proc in inflight if not proc.processed]
-
-    def _collect_guarded(self, victim: int):
-        try:
-            yield from self._collect(victim)
-        finally:
-            self._collecting.discard(victim)
-
-    def _entry_at(self, key: str, version: Version,
-                  location: Tuple[int, int],
-                  offset: int) -> Optional[_Entry]:
-        for entry in self._map.get(key, []):
-            if (entry.alive and entry.version == version
-                    and entry.location == location
-                    and entry.offset == offset):
-                return entry
-        return None
-
-    def _is_retained(self, key: str, version: Version) -> bool:
-        entries = self._map.get(key, [])
-        versions_desc = [entry.version for entry in reversed(entries)]
-        if self.multi_version:
-            return version in retained_versions(versions_desc, self.watermark)
-        return bool(versions_desc) and version == versions_desc[0]
-
     def _collect(self, victim: int):
         """Scan ``victim``: remap live records, drop dead versions, erase.
 
         Dropping dead versions here — instead of remapping them for a
         second-level collector to find later — is the unified design's
         whole advantage.
-
-        Live records *detach* into the FTL write buffer synchronously
-        (their entries serve reads from DRAM) and re-enter the packer; the
-        victim is erased without waiting for the new placements. This
-        avoids a cycle where GC waits on packer flushes whose page
-        allocations in turn wait on GC.
         """
         # Wait out in-flight programs so the scan sees the final frontier.
         yield from self._pins.drain(victim)
-        pages_per_block = self.device.geometry.pages_per_block
-        for page in range(pages_per_block):
+        for page in range(self.device.geometry.pages_per_block):
             if not self.device.chip.is_programmed(victim, page):
                 continue
-            self._pins.pin(victim)
-            try:
-                records = yield self.device.read_page(victim, page)
-            finally:
-                self._pins.unpin(victim)
-            for offset, (key, version, value) in enumerate(records):
-                entry = self._entry_at(key, version, (victim, page), offset)
-                if entry is None:
-                    continue  # already superseded, moved, or deleted
-                if not self._is_retained(key, version):
-                    self._retire(key, entry)
-                    continue
-                # Detach: reads now hit the buffered copy in DRAM.
-                self._valid_records[victim] -= 1
-                entry.location = None
-                entry.offset = None
-                entry.cached_value = value
-                self.packer.submit((key, version, value, entry))
-                self.stats.records_remapped += 1
+            yield from self._scan_page((victim, page))
             if self.op_cpu > 0:
                 yield from self.cpu.charge(self.op_cpu)
         yield from self._pins.drain(victim)
@@ -454,17 +123,4 @@ class MFTLBackend(KVBackend):
             self.stats.gc_runs += 1
             self._allocator.wake_writers()
             return
-        self._stored_records[victim] = 0
-        self._allocator.release_block(victim)
-        self.stats.gc_runs += 1
-
-    def _retire(self, key: str, entry: _Entry) -> None:
-        self._kill(entry)
-        entries = self._map.get(key)
-        if entries is not None:
-            entries.remove(entry)
-            if not entries:
-                del self._map[key]
-        self.stats.records_discarded += 1
-
-
+        self._recycle(victim)

@@ -58,15 +58,6 @@ class PagePacker:
         self.pages_written = 0
         self.records_written = 0
 
-    @property
-    def pending(self) -> int:
-        """Records buffered but not yet handed to a page write."""
-        return len(self._buffer)
-
-    def pending_records(self) -> List[Any]:
-        """Snapshot of buffered records (read-cache support for the FTL)."""
-        return [record for record, _ in self._buffer]
-
     def submit(self, record: Any) -> Event:
         """Buffer ``record``; the event fires with (address, offset)."""
         placed = self.sim.event()
@@ -78,11 +69,6 @@ class PagePacker:
         elif self.packing_delay == 0:
             self._flush()
         return placed
-
-    def flush_now(self) -> None:
-        """Force out a partial page (used at shutdown/quiesce)."""
-        if self._buffer:
-            self._flush()
 
     # -- internals -----------------------------------------------------------
 

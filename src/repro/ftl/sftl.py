@@ -12,8 +12,9 @@ Structure:
 * ``map``: LBA → (block, page); ``reverse``: (block, page) → LBA.
 * log-structured writes through a shared append frontier
   (:class:`~repro.ftl.gc.BlockAllocator`);
-* background GC picks the block with the fewest valid pages, remaps those
-  pages, and erases it (greedy cost-benefit);
+* background GC (the shared :class:`~repro.ftl.gc.Collector`) picks the
+  block with the fewest valid pages, remaps those pages, and erases it
+  (greedy cost-benefit);
 * 10 % of physical capacity is reserved for remapping (§5.1), enforced as
   the exported :attr:`usable_lbas` limit.
 """
@@ -28,7 +29,7 @@ from ..sim.process import Process
 from ..flash.device import FlashDevice
 from ..flash.errors import WearOutError
 from .base import BlockPins, CapacityError, Cpu
-from .gc import BlockAllocator
+from .gc import BlockAllocator, Collector
 
 __all__ = ["GenericFTL", "DEFAULT_FTL_OP_CPU"]
 
@@ -48,8 +49,6 @@ class GenericFTL:
         cpu: Optional[Cpu] = None,
         op_cpu: float = DEFAULT_FTL_OP_CPU,
         reserve_fraction: float = 0.10,
-        gc_trigger_free_blocks: Optional[int] = None,
-        gc_concurrency: int = 4,
     ) -> None:
         if not 0.0 <= reserve_fraction < 1.0:
             raise ValueError(
@@ -66,18 +65,17 @@ class GenericFTL:
         self._reverse: Dict[Tuple[int, int], int] = {}
         self._valid_pages = [0] * geometry.num_blocks
         self._allocator = BlockAllocator(
-            sim, device, gc_trigger_free_blocks=gc_trigger_free_blocks,
+            sim, device,
             reclaimable=lambda: (self._pick_victim() is not None
-                                 or bool(self._collecting)))
+                                 or bool(self.collector.in_flight)))
         self._pins = BlockPins(sim)
-        self.gc_concurrency = max(1, gc_concurrency)
-        self._collecting: set = set()
         #: Blocks retired after exhausting their erase endurance; they
         #: never return to the free pool (bad-block management).
         self.bad_blocks: set = set()
         self.pages_remapped = 0
         self.gc_runs = 0
-        self.gc_daemon_process = sim.process(self._gc_daemon())
+        self.collector = Collector(
+            sim, self._allocator, self._pick_victim, self._collect)
 
     # -- public API -------------------------------------------------------------
 
@@ -103,7 +101,7 @@ class GenericFTL:
         """Map (lba, data) pairs directly, bypassing simulated timing."""
         for lba, data in items:
             self._check_lba(lba)
-            block, page = self._allocator.allocate_page()
+            block, page = self._allocator.allocate()
             self.device.chip.program(block, page, data)
             self._invalidate(lba)
             self._map[lba] = (block, page)
@@ -128,7 +126,7 @@ class GenericFTL:
     def _write(self, lba: int, data: Any):
         yield from self._charge_cpu()
         yield from self._allocator.writer_gate()
-        block, page = self._allocator.allocate_page()
+        block, page = self._allocator.allocate()
         # Create the device process in the same step as the allocation so
         # same-block programs are issued in frontier order; pin the block so
         # GC never scans or erases it while this program is in flight.
@@ -177,7 +175,7 @@ class GenericFTL:
                 continue
             if block == self._allocator.active_block:
                 continue
-            if block in self._collecting:
+            if block in self.collector.in_flight:
                 continue
             if block in self.bad_blocks:
                 continue
@@ -193,41 +191,6 @@ class GenericFTL:
             if best_valid is None or score < best_valid:
                 best, best_valid = block, score
         return best
-
-    def _gc_daemon(self):
-        """Collect up to ``gc_concurrency`` victims concurrently (real
-        FTLs garbage-collect across channels in parallel)."""
-        while True:
-            yield self._allocator.gc_request()
-            inflight = []
-            while self._allocator.under_pressure or inflight:
-                # Each in-flight collection may consume up to a block of
-                # remap destinations, so cap concurrency by the free-pool
-                # headroom to avoid running the allocator dry.
-                slots = min(self.gc_concurrency,
-                            max(1, self._allocator.free_block_count - 1))
-                while (self._allocator.under_pressure
-                        and len(inflight) < slots):
-                    victim = self._pick_victim()
-                    if victim is None:
-                        break
-                    self._collecting.add(victim)
-                    inflight.append(
-                        self.sim.process(self._collect_guarded(victim)))
-                if not inflight:
-                    if self._allocator.under_pressure:
-                        # Nothing reclaimable; park until the pool changes.
-                        yield self._allocator.state_change()
-                        continue
-                    break
-                yield self.sim.any_of(inflight)
-                inflight = [proc for proc in inflight if not proc.processed]
-
-    def _collect_guarded(self, victim: int):
-        try:
-            yield from self._collect(victim)
-        finally:
-            self._collecting.discard(victim)
 
     def _collect(self, victim: int):
         """Remap every valid page of ``victim``, then erase it."""
@@ -247,7 +210,7 @@ class GenericFTL:
                 self._pins.unpin(victim)
             if self._reverse.get((victim, page)) != lba:
                 continue  # overwritten while we were reading
-            new_block, new_page = self._allocator.allocate_page()
+            new_block, new_page = self._allocator.allocate()
             self._pins.pin(new_block)
             write_done = self.device.write_page(new_block, new_page, data)
             try:
@@ -279,5 +242,5 @@ class GenericFTL:
             self.gc_runs += 1
             self._allocator.wake_writers()
             return
-        self._allocator.release_block(victim)
+        self._allocator.release(victim)
         self.gc_runs += 1

@@ -2,18 +2,22 @@
 
 This is the paper's "naive multi-version KV-store implemented using a
 standard FTL" (§5.1): the comparison point that motivates unifying version
-and flash management. Two separate layers each do their own lookup,
-request handling, and garbage collection:
+and flash management. The KV layer is the same
+:class:`~repro.ftl.versionstore.PackedVersionStore` MFTL is, placed on a
+different substrate:
 
-* the **KV layer** (this class) maps ``key -> (LBA, offset)``, packs 512 B
-  records into 4 KB logical blocks, and garbage-collects logical blocks
-  whose records have died;
-* the **generic FTL** underneath (:class:`~repro.ftl.sftl.GenericFTL`)
-  maps ``LBA -> (block, page)`` and does page-level GC of its own.
+* a page lives at an **LBA** of a :class:`~repro.ftl.sftl.GenericFTL`
+  (``key -> (LBA, offset)`` here, ``LBA -> (block, page)`` below), which
+  handles requests and garbage-collects on its own;
+* the pool is the FTL's logical blocks, less a second reserve; the victim
+  is the written LBA with the fewest valid records; reclaiming it is a
+  read, the shared scan, and a trim.
 
-Costs relative to MFTL, all structural and all visible in Table 1:
+Costs relative to MFTL, all structural, all visible in Table 1, and the
+whole content of this file:
 
-* two map lookups and two layer crossings per request (lower peak IOPS);
+* two map lookups and two layer crossings per request (lower peak IOPS):
+  every page read or program also pays the FTL's own per-op CPU;
 * 10 % capacity reserved **at both levels**, so less effective space, more
   frequent GC, and more remap traffic queueing ahead of GETs;
 * KV-layer GC remaps records that the FTL then remaps *again* at page
@@ -26,19 +30,17 @@ faster and puts wait less on the packing deadline.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Callable, Optional
 
 from ..sim.core import Simulator
-from ..sim.events import Event
-from ..sim.process import Process
 from ..flash.device import FlashDevice
-from ..versioning import Version
-from .base import BlockPins, CapacityError, Cpu, KVBackend, retained_versions
-from .packing import DEFAULT_PACKING_DELAY, PagePacker
+from .base import CapacityError, Cpu
+from .gc import SpacePool
+from .packing import DEFAULT_PACKING_DELAY
 from .sftl import DEFAULT_FTL_OP_CPU, GenericFTL
+from .versionstore import PackedVersionStore
 
 __all__ = ["VFTLBackend", "DEFAULT_KV_OP_CPU"]
 
@@ -48,20 +50,45 @@ __all__ = ["VFTLBackend", "DEFAULT_KV_OP_CPU"]
 DEFAULT_KV_OP_CPU = 2.2e-6
 
 
-class _VEntry:
-    """One version of one key in the KV layer's mapping."""
+class _LbaPool(SpacePool):
+    """The KV layer's free logical blocks, handed out first-in first-out."""
 
-    __slots__ = ("version", "lba", "offset", "cached_value", "alive")
+    #: Foreground writers stall below this many free LBAs; the rest is
+    #: the KV-layer collector's remap destination.
+    WRITER_MIN_FREE_LBAS = 4
 
-    def __init__(self, version: Version, cached_value: Any) -> None:
-        self.version = version
-        self.lba: Optional[int] = None
-        self.offset: Optional[int] = None
-        self.cached_value: Any = cached_value
-        self.alive = True
+    def __init__(self, sim: Simulator, num_lbas: int,
+                 reclaimable: Callable[[], bool]) -> None:
+        # Engage the KV-layer collector with proportional headroom.
+        super().__init__(sim, deque(range(num_lbas)),
+                         max(8, num_lbas // 16), reclaimable)
+        #: LBAs holding a page; the collector's candidates. Victim ties
+        #: break on this set's iteration order.
+        self.written: set = set()
+
+    @property
+    def exhausted(self) -> bool:
+        return not self._free
+
+    @property
+    def writers_must_wait(self) -> bool:
+        return len(self._free) < self.WRITER_MIN_FREE_LBAS
+
+    def allocate(self) -> int:
+        if not self._free:
+            raise CapacityError("KV layer out of logical blocks")
+        lba = self._free.popleft()
+        self.written.add(lba)
+        self._signal_allocation()
+        return lba
+
+    def release(self, lba: int) -> None:
+        self.written.discard(lba)
+        self._free.append(lba)
+        self.wake_writers()
 
 
-class VFTLBackend(KVBackend):
+class VFTLBackend(PackedVersionStore):
     """Split-architecture multi-version store: KV layer over generic FTL."""
 
     def __init__(
@@ -72,398 +99,61 @@ class VFTLBackend(KVBackend):
         ftl_op_cpu: float = DEFAULT_FTL_OP_CPU,
         packing_delay: float = DEFAULT_PACKING_DELAY,
         reserve_fraction: float = 0.10,
-        gc_trigger_free_lbas: Optional[int] = None,
-        writer_min_free_lbas: int = 4,
-        gc_concurrency: int = 4,
     ) -> None:
-        super().__init__(sim)
-        self.device = device
-        self.kv_op_cpu = kv_op_cpu
-        self.cpu = Cpu(sim)
+        # One core serves both layers; the FTL starts its own collector.
+        cpu = Cpu(sim)
         self.ftl = GenericFTL(
-            sim, device, cpu=self.cpu, op_cpu=ftl_op_cpu,
+            sim, device, cpu=cpu, op_cpu=ftl_op_cpu,
             reserve_fraction=reserve_fraction)
         # The KV layer reserves another 10 % of the FTL's logical space for
         # its own remapping — the double reserve §5.1 calls out.
         self.usable_lbas = math.floor(
             self.ftl.usable_lbas * (1.0 - reserve_fraction))
-        if gc_trigger_free_lbas is None:
-            # Engage the KV-layer collector with proportional headroom.
-            gc_trigger_free_lbas = max(8, self.usable_lbas // 16)
-        if gc_trigger_free_lbas <= writer_min_free_lbas:
-            gc_trigger_free_lbas = writer_min_free_lbas + 1
-        self.gc_trigger_free_lbas = gc_trigger_free_lbas
-        self.writer_min_free_lbas = writer_min_free_lbas
-        self.records_per_page = max(
-            1, device.geometry.page_size // self.record_size)
-        self._map: Dict[str, List[_VEntry]] = {}
-        self._free_lbas: Deque[int] = deque(range(self.usable_lbas))
-        self._valid_records: Dict[int, int] = {}
-        #: Records stored per written LBA; an LBA is a GC victim only
-        #: when valid < stored (it holds actual garbage).
-        self._stored_records: Dict[int, int] = {}
-        self._written_lbas: set = set()
-        self.gc_concurrency = max(1, gc_concurrency)
-        self._collecting: set = set()
-        self._pins = BlockPins(sim)
-        self._gc_event: Optional[Event] = None
-        self._space_event: Optional[Event] = None
-        self._change_event: Optional[Event] = None
-        self.packer = PagePacker(
-            sim, self._write_packed_page, self.records_per_page,
-            packing_delay)
-        self.gc_daemon_process = sim.process(self._gc_daemon())
+        super().__init__(
+            sim, device, cpu,
+            _LbaPool(sim, self.usable_lbas, self._reclaimable),
+            kv_op_cpu, packing_delay)
 
-    # -- public API -----------------------------------------------------------
+    # -- placement: a page is an LBA of the generic FTL ------------------------
 
-    def put(self, key: str, value: Any, version: Version,
-            visible=None) -> Process:
-        return self.sim.process(self._put(key, value, version, visible))
+    def _unit_of(self, address: int) -> int:
+        return address
 
-    def get(self, key: str, max_timestamp: Optional[float] = None) -> Process:
-        return self.sim.process(self._get(key, max_timestamp))
+    def _read_page(self, address: int):
+        return self.ftl.read(address)
 
-    def delete(self, key: str) -> Process:
-        return self.sim.process(self._delete(key))
+    def _program_page(self, address: int, payload: tuple):
+        return self.ftl.write(address, payload)
 
-    def versions_of(self, key: str) -> List[Version]:
-        entries = self._map.get(key, [])
-        return [entry.version for entry in reversed(entries)]
+    def _bulk_place(self, address: int, payload: tuple) -> None:
+        self.ftl.bulk_load([(address, payload)])
 
-    def contains(self, key: str) -> bool:
-        return bool(self._map.get(key))
-
-    @property
-    def write_amplification(self) -> float:
-        """Physical page writes per host-data page equivalent.
-
-        1.0 means every flash write carried fresh host data at full
-        density; anything above is GC remapping and packing slack. The
-        unified-vs-split comparison of §5.1 ("VFTL remaps 15% more
-        data") is exactly a write-amplification gap.
-        """
-        host_pages = (self.stats.host_records_written
-                      / self.records_per_page)
-        if host_pages == 0:
-            return 0.0
-        return self.device.stats.page_writes / host_pages
-
-    def keys(self) -> List[str]:
-        return [key for key, entries in self._map.items() if entries]
-
-    def bulk_load(self, items) -> None:
-        """Place records through both layers, bypassing simulated timing."""
-        items = list(items)
-        for start in range(0, len(items), self.records_per_page):
-            chunk = items[start:start + self.records_per_page]
-            lba = self._allocate_lba()
-            records = tuple(
-                (key, version, value) for key, value, version in chunk)
-            self.ftl.bulk_load([(lba, records)])
-            self._stored_records[lba] = len(records)
-            for offset, (key, value, version) in enumerate(chunk):
-                entry = _VEntry(version, cached_value=None)
-                entry.lba = lba
-                entry.offset = offset
-                entries = self._map.setdefault(key, [])
-                index = bisect.bisect(
-                    [existing.version for existing in entries], version)
-                entries.insert(index, entry)
-                self._valid_records[lba] = \
-                    self._valid_records.get(lba, 0) + 1
-
-    # -- put ---------------------------------------------------------------------
-
-    def _put(self, key: str, value: Any, version: Version, visible=None):
-        start = self.sim.now
-        yield from self.cpu.charge(self.kv_op_cpu)
-        yield from self._writer_gate()
-        entry = _VEntry(version, cached_value=value)
-        entries = self._map.setdefault(key, [])
-        index = bisect.bisect(
-            [existing.version for existing in entries], version)
-        entries.insert(index, entry)
-        if visible is not None:
-            # Readable from the KV layer's write buffer from here on.
-            visible.succeed()
-        self._trim(key)
-        # The flush attaches the entry synchronously; the placed event
-        # only signals durability for this put's latency.
-        placed = self.packer.submit((key, version, value, entry))
-        yield placed
-        self.stats.observe_put(self.sim.now - start)
-
-    # -- get ----------------------------------------------------------------------
-
-    def _get(self, key: str, max_timestamp: Optional[float]):
-        start = self.sim.now
-        yield from self.cpu.charge(self.kv_op_cpu)
-        entry = self._lookup(key, max_timestamp)
-        if entry is None:
-            self.stats.observe_get(self.sim.now - start)
-            return None
-        if entry.lba is None:
-            value = entry.cached_value
-            self.stats.observe_get(self.sim.now - start)
-            return entry.version, value
-        version, lba, offset = entry.version, entry.lba, entry.offset
-        self._pins.pin(lba)
-        try:
-            records = yield self.ftl.read(lba)
-        finally:
-            self._pins.unpin(lba)
-        record_key, record_version, value = records[offset]
-        if record_key != key or record_version != version:
-            raise RuntimeError(
-                f"KV-layer mapping corruption: expected {key}/{version} at "
-                f"lba {lba}+{offset}, found {record_key}/{record_version}")
-        self.stats.observe_get(self.sim.now - start)
-        return version, value
-
-    def _lookup(self, key: str,
-                max_timestamp: Optional[float]) -> Optional[_VEntry]:
-        entries = self._map.get(key)
-        if not entries:
-            return None
-        if max_timestamp is None:
-            return entries[-1]
-        probe = Version(max_timestamp, float("inf"))
-        versions = [entry.version for entry in entries]
-        index = bisect.bisect(versions, probe) - 1
-        if index < 0:
-            return None
-        return entries[index]
-
-    # -- delete ---------------------------------------------------------------------
-
-    def _delete(self, key: str):
-        yield from self.cpu.charge(self.kv_op_cpu)
-        entries = self._map.pop(key, [])
-        for entry in entries:
-            self._kill(entry)
-        self.stats.deletes += 1
-
-    # -- version retention -------------------------------------------------------------
-
-    def _kill(self, entry: _VEntry) -> None:
-        if not entry.alive:
-            return
-        entry.alive = False
-        if entry.lba is not None:
-            self._valid_records[entry.lba] -= 1
-        entry.cached_value = None
-
-    def _trim(self, key: str) -> None:
-        entries = self._map.get(key)
-        if not entries:
-            return
-        versions_desc = [entry.version for entry in reversed(entries)]
-        kept = len(retained_versions(versions_desc, self.watermark))
-        dropped = len(entries) - kept
-        if dropped <= 0:
-            return
-        for entry in entries[:dropped]:
-            self._kill(entry)
-            self.stats.records_discarded += 1
-        self._map[key] = entries[dropped:]
-
-    # -- LBA pool ----------------------------------------------------------------------
-
-    def _has_garbage(self) -> bool:
-        """Whether any written LBA holds dead records (ignores pins)."""
-        return any(
-            self._valid_records.get(lba, 0)
-            < self._stored_records.get(lba, 0)
-            for lba in self._written_lbas)
-
-    def _writer_gate(self):
-        while len(self._free_lbas) < self.writer_min_free_lbas:
-            if not self._has_garbage() and not self._collecting:
-                raise CapacityError(
-                    "KV layer out of logical blocks with nothing "
-                    "reclaimable")
-            if self._space_event is None:
-                self._space_event = Event(self.sim)
-            yield self._space_event
-
-    def _allocate_lba(self) -> int:
-        if not self._free_lbas:
-            raise CapacityError("KV layer out of logical blocks")
-        lba = self._free_lbas.popleft()
-        self._written_lbas.add(lba)
-        self._valid_records.setdefault(lba, 0)
-        if (len(self._free_lbas) <= self.gc_trigger_free_lbas
-                and self._gc_event is not None):
-            event, self._gc_event = self._gc_event, None
-            event.succeed()
-        self._fire_change()
-        return lba
-
-    def _release_lba(self, lba: int) -> None:
-        self._written_lbas.discard(lba)
-        self._valid_records.pop(lba, None)
-        self._stored_records.pop(lba, None)
-        self._free_lbas.append(lba)
-        if self._space_event is not None:
-            event, self._space_event = self._space_event, None
-            event.succeed()
-        self._fire_change()
-
-    def _fire_change(self) -> None:
-        if self._change_event is not None:
-            event, self._change_event = self._change_event, None
-            event.succeed()
-
-    def _state_change(self) -> Event:
-        if self._change_event is None:
-            self._change_event = Event(self.sim)
-        return self._change_event
-
-    def _write_packed_page(self, records: List[Any]):
-        # GC never waits on the packer (records detach first), so waiting
-        # here for a recycled LBA cannot deadlock.
-        while not self._free_lbas:
-            yield self._state_change()
-        lba = self._allocate_lba()
-        self._stored_records[lba] = len(records)
-        payload = tuple((key, version, value)
-                        for key, version, value, _entry in records)
-        # Pin the LBA so KV-layer GC cannot pick it as a victim (and recycle
-        # it) while its initial write is still in flight; entries attach
-        # synchronously under the same pin so valid counts never lag.
-        self._pins.pin(lba)
-        try:
-            yield self.ftl.write(lba, payload)
-            for offset, (_key, _version, value, entry) in \
-                    enumerate(records):
-                if entry.alive and entry.lba is None:
-                    entry.lba = lba
-                    entry.offset = offset
-                    entry.cached_value = None
-                    self._valid_records[lba] = \
-                        self._valid_records.get(lba, 0) + 1
-        finally:
-            self._pins.unpin(lba)
-        return lba
-
-    # -- KV-layer garbage collection ---------------------------------------------------------
-
-    @property
-    def _under_pressure(self) -> bool:
-        return len(self._free_lbas) <= self.gc_trigger_free_lbas
-
-    def _gc_request(self) -> Event:
-        if self._under_pressure:
-            event = Event(self.sim)
-            event.succeed()
-            return event
-        if self._gc_event is None:
-            self._gc_event = Event(self.sim)
-        return self._gc_event
+    # -- KV-layer garbage collection: trim LBAs ---------------------------------
 
     def _pick_victim(self) -> Optional[int]:
         best, best_valid = None, None
-        for lba in self._written_lbas:
-            if lba in self._collecting:
+        for lba in self._allocator.written:
+            if lba in self.collector.in_flight:
                 continue
             if self._pins.pinned(lba):
                 continue  # in-flight write or read; state is in motion
-            valid = self._valid_records.get(lba, 0)
-            if valid >= self._stored_records.get(lba, 0):
+            valid = self._valid_records[lba]
+            if valid >= self._stored_records[lba]:
                 continue  # no garbage: collecting would only churn
             if best_valid is None or valid < best_valid:
                 best, best_valid = lba, valid
         return best
 
-    def _gc_daemon(self):
-        """Collect up to ``gc_concurrency`` logical blocks concurrently."""
-        while True:
-            yield self._gc_request()
-            inflight = []
-            while self._under_pressure or inflight:
-                # Each in-flight collection may consume an LBA of remap
-                # destinations; cap concurrency by the free-pool headroom.
-                slots = min(self.gc_concurrency,
-                            max(1, len(self._free_lbas) - 1))
-                while (self._under_pressure
-                        and len(inflight) < slots):
-                    victim = self._pick_victim()
-                    if victim is None:
-                        break
-                    self._collecting.add(victim)
-                    inflight.append(
-                        self.sim.process(self._collect_guarded(victim)))
-                if not inflight:
-                    if self._under_pressure:
-                        # Nothing reclaimable; park until the pool changes.
-                        yield self._state_change()
-                        continue
-                    break
-                yield self.sim.any_of(inflight)
-                inflight = [proc for proc in inflight if not proc.processed]
-
-    def _collect_guarded(self, victim: int):
-        try:
-            yield from self._collect(victim)
-        finally:
-            self._collecting.discard(victim)
-
-    def _entry_at(self, key: str, version: Version, lba: int,
-                  offset: int) -> Optional[_VEntry]:
-        for entry in self._map.get(key, []):
-            if (entry.alive and entry.version == version
-                    and entry.lba == lba and entry.offset == offset):
-                return entry
-        return None
-
-    def _is_retained(self, key: str, version: Version) -> bool:
-        entries = self._map.get(key, [])
-        versions_desc = [entry.version for entry in reversed(entries)]
-        return version in retained_versions(versions_desc, self.watermark)
-
     def _collect(self, victim: int):
         """Read a victim logical block, re-pack its live records, trim it.
 
-        Live records detach into the KV layer's write buffer synchronously
-        and re-enter the packer; the victim LBA is trimmed and recycled
-        without waiting for the new placements, avoiding a cycle where GC
-        waits on packer flushes whose LBA allocations wait on GC.
+        The trimmed page is garbage the FTL below still has to find and
+        erase in a collection of its own.
         """
-        yield from self.cpu.charge(self.kv_op_cpu)
+        yield from self.cpu.charge(self.op_cpu)
         # Wait out the victim's in-flight initial write, if any.
         yield from self._pins.drain(victim)
-        self._pins.pin(victim)
-        try:
-            records = yield self.ftl.read(victim)
-        finally:
-            self._pins.unpin(victim)
-        if records is not None:
-            for offset, (key, version, value) in enumerate(records):
-                entry = self._entry_at(key, version, victim, offset)
-                if entry is None:
-                    continue
-                if not self._is_retained(key, version):
-                    self._retire(key, entry)
-                    continue
-                # Detach: reads now hit the buffered copy in DRAM.
-                self._valid_records[victim] -= 1
-                entry.lba = None
-                entry.offset = None
-                entry.cached_value = value
-                self.packer.submit((key, version, value, entry))
-                self.stats.records_remapped += 1
+        yield from self._scan_page(victim)
         yield from self._pins.drain(victim)
         self.ftl.trim(victim)
-        self._release_lba(victim)
-        self.stats.gc_runs += 1
-
-    def _retire(self, key: str, entry: _VEntry) -> None:
-        self._kill(entry)
-        entries = self._map.get(key)
-        if entries is not None:
-            entries.remove(entry)
-            if not entries:
-                del self._map[key]
-        self.stats.records_discarded += 1
-
-
+        self._recycle(victim)

@@ -11,8 +11,9 @@ least-worn eligible block: its cold data moves into the hot rotation and
 the young block joins the free pool.
 
 Works against both :class:`~repro.ftl.sftl.GenericFTL` and
-:class:`~repro.ftl.mftl.MFTLBackend`, which share the GC surface it
-needs (``_collect_guarded``, ``_collecting``, allocator, device).
+:class:`~repro.ftl.mftl.MFTLBackend`: each reclaims blocks through a
+:class:`~repro.ftl.gc.Collector`, and the leveler hands that collector
+one more victim, so a block is never collected twice at once.
 """
 
 from __future__ import annotations
@@ -52,19 +53,17 @@ class StaticWearLeveler:
             return False
         if block == ftl._allocator.active_block:
             return False
-        if block in ftl._collecting:
+        if block in ftl.collector.in_flight:
             return False
-        bad = getattr(ftl, "bad_blocks", set())
-        if block in bad:
+        if block in ftl.bad_blocks:
             return False
         return ftl.device.chip.programmed_pages(block) > 0
 
     def _imbalance_victim(self) -> Optional[int]:
         chip = self.ftl.device.chip
         num_blocks = self.ftl.device.geometry.num_blocks
-        bad = getattr(self.ftl, "bad_blocks", set())
         wears = [chip.erase_count(block) for block in range(num_blocks)
-                 if block not in bad]
+                 if block not in self.ftl.bad_blocks]
         if not wears or max(wears) - min(wears) <= self.threshold:
             return None
         eligible = [block for block in range(num_blocks)
@@ -82,6 +81,5 @@ class StaticWearLeveler:
             victim = self._imbalance_victim()
             if victim is None:
                 continue
-            ftl._collecting.add(victim)
             self.migrations += 1
-            yield from ftl._collect_guarded(victim)
+            yield from ftl.collector.collect(victim)

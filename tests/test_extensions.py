@@ -1,10 +1,8 @@
-"""Tests for the future-work extensions: map cache, client caching,
+"""Tests for the future-work extensions: client caching and
 nearest-replica reads."""
 
 import pytest
 
-from repro.flash import FlashDevice, FlashGeometry
-from repro.ftl import MappingCache, MFTLBackend
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.milana import (
     ABORTED,
@@ -12,81 +10,6 @@ from repro.milana import (
     CachingMilanaClient,
     NearestReplicaClient,
 )
-from repro.sim import Simulator
-from repro.versioning import Version
-
-
-class TestMappingCache:
-    def test_hit_and_miss(self):
-        cache = MappingCache(capacity=2)
-        assert cache.touch("a") is False
-        assert cache.touch("a") is True
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_lru_eviction(self):
-        cache = MappingCache(capacity=2)
-        cache.touch("a")
-        cache.touch("b")
-        cache.touch("a")       # a becomes MRU
-        cache.touch("c")       # evicts b
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        assert cache.evictions == 1
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            MappingCache(0)
-
-    def test_hit_rate(self):
-        cache = MappingCache(capacity=10)
-        cache.touch("a")
-        cache.touch("a")
-        cache.touch("a")
-        assert cache.hit_rate == pytest.approx(2 / 3)
-
-
-class TestMFTLWithMapCache:
-    def _backend(self, sim, capacity):
-        geometry = FlashGeometry(page_size=4096, pages_per_block=8,
-                                 num_blocks=32, num_channels=4)
-        return MFTLBackend(sim, FlashDevice(sim, geometry),
-                           map_cache_capacity=capacity)
-
-    def test_cold_lookup_pays_translation_read(self):
-        sim = Simulator()
-        backend = self._backend(sim, capacity=4)
-        sim.run_until_event(backend.put("k", "v", Version(1.0, 1)))
-        assert backend.translation_reads == 1   # cold put
-        sim.run_until_event(backend.get("k"))
-        assert backend.translation_reads == 1   # now hot
-
-    def test_cold_get_slower_than_hot_get(self):
-        sim = Simulator()
-        backend = self._backend(sim, capacity=1)
-        sim.run_until_event(backend.put("a", 1, Version(1.0, 1)))
-        sim.run_until_event(backend.put("b", 2, Version(2.0, 1)))
-
-        def timed_get(key):
-            t0 = sim.now
-            yield backend.get(key)
-            return sim.now - t0
-
-        # "b" is resident (last touched); "a" was evicted by capacity 1.
-        hot = sim.run_until_event(sim.process(timed_get("b")))
-        cold = sim.run_until_event(sim.process(timed_get("a")))
-        assert cold > hot
-        assert cold - hot == pytest.approx(
-            backend.device.timing.read_page, rel=0.01)
-
-    def test_disabled_by_default(self):
-        sim = Simulator()
-        geometry = FlashGeometry(page_size=4096, pages_per_block=8,
-                                 num_blocks=32, num_channels=4)
-        backend = MFTLBackend(sim, FlashDevice(sim, geometry))
-        assert backend.map_cache is None
-        sim.run_until_event(backend.put("k", "v", Version(1.0, 1)))
-        assert backend.translation_reads == 0
 
 
 def caching_cluster(**overrides):
