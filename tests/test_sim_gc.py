@@ -1,0 +1,268 @@
+"""Host-memory guard: nothing allocated per event, message or process
+may need CPython's cyclic collector to die (docs/PERFORMANCE.md, "The
+collector").
+
+Three angles: (i) with the collector switched off, finished kernel
+objects vanish the moment the last outside reference goes; (ii) under
+``gc.DEBUG_SAVEALL`` whole fault-free workloads leave no kernel object
+for the collector to find; (iii) the traced kernel, which keeps every
+process alive in the sanitizer's context table by design, still
+releases the same slots and detaches the same callbacks.
+"""
+
+import gc
+import types
+import weakref
+from collections import Counter
+from contextlib import contextmanager
+
+import pytest
+
+from repro.durability import DurabilityConfig
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry
+from repro.ftl import MFTLBackend
+from repro.harness import ClusterConfig, run_retwis_on_cluster
+from repro.sansim import TracedSimulator
+from repro.sim import Interrupt, SeededRng, Simulator
+from repro.sim.events import AnyOf, Event
+from repro.sim.process import Process
+from repro.workloads.microbench import run_kv_microbench
+
+RELEASED_SLOTS = ("_generator", "_send", "_throw", "_resume_cb")
+
+
+class WeakProcess(Process):
+    """Kernel objects are slotted without ``__weakref__``; the tests
+    observe their death through these otherwise identical subclasses."""
+
+    __slots__ = ("__weakref__",)
+
+
+class WeakAnyOf(AnyOf):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def no_collector():
+    """Hold the cyclic collector off: only refcounting frees anything."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextmanager
+def saved_garbage():
+    """Everything the collector finds inside the block lands in
+    ``gc.garbage`` instead of being freed; yields that list."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def kernel_garbage(garbage) -> Counter:
+    """Type census of the kernel objects (events incl. processes,
+    generators, bound methods) among ``garbage``."""
+    kinds = (Event, types.GeneratorType, types.MethodType,
+             types.BuiltinMethodType)
+    return Counter(type(obj).__name__ for obj in garbage
+                   if isinstance(obj, kinds))
+
+
+def released(proc: Process) -> bool:
+    return all(getattr(proc, slot) is None for slot in RELEASED_SLOTS)
+
+
+class TestRefcountingFreesFinishedKernelObjects:
+    @pytest.mark.parametrize("yields", [0, 1, 3])
+    def test_returned_process_dies_with_its_last_reference(
+            self, no_collector, yields):
+        sim = Simulator()
+
+        def body():
+            for _ in range(yields):
+                yield sim.timeout(1.0)
+            return "done"
+
+        proc = WeakProcess(sim, body())
+        sim.run()
+        assert proc.value == "done"
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
+
+    def test_joined_and_joining_processes_die(self, no_collector):
+        sim = Simulator()
+
+        def child():
+            yield sim.timeout(1.0)
+            return 7
+
+        def parent(joined):
+            value = yield joined
+            return value + 1
+
+        inner = WeakProcess(sim, child())
+        outer = WeakProcess(sim, parent(inner))
+        sim.run()
+        assert outer.value == 8
+        refs = [weakref.ref(inner), weakref.ref(outer)]
+        del inner, outer
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_any_of_winner_leaves_the_losing_timeout_alone(
+            self, no_collector):
+        sim = Simulator()
+        event = sim.event()
+        deadline = sim.timeout(1.0)
+        cond = WeakAnyOf(sim, [event, deadline])
+        event.succeed("won")
+        sim.run(until=0.5)
+        assert cond.value == {event: "won"}
+        assert deadline.callbacks == []
+        ref = weakref.ref(cond)
+        del cond
+        assert ref() is None
+        # The loser still fires, with nobody listening: the event count
+        # is the one the attached-forever condition produced.
+        sim.run()
+        assert deadline.processed
+        assert (sim.now, sim.events_processed) == (1.0, 3)
+
+    def test_any_of_built_on_a_fired_child_never_attaches(
+            self, no_collector):
+        sim = Simulator()
+        fired = sim.event().succeed("early")
+        sim.run()
+        pending = sim.event()
+        cond = WeakAnyOf(sim, [fired, pending])
+        assert pending.callbacks == []
+        sim.run()
+        assert cond.value == {fired: "early"}
+        ref = weakref.ref(cond)
+        del cond
+        assert ref() is None
+
+    def test_failed_process_releases_its_slots(self, no_collector):
+        sim = Simulator()
+
+        def body():
+            yield sim.timeout(1.0)
+            raise ValueError("boom")
+
+        proc = sim.process(body())
+        proc.defused = True
+        sim.run()
+        assert isinstance(proc.value, ValueError)
+        assert released(proc)
+
+    def test_unhandled_interrupt_releases_its_slots(self, no_collector):
+        sim = Simulator()
+
+        def body():
+            yield sim.timeout(10.0)
+
+        proc = sim.process(body())
+        sim.run(until=1.0)
+        proc.interrupt("stop")
+        sim.run()
+        assert isinstance(proc.value, Interrupt)
+        assert released(proc)
+
+    @pytest.mark.parametrize("reaction", ["dies", "recovers", "reraises"])
+    def test_crashed_process_releases_its_slots(self, no_collector,
+                                                reaction):
+        sim = Simulator()
+
+        def body():
+            try:
+                yield "not an event"
+            except TypeError:
+                if reaction == "recovers":
+                    return "recovered"
+                if reaction == "reraises":
+                    raise KeyError("other")
+                raise
+
+        proc = sim.process(body())
+        proc.defused = True
+        sim.run()
+        assert proc.processed
+        assert released(proc)
+
+    def test_all_of_that_failed_early_detaches_from_unfired_children(
+            self, no_collector):
+        sim = Simulator()
+        first, second, third = sim.event(), sim.event(), sim.event()
+        cond = sim.all_of([first, second, third])
+        cond.defused = True
+        second.fail(RuntimeError("boom"))
+        sim.run()
+        assert cond.ok is False
+        assert first.callbacks == [] and third.callbacks == []
+
+
+class TestWorkloadsLeaveNoKernelGarbage:
+    def test_fault_free_retwis_on_a_durable_mftl_shard(self):
+        config = ClusterConfig(
+            num_shards=1, replicas_per_shard=3, num_clients=4,
+            backend="mftl", populate_keys=200, seed=5,
+            durability=DurabilityConfig())
+        with saved_garbage() as garbage:
+            result = run_retwis_on_cluster(
+                config, alpha=0.6, duration=0.015, warmup=0.005)
+            gc.collect()
+            assert result.metrics.committed > 0
+            assert kernel_garbage(garbage) == Counter()
+
+    def test_kv_microbench_with_version_garbage_collection(self):
+        geometry = FlashGeometry(page_size=4096, pages_per_block=32,
+                                 num_blocks=40, num_channels=32)
+        with saved_garbage() as garbage:
+            sim = Simulator()
+            backend = MFTLBackend(sim, FlashDevice(sim, geometry))
+            result = run_kv_microbench(
+                sim, backend, SeededRng(1), num_keys=2000, get_percent=25,
+                duration=0.03, warmup=0.01, num_workers=32,
+                version_window=0.005)
+            gc.collect()
+            assert result.requests > 0
+            assert kernel_garbage(garbage) == Counter()
+
+
+class TestTracedKernelReleasesTheSame:
+    def test_finished_traced_process_releases_its_slots(self):
+        sim = TracedSimulator()
+
+        def body():
+            yield sim.timeout(1.0)
+            return "done"
+
+        proc = sim.process(body())
+        sim.run()
+        assert proc.value == "done"
+        assert released(proc)
+
+    @pytest.mark.parametrize("simulator", [Simulator, TracedSimulator])
+    def test_condition_detaches_under_either_registration(self, simulator):
+        # Plain kernels register ``_check``, traced ones ``_traced_check``.
+        sim = simulator()
+        event = sim.event()
+        deadline = sim.timeout(1.0)
+        cond = sim.any_of([event, deadline])
+        assert len(deadline.callbacks) == 1
+        event.succeed("won")
+        sim.run(until=0.5)
+        assert cond.value == {event: "won"}
+        assert deadline.callbacks == []
+        sim.run()
+        assert (sim.now, sim.events_processed) == (1.0, 3)
