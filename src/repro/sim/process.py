@@ -13,8 +13,17 @@ the kernel (see events.py). The constructor caches three bound methods
 in slots — ``generator.send``/``generator.throw`` (``_send``/``_throw``)
 and the resume callback itself (``_resume_cb``) — so the per-yield path
 neither re-binds generator methods nor allocates a fresh bound-method
-object for every ``callbacks.append``. :meth:`Process._resume` is the
-only resume body: ``repro.sansim``'s ``TracedProcess`` wraps it in
+object for every ``callbacks.append``. ``_resume_cb`` is a bound method
+of the process stored on the process, a reference cycle, so all three
+(and the generator) are dropped by :meth:`Process._release` the moment
+the generator finishes, on every completion path: a finished process is
+then freed by refcounting with its last outside reference instead of
+waiting for — and feeding — the cyclic collector, which at 48 processes
+per transaction would cost a third of a Retwis run's host time
+(docs/PERFORMANCE.md, "The collector"; ``tests/test_sim_gc.py``). A
+stale trigger that fires later holds its own bound method and returns
+at the first line of :meth:`Process._resume`. That method is the only
+resume body: ``repro.sansim``'s ``TracedProcess`` wraps it in
 happens-before bookkeeping (``_resume_cb`` binds the *overridden*
 ``_resume`` for subclasses) and overrides :meth:`Process._relay`, the
 one branch whose heap push needs extra attribution.
@@ -104,11 +113,13 @@ class Process(Event):
                 trigger.defused = True
                 target = self._throw(trigger._value)
         except StopIteration as stop:
+            self._release()
             self.succeed(getattr(stop, "value", None))
             return
         except Interrupt as exc:
             # An unhandled interrupt terminates the process quietly with the
             # interrupt as a failure value for anyone joined on it.
+            self._release()
             self._ok = False
             self._value = exc
             self.defused = True
@@ -117,6 +128,7 @@ class Process(Event):
             sim._seq += 1
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            self._release()
             self.fail(exc)
             return
 
@@ -147,14 +159,21 @@ class Process(Event):
         relay.callbacks.append(self._resume_cb)
         self.sim.schedule(relay)
 
+    def _release(self) -> None:
+        """Drop the generator and the cached bound methods: the process
+        has finished and must not stay a reference cycle."""
+        self._generator = self._send = self._throw = self._resume_cb = \
+            None  # type: ignore[assignment]
+
     def _crash(self, error: BaseException) -> None:
         """Terminate the generator with ``error`` and fail the process."""
         try:
-            self._generator.throw(error)
+            self._throw(error)
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
-            return
         except BaseException as exc:  # noqa: BLE001
             self.fail(exc)
-            return
-        self.fail(error)
+        else:
+            self.fail(error)
+        finally:
+            self._release()
