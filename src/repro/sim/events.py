@@ -219,8 +219,35 @@ class _Condition(Event):
         for event in self.events:
             if event._processed:
                 check(event)
+                if self._value is not PENDING:
+                    # Decided by a child that had already fired: the
+                    # rest could only ever call a check that returns at
+                    # its first line, so they are never attached.
+                    break
             else:
                 event.callbacks.append(check)
+
+    def _detach(self) -> None:
+        """Take the check callback off every child that has not fired.
+
+        Called once, when the condition triggers. A child left attached
+        would pin the condition (and whatever its value holds: an RPC
+        response, for the ``any_of([waiter, deadline])`` of every call)
+        until it fires, and forever if it never does, as a reference
+        cycle only the cyclic collector can free. The child itself
+        stays where it is: a losing timeout still fires, with nobody
+        listening, so the event count does not change. The bound method
+        is rebuilt here, chosen as the constructor chose it, and never
+        stored on the condition, which would be a cycle of its own.
+        """
+        check = (self._check if self.sim.tracer is None
+                 else self._traced_check)
+        for event in self.events:
+            if not event._processed:
+                try:
+                    event.callbacks.remove(check)
+                except ValueError:
+                    pass
 
     def _collect(self) -> dict:
         """Map each already-fired child event to its value, in order."""
@@ -258,6 +285,7 @@ class AnyOf(_Condition):
             self.fail(event._value)
         else:
             self.succeed(self._collect())
+        self._detach()
 
 
 class AllOf(_Condition):
@@ -275,6 +303,7 @@ class AllOf(_Condition):
         if event._ok is False:
             event.defused = True
             self.fail(event._value)
+            self._detach()
             return
         self._count += 1
         if self._count == len(self.events):
