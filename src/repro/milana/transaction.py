@@ -10,7 +10,7 @@ below ``ts_begin`` (the bit local validation needs, §4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..versioning import Version
 
@@ -90,6 +90,12 @@ class TransactionRecord:
 
     Lives in the primary's transaction table and, via replication, in the
     backups' logs — the raw material of the Algorithm 2 recovery merge.
+
+    Only ``status`` and ``prepared_at`` change after construction; the
+    read, write and participant sequences are iterated and measured,
+    never edited, which is what lets a record thawed from the wire keep
+    the message's tuples and lets one immutable ``TxnRecordWire`` stand
+    for each state the record passes through (``snapshot``).
     """
 
     txn_id: str
@@ -97,13 +103,18 @@ class TransactionRecord:
     client_name: str
     ts_commit: float
     #: (key, version tuple or None) for keys of *this shard* in the read set.
-    reads: List[Tuple[str, Optional[Tuple]]]
+    reads: Sequence[Tuple[str, Optional[Tuple]]]
     #: (key, value) for keys of this shard in the write set.
-    writes: List[Tuple[str, Any]]
+    writes: Sequence[Tuple[str, Any]]
     #: All participant shard names (for CTP and recovery, §4.2).
-    participants: List[str]
+    participants: Sequence[str]
     status: str = PREPARED
     prepared_at: float = 0.0
+    #: The ``TxnRecordWire`` this record was thawed from or last frozen
+    #: into; ``TxnRecordWire.from_record`` reuses it while it still
+    #: describes the record. Bookkeeping, not part of the record's value.
+    snapshot: Optional[Any] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def to_wire(self) -> Dict[str, Any]:
         """Plain-dict form for RPC payloads and backup logs."""

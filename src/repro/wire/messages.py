@@ -206,7 +206,11 @@ class TxnRecordWire(WireMessage):
     The mutable server-side twin is
     :class:`repro.milana.transaction.TransactionRecord`; this class is
     the immutable value that actually crosses the network, so a backup
-    can never alias the primary's record object.
+    can never alias the primary's record object. Being immutable it is
+    shared freely: one instance per state of a transaction serves the
+    WAL, the replication fan-out and the backups' logs (see
+    :meth:`from_record`), and the records thawed from it share its
+    tuples.
     """
 
     txn_id: str
@@ -241,36 +245,69 @@ class TxnRecordWire(WireMessage):
 
     @classmethod
     def from_record(cls, record: Any) -> "TxnRecordWire":
-        """Snapshot a server/client-side ``TransactionRecord``."""
-        return cls(
+        """Snapshot a server/client-side ``TransactionRecord``.
+
+        One snapshot is built per state change, not per use: while the
+        record's ``snapshot`` still describes it (same status and
+        prepare time, the very same read/write/participant tuples) that
+        object is returned, so the WAL entry, the replication messages
+        and the backups' logs of one state share it. A new snapshot
+        takes the record's tuples as they are; lists (hand-built
+        records) are frozen first and never shared.
+        """
+        last: Optional[TxnRecordWire] = record.snapshot
+        if (last is not None
+                and last.status == record.status
+                and last.prepared_at == record.prepared_at
+                and last.reads is record.reads
+                and last.writes is record.writes
+                and last.participants is record.participants):
+            return last
+        reads, writes = record.reads, record.writes
+        participants = record.participants
+        if type(reads) is not tuple:
+            reads = tuple(
+                (key, tuple(version) if version is not None else None)
+                for key, version in reads)
+        if type(writes) is not tuple:
+            writes = tuple((key, value) for key, value in writes)
+        if type(participants) is not tuple:
+            participants = tuple(participants)
+        snapshot = record.snapshot = cls(
             txn_id=record.txn_id,
             client_id=record.client_id,
             client_name=record.client_name,
             ts_commit=record.ts_commit,
-            reads=tuple(
-                (key, tuple(version) if version is not None else None)
-                for key, version in record.reads),
-            writes=tuple(
-                (key, value) for key, value in record.writes),
-            participants=tuple(record.participants),
+            reads=reads,
+            writes=writes,
+            participants=participants,
             status=record.status,
             prepared_at=record.prepared_at,
         )
+        return snapshot
 
     def to_record(self) -> Any:
-        """Thaw into a mutable ``TransactionRecord`` for server tables."""
+        """Thaw into a mutable ``TransactionRecord`` for server tables.
+
+        Only ``status`` and ``prepared_at`` ever change on a record, so
+        it keeps this message's tuples rather than copying them, and
+        remembers this message as its snapshot: logging or forwarding
+        the record unchanged reuses the received object itself.
+        """
         from ..milana.transaction import TransactionRecord
-        return TransactionRecord(
+        record = TransactionRecord(
             txn_id=self.txn_id,
             client_id=self.client_id,
             client_name=self.client_name,
             ts_commit=self.ts_commit,
-            reads=list(self.reads),
-            writes=list(self.writes),
-            participants=list(self.participants),
+            reads=self.reads,
+            writes=self.writes,
+            participants=self.participants,
             status=self.status,
             prepared_at=self.prepared_at,
         )
+        record.snapshot = self
+        return record
 
 
 @dataclass(frozen=True)

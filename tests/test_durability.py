@@ -132,6 +132,71 @@ class TestWriteAheadLog:
         assert entry.payload.status == PREPARED
 
 
+class TestSnapshotSharing:
+    """One frozen ``TxnRecordWire`` per state of a record, shared by
+    the WAL, replication and backups, never aliasing mutable state."""
+
+    WIRE = TxnRecordWire(
+        txn_id="t1", client_id=1, client_name="c", ts_commit=1.0,
+        reads=(("a", (0.5, 2)), ("b", None)), writes=(("a", "v"),),
+        participants=("shard0", "shard1"), status=PREPARED,
+        prepared_at=0.25)
+
+    def test_unchanged_record_keeps_one_snapshot(self):
+        record = self.WIRE.to_record()
+        assert TxnRecordWire.from_record(record) is self.WIRE
+        assert TxnRecordWire.from_record(record) is self.WIRE
+        # Thawing twice gives independent records over shared tuples.
+        other = self.WIRE.to_record()
+        assert other is not record and other == record
+        assert other.reads is record.reads is self.WIRE.reads
+
+    def test_status_change_makes_a_new_snapshot_over_the_same_tuples(self):
+        record = self.WIRE.to_record()
+        record.status = COMMITTED
+        decided = TxnRecordWire.from_record(record)
+        assert decided is not self.WIRE
+        assert (self.WIRE.status, decided.status) == (PREPARED, COMMITTED)
+        assert decided.reads is self.WIRE.reads
+        assert decided.writes is self.WIRE.writes
+        assert decided.participants is self.WIRE.participants
+        assert TxnRecordWire.from_record(record) is decided
+
+    def test_prepare_time_change_makes_a_new_snapshot(self):
+        record = self.WIRE.to_record()
+        record.prepared_at = 0.5
+        stamped = TxnRecordWire.from_record(record)
+        assert stamped is not self.WIRE
+        assert (self.WIRE.prepared_at, stamped.prepared_at) == (0.25, 0.5)
+
+    def test_wal_entry_keeps_the_status_it_was_appended_with(self):
+        sim = Simulator()
+        wal = WriteAheadLog(sim, "srv", DurabilityConfig())
+        record = self.WIRE.to_record()
+        before = sim.run_until_event(sim.process(wal.append_txn(record)))
+        record.status = COMMITTED
+        after = sim.run_until_event(sim.process(wal.append_txn(record)))
+        # A received record is logged as the received object itself.
+        assert before.payload is self.WIRE
+        assert before.payload.status == PREPARED
+        assert after.payload.status == COMMITTED
+
+    def test_hand_built_lists_are_frozen_and_never_shared(self):
+        reads = [("a", (0.5, 2)), ("b", None)]
+        record = TransactionRecord(
+            txn_id="t2", client_id=1, client_name="c", ts_commit=1.0,
+            reads=reads, writes=[("a", "v")], participants=["shard0"])
+        first = TxnRecordWire.from_record(record)
+        assert first.reads == (("a", (0.5, 2)), ("b", None))
+        assert first.writes == (("a", "v"),)
+        assert first.participants == ("shard0",)
+        assert hash(first) == hash(TxnRecordWire.from_wire(first.to_wire()))
+        # A list can be edited in place, so its snapshot is not reused.
+        reads.append(("c", None))
+        second = TxnRecordWire.from_record(record)
+        assert len(second.reads) == 3 and len(first.reads) == 2
+
+
 class TestClusterCrashRestart:
     def _commit(self, cluster, client, key, value):
         def work():
