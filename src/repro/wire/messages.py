@@ -4,7 +4,8 @@ One frozen dataclass per request and per reply, with value semantics
 (tuples, not lists) so a message cannot alias mutable state across the
 simulated wire. Every message knows its own deterministic byte size
 (:meth:`WireMessage.wire_size`), which the network charges as
-transmission delay and per-edge byte counters.
+transmission delay and per-edge byte counters; the value semantics are
+also what allow that size to be computed once per message object.
 
 ``to_wire()``/``from_wire()`` round-trip a message through a plain-dict
 form — the shape a real serializer would see — and are exercised by
@@ -87,10 +88,23 @@ class WireMessage:
         return cls(**payload)
 
     def wire_size(self) -> int:
-        """Modelled size in bytes: type tag + field payloads."""
-        return _MESSAGE_HEADER + sum(
-            payload_size(getattr(self, f.name))
-            for f in dataclasses.fields(self))
+        """Modelled size in bytes: type tag + field payloads.
+
+        Walked once and kept on the instance: a message is frozen and
+        its values are treated as immutable once it is sent, and the
+        same object is sized again for every backup it fans out to,
+        every retry and every envelope it is nested in. The size lives
+        in the instance ``__dict__`` beside the fields, not among them,
+        so ``==``, ``hash``, :meth:`to_wire` and ``dataclasses.replace``
+        never see it.
+        """
+        size: Optional[int] = self.__dict__.get("_wire_size")
+        if size is None:
+            size = _MESSAGE_HEADER
+            for name in self.__dataclass_fields__:
+                size += payload_size(getattr(self, name))
+            self.__dict__["_wire_size"] = size
+        return size
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ charging transmission delay from them preserves seeded determinism.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Dict
 
 __all__ = [
     "payload_size",
@@ -37,6 +37,17 @@ LENGTH_PREFIX_SIZE = 4
 FLAG_SIZE = 1
 
 
+#: Exact-type dispatch for the fixed-width atoms, which are most of
+#: what a message holds. ``bool`` has its own entry, so a flag sitting
+#: in an ``int``-annotated field is still one byte.
+_ATOM_SIZES: Dict[type, int] = {
+    type(None): FLAG_SIZE,
+    bool: FLAG_SIZE,
+    int: SCALAR_SIZE,
+    float: SCALAR_SIZE,
+}
+
+
 def payload_size(value: Any) -> int:
     """Size of ``value`` in modelled wire bytes (deterministic).
 
@@ -44,9 +55,21 @@ def payload_size(value: Any) -> int:
     :class:`~repro.wire.messages.WireMessage` subclasses, and the RPC
     envelope types) are delegated to; everything else falls back to a
     structural model so ad-hoc test payloads still get a finite size.
+
+    Hot-path note: this runs for every field of every message sent, so
+    atoms and plain strings are sized by exact type before the
+    structural walk below, which still decides everything else
+    (subclasses of the atoms included) and is the definition of the
+    model; ``tests/test_wire.py`` holds the two equal.
     """
-    if value is None:
-        return FLAG_SIZE
+    kind = type(value)
+    size = _ATOM_SIZES.get(kind)
+    if size is not None:
+        return size
+    if kind is str:
+        # UTF-8 encodes ASCII one byte per character.
+        return LENGTH_PREFIX_SIZE + (
+            len(value) if value.isascii() else len(value.encode("utf-8")))
     if isinstance(value, bool):
         return FLAG_SIZE
     if isinstance(value, (int, float)):

@@ -2,20 +2,30 @@
 sizing, end-to-end type enforcement, size-aware transport, and
 duplicate-delivery idempotence under the typed messages."""
 
+import dataclasses
+import enum
+
 import pytest
 
 from repro.clocks import PerfectClock
 from repro.ftl import DRAMBackend
 from repro.milana import COMMITTED, MilanaClient, MilanaServer
 from repro.net import AppError, FixedLatency, Network, RpcNode
+from repro.net.rpc import Request, Response
 from repro.semel import Directory, SemelClient, StorageServer
 from repro.sim import SeededRng, Simulator
 from repro.wire import (
     REGISTRY,
     Ack,
+    MasterHeartbeatReply,
+    MasterLookupReply,
+    MilanaPrepare,
+    MilanaReplicateTxn,
     SemelGet,
     SemelGetReply,
     SemelPut,
+    TxnRecordWire,
+    WireMessage,
     payload_size,
     render_catalogue,
     spec_for,
@@ -23,6 +33,7 @@ from repro.wire import (
     wire_size_of,
 )
 from repro.wire.check import run_check
+from repro.wire.registry import _examples
 
 
 class TestRegistry:
@@ -81,6 +92,145 @@ class TestSizing:
 
     def test_ack_is_tiny(self):
         assert Ack().wire_size() <= 4
+
+
+def reference_size(value):
+    """The byte model as one plain recursive walk — no exact-type fast
+    path, no remembered sizes: the oracle the optimised sizing must
+    equal. A message is its 2-byte tag plus its dataclass fields."""
+    if isinstance(value, WireMessage):
+        return 2 + sum(reference_size(getattr(value, f.name))
+                       for f in dataclasses.fields(value))
+    if isinstance(value, (Request, Response)):
+        envelope = 9 + reference_size(value.payload)
+        if isinstance(value, Request):
+            envelope += (reference_size(value.src)
+                         + reference_size(value.method))
+        return envelope
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return 4 + len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return 4 + len(value)
+    if isinstance(value, (tuple, list)):
+        return 4 + sum(reference_size(v) for v in value)
+    if isinstance(value, dict):
+        return 4 + sum(reference_size(k) + reference_size(v)
+                       for k, v in value.items())
+    return 4 + len(repr(value).encode("utf-8"))
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Label(str):
+    pass
+
+
+class _CountingValue:
+    """A field value that counts how often it is asked for its size."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def wire_size(self):
+        self.calls += 1
+        return 5
+
+
+def _registry_examples():
+    return [message for pair in _examples().values() for message in pair]
+
+
+def _awkward_messages():
+    record = TxnRecordWire(
+        txn_id="t\u00e9.1", client_id=1, client_name="client-\u4e00",
+        ts_commit=2.5e-3,
+        reads=(("cl\u00e9:0", None), ("key:1", (1e-3, 2)), ("\u043a", None)),
+        writes=(("cl\u00e9:0", "valeur \u20ac"), ("key:1", None)),
+        participants=("shard0", "shard1"), status="PREPARED")
+    return [
+        record,
+        MilanaPrepare(record=record),
+        MasterHeartbeatReply(epoch=True),  # a flag in an int field
+        SemelPut(key="k", value=b"\x00\x01\x02", version=(1.0, 1)),
+        SemelPut(key="k", value=bytearray(b"abc"), version=(1.0, 1)),
+        SemelPut(key="k", value={"a": [1, 2.0, None], "\u00fc": (True,)},
+                 version=(1.0, 1)),
+        SemelPut(key="k", value=[1, "x", [b"y"]], version=(1.0, 1)),
+        SemelPut(key=_Label("k\u00e9"), value=_Colour.RED,
+                 version=(1.0, 1)),
+        SemelPut(key="k", value=object, version=(1.0, 1)),  # repr-sized
+        MasterLookupReply(shards={
+            "shard0": {"primary": "srv-0-0", "epoch": 3,
+                       "replicas": ["srv-0-0", "srv-0-1"]},
+            "shard1": {"primary": None, "epoch": 0, "replicas": []}}),
+    ]
+
+
+class TestSizedOnce:
+    """The optimised sizing (exact-type atoms, one walk per message
+    object) against the plain recursive model."""
+
+    def test_examples_cover_every_registered_class(self):
+        classes = {type(message) for message in _registry_examples()}
+        assert classes == {cls for spec in REGISTRY.values()
+                           for cls in (spec.request, spec.response)}
+
+    @pytest.mark.parametrize(
+        "message", _registry_examples() + _awkward_messages(),
+        ids=lambda message: type(message).__name__)
+    def test_size_equals_the_reference_walk(self, message):
+        expected = reference_size(message)
+        assert wire_size_of(message) == expected
+        assert message.wire_size() == expected  # remembered, still equal
+        request = Request(7, "client-\u00e9", "semel.put", message)
+        response = Response(7, True, message)
+        assert wire_size_of(request) == reference_size(request)
+        assert wire_size_of(response) == reference_size(response)
+
+    def test_ad_hoc_envelope_payloads_are_sized_structurally(self):
+        for payload in (None, "text", {"k": [1, 2]}, ("a", 1.5), b"raw"):
+            request = Request(1, "a", "ping", payload, oneway=True)
+            assert wire_size_of(request) == reference_size(request)
+            assert wire_size_of(Response(1, False, payload)) == \
+                reference_size(Response(1, False, payload))
+
+    @pytest.mark.parametrize(
+        "message", _registry_examples(),
+        ids=lambda message: type(message).__name__)
+    def test_a_sized_message_is_still_the_same_value(self, message):
+        fresh = dataclasses.replace(message)
+        message.wire_size()
+        names = {f.name for f in dataclasses.fields(message)}
+        assert message == fresh and hash(message) == hash(fresh)
+        assert dataclasses.replace(message) == fresh
+        assert set(message.to_wire()) == names
+        assert type(message).from_wire(message.to_wire()) == message
+        assert repr(message) == repr(fresh)
+
+    def test_sizing_twice_walks_once(self):
+        value = _CountingValue()
+        message = SemelPut(key="k", value=value, version=(1.0, 1))
+        assert message.wire_size() == message.wire_size()
+        assert wire_size_of(Request(1, "a", "semel.put", message)) == \
+            wire_size_of(Request(2, "a", "semel.put", message))
+        assert value.calls == 1
+
+    def test_a_shared_nested_record_is_walked_once(self):
+        value = _CountingValue()
+        record = dataclasses.replace(_examples()["milana.prepare"][0].record,
+                                     writes=(("key:0", value),))
+        prepare = MilanaPrepare(record=record)
+        replicate = MilanaReplicateTxn(record=record)
+        assert prepare.wire_size() == replicate.wire_size()
+        assert value.calls == 1
 
 
 def make_net(seed=1, latency=None, duplicate_probability=0.0):
