@@ -11,6 +11,7 @@ suite selection, optional profiling, JSON reports, and the
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -81,6 +82,35 @@ class BenchResult:
 _REPEATS = 3
 
 
+def _collector_totals() -> Tuple[int, int]:
+    """(passes, objects freed) by the cyclic collector so far, summed
+    over its generations."""
+    stats = gc.get_stats()
+    return (sum(generation["collections"] for generation in stats),
+            sum(generation["collected"] for generation in stats))
+
+
+def _run_counting_collector(benchmark: Callable[[float], BenchResult],
+                            scale: float) -> BenchResult:
+    """Run ``benchmark`` once and record in ``extra`` what the cyclic
+    collector did meanwhile: ``gc_collections`` passes that freed
+    ``gc_collected`` objects. Exact counts, no clock. Kernel objects are
+    meant to die by refcounting (docs/PERFORMANCE.md, "The collector"),
+    so a hot path that starts feeding the collector shows here first.
+    """
+    # Garbage that earlier runs left behind must not be billed to this
+    # one. One pass is not always enough: it closes suspended
+    # generators, and what their frames held goes in the next.
+    while gc.collect():
+        pass
+    passes, collected = _collector_totals()
+    result = benchmark(scale)
+    passes_after, collected_after = _collector_totals()
+    result.extra["gc_collections"] = passes_after - passes
+    result.extra["gc_collected"] = collected_after - collected
+    return result
+
+
 def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
     # Imported lazily so ``repro bench --help`` stays instant.
     from .kernel import (
@@ -126,7 +156,7 @@ def run_suite(
 
             profiler = cProfile.Profile()
             profiler.enable()
-            result = benchmark(scale)
+            result = _run_counting_collector(benchmark, scale)
             profiler.disable()
             buffer = io.StringIO()
             stats = pstats.Stats(profiler, stream=buffer)
@@ -135,9 +165,9 @@ def run_suite(
             for line in buffer.getvalue().splitlines():
                 emit(line)
         else:
-            result = benchmark(scale)
+            result = _run_counting_collector(benchmark, scale)
             for _ in range(_REPEATS - 1):
-                repeat = benchmark(scale)
+                repeat = _run_counting_collector(benchmark, scale)
                 if repeat.value > result.value:
                     result = repeat
             result.extra["best_of"] = _REPEATS

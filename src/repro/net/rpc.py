@@ -129,8 +129,12 @@ class RpcNode:
         self.handler_errors = 0
         #: Live serve/call processes, so an amnesia crash can interrupt
         #: every in-flight handler (they reference volatile state through
-        #: ``self`` and must not keep mutating it across a restart).
-        self._procs: set = set()
+        #: ``self`` and must not keep mutating it across a restart). A
+        #: dict for its insertion order: processes hash by identity, so
+        #: a set would interrupt them in heap-address order and the
+        #: killed handlers' ``finally`` blocks would run in an order
+        #: that differs from one host run to the next.
+        self._procs: Dict[Process, None] = {}
         self.crashes = 0
         self._dispatcher = sim.process(self._dispatch_loop())
 
@@ -262,18 +266,19 @@ class RpcNode:
     # -- crash / restart ---------------------------------------------------
 
     def _track(self, proc: Process) -> Process:
-        self._procs.add(proc)
+        self._procs[proc] = None
         proc.callbacks.append(self._untrack)
         return proc
 
-    def _untrack(self, proc: Event) -> None:
-        self._procs.discard(proc)
+    def _untrack(self, proc: Any) -> None:
+        self._procs.pop(proc, None)
 
     def crash(self) -> None:
         """Amnesia fail-stop: kill the dispatcher and every in-flight
-        serve/call process, forget queued inbox messages and pending
-        response waiters. The caller is responsible for having the
-        network drop this node's traffic first (``Network.crash``)."""
+        serve/call process (in the order they were spawned), forget
+        queued inbox messages and pending response waiters. The caller
+        is responsible for having the network drop this node's traffic
+        first (``Network.crash``)."""
         if self._dispatcher.is_alive:
             self._dispatcher.interrupt("crash")
         for proc in list(self._procs):

@@ -20,6 +20,13 @@ instead of going through :meth:`Simulator.schedule`, and kernel-internal
 readers using the underscored attributes rather than the public
 properties. The schedule produced is byte-identical to the straightforward
 implementation; ``tests/test_fingerprints.py`` holds that line.
+
+Being the most-allocated objects, events must also die by reference
+counting alone: an event and its callbacks never form a cycle that
+outlives its firing, and a condition (:class:`AnyOf` / :class:`AllOf`)
+detaches from its unfired children the moment it is decided
+(``_Condition._detach``). ``tests/test_sim_gc.py`` holds that line;
+docs/PERFORMANCE.md ("The collector") has the reasoning.
 """
 
 from __future__ import annotations

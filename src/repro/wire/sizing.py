@@ -16,6 +16,11 @@ patterned on a compact schema'd binary encoding:
 
 Sizes are pure functions of the value: no RNG draws, no host state, so
 charging transmission delay from them preserves seeded determinism.
+That is also why a message may remember its size
+(:meth:`repro.wire.messages.WireMessage.wire_size` walks its fields
+once per object): a value handed to the wire is treated as immutable
+from then on, which the value semantics of :mod:`repro.wire.messages`
+already demand.
 """
 
 from __future__ import annotations

@@ -64,6 +64,18 @@ class TestRunner:
         assert results[0].extra["best_of"] == 3
         assert len(lines) == 1 and "kernel/events" in lines[0]
 
+    def test_every_result_counts_the_cyclic_collector(self):
+        lines = []
+        results = run_suite(quick=True, report=lines.append)
+        by_name = {result.name: result for result in results}
+        for result, line in zip(results, lines):
+            assert result.extra["gc_collections"] >= 0
+            assert result.extra["gc_collected"] >= 0
+            assert "gc_collected=" in line and "gc_collections=" in line
+        # Processes, timeouts and store handoffs die by refcounting.
+        assert by_name["kernel/timeouts"].extra["gc_collected"] == 0
+        assert by_name["kernel/store"].extra["gc_collected"] == 0
+
     def test_render_mentions_name_and_metric(self):
         result = BenchResult(name="kernel/x", metric="ops_per_s",
                              value=1234.5, n=10, seconds=0.01,

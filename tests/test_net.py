@@ -11,7 +11,7 @@ from repro.net import (
     RpcTimeout,
 )
 from repro.sansim import FifoTieBreak, SanitizerRuntime, TracedSimulator
-from repro.sim import SeededRng, Simulator
+from repro.sim import Interrupt, SeededRng, Simulator
 
 
 def make_net(sim, latency=None, **kwargs):
@@ -237,6 +237,34 @@ class TestRpc:
         result = sim.run_until_event(caller_proc)
         # Recovered before the second retry: the call succeeds.
         assert result == "ok" or result == "gave-up"
+
+    def test_crash_interrupts_handlers_in_spawn_order(self):
+        """Killed handlers run their ``finally`` blocks in the order the
+        requests were taken up, not in the heap-address order a set of
+        processes would iterate in."""
+        sim = Simulator()
+        _, client, server = self._pair(sim)
+        interrupted = []
+
+        def hold(payload):
+            try:
+                yield sim.timeout(1.0)
+            except Interrupt:
+                interrupted.append(payload)
+                raise
+
+        server.register("hold", hold)
+
+        def requester():
+            for payload in (3, 0, 4, 1, 2):
+                client.send_oneway("server", "hold", payload)
+                yield sim.timeout(10e-6)
+
+        sim.process(requester())
+        sim.run(until=1e-3)
+        server.crash()
+        sim.run(until=2e-3)
+        assert interrupted == [3, 0, 4, 1, 2]
 
     def test_duplicate_requests_served_twice_same_id(self):
         """The RPC layer itself does NOT dedupe — that's the server
