@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict
 from ..sim.core import Simulator
 from ..sim.events import PENDING, Event, Interrupt
 from ..sim.process import Process
-from ..wire.messages import WireMessage
 from ..wire.registry import spec_for
 from ..wire.sizing import LENGTH_PREFIX_SIZE, SCALAR_SIZE, payload_size
 from .network import Network
@@ -53,15 +52,6 @@ RETRY_BACKOFF_CAP = 100e-3
 _ENVELOPE_SIZE = SCALAR_SIZE + 1
 
 
-def _payload_bytes(payload: Any) -> int:
-    """Bytes of an envelope's payload: a protocol message is asked for
-    its (remembered) size directly; ad-hoc payloads of bare-named
-    methods are sized structurally."""
-    if isinstance(payload, WireMessage):
-        return payload.wire_size()
-    return payload_size(payload)
-
-
 class RpcError(Exception):
     """Base class for RPC failures."""
 
@@ -87,7 +77,7 @@ class Request:
         return (_ENVELOPE_SIZE
                 + LENGTH_PREFIX_SIZE + len(self.src.encode("utf-8"))
                 + LENGTH_PREFIX_SIZE + len(self.method.encode("utf-8"))
-                + _payload_bytes(self.payload))
+                + payload_size(self.payload))
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ class Response:
 
     def wire_size(self) -> int:
         """Envelope + payload bytes."""
-        return _ENVELOPE_SIZE + _payload_bytes(self.payload)
+        return _ENVELOPE_SIZE + payload_size(self.payload)
 
 
 def _check_request_payload(method: str, payload: Any) -> None:

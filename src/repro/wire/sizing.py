@@ -42,9 +42,9 @@ LENGTH_PREFIX_SIZE = 4
 FLAG_SIZE = 1
 
 
-#: Exact-type dispatch for the fixed-width atoms, which are most of
-#: what a message holds. ``bool`` has its own entry, so a flag sitting
-#: in an ``int``-annotated field is still one byte.
+#: Sizes of the fixed-width atoms by exact type, which are most of what
+#: a message holds. ``bool`` has its own entry, so a flag sitting in an
+#: ``int``-annotated field is still one byte.
 _ATOM_SIZES: Dict[type, int] = {
     type(None): FLAG_SIZE,
     bool: FLAG_SIZE,
@@ -62,10 +62,12 @@ def payload_size(value: Any) -> int:
     structural model so ad-hoc test payloads still get a finite size.
 
     Hot-path note: this runs for every field of every message sent, so
-    atoms and plain strings are sized by exact type before the
-    structural walk below, which still decides everything else
-    (subclasses of the atoms included) and is the definition of the
-    model; ``tests/test_wire.py`` holds the two equal.
+    what messages are made of — atoms, plain strings, tuples, nested
+    messages — is dispatched on exact type (or asked for its own
+    ``wire_size()``) before the structural walk below, which still
+    decides everything else, subclasses of the atoms included.
+    ``tests/test_wire.py`` holds the result equal to a plain recursive
+    walk of the model for every registered message class.
     """
     kind = type(value)
     size = _ATOM_SIZES.get(kind)
@@ -75,6 +77,11 @@ def payload_size(value: Any) -> int:
         # UTF-8 encodes ASCII one byte per character.
         return LENGTH_PREFIX_SIZE + (
             len(value) if value.isascii() else len(value.encode("utf-8")))
+    if kind is tuple:
+        return LENGTH_PREFIX_SIZE + sum(map(payload_size, value))
+    size_method = getattr(value, "wire_size", None)
+    if callable(size_method):
+        return size_method()
     if isinstance(value, bool):
         return FLAG_SIZE
     if isinstance(value, (int, float)):
@@ -83,9 +90,6 @@ def payload_size(value: Any) -> int:
         return LENGTH_PREFIX_SIZE + len(value.encode("utf-8"))
     if isinstance(value, (bytes, bytearray)):
         return LENGTH_PREFIX_SIZE + len(value)
-    size_method = getattr(value, "wire_size", None)
-    if callable(size_method):
-        return size_method()
     if isinstance(value, (tuple, list)):
         return LENGTH_PREFIX_SIZE + sum(payload_size(v) for v in value)
     if isinstance(value, dict):
