@@ -131,28 +131,30 @@ def _build_parser() -> argparse.ArgumentParser:
     nemesis = sub.add_parser(
         "nemesis",
         help="inject faults under a workload, heal, audit consistency")
-    nemesis.add_argument("--scenario", choices=sorted(SCENARIOS),
+    nemesis.add_argument("--scenario",
+                         choices=sorted(row.name for row in SCENARIOS),
                          default="asymmetric-partition")
-    nemesis.add_argument("--workload", choices=("retwis", "ycsb"),
-                         default="retwis")
-    nemesis.add_argument("--duration", type=float, default=0.3,
+    # No defaults here: a flag left out falls to run_nemesis (the run
+    # parameters) or nemesis_config (the deployment).
+    nemesis.add_argument("--workload", choices=("retwis", "ycsb"))
+    nemesis.add_argument("--duration", type=float,
                          help="workload seconds of simulated time")
-    nemesis.add_argument("--fault-start", type=float, default=0.05,
+    nemesis.add_argument("--fault-start", type=float,
                          help="fault injection start (simulated seconds)")
-    nemesis.add_argument("--fault-duration", type=float, default=0.15,
+    nemesis.add_argument("--fault-duration", type=float,
                          help="how long faults stay injected")
-    nemesis.add_argument("--alpha", type=float, default=0.8,
+    nemesis.add_argument("--alpha", type=float,
                          help="Zipf contention parameter")
-    nemesis.add_argument("--shards", type=int, default=2)
-    nemesis.add_argument("--replicas", type=int, default=3)
-    nemesis.add_argument("--clients", type=int, default=4)
-    nemesis.add_argument("--keys", type=int, default=400)
-    nemesis.add_argument("--backend", choices=BACKEND_KINDS,
-                         default="dram")
-    nemesis.add_argument("--clock", default="perfect",
+    nemesis.add_argument("--shards", type=int, dest="num_shards")
+    nemesis.add_argument("--replicas", type=int,
+                         dest="replicas_per_shard")
+    nemesis.add_argument("--clients", type=int, dest="num_clients")
+    nemesis.add_argument("--keys", type=int, dest="populate_keys")
+    nemesis.add_argument("--backend", choices=BACKEND_KINDS)
+    nemesis.add_argument("--clock", dest="clock_preset",
                          choices=("perfect", "dtp", "ptp-hw", "ptp-sw",
                                   "ntp"))
-    nemesis.add_argument("--seed", type=int, default=42)
+    nemesis.add_argument("--seed", type=int)
 
     sweep = sub.add_parser(
         "sweep",
@@ -335,20 +337,17 @@ def _command_ycsb(args) -> int:
 def _command_nemesis(args) -> int:
     from .harness.nemesis import nemesis_config, run_nemesis
 
-    config = nemesis_config(
-        num_shards=args.shards,
-        replicas_per_shard=args.replicas,
-        num_clients=args.clients,
-        backend=args.backend,
-        clock_preset=args.clock,
-        seed=args.seed,
-        populate_keys=args.keys,
-        with_master=(args.scenario == "isolate-master"),
-    )
+    def given(*names):
+        return {name: getattr(args, name) for name in names
+                if getattr(args, name) is not None}
+
     result = run_nemesis(
-        args.scenario, config=config, workload=args.workload,
-        duration=args.duration, fault_start=args.fault_start,
-        fault_duration=args.fault_duration, alpha=args.alpha)
+        args.scenario,
+        config=nemesis_config(**given(
+            "num_shards", "replicas_per_shard", "num_clients", "backend",
+            "clock_preset", "seed", "populate_keys")),
+        **given("workload", "duration", "fault_start", "fault_duration",
+                "alpha"))
     print(result.summary())
     return 0 if result.passed else 1
 

@@ -20,6 +20,7 @@ from .metrics import StatsSnapshot, WindowMetrics, snapshot, window_metrics
 from .nemesis import (
     SCENARIOS,
     NemesisRunResult,
+    Scenario,
     nemesis_config,
     run_nemesis,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "clock_storm",
     "loss_storm",
     "SCENARIOS",
+    "Scenario",
     "NemesisRunResult",
     "nemesis_config",
     "run_nemesis",

@@ -51,6 +51,10 @@ class AuditReport:
     witness: Optional[tuple]
     committed_txns: int
     checked_writes: int
+    #: Commits the clients counted (``stats.committed``), recorded or
+    #: not: an empty history next to a positive count means the clients
+    #: did not record, and the audit checked nothing.
+    clients_committed: int = 0
     #: (txn_id, key, version) writes acked to a client but unobservable
     #: at the shard primary.
     lost_writes: List[Tuple[str, str, tuple]] = field(default_factory=list)
@@ -66,8 +70,13 @@ class AuditReport:
     divergent: List[Tuple[str, str, str]] = field(default_factory=list)
 
     @property
+    def _vacuous(self) -> bool:
+        return self.committed_txns == 0 and self.clients_committed > 0
+
+    @property
     def passed(self) -> bool:
-        return (self.serializable and not self.lost_writes
+        return (not self._vacuous
+                and self.serializable and not self.lost_writes
                 and not self.stuck_prepared and not self.acked_aborted
                 and not self.divergent)
 
@@ -91,6 +100,10 @@ class AuditReport:
             lines.append(f"    acked-aborted: {txn_id} on {server}")
         for replica, key, detail in self.divergent[:5]:
             lines.append(f"    diverged: {key!r} on {replica}: {detail}")
+        if self._vacuous:
+            lines.append(
+                f"    vacuous: clients committed {self.clients_committed} "
+                "transactions but recorded no history")
         return "\n".join(lines)
 
 
@@ -196,12 +209,13 @@ def run_audit(cluster: Cluster) -> AuditReport:
                         replica, key,
                         f"newest {version} != {reference}"))
 
-    committed = sum(1 for entry in history)
     return AuditReport(
         serializable=serializable,
         witness=witness,
-        committed_txns=committed,
+        committed_txns=len(history),
         checked_writes=checked,
+        clients_committed=sum(client.stats.committed
+                              for client in cluster.clients),
         lost_writes=lost,
         stuck_prepared=stuck,
         acked_aborted=acked_aborted,

@@ -142,15 +142,11 @@ class NemesisPlan:
         return self.at(at, f"unpause {node}",
                        lambda: self.cluster.unpause_server(node))
 
-    def crash(self, at: float, node: str,
-              amnesia: bool = True) -> "NemesisPlan":
-        """Fail-stop ``node``. Amnesia (the default) wipes its volatile
-        state — it only comes back via :meth:`restart`; ``amnesia=False``
-        degrades to :meth:`pause`."""
-        label = f"crash {node}" if amnesia else f"pause {node}"
-        return self.at(
-            at, label,
-            lambda: self.cluster.crash_server(node, amnesia=amnesia))
+    def crash(self, at: float, node: str) -> "NemesisPlan":
+        """Fail-stop ``node``: its volatile state is wiped and it only
+        comes back via :meth:`restart`."""
+        return self.at(at, f"crash {node}",
+                       lambda: self.cluster.crash_server(node))
 
     def restart(self, at: float, node: str) -> "NemesisPlan":
         """Begin an amnesia-crashed node's restart protocol. The spawned
@@ -221,6 +217,12 @@ class NemesisPlan:
 
 
 # -- named nemesis plans ----------------------------------------------------
+#
+# Every builder has the signature of a scenario-table row
+# (:data:`repro.harness.nemesis.SCENARIOS`):
+# ``(cluster, rng, start, duration, plan=None)`` — ``rng`` seeds whatever
+# the builder draws, ``plan`` lets several builders compose onto one
+# schedule.
 
 
 def _plan(cluster: Cluster, plan: Optional[NemesisPlan],
@@ -230,11 +232,12 @@ def _plan(cluster: Cluster, plan: Optional[NemesisPlan],
 
 def partition_primary_from_backups(
     cluster: Cluster,
-    shard_name: str,
+    rng: SeededRng,
     start: float,
     duration: float,
-    asymmetric: bool = False,
     plan: Optional[NemesisPlan] = None,
+    shard_name: str = "shard0",
+    asymmetric: bool = False,
 ) -> NemesisPlan:
     """Cut a shard's primary off from its backups.
 
@@ -254,6 +257,7 @@ def partition_primary_from_backups(
 
 def isolate_master(
     cluster: Cluster,
+    rng: SeededRng,
     start: float,
     duration: float,
     plan: Optional[NemesisPlan] = None,
@@ -272,6 +276,7 @@ def isolate_master(
 
 def majority_minority_split(
     cluster: Cluster,
+    rng: SeededRng,
     start: float,
     duration: float,
     plan: Optional[NemesisPlan] = None,
@@ -294,14 +299,17 @@ def majority_minority_split(
     return plan
 
 
+#: The clock storm: how many skew spikes, how large, how long each.
+_CLOCK_STORM_SPIKES = 8
+_CLOCK_STORM_AMPLITUDE = 2e-3
+_CLOCK_STORM_SPIKE_DURATION = 5e-3
+
+
 def clock_storm(
     cluster: Cluster,
     rng: SeededRng,
     start: float,
     duration: float,
-    amplitude: float = 2e-3,
-    spikes: int = 8,
-    spike_duration: float = 5e-3,
     plan: Optional[NemesisPlan] = None,
 ) -> NemesisPlan:
     """A SeededRng-scheduled storm of skew spikes across client clocks.
@@ -315,20 +323,22 @@ def clock_storm(
                    for i in range(cluster.config.num_clients)]
     if not clock_names:
         return plan
-    for index in range(spikes):
+    for index in range(_CLOCK_STORM_SPIKES):
         at = start + rng.random() * duration
         name = rng.choice(clock_names)
         sign = 1.0 if index % 2 == 0 else -1.0
-        plan.clock_spike(at, name, sign * amplitude, spike_duration)
+        plan.clock_spike(at, name, sign * _CLOCK_STORM_AMPLITUDE,
+                         _CLOCK_STORM_SPIKE_DURATION)
     return plan
 
 
 def loss_storm(
     cluster: Cluster,
+    rng: SeededRng,
     start: float,
     duration: float,
-    probability: float = 0.05,
     plan: Optional[NemesisPlan] = None,
+    probability: float = 0.05,
 ) -> NemesisPlan:
     """Uniform probabilistic message loss on every link for a window."""
     plan = _plan(cluster, plan, "loss-storm")

@@ -16,15 +16,18 @@ The result bundles the audit verdict with the run's window metrics, the
 fault-event timeline, and the link-fault counters, so a report can show
 *what was injected* next to *what the system guaranteed anyway*.
 
-Scenarios are registered by name in :data:`SCENARIOS` (the CLI's
-``repro nemesis --scenario`` choices). Each builder takes
-``(cluster, rng, start, duration)`` and returns an unstarted plan.
+Scenarios are the rows of :data:`SCENARIOS` (the CLI's
+``repro nemesis --scenario`` choices). A row's ``build`` takes
+``(cluster, rng, start, duration)`` and returns an unstarted plan: the
+named builders of :mod:`repro.harness.chaos` are rows as they stand, the
+composite scenarios are the functions below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from ..durability import DurabilityConfig
 from ..milana.client import MilanaClient
@@ -48,47 +51,20 @@ from .metrics import WindowMetrics, snapshot, window_metrics
 
 __all__ = [
     "SCENARIOS",
+    "Scenario",
     "NemesisRunResult",
     "nemesis_config",
     "run_nemesis",
 ]
-
-ScenarioBuilder = Callable[[Cluster, SeededRng, float, float], NemesisPlan]
-
-
-def _partition(cluster, rng, start, duration):
-    return partition_primary_from_backups(
-        cluster, "shard0", start, duration)
-
-
-def _asymmetric_partition(cluster, rng, start, duration):
-    return partition_primary_from_backups(
-        cluster, "shard0", start, duration, asymmetric=True)
-
-
-def _majority_minority(cluster, rng, start, duration):
-    return majority_minority_split(cluster, start, duration)
-
-
-def _isolate_master(cluster, rng, start, duration):
-    return isolate_master(cluster, start, duration)
-
-
-def _clock_storm(cluster, rng, start, duration):
-    return clock_storm(cluster, rng, start, duration)
-
-
-def _loss_storm(cluster, rng, start, duration):
-    return loss_storm(cluster, start, duration)
 
 
 def _combo(cluster, rng, start, duration):
     """Partition + message loss + clock storm, overlapping."""
     plan = NemesisPlan(cluster, name="combo")
     partition_primary_from_backups(
-        cluster, "shard0", start, duration, asymmetric=True, plan=plan)
-    loss_storm(cluster, start + duration * 0.25, duration * 0.5,
-               probability=0.02, plan=plan)
+        cluster, rng, start, duration, plan=plan, asymmetric=True)
+    loss_storm(cluster, rng, start + duration * 0.25, duration * 0.5,
+               plan=plan, probability=0.02)
     clock_storm(cluster, rng, start, duration, plan=plan)
     return plan
 
@@ -107,7 +83,7 @@ def _crash_restart(cluster, rng, start, duration):
 def _coordinator_crash(cluster, rng, start, duration):
     """Silence a coordinator client mid-run: transactions it prepared
     but never decided go in-doubt, and CTP must terminate them."""
-    victim = "milana-client-1"
+    victim = cluster.clients[0].name
     plan = NemesisPlan(cluster, name="coordinator-crash")
     plan.at(start, f"crash coordinator {victim}",
             lambda: cluster.network.crash(victim))
@@ -156,26 +132,41 @@ def _crash_partition(cluster, rng, start, duration):
     plan = NemesisPlan(cluster, name="crash-partition")
     plan.crash(start, primary0)
     partition_primary_from_backups(
-        cluster, "shard1", start, duration * 0.7, plan=plan)
+        cluster, rng, start, duration * 0.7, plan=plan,
+        shard_name="shard1")
     plan.restart(start + duration * 0.5, primary0)
     return plan
 
 
-#: Scenario name -> plan builder. Keys are the CLI's choices.
-SCENARIOS: Dict[str, ScenarioBuilder] = {
-    "partition": _partition,
-    "asymmetric-partition": _asymmetric_partition,
-    "majority-minority": _majority_minority,
-    "isolate-master": _isolate_master,
-    "clock-storm": _clock_storm,
-    "loss-storm": _loss_storm,
-    "combo": _combo,
-    "crash-restart": _crash_restart,
-    "coordinator-crash": _coordinator_crash,
-    "rolling-restart": _rolling_restart,
-    "crash-during-recovery": _crash_during_recovery,
-    "crash-partition": _crash_partition,
-}
+@dataclass(frozen=True)
+class Scenario:
+    """One row of the scenario table."""
+
+    name: str
+    #: ``build(cluster, rng, start, duration)`` returns the unstarted
+    #: :class:`~repro.harness.chaos.NemesisPlan`.
+    build: Callable[..., NemesisPlan]
+    #: The scenario acts on the global master, so the deployment must
+    #: have one (``ClusterConfig.with_master``).
+    needs_master: bool = False
+
+
+#: The scenario table; row names are the CLI's choices.
+SCENARIOS: Tuple[Scenario, ...] = (
+    Scenario("partition", partition_primary_from_backups),
+    Scenario("asymmetric-partition",
+             partial(partition_primary_from_backups, asymmetric=True)),
+    Scenario("majority-minority", majority_minority_split),
+    Scenario("isolate-master", isolate_master, needs_master=True),
+    Scenario("clock-storm", clock_storm),
+    Scenario("loss-storm", loss_storm),
+    Scenario("combo", _combo),
+    Scenario("crash-restart", _crash_restart),
+    Scenario("coordinator-crash", _coordinator_crash),
+    Scenario("rolling-restart", _rolling_restart),
+    Scenario("crash-during-recovery", _crash_during_recovery),
+    Scenario("crash-partition", _crash_partition),
+)
 
 
 @dataclass
@@ -281,12 +272,11 @@ def _heal_everything(cluster: Cluster, plan: NemesisPlan) -> List:
             cluster.network.recover(name)
             plan.timeline.append(
                 (sim.now, f"post-run heal: reconnect {name}"))
-    for i in range(cluster.config.num_clients):
-        client_node = f"milana-client-{i + 1}"
-        if cluster.network.is_crashed(client_node):
-            cluster.network.recover(client_node)
+    for i, client in enumerate(cluster.clients):
+        if cluster.network.is_crashed(client.name):
+            cluster.network.recover(client.name)
             plan.timeline.append(
-                (sim.now, f"post-run heal: reconnect {client_node}"))
+                (sim.now, f"post-run heal: reconnect {client.name}"))
         clock = cluster.clock_ensemble.clock_for(f"client-{i}")
         if getattr(clock, "faulted", False):
             clock.clear()
@@ -307,18 +297,19 @@ def run_nemesis(
     watermark_interval: Optional[float] = 0.05,
 ) -> NemesisRunResult:
     """Run one named scenario end to end and audit the aftermath."""
-    if scenario not in SCENARIOS:
+    row = next((row for row in SCENARIOS if row.name == scenario), None)
+    if row is None:
         raise ValueError(
             f"unknown scenario {scenario!r}; choose from "
-            f"{sorted(SCENARIOS)}")
+            f"{sorted(row.name for row in SCENARIOS)}")
     if config is None:
         config = nemesis_config()
-    else:
-        if config.client_factory is None:
-            config = replace(config,
-                             client_factory=_history_client_factory)
-        if config.ctp_timeout is None:
-            config = replace(config, ctp_timeout=DEFAULT_CTP_TIMEOUT)
+    if config.client_factory is None:
+        config = replace(config, client_factory=_history_client_factory)
+    if config.ctp_timeout is None:
+        config = replace(config, ctp_timeout=DEFAULT_CTP_TIMEOUT)
+    if row.needs_master and not config.with_master:
+        config = replace(config, with_master=True)
     if settle is None:
         # Past the lease horizon and several CTP rounds, so nothing can
         # legitimately still be in doubt when the audit runs.
@@ -326,6 +317,14 @@ def run_nemesis(
                                                or DEFAULT_CTP_TIMEOUT)
 
     cluster = Cluster(config)
+    silent = [client.name for client in cluster.clients
+              if not client.record_history]
+    if silent:
+        # The audit reads the clients' recorded histories; without them
+        # it would check nothing and pass.
+        raise ValueError(
+            f"nemesis clients must be built with record_history=True "
+            f"(config.client_factory); not recording: {silent}")
     sim = cluster.sim
     base = sim.now
 
@@ -351,7 +350,7 @@ def run_nemesis(
         for client in cluster.clients:
             client.start_watermark_daemon(watermark_interval)
 
-    plan = SCENARIOS[scenario](
+    plan = row.build(
         cluster, cluster.rng.substream("nemesis"),
         base + fault_start, fault_duration)
     plan.start()

@@ -30,7 +30,7 @@ from typing import Any, Dict, Sequence, Tuple
 
 from ..harness import EXPERIMENTS, Experiment
 from ..harness.experiments import Point
-from ..harness.nemesis import SCENARIOS, nemesis_config, run_nemesis
+from ..harness.nemesis import SCENARIOS, run_nemesis
 
 __all__ = ["TABLE", "SweepCell", "experiment", "sweep_cells", "sweep_names"]
 
@@ -61,9 +61,8 @@ class SweepCell:
 
 def _nemesis_point(scenario, workload, duration, fault_start,
                    fault_duration, alpha) -> Point:
-    config = nemesis_config(with_master=(scenario == "isolate-master"))
     result = run_nemesis(
-        scenario, config=config, workload=workload, duration=duration,
+        scenario, workload=workload, duration=duration,
         fault_start=fault_start, fault_duration=fault_duration, alpha=alpha)
     metrics = result.metrics
     return [[scenario, metrics.committed, metrics.aborted,
@@ -101,7 +100,8 @@ TABLE: Tuple[Experiment, ...] = EXPERIMENTS + (
         headers=("scenario", "committed", "aborted", "abort rate",
                  "txn/s", "audit passed", "records synced"),
         axes=(("scenarios", "scenario"),),
-        full=dict(scenarios=tuple(sorted(SCENARIOS)), workload="retwis",
+        full=dict(scenarios=tuple(sorted(row.name for row in SCENARIOS)),
+                  workload="retwis",
                   duration=0.3, fault_start=0.05, fault_duration=0.15,
                   alpha=0.8),
         quick=dict(scenarios=("partition", "crash-restart", "clock-storm"),

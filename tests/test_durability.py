@@ -527,23 +527,23 @@ class TestNemesisAcceptance:
         assert not result.audit.lost_writes
         assert not result.audit.stuck_prepared
 
-    def test_whole_shard_wipe_durable_vs_lossy_control(self):
+    def test_whole_shard_wipe_durable_vs_lossy_control(self, monkeypatch):
         """The A/B that proves the audit has teeth: the same whole-shard
         wipe passes with honest ack-after-fsync WALs and fails with the
         ack-before-fsync control (acked writes vanish)."""
-        nemesis.SCENARIOS["shard-wipe"] = _shard_wipe
-        try:
-            durable = run_nemesis("shard-wipe")
-            assert durable.passed, durable.summary()
+        monkeypatch.setattr(
+            nemesis, "SCENARIOS",
+            nemesis.SCENARIOS + (nemesis.Scenario("shard-wipe",
+                                                  _shard_wipe),))
+        durable = run_nemesis("shard-wipe")
+        assert durable.passed, durable.summary()
 
-            lossy = DurabilityConfig(
-                sync_prepares=False, sync_decides=False,
-                sync_semel=False, fsync_latency=20e-3)
-            control = run_nemesis(
-                "shard-wipe", config=nemesis_config(durability=lossy))
-            assert not control.passed, (
-                "ack-before-fsync control unexpectedly passed the "
-                "audit:\n" + control.summary())
-            assert control.audit.lost_writes
-        finally:
-            del nemesis.SCENARIOS["shard-wipe"]
+        lossy = DurabilityConfig(
+            sync_prepares=False, sync_decides=False,
+            sync_semel=False, fsync_latency=20e-3)
+        control = run_nemesis(
+            "shard-wipe", config=nemesis_config(durability=lossy))
+        assert not control.passed, (
+            "ack-before-fsync control unexpectedly passed the "
+            "audit:\n" + control.summary())
+        assert control.audit.lost_writes

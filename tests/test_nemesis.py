@@ -13,7 +13,13 @@ from repro.harness import (
     nemesis_config,
 )
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.milana import ABORTED, COMMITTED, PREPARED, TransactionRecord
+from repro.milana import (
+    ABORTED,
+    COMMITTED,
+    PREPARED,
+    MilanaClient,
+    TransactionRecord,
+)
 from repro.net.faults import LinkFaults
 from repro.net.rpc import RpcTimeout
 from repro.sim import SeededRng
@@ -235,7 +241,7 @@ class TestNemesisPlan:
     def test_end_time(self):
         cluster = make_cluster()
         plan = partition_primary_from_backups(
-            cluster, "shard0", 10e-3, 25e-3)
+            cluster, SeededRng(1), 10e-3, 25e-3)
         assert plan.end_time == pytest.approx(35e-3)
 
 
@@ -353,6 +359,39 @@ class TestAuditChecks:
         assert not report.passed
         assert not report.lost_writes  # the primary does have it
         assert len(report.divergent) == 2  # both backups lag
+
+
+class TestVacuousAudit:
+    """An audit over clients that recorded nothing checks nothing."""
+
+    def test_empty_history_next_to_commits_fails(self):
+        cluster = make_cluster()
+        client = cluster.clients[0]
+        assert not client.record_history
+
+        def commit_one():
+            txn = client.begin()
+            yield client.txn_get(txn, "key:3")
+            client.put(txn, "key:3", "unrecorded")
+            return (yield client.commit(txn))
+
+        assert cluster.sim.run_until_event(
+            cluster.sim.process(commit_one())) == COMMITTED
+        cluster.sim.run(until=cluster.sim.now + 10e-3)
+        report = run_audit(cluster)
+        assert report.committed_txns == 0
+        assert report.clients_committed == 1
+        assert not report.passed
+        assert "recorded no history" in report.summary()
+
+    def test_run_nemesis_rejects_non_recording_factory(self):
+        def factory(sim, network, directory, clock, client_id, lv):
+            return MilanaClient(sim, network, directory, clock,
+                                client_id=client_id, local_validation=lv)
+
+        with pytest.raises(ValueError, match="record_history"):
+            run_nemesis("partition", duration=0.05,
+                        config=nemesis_config(client_factory=factory))
 
 
 class TestNemesisScenarios:
