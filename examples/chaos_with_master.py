@@ -46,7 +46,7 @@ def main():
         yield sim.timeout(0.25)
         primary = cluster.directory.shard("shard0").primary
         print(f"t={sim.now * 1e3:5.0f} ms  killing PRIMARY {primary}")
-        cluster.fail_server(primary)
+        cluster.pause_server(primary)
 
     sim.process(assassin())
     for proc in procs:

@@ -47,7 +47,7 @@ def main():
 
     # -- fail the primary, promote a backup --------------------------------
     old_primary = cluster.directory.shard("shard0").primary
-    cluster.fail_server(old_primary)
+    cluster.pause_server(old_primary)
     cluster.directory.promote("shard0", "srv-0-1")
     print(f"crashed {old_primary}; promoting srv-0-1")
 

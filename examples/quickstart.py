@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ABORTED, COMMITTED, Cluster, ClusterConfig
+from repro.harness.metrics import snapshot
 
 
 def main():
@@ -69,10 +70,11 @@ def main():
     print(f"write-write race outcomes: {results}")
     assert sorted(results.values()) == [ABORTED, COMMITTED]
 
-    stats = cluster.total_stats()
-    print(f"totals: {stats['committed']} committed, "
-          f"{stats['aborted']} aborted, "
-          f"mean latency {stats['mean_latency'] * 1e3:.2f} ms")
+    totals = snapshot(sim.now, cluster.clients)
+    decided = totals.committed + totals.aborted
+    print(f"totals: {totals.committed} committed, "
+          f"{totals.aborted} aborted, "
+          f"mean latency {totals.latency_total / decided * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Comparison baselines the paper evaluates against:
+"""Comparison baselines the paper evaluates against.
 
-* :class:`SingleVersionBackend` — single-version generic FTL (Figure 6);
-* :class:`CentimanClient` — watermark-based local validation (Figure 9);
-* :class:`RemoteValidationClient` — MILANA without local validation
-  (Figure 8's "w/o LV" series).
+:class:`CentimanClient` is watermark-based local validation (Figure 9).
+The other two baselines are modes of the production classes, selected
+where the cluster is built (:mod:`repro.harness.cluster`): the
+single-version generic FTL of Figure 6 is the ``sftl`` backend kind
+(``MFTLBackend(multi_version=False)``), and Figure 8's "w/o LV" series
+is ``ClusterConfig(local_validation=False)``.
 """
 
 from .centiman import (
@@ -11,13 +13,9 @@ from .centiman import (
     DEFAULT_DISSEMINATION_EVERY,
     WatermarkBoard,
 )
-from .remote_validation import RemoteValidationClient
-from .single_version import SingleVersionBackend
 
 __all__ = [
-    "SingleVersionBackend",
     "CentimanClient",
     "WatermarkBoard",
     "DEFAULT_DISSEMINATION_EVERY",
-    "RemoteValidationClient",
 ]

@@ -3,9 +3,10 @@
 Presents the classic block-device abstraction: a logical block address
 (LBA) space over physical flash, remapping every LBA write to a fresh page
 (Figure 2 of the paper). This is the substrate the split VFTL design
-stacks its multi-version KV layer on, and — wrapped by
-:class:`~repro.baselines.single_version.SingleVersionBackend` — the
-"SFTL" storage mode of Figure 6.
+stacks its multi-version KV layer on. (The "SFTL" storage mode of
+Figure 6 is not this class but the unified FTL with version retention
+clamped to one, ``MFTLBackend(multi_version=False)``, so that the
+comparison isolates multi-versioning.)
 
 Structure:
 

@@ -10,13 +10,13 @@ latency-modelled network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..clocks import ClockEnsemble
 from ..durability import DurabilityConfig, WriteAheadLog
 from ..flash.device import FlashDevice
-from ..flash.geometry import FlashGeometry, FlashTiming
+from ..flash.geometry import FlashGeometry
 from ..ftl import DRAMBackend, MFTLBackend, VFTLBackend
 from ..ftl.packing import DEFAULT_PACKING_DELAY
 from ..milana.client import MilanaClient
@@ -56,14 +56,12 @@ class ClusterConfig:
     #: Flash geometry per storage server; None picks one sized for
     #: ``populate_keys`` (about 3x the live data set).
     geometry: Optional[FlashGeometry] = None
-    timing: FlashTiming = field(default_factory=FlashTiming)
     #: Keys pre-loaded into the store before the run.
     populate_keys: int = 0
-    value_size_hint: int = 400
     ctp_timeout: Optional[float] = None  # None disables the CTP daemon
     #: Optional callable (sim, network, directory, clock, client_id,
-    #: local_validation) -> MilanaClient, for baseline client variants
-    #: (Centiman, remote-validation-only).
+    #: local_validation) -> MilanaClient, for client variants (Centiman,
+    #: caching, history-recording).
     client_factory: Optional[Callable] = None
     #: Optional callable () -> Simulator; the sanitizer (repro.sansim)
     #: supplies a TracedSimulator here. None keeps the production kernel.
@@ -71,11 +69,6 @@ class ClusterConfig:
     #: Run an active master with heartbeat failure detection and
     #: automatic primary failover (§3's global master).
     with_master: bool = False
-    #: Place each shard's replicas in distinct racks and use rack-aware
-    #: latencies (intra-rack ~20 us, cross-rack ~80 us one way) instead
-    #: of the flat latency model.
-    rack_aware: bool = False
-    num_racks: int = 3
     #: Attach a per-server write-ahead log. None (the default) leaves
     #: ``server.wal`` as the class-level None, so existing experiments'
     #: schedules are byte-identical. With a config, amnesia crashes
@@ -131,18 +124,6 @@ class Cluster:
             for s in range(config.num_shards)
         }
         self.directory = Directory(shards)
-        self.topology = None
-        if config.rack_aware:
-            from ..net.topology import (RackTopology,
-                                        spread_replicas_across_racks)
-            racks = spread_replicas_across_racks(
-                self.directory, num_racks=config.num_racks)
-            self.topology = RackTopology(racks)
-            # Clients sit spread across the same racks.
-            for i in range(config.num_clients):
-                self.topology.assign(f"milana-client-{i + 1}",
-                                     f"rack{i % config.num_racks}")
-            self.network.topology = self.topology
         self.servers: Dict[str, MilanaServer] = {}
         self.devices: Dict[str, FlashDevice] = {}
         keys_per_shard = (config.populate_keys // config.num_shards
@@ -201,7 +182,7 @@ class Cluster:
         if kind == "dram":
             return DRAMBackend(self.sim)
         geometry = self.config.geometry or _sized_geometry(keys_per_shard)
-        device = FlashDevice(self.sim, geometry, self.config.timing)
+        device = FlashDevice(self.sim, geometry)
         self.devices[server_name] = device
         if kind == "mftl":
             return MFTLBackend(self.sim, device,
@@ -250,8 +231,7 @@ class Cluster:
 
     def pause_server(self, name: str) -> None:
         """Cut a server's links. Its memory, timers, and in-flight
-        handlers survive; :meth:`unpause_server` restores it verbatim.
-        This is the old ``fail_server`` behaviour, now honestly named."""
+        handlers survive; :meth:`unpause_server` restores it verbatim."""
         if name in self._amnesia_crashed or name in self._restarting:
             raise RuntimeError(
                 f"{name} is amnesia-crashed; restart_server() it instead "
@@ -268,18 +248,12 @@ class Cluster:
         self._paused.discard(name)
         self.network.recover(name)
 
-    #: Historical name: ``fail_server`` always only cut links.
-    fail_server = pause_server
-
-    def crash_server(self, name: str, amnesia: bool = True) -> None:
-        """Fail-stop ``name``. With ``amnesia`` (the default) this is a
-        real crash: links cut, every in-flight handler and daemon
-        killed, volatile state wiped — only the WAL's durable prefix
-        survives, and only :meth:`restart_server` brings it back.
-        ``amnesia=False`` degrades to :meth:`pause_server`."""
-        if not amnesia:
-            self.pause_server(name)
-            return
+    def crash_server(self, name: str) -> None:
+        """Fail-stop ``name``: links cut, every in-flight handler and
+        daemon killed, volatile state wiped — only the WAL's durable
+        prefix survives, and only :meth:`restart_server` brings it
+        back. (A node that merely loses its links is
+        :meth:`pause_server`.)"""
         # A second crash mid-restart kills the restart protocol too.
         proc = self._restarting.pop(name, None)
         if proc is not None and proc.is_alive:
@@ -359,19 +333,3 @@ class Cluster:
 
     def primary_server(self, shard_name: str) -> MilanaServer:
         return self.servers[self.directory.shard(shard_name).primary]
-
-    # -- aggregate stats ---------------------------------------------------------------
-
-    def total_stats(self) -> Dict[str, float]:
-        started = sum(c.stats.started for c in self.clients)
-        committed = sum(c.stats.committed for c in self.clients)
-        aborted = sum(c.stats.aborted for c in self.clients)
-        latency = sum(c.stats.latency_total for c in self.clients)
-        decided = committed + aborted
-        return {
-            "started": started,
-            "committed": committed,
-            "aborted": aborted,
-            "abort_rate": aborted / decided if decided else 0.0,
-            "mean_latency": latency / decided if decided else 0.0,
-        }

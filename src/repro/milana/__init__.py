@@ -8,7 +8,7 @@ cooperative termination on client failure, and read leases.
 """
 
 from .client import MilanaClient, TransactionAborted, TxnStats
-from .extensions import CachingMilanaClient, NearestReplicaClient
+from .extensions import CachingMilanaClient
 from .leases import (
     DEFAULT_LEASE_DURATION,
     DEFAULT_LEASE_INTERVAL,
@@ -31,7 +31,6 @@ __all__ = [
     "MilanaClient",
     "MilanaServer",
     "CachingMilanaClient",
-    "NearestReplicaClient",
     "TxnStats",
     "TransactionAborted",
     "Transaction",

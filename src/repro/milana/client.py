@@ -107,6 +107,10 @@ class TxnStats:
 class MilanaClient:
     """One application-server client running MILANA transactions."""
 
+    #: Rounds an escalated (acked) decide delivery is retried before it
+    #: is left to the participant-side termination query.
+    DECIDE_RETRY_LIMIT = 25
+
     def __init__(
         self,
         sim: Simulator,
@@ -118,9 +122,7 @@ class MilanaClient:
         local_validation: bool = True,
         rpc_timeout: float = 10e-3,
         rpc_retries: int = 1,
-        reliable_decide: bool = False,
         record_history: bool = False,
-        decide_retry_limit: int = 25,
     ) -> None:
         self.sim = sim
         self.directory = directory
@@ -131,14 +133,9 @@ class MilanaClient:
         self.local_validation = local_validation
         self.rpc_timeout = rpc_timeout
         self.rpc_retries = rpc_retries
-        #: Always deliver decides as acked, retried calls. Off by
-        #: default: the oneway fast path is the paper's §4.2 behaviour,
-        #: and escalation still happens per-txn when a vote is UNKNOWN.
-        self.reliable_decide = reliable_decide
         #: Record committed transactions as verify.TxnEntry for offline
         #: serializability audits (harness.audit).
         self.record_history = record_history
-        self.decide_retry_limit = decide_retry_limit
         self.stats = TxnStats()
         self.history: List[TxnEntry] = []
         #: txn_id -> final outcome, serving the participant-side
@@ -320,7 +317,7 @@ class MilanaClient:
         # escalated to acked delivery, retried until each participant
         # confirms — otherwise an in-doubt prepared record could linger
         # and block every reader's local validation.
-        reliable = self.reliable_decide or unknown > 0
+        reliable = unknown > 0
         for shard_name in participants:
             if reliable:
                 self.stats.reliable_decides += 1
@@ -357,12 +354,12 @@ class MilanaClient:
         """Push the outcome to one participant until it acknowledges.
 
         Re-resolves the shard primary every round so delivery follows a
-        failover. Gives up after ``decide_retry_limit`` rounds — the
+        failover. Gives up after ``DECIDE_RETRY_LIMIT`` rounds — the
         participant-side termination query (CTP + ``milana.txn_outcome``)
         is the backstop for participants unreachable that long.
         """
         payload = MilanaDecide(txn_id=txn_id, outcome=outcome)
-        for _ in range(self.decide_retry_limit):
+        for _ in range(self.DECIDE_RETRY_LIMIT):
             primary = self.directory.shard(shard_name).primary
             try:
                 yield self.node.call(

@@ -1,23 +1,16 @@
-"""Client-side extensions the paper leaves as future work.
+"""The one client-side extension the paper leaves as future work that
+an experiment row measures (the ``ablation-caching`` row).
 
-* :class:`CachingMilanaClient` (§4.3): "In principle, clients can choose
-  between aggressive caching and local validation: any transaction T that
-  is marked as read-write in advance may read from its cache, but then T
-  must validate remotely." The client keeps an inter-transaction cache of
-  (version, value) per key; transactions begun with
-  ``read_write_hint=True`` satisfy reads from it with zero round trips,
-  and the primary's read-set validation (Algorithm 1, lines 2–8) catches
-  any staleness at prepare time — a stale cache costs an abort, never a
-  consistency violation. Validation-failed keys are evicted so the retry
-  refetches fresh data.
-
-* :class:`NearestReplicaClient` (§4.6): "all reads in MILANA are serviced
-  by the primary but this requirement can be relaxed for read-write
-  transactions, which can read data from the nearest replica and validate
-  at the primary before commit." Hinted transactions read from a replica
-  chosen per key (spreading read load); because backups track no
-  ``latest_read`` and report no prepared bit, such transactions also
-  validate remotely.
+:class:`CachingMilanaClient` (§4.3): "In principle, clients can choose
+between aggressive caching and local validation: any transaction T that
+is marked as read-write in advance may read from its cache, but then T
+must validate remotely." The client keeps an inter-transaction cache of
+(version, value) per key; transactions begun with
+``read_write_hint=True`` satisfy reads from it with zero round trips,
+and the primary's read-set validation (Algorithm 1, lines 2–8) catches
+any staleness at prepare time — a stale cache costs an abort, never a
+consistency violation. Validation-failed keys are evicted so the retry
+refetches fresh data.
 """
 
 from __future__ import annotations
@@ -25,15 +18,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
-from ..net.rpc import RpcError
-from ..semel.sharding import stable_hash
 from ..sim.process import Process
 from ..versioning import Version
-from ..wire import MilanaGetUnvalidated
-from .client import MilanaClient, TransactionAborted
+from .client import MilanaClient
 from .transaction import ABORTED, ReadObservation, Transaction
 
-__all__ = ["CachingMilanaClient", "NearestReplicaClient"]
+__all__ = ["CachingMilanaClient"]
 
 
 class CachingMilanaClient(MilanaClient):
@@ -134,51 +124,3 @@ class CachingMilanaClient(MilanaClient):
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-
-class NearestReplicaClient(MilanaClient):
-    """MILANA reading from arbitrary replicas for hinted transactions
-    (§4.6's load-spreading relaxation)."""
-
-    def begin(self, read_write_hint: bool = False) -> Transaction:
-        txn = super().begin()
-        txn.read_write_hint = read_write_hint
-        return txn
-
-    def txn_get(self, txn: Transaction, key: str) -> Process:
-        if not txn.read_write_hint:
-            return super().txn_get(txn, key)
-        return self.sim.process(self._replica_txn_get(txn, key))
-
-    def _replica_txn_get(self, txn: Transaction, key: str):
-        if key in txn.writes:
-            return txn.writes[key]
-        if key in txn.reads:
-            return txn.reads[key].value
-        shard = self.directory.shard_of(key)
-        # "Nearest" in the simulated LAN: spread load deterministically
-        # by key so hot keys fan out across the replica set.
-        replica = shard.replicas[stable_hash(key) % len(shard.replicas)]
-        try:
-            reply = yield self.node.call(
-                replica, "milana.get_unvalidated",
-                MilanaGetUnvalidated(key=key, timestamp=txn.ts_begin),
-                timeout=self.rpc_timeout, retries=self.rpc_retries)
-        except RpcError:
-            # Fall back to the primary if the chosen replica is down.
-            value = yield from self._txn_get(txn, key)
-            return value
-        if reply.snapshot_miss:
-            raise TransactionAborted(
-                f"snapshot at {txn.ts_begin} unavailable for {key!r}")
-        version = Version(*reply.version) if reply.found else None
-        txn.reads[key] = ReadObservation(
-            version=version, prepared=False, value=reply.value)
-        return reply.value
-
-    def commit(self, txn: Transaction) -> Process:
-        if txn.read_write_hint:
-            # Replica reads carry no prepared information: remote
-            # validation is mandatory.
-            return self.sim.process(self._commit_two_phase(txn))
-        return super().commit(txn)

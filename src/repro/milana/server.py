@@ -54,8 +54,6 @@ from ..wire import (
     MilanaFetchLogReply,
     MilanaGet,
     MilanaGetReply,
-    MilanaGetUnvalidated,
-    MilanaGetUnvalidatedReply,
     MilanaPrepare,
     MilanaPrepareReply,
     MilanaRenewLease,
@@ -127,8 +125,6 @@ class MilanaServer(StorageServer):
         self.node.register("milana.replicate_txn",
                            self._handle_replicate_txn)
         self.node.register("milana.renew_lease", self._handle_renew_lease)
-        self.node.register("milana.get_unvalidated",
-                           self._handle_get_unvalidated)
         self.node.register("milana.catchup", self._handle_catchup)
 
     def _require_serving(self) -> None:
@@ -180,27 +176,6 @@ class MilanaServer(StorageServer):
         version, value = result
         return MilanaGetReply(found=True, version=tuple(version),
                               value=value, prepared=prepared_flag)
-
-    def _handle_get_unvalidated(self, request: MilanaGetUnvalidated):
-        """Snapshot read served by ANY replica (§4.6's relaxation).
-
-        Backups can serve reads for read-write transactions to spread
-        load: no ``latest_read`` is recorded and no prepared bit is
-        returned, so the transaction MUST validate remotely — the
-        primary's read-set check catches both staleness from replication
-        lag and concurrent committers.
-        """
-        key = request.key
-        result = yield self.backend.get(key,
-                                        max_timestamp=request.timestamp)
-        if result is None:
-            snapshot_miss = self.backend.contains(key)
-            return MilanaGetUnvalidatedReply(found=False,
-                                             snapshot_miss=snapshot_miss)
-        version, value = result
-        return MilanaGetUnvalidatedReply(found=True,
-                                         version=tuple(version),
-                                         value=value)
 
     # -- two-phase commit: prepare ------------------------------------------------------
 

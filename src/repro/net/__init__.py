@@ -10,12 +10,6 @@ from .latency import (
 )
 from .faults import FaultStats, LinkFaults
 from .network import Network, NetworkStats
-from .topology import (
-    DEFAULT_CROSS_RACK,
-    DEFAULT_INTRA_RACK,
-    RackTopology,
-    spread_replicas_across_racks,
-)
 from .rpc import (
     AppError,
     DEFAULT_RPC_TIMEOUT,
@@ -35,10 +29,6 @@ __all__ = [
     "NetworkStats",
     "LinkFaults",
     "FaultStats",
-    "RackTopology",
-    "spread_replicas_across_racks",
-    "DEFAULT_INTRA_RACK",
-    "DEFAULT_CROSS_RACK",
     "RpcNode",
     "Request",
     "Response",

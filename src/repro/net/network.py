@@ -99,7 +99,6 @@ class Network:
         rng: SeededRng,
         latency: LatencyModel = None,
         duplicate_probability: float = 0.0,
-        topology=None,
     ) -> None:
         if not 0.0 <= duplicate_probability < 1.0:
             raise ValueError(
@@ -109,9 +108,6 @@ class Network:
         self.rng = rng.substream("network")
         self.latency = latency if latency is not None \
             else DEFAULT_DATACENTER_LATENCY()
-        #: Optional rack-aware per-pair latency (overrides ``latency``
-        #: when set); see :class:`repro.net.topology.RackTopology`.
-        self.topology = topology
         self.duplicate_probability = duplicate_probability
         self.stats = NetworkStats()
         self._inboxes: Dict[str, Store] = {}
@@ -211,10 +207,7 @@ class Network:
 
     def _schedule_delivery(self, src: str, dst: str, message: Any,
                            size: int, extra_delay: float = 0.0) -> None:
-        if self.topology is not None:
-            delay = self.topology.latency_between(src, dst, self.rng)
-        else:
-            delay = self.latency.sample(self.rng)
+        delay = self.latency.sample(self.rng)
         delay += self.latency.transmission_delay(size) + extra_delay
         stats = self.stats
         edge = (src, dst)

@@ -250,9 +250,6 @@ class RpcNode:
                           method, payload, oneway=True)
         self.network.send(self.name, dst, request)
 
-    #: Historical name for :meth:`send_oneway`.
-    notify = send_oneway
-
     # -- crash / restart ---------------------------------------------------
 
     def _track(self, proc: Process) -> Process:

@@ -6,7 +6,7 @@ interleavings from the AST; this package observes real ones. A
 :class:`~repro.sansim.runtime.SanitizerRuntime` that maintains vector
 clocks per simulation process, joins them along every event edge
 (pushes, condition joins, process relays), and checks the tracked-state
-accesses the SEMEL/MILANA servers and the lock service report:
+accesses the SEMEL/MILANA servers report:
 
 * **SAN001** — stale-guard write: a section read a tracked location,
   suspended, and wrote it while a concurrent writer changed it in

@@ -82,9 +82,8 @@ class TracedSimulator(Simulator):
     tie_break: TieBreakPolicy
 
     def __init__(self, tracer: Optional[SanitizerRuntime] = None,
-                 tie_break: Optional[TieBreakPolicy] = None,
-                 start_time: float = 0.0) -> None:
-        super().__init__(start_time)
+                 tie_break: Optional[TieBreakPolicy] = None) -> None:
+        super().__init__()
         self.tracer = tracer if tracer is not None else SanitizerRuntime()
         self.tie_break = (tie_break if tie_break is not None
                           else FifoTieBreak())

@@ -16,7 +16,6 @@ from .master import (
 from .replication import QuorumError, replicate_to_backups
 from .server import StorageServer
 from .sharding import Directory, HashRing, ShardInfo
-from .snapshot import Snapshot, export_snapshot, restore_snapshot
 from .watermark import WatermarkTracker
 
 __all__ = [
@@ -31,9 +30,6 @@ __all__ = [
     "HashRing",
     "ShardInfo",
     "WatermarkTracker",
-    "Snapshot",
-    "export_snapshot",
-    "restore_snapshot",
     "QuorumError",
     "replicate_to_backups",
 ]

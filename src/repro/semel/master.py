@@ -23,7 +23,7 @@ master mutates atomically at promotion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..milana.recovery import RecoveryError, recover_primary
 from ..net.network import Network
@@ -44,6 +44,10 @@ __all__ = ["Master", "HeartbeatReporter", "DEFAULT_HEARTBEAT_INTERVAL",
 DEFAULT_HEARTBEAT_INTERVAL = 10e-3
 DEFAULT_FAILURE_TIMEOUT = 35e-3
 
+#: The master's node name: there is one master per deployment, and the
+#: heartbeat reporters address it by this name.
+_MASTER_NAME = "master"
+
 
 @dataclass
 class _ServerHealth:
@@ -60,11 +64,9 @@ class Master:
         network: Network,
         directory: Directory,
         servers: Dict[str, "MilanaServer"],  # noqa: F821
-        name: str = "master",
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         failure_timeout: float = DEFAULT_FAILURE_TIMEOUT,
         lease_wait: float = 30e-3,
-        on_failover: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         if failure_timeout <= heartbeat_interval:
             raise ValueError(
@@ -73,12 +75,11 @@ class Master:
         self.sim = sim
         self.directory = directory
         self.servers = servers
-        self.name = name
+        self.name = _MASTER_NAME
         self.heartbeat_interval = heartbeat_interval
         self.failure_timeout = failure_timeout
         self.lease_wait = lease_wait
-        self.on_failover = on_failover
-        self.node = RpcNode(sim, network, name)
+        self.node = RpcNode(sim, network, self.name)
         self.node.register("master.heartbeat", self._handle_heartbeat)
         self.node.register("master.lookup", self._handle_lookup)
         self._health: Dict[str, _ServerHealth] = {
@@ -196,8 +197,6 @@ class Master:
                     continue
                 self.failovers.append(
                     (self.sim.now, shard_name, dead_primary, successor))
-                if self.on_failover is not None:
-                    self.on_failover(shard_name, successor)
                 return
         finally:
             self._failing_over.discard(shard_name)
@@ -206,10 +205,9 @@ class Master:
 class HeartbeatReporter:
     """Server-side heartbeat loop to the master."""
 
-    def __init__(self, server, master_name: str = "master",
+    def __init__(self, server,
                  interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
         self.server = server
-        self.master_name = master_name
         self.interval = interval
         self._daemon: Optional[Process] = None
 
@@ -221,7 +219,7 @@ class HeartbeatReporter:
     def _loop(self):
         while True:
             self.server.node.send_oneway(
-                self.master_name, "master.heartbeat",
+                _MASTER_NAME, "master.heartbeat",
                 MasterHeartbeat(server=self.server.name,
                                 shard=self.server.shard_name))
             yield self.server.sim.timeout(self.interval)

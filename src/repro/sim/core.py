@@ -60,8 +60,8 @@ class Simulator:
     #: must not import upward into ``repro.sansim``.
     tracer: Optional[Any] = None
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         #: Cumulative count of events popped and fired; purely

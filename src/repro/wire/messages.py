@@ -36,8 +36,6 @@ __all__ = [
     "TxnRecordWire",
     "MilanaGet",
     "MilanaGetReply",
-    "MilanaGetUnvalidated",
-    "MilanaGetUnvalidatedReply",
     "MilanaPrepare",
     "MilanaPrepareReply",
     "MilanaDecide",
@@ -338,22 +336,6 @@ class MilanaGetReply(WireMessage):
     #: True iff a prepared version existed at or below the timestamp —
     #: the bit that makes client-local validation possible (§4.3).
     prepared: bool = False
-    version: Optional[Tuple[float, int]] = None
-    value: Any = None
-    snapshot_miss: bool = False
-
-
-@dataclass(frozen=True)
-class MilanaGetUnvalidated(WireMessage):
-    """``milana.get_unvalidated``: any-replica read (§4.6 relaxation)."""
-
-    key: str
-    timestamp: float
-
-
-@dataclass(frozen=True)
-class MilanaGetUnvalidatedReply(WireMessage):
-    found: bool
     version: Optional[Tuple[float, int]] = None
     value: Any = None
     snapshot_miss: bool = False

@@ -67,9 +67,6 @@ _SPECS: Tuple[MethodSpec, ...] = (
     MethodSpec("milana.get", m.MilanaGet, m.MilanaGetReply,
                "client", "shard primary",
                doc="snapshot read at ts_begin, with the prepared bit"),
-    MethodSpec("milana.get_unvalidated", m.MilanaGetUnvalidated,
-               m.MilanaGetUnvalidatedReply, "client", "any replica",
-               doc="any-replica snapshot read; remote validation required"),
     MethodSpec("milana.prepare", m.MilanaPrepare, m.MilanaPrepareReply,
                "client (coordinator)", "participant primary",
                doc="Algorithm 1 validation; replicated before the vote"),
@@ -154,10 +151,6 @@ def _examples() -> Dict[str, Tuple[WireMessage, WireMessage]]:
         "milana.get": (m.MilanaGet(key="key:0", timestamp=1e-3),
                        m.MilanaGetReply(found=True, prepared=False,
                                         version=(1e-3, 2), value="v")),
-        "milana.get_unvalidated": (
-            m.MilanaGetUnvalidated(key="key:0", timestamp=1e-3),
-            m.MilanaGetUnvalidatedReply(found=True, version=(1e-3, 2),
-                                        value="v")),
         "milana.prepare": (m.MilanaPrepare(record=record),
                            m.MilanaPrepareReply(vote="SUCCESS")),
         "milana.decide": (m.MilanaDecide(txn_id="t1.1",

@@ -86,7 +86,6 @@ class RetwisInstance:
         rng: SeededRng,
         alpha: float = 0.6,
         max_retries: int = 10,
-        think_time: float = 0.0,
         mix: Optional[List[Tuple[str, Optional[int], int, float]]] = None,
     ) -> None:
         self.sim = sim
@@ -95,7 +94,6 @@ class RetwisInstance:
         self.rng = rng
         self.zipf = ZipfGenerator(rng.substream("zipf"), self.keys, alpha)
         self.max_retries = max_retries
-        self.think_time = think_time
         self.mix = mix if mix is not None else RETWIS_MIX
         self.stats = RetwisStats()
         self._weights = [weight for _, _, _, weight in self.mix]
@@ -145,8 +143,6 @@ class RetwisInstance:
             yield from self._run_with_retries(name, read_keys, write_keys)
             done += 1
             self.stats.by_type[name] = self.stats.by_type.get(name, 0) + 1
-            if self.think_time > 0:
-                yield self.sim.timeout(self.think_time)
 
     def _run_with_retries(self, name: str, read_keys: list,
                           write_keys: list):

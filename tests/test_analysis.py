@@ -70,7 +70,7 @@ class TestRepoIsClean:
         tampered = original.replace(
             "import heapq",
             "import heapq\nimport time", 1).replace(
-            "self._now = float(start_time)",
+            "self._now = 0.0",
             "self._now = time.time()", 1)
         assert tampered != original
         victim.write_text(tampered)

@@ -1,14 +1,11 @@
-"""Tests for the comparison baselines: Centiman, single-version FTL,
-remote-validation-only clients."""
+"""Tests for the comparison baselines: Centiman, and the single-version
+and remote-validation-only modes of the production classes (the ``sftl``
+backend kind and figure 8's "w/o LV" axis)."""
 
 
-from repro.baselines import (
-    CentimanClient,
-    RemoteValidationClient,
-    SingleVersionBackend,
-    WatermarkBoard,
-)
+from repro.baselines import CentimanClient, WatermarkBoard
 from repro.flash import FlashDevice, FlashGeometry
+from repro.ftl import MFTLBackend
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.milana import COMMITTED
 from repro.sim import Simulator
@@ -37,7 +34,8 @@ class TestSingleVersionBackend:
         sim = Simulator()
         geometry = FlashGeometry(page_size=4096, pages_per_block=4,
                                  num_blocks=16, num_channels=2)
-        backend = SingleVersionBackend(sim, FlashDevice(sim, geometry))
+        backend = MFTLBackend(sim, FlashDevice(sim, geometry),
+                              multi_version=False)
         assert backend.multi_version is False
         sim.run_until_event(backend.put("k", "a", Version(1.0, 1)))
         sim.run_until_event(backend.put("k", "b", Version(2.0, 1)))
@@ -154,14 +152,10 @@ class TestCentimanClient:
 
 class TestRemoteValidationClient:
     def test_read_only_validates_remotely(self):
-        def factory(sim, network, directory, clock, client_id, lv):
-            return RemoteValidationClient(
-                sim, network, directory, clock, client_id=client_id)
-
         cluster = Cluster(ClusterConfig(
             num_shards=1, replicas_per_shard=1, num_clients=1,
             backend="dram", populate_keys=10, seed=29,
-            client_factory=factory))
+            local_validation=False))
         client = cluster.clients[0]
         assert client.local_validation is False
 

@@ -1,15 +1,10 @@
-"""Tests for the future-work extensions: client caching and
-nearest-replica reads."""
+"""Tests for the future-work extension an ablation row measures: client
+caching."""
 
 import pytest
 
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.milana import (
-    ABORTED,
-    COMMITTED,
-    CachingMilanaClient,
-    NearestReplicaClient,
-)
+from repro.milana import ABORTED, COMMITTED, CachingMilanaClient
 
 
 def caching_cluster(**overrides):
@@ -123,94 +118,3 @@ class TestCachingClient:
 
         sim.run_until_event(sim.process(work()))
         assert len(client._cache) <= 5
-
-
-def nearest_cluster(**overrides):
-    def factory(sim, network, directory, clock, client_id, lv):
-        return NearestReplicaClient(
-            sim, network, directory, clock, client_id=client_id,
-            local_validation=lv)
-
-    defaults = dict(num_shards=1, replicas_per_shard=3, num_clients=1,
-                    backend="dram", populate_keys=30, seed=89,
-                    client_factory=factory)
-    defaults.update(overrides)
-    return Cluster(ClusterConfig(**defaults))
-
-
-class TestNearestReplicaClient:
-    def test_hinted_reads_spread_over_replicas(self):
-        cluster = nearest_cluster()
-        client = cluster.clients[0]
-        sim = cluster.sim
-
-        def work():
-            outcomes = []
-            for i in range(15):
-                txn = client.begin(read_write_hint=True)
-                yield client.txn_get(txn, f"key:{i}")
-                client.put(txn, f"key:{i}", f"updated-{i}")
-                outcomes.append((yield client.commit(txn)))
-                yield sim.timeout(1e-3)
-            return outcomes
-
-        outcomes = sim.run_until_event(sim.process(work()))
-        assert all(outcome == COMMITTED for outcome in outcomes)
-        # Backups actually served reads: their get counters moved beyond
-        # what replication writes would explain.
-        backup_gets = sum(
-            cluster.servers[name].backend.stats.gets
-            for name in ("srv-0-1", "srv-0-2"))
-        assert backup_gets > 0
-
-    @pytest.mark.parametrize("key, replica", [("key:0", "srv-0-1"),
-                                              ("key:2", "srv-0-2")])
-    def test_replica_choice_is_process_independent(self, key, replica):
-        """The replica is picked by the stable hash, not the salted
-        builtin ``hash``: the same key reads from the same replica under
-        every PYTHONHASHSEED."""
-        cluster = nearest_cluster()
-        client = cluster.clients[0]
-
-        def gets():
-            return {name: server.backend.stats.gets
-                    for name, server in cluster.servers.items()}
-
-        before = gets()
-        txn = client.begin(read_write_hint=True)
-        cluster.sim.run_until_event(client.txn_get(txn, key))
-        served = [name for name, count in gets().items()
-                  if count > before[name]]
-        assert served == [replica]
-
-    def test_hinted_commits_still_serializable(self):
-        """A stale backup read must be caught by primary validation."""
-        cluster = nearest_cluster(num_clients=2)
-        a, b = cluster.clients
-        sim = cluster.sim
-
-        def work():
-            t1 = a.begin(read_write_hint=True)
-            t2 = b.begin(read_write_hint=True)
-            yield a.txn_get(t1, "key:3")
-            yield b.txn_get(t2, "key:3")
-            a.put(t1, "key:3", "from-a")
-            b.put(t2, "key:3", "from-b")
-            o1 = yield a.commit(t1)
-            o2 = yield b.commit(t2)
-            return o1, o2
-
-        o1, o2 = sim.run_until_event(sim.process(work()))
-        assert (o1, o2).count(COMMITTED) == 1
-
-    def test_unhinted_txns_use_primary(self):
-        cluster = nearest_cluster()
-        client = cluster.clients[0]
-        sim = cluster.sim
-
-        def work():
-            txn = client.begin()
-            yield client.txn_get(txn, "key:5")
-            return (yield client.commit(txn))
-
-        assert sim.run_until_event(sim.process(work())) == COMMITTED

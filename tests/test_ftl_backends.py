@@ -1,10 +1,11 @@
 """Tests for the storage engines: DRAM, GenericFTL, MFTL, VFTL."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.single_version import SingleVersionBackend
 from repro.flash import FlashDevice, FlashGeometry
 from repro.ftl import (
     CapacityError,
@@ -658,7 +659,7 @@ class TestGcActiveSchedulePins:
                  4607, 1515, 17),
     }
     ENGINES = {"vftl": VFTLBackend, "mftl": MFTLBackend,
-               "sftl": SingleVersionBackend}
+               "sftl": functools.partial(MFTLBackend, multi_version=False)}
 
     @pytest.fixture(scope="class")
     def runs(self):

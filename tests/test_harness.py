@@ -85,9 +85,10 @@ class TestClusterBuild:
 
         assert cluster.sim.run_until_event(
             cluster.sim.process(work())) == COMMITTED
-        stats = cluster.total_stats()
-        assert stats["committed"] == 1
-        assert stats["abort_rate"] == 0.0
+        totals = snapshot(cluster.sim.now, cluster.clients)
+        assert totals.started == 1
+        assert totals.committed == 1
+        assert totals.aborted == 0
 
 
 class TestMetrics:
@@ -177,54 +178,3 @@ class TestReport:
                             x_label="alpha", y_label="aborts")
         assert text.startswith("ptp [alpha -> aborts]:")
         assert "(0.4, 0.1)" in text
-
-
-class TestRackAwareCluster:
-    def test_replicas_spread_and_latencies_differ(self):
-        cluster = Cluster(ClusterConfig(
-            num_shards=2, replicas_per_shard=3, num_clients=3,
-            backend="dram", populate_keys=20, rack_aware=True))
-        topo = cluster.topology
-        assert topo is not None
-        shard = cluster.directory.shard("shard0")
-        racks = {topo.rack_of(replica) for replica in shard.replicas}
-        assert len(racks) == 3, "replicas must land in distinct racks"
-        assert cluster.network.topology is topo
-
-    def test_transactions_work_rack_aware(self):
-        cluster = Cluster(ClusterConfig(
-            num_shards=1, replicas_per_shard=3, num_clients=1,
-            backend="dram", populate_keys=10, rack_aware=True))
-        client = cluster.clients[0]
-
-        def work():
-            txn = client.begin()
-            yield client.txn_get(txn, "key:0")
-            client.put(txn, "key:0", "across-racks")
-            return (yield client.commit(txn))
-
-        assert cluster.sim.run_until_event(
-            cluster.sim.process(work())) == COMMITTED
-
-    def test_cross_rack_commit_slower_than_flat_lan(self):
-        def commit_latency(rack_aware):
-            cluster = Cluster(ClusterConfig(
-                num_shards=1, replicas_per_shard=3, num_clients=1,
-                backend="dram", populate_keys=10, seed=151,
-                rack_aware=rack_aware, network_jitter_fraction=0.0,
-                network_base_latency=20e-6))
-            client = cluster.clients[0]
-
-            def work():
-                t0 = cluster.sim.now
-                txn = client.begin()
-                yield client.txn_get(txn, "key:0")
-                client.put(txn, "key:0", "x")
-                yield client.commit(txn)
-                return cluster.sim.now - t0
-
-            return cluster.sim.run_until_event(
-                cluster.sim.process(work()))
-
-        # The backup quorum hop crosses racks (80us vs 20us one-way).
-        assert commit_latency(True) > commit_latency(False)

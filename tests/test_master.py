@@ -28,7 +28,7 @@ class TestFailureDetection:
     def test_silent_server_declared_dead(self):
         cluster = make_cluster()
         cluster.sim.run(until=0.1)
-        cluster.fail_server("srv-0-2")  # a backup
+        cluster.pause_server("srv-0-2")  # a backup
         cluster.sim.run(until=0.3)
         assert not cluster.master.is_alive("srv-0-2")
         # Backups dying does not trigger failover.
@@ -38,7 +38,7 @@ class TestFailureDetection:
     def test_recovered_server_marked_alive_again(self):
         cluster = make_cluster()
         cluster.sim.run(until=0.1)
-        cluster.fail_server("srv-0-2")
+        cluster.pause_server("srv-0-2")
         cluster.sim.run(until=0.3)
         assert not cluster.master.is_alive("srv-0-2")
         cluster.unpause_server("srv-0-2")
@@ -70,7 +70,7 @@ class TestAutoFailover:
         assert self._commit(cluster, client, "key:0", "gen1") == COMMITTED
         cluster.sim.run(until=cluster.sim.now + 0.02)
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.sim.run(until=cluster.sim.now + 0.3)
 
         assert len(cluster.master.failovers) == 1
@@ -95,9 +95,9 @@ class TestAutoFailover:
     def test_no_failover_without_majority(self):
         cluster = make_cluster()
         cluster.sim.run(until=0.05)
-        cluster.fail_server("srv-0-0")
-        cluster.fail_server("srv-0-1")
-        cluster.fail_server("srv-0-2")
+        cluster.pause_server("srv-0-0")
+        cluster.pause_server("srv-0-1")
+        cluster.pause_server("srv-0-2")
         cluster.sim.run(until=cluster.sim.now + 0.3)
         assert cluster.master.failovers == []
 
@@ -109,14 +109,14 @@ class TestAutoFailover:
         assert self._commit(cluster, client, "key:1", "v1") == COMMITTED
         cluster.sim.run(until=cluster.sim.now + 0.02)
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.sim.run(until=cluster.sim.now + 0.3)
         assert len(cluster.master.failovers) == 1
         first_successor = cluster.master.failovers[0][3]
 
         # With only 2 of 3 replicas, killing the new primary leaves no
         # majority: no further failover may complete.
-        cluster.fail_server(first_successor)
+        cluster.pause_server(first_successor)
         cluster.sim.run(until=cluster.sim.now + 0.3)
         assert len(cluster.master.failovers) == 1
 
@@ -130,7 +130,7 @@ class TestAutoFailover:
         cluster = make_cluster(num_shards=2, populate_keys=40)
         cluster.sim.run(until=0.05)
         primary0 = cluster.directory.shard("shard0").primary
-        cluster.fail_server(primary0)
+        cluster.pause_server(primary0)
         cluster.sim.run(until=cluster.sim.now + 0.3)
         assert len(cluster.master.failovers) == 1
         assert cluster.master.epochs["shard0"] == 1
@@ -163,7 +163,7 @@ class TestLookupService:
         cluster = make_cluster()
         client = cluster.clients[0]
         cluster.sim.run(until=0.05)
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.sim.run(until=cluster.sim.now + 0.3)
         reply = cluster.sim.run_until_event(
             client.node.call("master", "master.lookup",

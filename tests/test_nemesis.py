@@ -173,7 +173,7 @@ class TestRetryBackoff:
     def test_retries_back_off_between_attempts(self):
         cluster = make_cluster()
         client = cluster.clients[0]
-        cluster.fail_server("srv-0-1")
+        cluster.pause_server("srv-0-1")
 
         def probe():
             start = cluster.sim.now
@@ -195,7 +195,7 @@ class TestRetryBackoff:
         def measure():
             cluster = make_cluster()
             client = cluster.clients[0]
-            cluster.fail_server("srv-0-1")
+            cluster.pause_server("srv-0-1")
 
             def probe():
                 start = cluster.sim.now
@@ -276,26 +276,6 @@ class TestProtocolHardening:
         statuses = {r.status for r in server.txn_table.values()}
         assert statuses == {ABORTED}
         assert server.key_states.peek("key:0").prepared is None
-
-    def test_reliable_decide_mode_commits_with_acked_delivery(self):
-        cluster = make_cluster()
-        client = cluster.clients[0]
-        client.reliable_decide = True
-
-        def commit_one():
-            txn = client.begin()
-            yield client.txn_get(txn, "key:1")
-            client.put(txn, "key:1", "acked")
-            return (yield client.commit(txn))
-
-        outcome = cluster.sim.run_until_event(
-            cluster.sim.process(commit_one()))
-        assert outcome == COMMITTED
-        assert client.stats.reliable_decides >= 1
-        cluster.sim.run(until=cluster.sim.now + 50e-3)
-        assert cluster.servers["srv-0-0"].txn_table[
-            next(iter(cluster.servers["srv-0-0"].txn_table))
-        ].status == COMMITTED
 
     def test_client_answers_termination_queries(self):
         cluster = make_cluster()

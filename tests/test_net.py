@@ -295,7 +295,7 @@ class TestRpc:
             yield sim.timeout(0)
 
         server.register("tick", sink)
-        client.notify("server", "tick", 99)
+        client.send_oneway("server", "tick", 99)
         sim.run()
         assert received == [99]
 

@@ -83,7 +83,7 @@ class TestPrimaryFailover:
         client = cluster.clients[0]
         self._commit_some(cluster, client)
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
         new_primary = cluster.servers["srv-0-1"]
         run(cluster, recover_primary(new_primary, lease_wait=20e-3))
@@ -104,7 +104,7 @@ class TestPrimaryFailover:
         cluster = make_cluster()
         client = cluster.clients[0]
         self._commit_some(cluster, client, n=1)
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
         recovery = recover_primary(
             cluster.servers["srv-0-1"], lease_wait=50e-3)
@@ -138,8 +138,8 @@ class TestPrimaryFailover:
         cluster = make_cluster()
         client = cluster.clients[0]
         self._commit_some(cluster, client, n=1)
-        cluster.fail_server("srv-0-0")
-        cluster.fail_server("srv-0-2")
+        cluster.pause_server("srv-0-0")
+        cluster.pause_server("srv-0-2")
         cluster.directory.promote("shard0", "srv-0-1")
 
         def attempt():
@@ -169,7 +169,7 @@ class TestPrimaryFailover:
             cluster.servers[name].txn_table["orphan"] = \
                 TransactionRecord.from_wire(record.to_wire())
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-2")
         run(cluster, recover_primary(cluster.servers["srv-0-2"],
                                      lease_wait=10e-3))
@@ -204,7 +204,7 @@ class TestPrimaryFailover:
         shard1_primary = cluster.directory.shard("shard1").primary
         cluster.servers[shard1_primary].txn_table["xshard"] = other
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
         run(cluster, recover_primary(cluster.servers["srv-0-1"],
                                      lease_wait=10e-3))
@@ -224,7 +224,7 @@ class TestPrimaryFailover:
             cluster.servers[replica].txn_table[record.txn_id] = \
                 TransactionRecord.from_wire(record.to_wire())
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
         run(cluster, recover_primary(cluster.servers["srv-0-1"],
                                      lease_wait=10e-3))
@@ -283,7 +283,7 @@ class TestDecideLostMidPartition:
                                ctp_timeout=20e-3)
         key0 = self._seed_in_doubt_commit(cluster)
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
         new_primary = cluster.servers["srv-0-1"]
         faults = cluster.network.install_faults()
@@ -334,7 +334,7 @@ class TestDecideLostMidPartition:
         server1.txn_table["outstanding"] = peer
         server1.key_states.mark_prepared(key1, "outstanding", ts)
 
-        cluster.fail_server("srv-0-0")
+        cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
         run(cluster, recover_primary(cluster.servers["srv-0-1"],
                                      lease_wait=10e-3))
@@ -454,8 +454,8 @@ class TestLeases:
         manager.start()
         cluster.sim.run(until=cluster.sim.now + 0.05)
         assert manager.held
-        cluster.fail_server("srv-0-1")
-        cluster.fail_server("srv-0-2")
+        cluster.pause_server("srv-0-1")
+        cluster.pause_server("srv-0-2")
         cluster.sim.run(until=cluster.sim.now + 0.2)
         assert not manager.held
         assert manager.renewal_failures > 0
@@ -491,8 +491,8 @@ class TestLeases:
         assert cluster.sim.run_until_event(
             cluster.sim.process(read_one())) == "served"
 
-        cluster.fail_server("srv-0-1")
-        cluster.fail_server("srv-0-2")
+        cluster.pause_server("srv-0-1")
+        cluster.pause_server("srv-0-2")
         cluster.sim.run(until=cluster.sim.now + 0.2)
         assert not manager.held
         result = cluster.sim.run_until_event(
