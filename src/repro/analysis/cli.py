@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline, BaselineError
+from .baseline import Baseline, BaselineError, apply_baseline, emit
 from .engine import all_rules, analyze_paths
 from .findings import Finding, Severity
 
@@ -43,20 +43,7 @@ def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "sarif",
                                              "github"),
                         default="text", dest="output_format")
-    parser.add_argument("--output", metavar="FILE",
-                        help="write the report to FILE instead of stdout")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="suppress findings recorded in this "
-                             "baseline file")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="record current findings as the new "
-                             "baseline and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="prune --baseline entries that no longer "
-                             "fire, rewriting the file in place")
-    parser.add_argument("--fail-on-stale", action="store_true",
-                        help="exit 1 if the baseline contains entries "
-                             "that no longer fire")
+    Baseline.add_arguments(parser, "findings")
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -103,18 +90,11 @@ def _list_rules() -> int:
     return 0
 
 
-def _emit(document: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(document + "\n", encoding="utf-8")
-    else:
-        print(document)
-
-
 def _render_text(new: List[Finding], baselined: int,
                  files: int, stale: int,
                  output: Optional[str]) -> None:
     if new or output:
-        _emit("\n".join(f.render() for f in new), output)
+        emit("\n".join(f.render() for f in new), output)
     noun = "file" if files == 1 else "files"
     suffix = f" ({baselined} baselined)" if baselined else ""
     if stale:
@@ -139,7 +119,7 @@ def _render_json(new: List[Finding], baselined: int,
     }
     if stale is not None:  # additive key, only on --baseline runs
         payload["stale_baseline"] = stale
-    _emit(json.dumps(payload, indent=2), output)
+    emit(json.dumps(payload, indent=2), output)
 
 
 def _render_sarif(new: List[Finding], select: Optional[List[str]],
@@ -150,7 +130,7 @@ def _render_sarif(new: List[Finding], select: Optional[List[str]],
     active = {rid: r for rid, r in registry.items()
               if (not select or rid in select)
               and not (ignore and rid in ignore)}
-    _emit(render_sarif(new, active), output)
+    emit(render_sarif(new, active), output)
 
 
 def _render_github(new: List[Finding], baselined: int,
@@ -165,7 +145,7 @@ def _render_github(new: List[Finding], baselined: int,
         lines.append(f"::{kind} file={f.path},line={f.line},"
                      f"col={f.col + 1},title=simlint {f.rule_id}::"
                      f"{message}")
-    _emit("\n".join(lines), output)
+    emit("\n".join(lines), output)
     noun = "file" if files == 1 else "files"
     suffix = f" ({baselined} baselined)" if baselined else ""
     print(f"simlint: {len(new)} finding(s) in {files} {noun}{suffix}",
@@ -205,33 +185,6 @@ def _render_from_json(args: argparse.Namespace,
     return 0
 
 
-def _apply_baseline(args: argparse.Namespace,
-                    parser: argparse.ArgumentParser,
-                    findings: List[Finding]
-                    ) -> Tuple[List[Finding], List[Finding],
-                               Optional[int]]:
-    """(new, baselined, stale-count); stale is None without --baseline."""
-    if not args.baseline:
-        if args.update_baseline or args.fail_on_stale:
-            parser.error("--update-baseline/--fail-on-stale require "
-                         "--baseline FILE")
-        return findings, [], None
-    try:
-        baseline = Baseline.load(args.baseline)
-    except (OSError, BaselineError) as exc:
-        parser.error(str(exc))
-        raise  # unreachable; keeps type-checkers happy
-    new, baselined = baseline.split(findings)
-    stale = len(baseline.stale_entries(findings))
-    if args.update_baseline and stale:
-        baseline.pruned(findings).save(args.baseline)
-        print(f"simlint: pruned {stale} stale entr"
-              f"{'y' if stale == 1 else 'ies'} from {args.baseline}",
-              file=sys.stderr)
-        stale = 0
-    return new, baselined, stale
-
-
 def main(argv: Optional[Sequence[str]] = None,
          prog: str = "repro.analysis") -> int:
     parser = build_parser(prog)
@@ -262,7 +215,11 @@ def main(argv: Optional[Sequence[str]] = None,
               f"{'y' if len(findings) == 1 else 'ies'} to "
               f"{args.write_baseline}", file=sys.stderr)
         return 0
-    new, baselined, stale = _apply_baseline(args, parser, findings)
+    try:
+        new, baselined, stale = apply_baseline(findings, args, "simlint")
+    except BaselineError as exc:
+        parser.error(str(exc))  # exits 2
+        return 2  # unreachable; keeps type-checkers happy
     if args.output_format == "json":
         _render_json(new, len(baselined), files, stale, args.output)
     elif args.output_format == "sarif":

@@ -18,17 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..analysis.baseline import Baseline, BaselineError
+from ..analysis.baseline import (Baseline, BaselineError, apply_baseline,
+                                 emit)
 from .explorer import (ExplorationResult, explore, parse_replay_spec,
                        replay_spec)
 from .policies import POLICY_NAMES
 from .report import (build_report, render_payload, render_sarif_report,
                      render_text, witness_to_finding)
-from .witnesses import Witness
 from .workloads import workload_names
 
 __all__ = ["main", "build_parser"]
@@ -57,20 +55,7 @@ def build_parser(prog: str = "repro sansim") -> argparse.ArgumentParser:
                              "random/targeted)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", dest="output_format")
-    parser.add_argument("--output", metavar="FILE",
-                        help="write the report to FILE instead of stdout")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="suppress witnesses recorded in this "
-                             "baseline file (simlint baseline format)")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="record current witnesses as the new "
-                             "baseline and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="prune --baseline entries that no longer "
-                             "fire, rewriting the file in place")
-    parser.add_argument("--fail-on-stale", action="store_true",
-                        help="exit 1 if the baseline contains entries "
-                             "that no longer fire")
+    Baseline.add_arguments(parser, "witnesses")
     parser.add_argument("--expect-witness", action="store_true",
                         help="invert the exit polarity: succeed iff at "
                              "least one witness was found (seeded-bug "
@@ -121,31 +106,6 @@ def _replay_one(args: argparse.Namespace,
         trial_stats=[trial.stats])]
 
 
-def _split_witnesses(baseline: Baseline, witnesses: Sequence[Witness]
-                     ) -> Tuple[List[Witness], List[Witness]]:
-    """Partition witnesses into (new, baselined) via Finding identity."""
-    findings = [witness_to_finding(w) for w in witnesses]
-    new_findings, _matched = baseline.split(findings)
-    budget = Counter((f.rule_id, f.path, f.message) for f in new_findings)
-    new: List[Witness] = []
-    matched: List[Witness] = []
-    for finding, witness in zip(findings, witnesses):
-        key = (finding.rule_id, finding.path, finding.message)
-        if budget[key] > 0:
-            budget[key] -= 1
-            new.append(witness)
-        else:
-            matched.append(witness)
-    return new, matched
-
-
-def _emit(document: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(document + "\n", encoding="utf-8")
-    else:
-        print(document)
-
-
 def main(argv: Optional[Sequence[str]] = None,
          prog: str = "repro sansim") -> int:
     parser = build_parser(prog)
@@ -159,6 +119,7 @@ def main(argv: Optional[Sequence[str]] = None,
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}; "
                      f"expected one of {', '.join(sorted(known))}")
+    # apply_baseline checks this too; here it costs no exploration.
     if (args.update_baseline or args.fail_on_stale) and not args.baseline:
         parser.error("--update-baseline/--fail-on-stale require "
                      "--baseline FILE")
@@ -176,23 +137,17 @@ def main(argv: Optional[Sequence[str]] = None,
               f"{args.write_baseline}", file=sys.stderr)
         return 0
 
-    stale: Optional[int] = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, BaselineError) as exc:
-            parser.error(str(exc))
-            raise  # unreachable; keeps type-checkers happy
-        new, baselined = _split_witnesses(baseline, report.witnesses)
-        stale = len(baseline.stale_entries(findings))
-        if args.update_baseline and stale:
-            baseline.pruned(findings).save(args.baseline)
-            print(f"sansim: pruned {stale} stale entr"
-                  f"{'y' if stale == 1 else 'ies'} from {args.baseline}",
-                  file=sys.stderr)
-            stale = 0
-    else:
-        new, baselined = list(report.witnesses), []
+    try:
+        new_findings, baselined, stale = apply_baseline(
+            findings, args, "sansim")
+    except BaselineError as exc:
+        parser.error(str(exc))
+        raise  # unreachable; keeps type-checkers happy
+    # Findings and witnesses pair by position; apply_baseline hands the
+    # finding objects back, so identity picks the witnesses out.
+    new_ids = {id(finding) for finding in new_findings}
+    new = [witness for finding, witness in zip(findings, report.witnesses)
+           if id(finding) in new_ids]
 
     if args.output_format == "json":
         payload = render_payload(results, report)
@@ -200,13 +155,13 @@ def main(argv: Optional[Sequence[str]] = None,
         payload["baselined"] = len(baselined)
         if stale is not None:
             payload["stale_baseline"] = stale
-        _emit(json.dumps(payload, indent=2), args.output)
+        emit(json.dumps(payload, indent=2), args.output)
     elif args.output_format == "sarif":
-        _emit(render_sarif_report(new), args.output)
+        emit(render_sarif_report(new), args.output)
     else:
         document = render_text(results, report, new_witnesses=new,
                                baselined=len(baselined))
-        _emit(document, args.output)
+        emit(document, args.output)
 
     if args.expect_witness:
         if report.witnesses:
