@@ -18,7 +18,6 @@ from ..durability import DurabilityConfig, WriteAheadLog
 from ..flash.device import FlashDevice
 from ..flash.geometry import FlashGeometry
 from ..ftl import DRAMBackend, MFTLBackend, VFTLBackend
-from ..ftl.packing import DEFAULT_PACKING_DELAY
 from ..milana.client import MilanaClient
 from ..milana.recovery import RecoveryError, recover_steps
 from ..milana.server import MilanaServer
@@ -47,12 +46,10 @@ class ClusterConfig:
     seed: int = 42
     local_validation: bool = True
     network_base_latency: float = 50e-6
-    network_jitter_fraction: float = 0.2
     #: Link bandwidth in bytes per simulated second; None models an
     #: infinitely fast link (zero transmission delay), preserving the
     #: pre-bandwidth behaviour of existing experiments.
     network_bandwidth: Optional[float] = None
-    packing_delay: float = DEFAULT_PACKING_DELAY
     #: Flash geometry per storage server; None picks one sized for
     #: ``populate_keys`` (about 3x the live data set).
     geometry: Optional[FlashGeometry] = None
@@ -114,7 +111,6 @@ class Cluster:
             self.sim, self.rng,
             latency=JitteredLatency(
                 base=config.network_base_latency,
-                jitter_fraction=max(config.network_jitter_fraction, 0.0),
                 bandwidth=config.network_bandwidth))
         self.clock_ensemble = ClockEnsemble(
             self.sim, self.rng, preset=config.clock_preset)
@@ -185,23 +181,15 @@ class Cluster:
         device = FlashDevice(self.sim, geometry)
         self.devices[server_name] = device
         if kind == "mftl":
-            return MFTLBackend(self.sim, device,
-                               packing_delay=self.config.packing_delay)
+            return MFTLBackend(self.sim, device)
         if kind == "sftl":
-            return MFTLBackend(self.sim, device,
-                               packing_delay=self.config.packing_delay,
-                               multi_version=False)
-        return VFTLBackend(self.sim, device,
-                           packing_delay=self.config.packing_delay)
+            return MFTLBackend(self.sim, device, multi_version=False)
+        return VFTLBackend(self.sim, device)
 
     # -- population -----------------------------------------------------------------
 
-    def populate(self, num_keys: int,
-                 value_fn: Optional[Callable[[str], Any]] = None) -> List[str]:
+    def populate(self, num_keys: int) -> List[str]:
         """Pre-load ``num_keys`` keys into every replica's backend."""
-        if value_fn is None:
-            def value_fn(key):
-                return f"value-of-{key}"
         keys = [f"key:{i}" for i in range(num_keys)]
         # Stamp initial data far in the past so any client snapshot —
         # including one from a clock with a negative offset — can read it.
@@ -209,7 +197,7 @@ class Cluster:
         per_server: Dict[str, list] = {name: [] for name in self.servers}
         for key in keys:
             shard = self.directory.shard_of(key)
-            item = (key, value_fn(key), version)
+            item = (key, f"value-of-{key}", version)
             for replica in shard.replicas:
                 per_server[replica].append(item)
         for server_name, items in per_server.items():

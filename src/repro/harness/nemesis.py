@@ -34,7 +34,6 @@ from ..milana.client import MilanaClient
 from ..milana.leases import DEFAULT_LEASE_DURATION
 from ..milana.server import DEFAULT_CTP_TIMEOUT
 from ..net.faults import FaultStats
-from ..sim.rng import SeededRng
 from ..workloads.retwis import RetwisInstance
 from ..workloads.ycsb import YcsbInstance
 from .audit import AuditReport, run_audit, sync_replicas
@@ -293,8 +292,6 @@ def run_nemesis(
     fault_start: float = 0.05,
     fault_duration: float = 0.15,
     alpha: float = 0.8,
-    settle: Optional[float] = None,
-    watermark_interval: Optional[float] = 0.05,
 ) -> NemesisRunResult:
     """Run one named scenario end to end and audit the aftermath."""
     row = next((row for row in SCENARIOS if row.name == scenario), None)
@@ -310,11 +307,9 @@ def run_nemesis(
         config = replace(config, ctp_timeout=DEFAULT_CTP_TIMEOUT)
     if row.needs_master and not config.with_master:
         config = replace(config, with_master=True)
-    if settle is None:
-        # Past the lease horizon and several CTP rounds, so nothing can
-        # legitimately still be in doubt when the audit runs.
-        settle = DEFAULT_LEASE_DURATION + 3 * (config.ctp_timeout
-                                               or DEFAULT_CTP_TIMEOUT)
+    # Settle past the lease horizon and several CTP rounds, so nothing
+    # can legitimately still be in doubt when the audit runs.
+    settle = DEFAULT_LEASE_DURATION + 3 * config.ctp_timeout
 
     cluster = Cluster(config)
     silent = [client.name for client in cluster.clients
@@ -346,9 +341,8 @@ def run_nemesis(
         ]
     else:
         raise ValueError(f"unknown workload {workload!r}")
-    if watermark_interval:
-        for client in cluster.clients:
-            client.start_watermark_daemon(watermark_interval)
+    for client in cluster.clients:
+        client.start_watermark_daemon(0.05)
 
     plan = row.build(
         cluster, cluster.rng.substream("nemesis"),

@@ -45,7 +45,6 @@ def run_retwis_on_cluster(
     duration: float,
     warmup: float = 0.1,
     mix: Optional[list] = None,
-    max_retries: int = 10,
     watermark_interval: Optional[float] = 0.05,
 ) -> RetwisRunResult:
     """Stand up a cluster, run Retwis on every client, measure a window."""
@@ -55,7 +54,7 @@ def run_retwis_on_cluster(
         RetwisInstance(
             sim, client, cluster.populated_keys,
             cluster.rng.substream(f"retwis-{client.client_id}"),
-            alpha=alpha, max_retries=max_retries, mix=mix)
+            alpha=alpha, mix=mix)
         for client in cluster.clients
     ]
     if watermark_interval:

@@ -733,13 +733,12 @@ class MilanaServer(StorageServer):
             return reply.status
         return None
 
-    def _deliver_decide(self, shard_name: str, txn_id: str, outcome: str,
-                        max_rounds: int = 25):
-        """Acked decide delivery to one peer primary, retried across
+    def _deliver_decide(self, shard_name: str, txn_id: str, outcome: str):
+        """Acked decide delivery to one peer primary, retried for 25
         rounds (and across failovers: the primary is re-resolved every
         round) until the peer confirms."""
         payload = MilanaDecide(txn_id=txn_id, outcome=outcome)
-        for _ in range(max_rounds):
+        for _ in range(25):
             primary = self.directory.shard(shard_name).primary
             try:
                 yield self.node.call(

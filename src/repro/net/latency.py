@@ -67,8 +67,9 @@ class JitteredLatency(LatencyModel):
     ``base * lognormal(0, sigma)`` clipped below at ``floor``.
     """
 
+    floor = 1e-6
+
     def __init__(self, base: float, jitter_fraction: float = 0.2,
-                 floor: float = 1e-6,
                  bandwidth: Optional[float] = None) -> None:
         super().__init__(bandwidth=bandwidth)
         if base <= 0:
@@ -78,7 +79,6 @@ class JitteredLatency(LatencyModel):
                 f"jitter_fraction must be >= 0, got {jitter_fraction}")
         self.base = base
         self.jitter_fraction = jitter_fraction
-        self.floor = floor
 
     def sample(self, rng: SeededRng) -> float:
         if self.jitter_fraction == 0:

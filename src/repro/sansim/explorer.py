@@ -19,7 +19,7 @@ golden-snapshot test call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .kernel import TracedSimulator
 from .policies import make_policy
@@ -132,9 +132,7 @@ def run_trial(spec: TrialSpec,
 
 
 def explore(workload: str, trials: int = 25, seed: int = 0,
-            policy: Optional[str] = None,
-            progress: Optional[Callable[[TrialSpec, TrialResult],
-                                        None]] = None) -> ExplorationResult:
+            policy: Optional[str] = None) -> ExplorationResult:
     """Bounded exploration: ``trials`` runs, deduplicated witnesses.
 
     ``policy`` forces every trial onto one tie-break policy; the default
@@ -156,8 +154,6 @@ def explore(workload: str, trials: int = 25, seed: int = 0,
             if fingerprint not in seen:
                 seen.add(fingerprint)
                 result.witnesses.append(witness)
-        if progress is not None:
-            progress(spec, trial_result)
     result.witnesses.sort(key=lambda w: (w.rule_id, w.location,
                                          w.acting.path, w.acting.line))
     return result

@@ -62,7 +62,6 @@ def run_kv_microbench(
     duration: float,
     warmup: float = 0.05,
     num_workers: int = 128,
-    alpha: float = 0.0,
     version_window: float = 0.2,
 ) -> MicrobenchResult:
     """Run the micro-benchmark to completion and return the result.
@@ -77,7 +76,7 @@ def run_kv_microbench(
     backend.bulk_load(
         (key, f"init-{key}", Version(-1e6, 0)) for key in keys)
 
-    zipf = ZipfGenerator(rng.substream("keys"), keys, alpha)
+    zipf = ZipfGenerator(rng.substream("keys"), keys, alpha=0.0)
     op_rng = rng.substream("ops")
     put_counter = itertools.count(1)
     measuring_from = sim.now + warmup

@@ -1,8 +1,6 @@
 """Tests for the future-work extension an ablation row measures: client
 caching."""
 
-import pytest
-
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.milana import ABORTED, COMMITTED, CachingMilanaClient
 
