@@ -195,7 +195,7 @@ class WireCallSite:
                  function: "FunctionInfo") -> None:
         self.method = method
         self.node = node
-        #: "call", "send_oneway", "notify", or "replicate_to_backups".
+        #: "call", "send_oneway", or "replicate_to_backups".
         self.kind = kind
         self.function = function
 
@@ -579,7 +579,7 @@ class Project:
                             handler = self._handler_for(info, call.args[1])
                         self.register_sites.append(RegisterSite(
                             method.value, call, info.module.path, handler))
-                elif func.attr in ("call", "send_oneway", "notify"):
+                elif func.attr in ("call", "send_oneway"):
                     if len(call.args) >= 2 and \
                             isinstance(call.args[1], ast.Constant) and \
                             isinstance(call.args[1].value, str):

@@ -322,7 +322,6 @@ class WirePayloadRule(Rule):
     PAYLOAD_POSITIONS = {
         "call": 2,
         "send_oneway": 2,
-        "notify": 2,
         "replicate_to_backups": 3,
     }
 
@@ -347,7 +346,7 @@ class WirePayloadRule(Rule):
             func = call.func
             attr = None
             if isinstance(func, ast.Attribute) and \
-                    func.attr in ("call", "send_oneway", "notify"):
+                    func.attr in ("call", "send_oneway"):
                 if self._node_like(func.value):
                     attr = func.attr
             elif qualname is not None and \

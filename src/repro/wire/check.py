@@ -6,8 +6,7 @@ Two halves:
   a frozen dataclass that round-trips through its wire form with a
   positive, deterministic size;
 * an AST sweep of the source tree — every dotted RPC method named at a
-  ``register``/``call``/``send_oneway``/``notify``/
-  ``replicate_to_backups`` site must have a registry entry, and every
+  ``register``/``call``/``send_oneway``/``replicate_to_backups`` site must have a registry entry, and every
   registry entry must have at least one ``register`` site, so the
   registry can neither lag behind nor outgrow the code.
 """
@@ -27,7 +26,6 @@ _METHOD_ARG_INDEX = {
     "register": 0,
     "call": 1,
     "send_oneway": 1,
-    "notify": 1,
     "replicate_to_backups": 2,
 }
 
