@@ -67,6 +67,7 @@ class JitteredLatency(LatencyModel):
     ``base * lognormal(0, sigma)`` clipped below at ``floor``.
     """
 
+    #: No draw is shorter than this (a log-normal has no lower bound).
     floor = 1e-6
 
     def __init__(self, base: float, jitter_fraction: float = 0.2,
