@@ -7,9 +7,13 @@ or one iteration over an unordered ``set`` feeding replication fan-out
 silently breaks it. ``repro.analysis`` enforces those rules with an
 AST-based analyzer:
 
-* a visitor framework over every module (``engine``),
-* a registry of repo-specific rules (``rules``) — DET001..DET004,
-  SIM001, RPC001, TXN001, API001,
+* one rule framework (``engine``): per-module import maps, the rule
+  registry, ``Rule.applies_to`` scoping and ``Rule.finding``,
+* module rules (``rules``) — DET001..DET004, SIM001, RPC001, WIRE001,
+  PAR001, FLT001, API001, SUP001,
+* whole-program rules over a project model that walks each handler or
+  daemon once (``project``, ``iprules``, ``durrules``) — ATM001/ATM002,
+  PRO001..PRO004, DET101, DUR001..DUR005,
 * inline ``# simlint: disable=RULE`` suppressions,
 * a checked-in baseline file for grandfathered findings (``baseline``),
 * a CLI: ``python -m repro.analysis [paths] [--format text|json]``,

@@ -68,10 +68,10 @@ def _list_rules() -> int:
     """The full catalogue: static simlint rules plus (when the package
     is importable) the dynamic sansim rules, with each rule's family,
     domain, and cross-domain counterpart."""
-    rows: List[Tuple[str, str, str, str, str, str]] = []
+    rows: List[Tuple[str, str, str, str, str]] = []
     for rule_id, r in sorted(all_rules().items()):
-        rows.append((rule_id, r.severity, r.rule_family, r.domain,
-                     r.counterpart, r.description))
+        rows.append((rule_id, r.severity, "static", r.counterpart,
+                     r.description))
     try:
         # Imported dynamically: the sansim package is untyped simulation
         # machinery and must stay out of this module's static surface.
@@ -80,10 +80,10 @@ def _list_rules() -> int:
         sansim = None
     if sansim is not None:
         for rule_id, dyn in sorted(sansim.SANITIZER_RULES.items()):
-            rows.append((rule_id, dyn.severity, dyn.family, dyn.domain,
-                         dyn.counterpart, dyn.description))
-    for rule_id, severity, family, domain, counterpart, description \
-            in rows:
+            rows.append((rule_id, dyn.severity, "dynamic", dyn.counterpart,
+                         dyn.description))
+    for rule_id, severity, domain, counterpart, description in rows:
+        family = "".join(ch for ch in rule_id if ch.isalpha())
         twin = f" [twin: {counterpart}]" if counterpart else ""
         print(f"{rule_id}  [{severity:7s}]  {family}/{domain:7s} "
               f"{description}{twin}")
@@ -163,12 +163,8 @@ def _render_from_json(args: argparse.Namespace,
     except (OSError, ValueError) as exc:
         parser.error(f"--from-json {args.from_json}: {exc}")
         raise  # unreachable; keeps type-checkers happy
-    findings = [
-        Finding(path=item["path"], line=int(item["line"]),
-                col=int(item["col"]), rule_id=item["rule_id"],
-                severity=item["severity"], message=item["message"])
-        for item in payload.get("findings", [])
-    ]
+    findings = [Finding.from_json(item)
+                for item in payload.get("findings", [])]
     files = int(payload.get("files_checked", 0))
     baselined = int(payload.get("baselined", 0))
     stale = payload.get("stale_baseline")

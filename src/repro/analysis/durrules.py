@@ -33,27 +33,13 @@ crash-ordering invariants the durability tests probe dynamically:
 from __future__ import annotations
 
 import ast
-from pathlib import PurePath
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..wire.registry import REGISTRY
 from .engine import ModuleContext, ProjectRule, rule
 from .findings import Finding, Severity
-from .iprules import (
-    _finding,
-    _node_at,
-    _roots,
-    is_volatile_source,
-    tainted_functions,
-)
-from .project import (
-    WAL_APPEND_METHODS,
-    ClassInfo,
-    Event,
-    FunctionInfo,
-    InlineWalker,
-    Project,
-)
+from .iprules import is_volatile_source, tainted_functions
+from .project import WAL_APPEND_METHODS, Event, FunctionInfo, Project
 
 __all__ = [
     "AckBeforeFsyncRule",
@@ -147,10 +133,19 @@ def _wal_enabled_classes(project: Project) -> Set[str]:
     return enabled
 
 
-def _class_in_paths(class_info: ClassInfo,
-                    parts: Tuple[str, ...]) -> bool:
-    file_parts = PurePath(class_info.module.path).parts
-    return any(part in file_parts for part in parts)
+def _absolute_name(ctx: ModuleContext, expr: ast.AST) -> Optional[str]:
+    """The absolute dotted name a ``NAME`` or ``module.NAME`` expression
+    refers to, through the module's import map; a name no import binds
+    is the module's own."""
+    if isinstance(expr, ast.Attribute):
+        base = _absolute_name(ctx, expr.value)
+        return f"{base}.{expr.attr}" if base else None
+    if isinstance(expr, ast.Name):
+        name = expr.id
+        return (ctx.from_imports.get(name) or ctx.relative_imports.get(name)
+                or ctx.import_aliases.get(name)
+                or f"{ctx.module_name}.{name}")
+    return None
 
 
 def _mentions_wal(expr: ast.AST) -> bool:
@@ -192,68 +187,57 @@ class AckBeforeFsyncRule(ProjectRule):
     required_path_parts = ("milana", "semel")
     counterpart = "test_durability.py nemesis A/B (durable vs lossy)"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        walker = InlineWalker(project)
-        reported: Set[Tuple[str, int]] = set()
-        for root in _roots(project, self.required_path_parts):
-            if not root.is_generator:
-                continue
-            events = walker.walk(root)
-            unsynced: Optional[Event] = None
-            window: Optional[Event] = None
-            wrote: Optional[Event] = None
-            for event in events:
-                if event.kind == "wal_append":
-                    if event.detail == "nosync":
-                        unsynced = event
-                        window = None
-                    else:
-                        # A later sync/config append waits out its own
-                        # fsync, and the earlier background fsync (same
-                        # latency, scheduled earlier) completes no later
-                        # — the debt is settled before any reply.
-                        unsynced = None
-                        window = None
-                elif event.kind == "suspend" and unsynced is not None \
-                        and window is None:
-                    # A ``yield from wal.append(..., sync=False)`` emits
-                    # its own suspend, but the sync=False generator never
-                    # actually yields — the first *real* crash window is
-                    # the next suspension after the append statement.
-                    if not (event.function is unsynced.function
-                            and event.line == unsynced.line):
-                        window = event
-                elif _is_tracked_mutation(event):
-                    wrote = event
-                elif event.kind == "reply" and event.detail is not None \
-                        and _is_ack_name(event.detail):
-                    if unsynced is not None and wrote is not None and \
-                            _claims_durability(event.node):
-                        key = (event.function.module.path, event.line)
-                        if key not in reported:
-                            reported.add(key)
-                            if window is not None:
-                                where = (
-                                    f"a crash in the suspend window at "
-                                    f"{window.function.name!r} line "
-                                    f"{window.line} loses the acked "
-                                    f"write")
-                            else:
-                                where = ("the reply itself races the "
-                                         "background fsync")
-                            yield _finding(
-                                self, event.function.module.path,
-                                _node_at(event),
-                                f"{root.name!r} replies "
-                                f"{event.detail} claiming durability, "
-                                f"but the WAL append at line "
-                                f"{unsynced.line} is sync=False; "
-                                f"{where} — fsync (sync=True or the "
-                                f"configured sync_* flag) before "
-                                f"acknowledging")
+    def check_events(self, root: FunctionInfo, events: List[Event]
+                     ) -> Iterator[Tuple[Event, str]]:
+        unsynced: Optional[Event] = None
+        window: Optional[Event] = None
+        wrote: Optional[Event] = None
+        for event in events:
+            if event.kind == "wal_append":
+                if event.detail == "nosync":
+                    unsynced = event
+                    window = None
+                else:
+                    # A later sync/config append waits out its own
+                    # fsync, and the earlier background fsync (same
+                    # latency, scheduled earlier) completes no later
+                    # — the debt is settled before any reply.
                     unsynced = None
                     window = None
-                    wrote = None
+            elif event.kind == "suspend" and unsynced is not None \
+                    and window is None:
+                # A ``yield from wal.append(..., sync=False)`` emits
+                # its own suspend, but the sync=False generator never
+                # actually yields — the first *real* crash window is
+                # the next suspension after the append statement.
+                if not (event.function is unsynced.function
+                        and event.lineno == unsynced.lineno):
+                    window = event
+            elif _is_tracked_mutation(event):
+                wrote = event
+            elif event.kind == "reply" and event.detail is not None \
+                    and _is_ack_name(event.detail):
+                if unsynced is not None and wrote is not None and \
+                        _claims_durability(event.node):
+                    if window is not None:
+                        where = (
+                            f"a crash in the suspend window at "
+                            f"{window.function.name!r} line "
+                            f"{window.lineno} loses the acked write")
+                    else:
+                        where = ("the reply itself races the "
+                                 "background fsync")
+                    yield event, (
+                        f"{root.name!r} replies "
+                        f"{event.detail} claiming durability, "
+                        f"but the WAL append at line "
+                        f"{unsynced.lineno} is sync=False; "
+                        f"{where} — fsync (sync=True or the "
+                        f"configured sync_* flag) before "
+                        f"acknowledging")
+                unsynced = None
+                window = None
+                wrote = None
 
 
 @rule
@@ -274,46 +258,39 @@ class MutationWithoutLogRule(ProjectRule):
     required_path_parts = ("milana", "semel")
     counterpart = "DUR001"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        walker = InlineWalker(project)
+    def roots(self, project: Project) -> List[FunctionInfo]:
+        """Only the roots of WAL-enabled classes owe the log an append."""
         enabled = _wal_enabled_classes(project)
-        reported: Set[Tuple[str, int]] = set()
-        for root in _roots(project, self.required_path_parts):
-            if not root.is_generator:
+        return [root for root in super().roots(project)
+                if root.class_info is not None
+                and root.class_info.qualname in enabled]
+
+    def check_events(self, root: FunctionInfo, events: List[Event]
+                     ) -> Iterator[Tuple[Event, str]]:
+        segments: List[Tuple[Optional[Event], bool]] = []
+        first_write: Optional[Event] = None
+        appended = False
+        for event in events:
+            if event.kind == "wal_append":
+                appended = True
+            elif _is_tracked_mutation(event) and first_write is None:
+                first_write = event
+            elif event.kind == "reply" and event.detail is not None \
+                    and _is_ack_name(event.detail):
+                segments.append((first_write, appended))
+                first_write = None
+                appended = False
+        segments.append((first_write, appended))
+        for write, has_append in segments:
+            if write is None or has_append:
                 continue
-            if root.class_info is None or \
-                    root.class_info.qualname not in enabled:
-                continue
-            events = walker.walk(root)
-            segments: List[Tuple[Optional[Event], bool]] = []
-            first_write: Optional[Event] = None
-            appended = False
-            for event in events:
-                if event.kind == "wal_append":
-                    appended = True
-                elif _is_tracked_mutation(event) and first_write is None:
-                    first_write = event
-                elif event.kind == "reply" and event.detail is not None \
-                        and _is_ack_name(event.detail):
-                    segments.append((first_write, appended))
-                    first_write = None
-                    appended = False
-            segments.append((first_write, appended))
-            for write, has_append in segments:
-                if write is None or has_append:
-                    continue
-                key = (write.function.module.path, write.line)
-                if key in reported:
-                    continue
-                reported.add(key)
-                family = write.family or "the backing store"
-                yield _finding(
-                    self, write.function.module.path, _node_at(write),
-                    f"{root.name!r} mutates durable state ({family}) "
-                    f"on a WAL-enabled path with no WAL append on the "
-                    f"same path; an amnesia crash leaves no record to "
-                    f"replay — append before (or alongside) the "
-                    f"mutation")
+            family = write.family or "the backing store"
+            yield write, (
+                f"{root.name!r} mutates durable state ({family}) "
+                f"on a WAL-enabled path with no WAL append on the "
+                f"same path; an amnesia crash leaves no record to "
+                f"replay — append before (or alongside) the "
+                f"mutation")
 
 
 @rule
@@ -340,7 +317,7 @@ class CrashUnsafeCleanupRule(ProjectRule):
     def check_project(self, project: Project) -> Iterable[Finding]:
         for qualname in sorted(project.classes):
             class_info = project.classes[qualname]
-            if not _class_in_paths(class_info, self.required_path_parts):
+            if not self.applies_to(class_info.module.path):
                 continue
             if project.resolve_method(class_info, "crash") is None:
                 continue
@@ -368,8 +345,8 @@ class CrashUnsafeCleanupRule(ProjectRule):
             if isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript):
-                        yield _finding(
-                            self, path, node,
+                        yield self.finding(
+                            path, node,
                             f"{method.name!r} cleans up with a bare "
                             f"'del' in a post-suspend finally block; a "
                             f"crash-kill interrupt lands here after the "
@@ -378,8 +355,8 @@ class CrashUnsafeCleanupRule(ProjectRule):
             elif isinstance(node, ast.Subscript) and \
                     isinstance(node.ctx, ast.Load) and \
                     self._is_self_attr(node.value):
-                yield _finding(
-                    self, path, node,
+                yield self.finding(
+                    path, node,
                     f"{method.name!r} indexes self state with a bare "
                     f"[] in a post-suspend finally block; after a "
                     f"crash-kill interrupt the wiped table raises "
@@ -390,8 +367,8 @@ class CrashUnsafeCleanupRule(ProjectRule):
                     len(node.args) == 1 and not node.keywords and \
                     not (isinstance(node.args[0], ast.Constant)
                          and isinstance(node.args[0].value, int)):
-                yield _finding(
-                    self, path, node,
+                yield self.finding(
+                    path, node,
                     f"{method.name!r} calls .pop(key) without a "
                     f"default in a post-suspend finally block; after a "
                     f"crash-kill interrupt the wiped table raises "
@@ -424,10 +401,10 @@ class VolatileWalPayloadRule(ProjectRule):
     counterpart = "DET101"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        tainted = tainted_functions(project, self.excluded_path_suffixes)
+        tainted = tainted_functions(project)
         for qualname in sorted(project.functions):
             info = project.functions[qualname]
-            if not info.path_has_part(self.required_path_parts):
+            if not self.applies_to(info.module.path):
                 continue
             for node in ast.walk(info.node):
                 if isinstance(node, ast.Call) and _is_wal_append_call(node):
@@ -446,8 +423,8 @@ class VolatileWalPayloadRule(ProjectRule):
                     continue
                 qualname = info.module.qualname(sub.func)
                 if qualname is not None and is_volatile_source(qualname):
-                    yield _finding(
-                        self, info.module.path, call,
+                    yield self.finding(
+                        info.module.path, call,
                         f"{info.name!r} appends a WAL payload computed "
                         f"from {qualname}; replay would reconstruct "
                         f"different state — derive it from "
@@ -455,8 +432,8 @@ class VolatileWalPayloadRule(ProjectRule):
                     return
                 callee = project.resolve_call(info, sub)
                 if callee is not None and callee.qualname in tainted:
-                    yield _finding(
-                        self, info.module.path, call,
+                    yield self.finding(
+                        info.module.path, call,
                         f"{info.name!r} appends a WAL payload from "
                         f"{callee.name!r}, which derives from a "
                         f"wall-clock/random read; replay would "
@@ -494,16 +471,16 @@ class WalReplayRegistryRule(ProjectRule):
             return
         for qualname in sorted(project.functions):
             info = project.functions[qualname]
-            if not info.path_has_part(self.required_path_parts):
+            if not self.applies_to(info.module.path):
                 continue
             for node in ast.walk(info.node):
                 if not (isinstance(node, ast.Call)
                         and _is_wal_append_call(node)):
                     continue
-                kind = self._append_kind(node, constants)
+                kind = self._append_kind(node, info.module, constants)
                 if kind is not None and kind not in arms:
-                    yield _finding(
-                        self, info.module.path, node,
+                    yield self.finding(
+                        info.module.path, node,
                         f"{info.name!r} appends WAL records of kind "
                         f"{kind!r} but no replay/bootstrap arm handles "
                         f"that kind; a crash-restart durably keeps and "
@@ -513,9 +490,9 @@ class WalReplayRegistryRule(ProjectRule):
 
     @staticmethod
     def _string_constants(project: Project) -> Dict[str, str]:
-        """Module-level ``NAME = "literal"`` bindings, project-wide, so
-        ``entry.kind == SEMEL_PUT`` resolves even through the relative
-        imports the module name-map skips."""
+        """Module-level ``NAME = "literal"`` bindings by absolute name
+        (``repro.durability.wal.SEMEL_PUT``), which a kind expression
+        reaches through its module's import map."""
         values: Dict[str, str] = {}
         for ctx in project.modules.values():
             for stmt in ctx.tree.body:
@@ -524,7 +501,8 @@ class WalReplayRegistryRule(ProjectRule):
                         and isinstance(stmt.targets[0], ast.Name) \
                         and isinstance(stmt.value, ast.Constant) \
                         and isinstance(stmt.value.value, str):
-                    values[stmt.targets[0].id] = stmt.value.value
+                    name = f"{ctx.module_name}.{stmt.targets[0].id}"
+                    values[name] = stmt.value.value
         return values
 
     @classmethod
@@ -545,29 +523,26 @@ class WalReplayRegistryRule(ProjectRule):
                     if isinstance(side, ast.Attribute) and \
                             side.attr == "kind":
                         continue
-                    arms |= cls._kind_tokens(side, constants)
+                    arms |= cls._kind_tokens(side, info.module, constants)
         return arms
 
     @classmethod
-    def _kind_tokens(cls, expr: ast.AST,
+    def _kind_tokens(cls, expr: ast.AST, ctx: ModuleContext,
                      constants: Dict[str, str]) -> Set[str]:
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
             return {expr.value}
-        if isinstance(expr, ast.Name):
-            value = constants.get(expr.id)
-            return {value} if value is not None else set()
-        if isinstance(expr, ast.Attribute):
-            value = constants.get(expr.attr)
+        if isinstance(expr, (ast.Name, ast.Attribute)):
+            value = constants.get(_absolute_name(ctx, expr) or "")
             return {value} if value is not None else set()
         if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
             tokens: Set[str] = set()
             for elt in expr.elts:
-                tokens |= cls._kind_tokens(elt, constants)
+                tokens |= cls._kind_tokens(elt, ctx, constants)
             return tokens
         return set()
 
     @classmethod
-    def _append_kind(cls, call: ast.Call,
+    def _append_kind(cls, call: ast.Call, ctx: ModuleContext,
                      constants: Dict[str, str]) -> Optional[str]:
         func = call.func
         assert isinstance(func, ast.Attribute)
@@ -582,7 +557,7 @@ class WalReplayRegistryRule(ProjectRule):
                     kind_expr = keyword.value
         if kind_expr is None:
             return None
-        tokens = cls._kind_tokens(kind_expr, constants)
+        tokens = cls._kind_tokens(kind_expr, ctx, constants)
         if len(tokens) == 1:
             return next(iter(tokens))
         return None

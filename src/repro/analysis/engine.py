@@ -1,15 +1,18 @@
 """The analysis engine: module contexts, the rule registry, the driver.
 
 A :class:`ModuleContext` wraps one parsed source file and precomputes
-everything rules keep asking for: import-alias resolution (so
-``import time as t; t.time()`` still resolves to ``time.time``),
+everything rules keep asking for: the module's one import map (so
+``import time as t; t.time()`` still resolves to ``time.time``, and a
+relative ``from .validation import validate`` to its absolute name),
 generator-function discovery (sim processes are generators), and the
 ``# simlint: disable=...`` suppression map.
 
 Rules subclass :class:`Rule`, register themselves with the
 :func:`rule` decorator, and yield :class:`Finding` objects from
-``check``. The driver (:func:`analyze_paths`) walks files, runs every
-selected rule, and filters suppressed findings.
+``check``; :meth:`Rule.applies_to` is the only path-scope test and
+:meth:`Rule.finding` the only finding constructor.
+:func:`analyze_paths` walks files, runs every selected rule, and
+filters suppressed findings.
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ import os
 import re
 import tokenize
 from pathlib import Path, PurePath
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple, Type)
 
 from .findings import Finding, Severity
+
+if TYPE_CHECKING:  # pragma: no cover - the project model imports us
+    from .project import Event, FunctionInfo, Project
 
 __all__ = [
     "ModuleContext",
@@ -33,6 +40,8 @@ __all__ = [
     "all_rules",
     "analyze_paths",
     "iter_python_files",
+    "module_name_for_path",
+    "simple_name",
     "SYNTAX_RULE_ID",
     "SUPPRESSION_RULE_ID",
 ]
@@ -60,13 +69,46 @@ class Suppression:
     rules never fired.
     """
 
-    __slots__ = ("kind", "line", "rules", "used_rules")
+    __slots__ = ("kind", "lineno", "rules", "used_rules")
 
-    def __init__(self, kind: str, line: int, rules: Set[str]) -> None:
+    #: A comment anchors its SUP001 finding at the start of its line.
+    col_offset = 0
+
+    def __init__(self, kind: str, lineno: int, rules: Set[str]) -> None:
         self.kind = kind  # "file" or "line"
-        self.line = line  # the comment's line, even for file-scoped
+        self.lineno = lineno  # the comment's line, even for file-scoped
         self.rules = rules  # rule ids, or {_ALL}
         self.used_rules: Set[str] = set()
+
+
+def simple_name(expr: Optional[ast.AST]) -> Optional[str]:
+    """The last name of ``f`` / ``a.b.f`` (what a callee, receiver or
+    exception class is called at its use site); None for any other
+    expression."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def module_name_for_path(path: str) -> str:
+    """Dotted module name derived from a file path.
+
+    ``src/repro/milana/server.py`` → ``repro.milana.server``;
+    ``pkg/__init__.py`` → ``pkg``. Leading ``src`` components are
+    dropped so paths under a conventional src-layout resolve to the
+    import name. The mapping only needs to be *consistent* within one
+    analyzed tree — relative imports are resolved against it.
+    """
+    parts = list(PurePath(path).parts)
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][:-3]
+    while parts and parts[0] in ("src", ".", ".."):
+        parts = parts[1:]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
 
 
 class ModuleContext:
@@ -74,6 +116,7 @@ class ModuleContext:
 
     def __init__(self, path: str, source: str) -> None:
         self.path = path
+        self.module_name = module_name_for_path(path)
         self.source = source
         self.tree = ast.parse(source)  # may raise SyntaxError
         #: every suppression comment in the file, in source order.
@@ -87,11 +130,16 @@ class ModuleContext:
         self.import_aliases: Dict[str, str] = {}
         #: ``from a.b import c as d`` -> {"d": "a.b.c"}
         self.from_imports: Dict[str, str] = {}
+        #: ``from .v import c`` in ``p.q.m`` -> {"c": "p.q.v.c"}; the first
+        #: binding of a name wins. Kept apart from ``from_imports`` so
+        #: :meth:`qualname` (what the stdlib rules match) is unchanged.
+        self.relative_imports: Dict[str, str] = {}
         self._collect_imports()
 
     # -- imports / name resolution ----------------------------------------
 
     def _collect_imports(self) -> None:
+        package = self.module_name.split(".")[:-1]
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -102,9 +150,17 @@ class ModuleContext:
                         # the dotted path naturally, so map a -> a.
                         root = alias.name.split(".")[0]
                         self.import_aliases[root] = root
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                if node.level > len(package):
+                    continue
+                base = package[: len(package) - (node.level - 1)]
+                if node.module:
+                    base = base + node.module.split(".")
+                for alias in node.names:
+                    self.relative_imports.setdefault(
+                        alias.asname or alias.name,
+                        ".".join(base + [alias.name]))
             elif isinstance(node, ast.ImportFrom):
-                if node.module is None or node.level:
-                    continue  # relative imports never hit stdlib rules
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -143,15 +199,16 @@ class ModuleContext:
 
     @staticmethod
     def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-        """Walk a function's body without descending into nested defs."""
-        stack = list(ast.iter_child_nodes(func))
+        """Walk a function's body in source order (pre-order), without
+        descending into nested defs, classes or lambdas."""
+        stack = list(ast.iter_child_nodes(func))[::-1]
         while stack:
             node = stack.pop()
             yield node
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef, ast.Lambda)):
                 continue
-            stack.extend(ast.iter_child_nodes(node))
+            stack.extend(list(ast.iter_child_nodes(node))[::-1])
 
     def generator_functions(self) -> List[ast.FunctionDef]:
         """Functions that contain a yield at their own level (sim processes)."""
@@ -190,7 +247,7 @@ class ModuleContext:
     def is_suppressed(self, finding: Finding) -> bool:
         hit = False
         for sup in self.suppressions:
-            if sup.kind == "line" and sup.line != finding.line:
+            if sup.kind == "line" and sup.lineno != finding.line:
                 continue
             if _ALL in sup.rules or finding.rule_id in sup.rules:
                 sup.used_rules.add(finding.rule_id)
@@ -205,7 +262,7 @@ class Rule:
     implement ``check``. ``excluded_path_suffixes`` names files the rule
     never applies to (e.g. DET002 must not flag ``sim/rng.py``, the one
     sanctioned wrapper around ``random.Random``); ``required_path_parts``
-    restricts a rule to a sub-tree (e.g. TXN001 to ``milana/``).
+    restricts a rule to a sub-tree (e.g. ATM001 to ``milana/``).
     """
 
     rule_id: str = ""
@@ -213,41 +270,34 @@ class Rule:
     description: str = ""
     excluded_path_suffixes: Tuple[str, ...] = ()
     required_path_parts: Tuple[str, ...] = ()
-    #: Rule family label; defaults to the id's alphabetic prefix
-    #: (see :attr:`rule_family`).
-    family: str = ""
-    #: simlint rules are static; the sansim catalogue registers its
-    #: rules as ``dynamic`` (see ``repro.sansim.rules``).
-    domain: str = "static"
     #: The rule id witnessing (or approximating) the same bug class in
     #: the other domain, e.g. ATM001 <-> SAN002. Empty when none.
     counterpart: str = ""
 
-    @property
-    def rule_family(self) -> str:
-        if self.family:
-            return self.family
-        prefix = "".join(ch for ch in self.rule_id if ch.isalpha())
-        return prefix or self.rule_id
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        posix = PurePath(ctx.path).as_posix()
-        if any(posix.endswith(suffix) for suffix in self.excluded_path_suffixes):
+    @classmethod
+    def applies_to(cls, path: str) -> bool:
+        """Whether a file is in the rule's scope: the one path test,
+        for module rules (per file) and project rules (per function,
+        class or root) alike."""
+        posix = PurePath(path).as_posix()
+        if any(posix.endswith(suffix) for suffix in cls.excluded_path_suffixes):
             return False
-        if self.required_path_parts:
-            parts = PurePath(ctx.path).parts
-            return any(part in parts for part in self.required_path_parts)
+        if cls.required_path_parts:
+            parts = PurePath(path).parts
+            return any(part in parts for part in cls.required_path_parts)
         return True
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         raise NotImplementedError
 
-    def finding(self, ctx: ModuleContext, node: ast.AST,
-                message: str) -> Finding:
+    def finding(self, path: str, at: Any, message: str) -> Finding:
+        """A finding in ``path`` anchored at ``at``: an AST node, a
+        walker :class:`~.project.Event` or a :class:`Suppression`
+        (anything with ``lineno``/``col_offset``)."""
         return Finding(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
+            path=path,
+            line=getattr(at, "lineno", 1),
+            col=getattr(at, "col_offset", 0),
             rule_id=self.rule_id,
             severity=self.severity,
             message=message,
@@ -260,15 +310,43 @@ class ProjectRule(Rule):
     Project rules run after every module has been parsed, against the
     :class:`~.project.Project` symbol table / call graph, and yield
     findings for any file in the project. ``check`` is a no-op so the
-    per-module pass skips them cheaply; scoping (the equivalent of
-    ``applies_to``) is the rule's own job, since a finding's path is not
-    known until the whole program has been traversed.
+    per-module pass skips them cheaply; scoping is ``applies_to`` on the
+    path of whatever function, class or root the rule inspects.
+
+    Rules that replay handler executions implement :meth:`check_events`
+    instead of ``check_project``: the default ``check_project`` feeds it
+    the event stream of every in-scope generator root (walked once per
+    project and shared by every such rule) and reports each anchor once,
+    naming the first root that reaches it.
     """
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         return ()
 
-    def check_project(self, project: "object") -> Iterable[Finding]:
+    def roots(self, project: "Project") -> List["FunctionInfo"]:
+        """The project's coroutine entry points inside this rule's scope."""
+        return [fn for fn in project.roots if self.applies_to(fn.module.path)]
+
+    def check_project(self, project: "Project") -> Iterable[Finding]:
+        reported: Set[Tuple[Any, ...]] = set()
+        for root in self.roots(project):
+            if not root.is_generator:
+                continue
+            for event, message in self.check_events(root,
+                                                    project.events(root)):
+                key = self.report_key(event)
+                if key not in reported:
+                    reported.add(key)
+                    yield self.finding(event.function.module.path, event,
+                                       message)
+
+    def report_key(self, event: "Event") -> Tuple[Any, ...]:
+        """Findings with equal keys are reported once."""
+        return (event.function.module.path, event.lineno)
+
+    def check_events(self, root: "FunctionInfo", events: List["Event"]
+                     ) -> Iterator[Tuple["Event", str]]:
+        """(anchor event, message) pairs for one root's event stream."""
         raise NotImplementedError
 
 
@@ -359,7 +437,7 @@ def analyze_paths(
                     and r.rule_id != SUPPRESSION_RULE_ID]
     for ctx in contexts.values():
         for r in module_rules:
-            if not r.applies_to(ctx):
+            if not r.applies_to(ctx.path):
                 continue
             for finding in r.check(ctx):
                 if not ctx.is_suppressed(finding):
@@ -385,7 +463,7 @@ def analyze_paths(
         filtering = bool(select or ignore)
         known_ids = set(registry) | {SYNTAX_RULE_ID}
         for ctx in contexts.values():
-            if not meta.applies_to(ctx):
+            if not meta.applies_to(ctx.path):
                 continue
             findings.extend(
                 meta.unused_findings(ctx, known_ids, filtering))

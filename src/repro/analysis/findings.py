@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
-__all__ = ["Finding", "Severity", "SEVERITIES"]
+__all__ = ["Finding", "Severity"]
 
 
 class Severity:
@@ -14,9 +14,6 @@ class Severity:
 
     ERROR = "error"
     WARNING = "warning"
-
-
-SEVERITIES = (Severity.ERROR, Severity.WARNING)
 
 
 @dataclass(frozen=True)
@@ -58,3 +55,11 @@ class Finding:
             "message": self.message,
             "fingerprint": self.fingerprint,
         }
+
+    @classmethod
+    def from_json(cls, item: Dict[str, Any]) -> "Finding":
+        """The finding :meth:`to_json` wrote (the fingerprint is derived,
+        so it is not read back)."""
+        return cls(path=item["path"], line=int(item["line"]),
+                   col=int(item["col"]), rule_id=item["rule"],
+                   severity=item["severity"], message=item["message"])

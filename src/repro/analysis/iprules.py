@@ -6,9 +6,9 @@ Three families (see docs/ANALYSIS.md for the catalogue):
   *checks* shared server state, suspends (a yield anywhere in its
   transitive call chain), and then *acts* on the stale check has a
   time-of-check/time-of-use window: another handler interleaves at the
-  suspension. ATM001 generalizes TXN001 (validate → yield → record)
-  across function boundaries; ATM002 is the general check-then-act
-  pattern over any ``self.<attr>`` state family.
+  suspension. ATM001 is MILANA's validate → yield → record window,
+  inside one function or across calls; ATM002 is the general
+  check-then-act pattern over any ``self.<attr>`` state family.
 * **PRO0xx — protocol conformance against the repro.wire registry.**
   Registration completeness (PRO001), handler reply types (PRO002),
   reachable RpcError/timeout handling on every registered-method call
@@ -27,16 +27,9 @@ import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..wire.registry import REGISTRY
-from .engine import ProjectRule, Rule, rule
+from .engine import ProjectRule, rule, simple_name
 from .findings import Finding, Severity
-from .project import (
-    Event,
-    FunctionInfo,
-    InlineWalker,
-    Project,
-    RegisterSite,
-    uncaught,
-)
+from .project import Event, FunctionInfo, Project, RegisterSite, uncaught
 from .rules import WallClockRule
 
 __all__ = [
@@ -65,49 +58,20 @@ def _namespace(method: str) -> str:
     return method.split(".")[0]
 
 
-def _finding(rule_obj: Rule, path: str, node: ast.AST, message: str) -> Finding:
-    return Finding(
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        rule_id=rule_obj.rule_id,
-        severity=rule_obj.severity,
-        message=message,
-    )
-
-
-def _roots(project: Project,
-           path_parts: Tuple[str, ...]) -> List[FunctionInfo]:
-    """Coroutine entry points: registered wire handlers plus daemon/loop
-    generators, restricted to modules whose path contains one of
-    ``path_parts``."""
-    roots: List[FunctionInfo] = []
-    seen: Set[str] = set()
-    for site in project.register_sites:
-        handler = site.handler
-        if handler is None or site.method not in REGISTRY:
-            continue
-        if handler.qualname not in seen and \
-                handler.path_has_part(path_parts):
-            seen.add(handler.qualname)
-            roots.append(handler)
-    for info in project.functions.values():
-        if info.is_daemon and info.is_generator and \
-                info.qualname not in seen and \
-                info.path_has_part(path_parts):
-            seen.add(info.qualname)
-            roots.append(info)
-    return sorted(roots, key=lambda fn: fn.qualname)
-
-
 @rule
 class InterproceduralValidateRaceRule(ProjectRule):
-    """ATM001: validate → suspension → outcome recording, across calls.
+    """ATM001: validate → suspension → outcome recording.
 
-    TXN001 catches the OCC time-of-check/time-of-use window inside one
-    function; this rule replays the whole transitive call chain of each
-    MILANA handler/daemon, so splitting the validation or the recording
-    into a helper no longer hides the window.
+    MILANA's Algorithm 1 checks, and the transaction-table/prepared-mark
+    updates that record their verdict, must happen on the same side of
+    any suspension: a yield in between lets a concurrent prepare
+    interleave so both transactions validate against pre-update state
+    (OCC time-of-check/time-of-use). The rule replays the whole
+    transitive call chain of each MILANA handler/daemon, so splitting
+    the validation or the recording into a helper does not hide the
+    window, and then of every other ``milana/`` generator that calls
+    ``*validate(...)`` itself. Re-validating after the yield is the
+    sanctioned escape hatch.
     """
 
     rule_id = "ATM001"
@@ -118,53 +82,49 @@ class InterproceduralValidateRaceRule(ProjectRule):
     required_path_parts = ("milana",)
     counterpart = "SAN002"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        walker = InlineWalker(project)
-        reported: Set[Tuple[str, int]] = set()
-        for root in _roots(project, self.required_path_parts):
-            if not root.is_generator:
-                continue
-            events = walker.walk(root)
-            validate: Optional[Event] = None
-            validate_suspends = 0
-            suspends = 0
-            last_suspend: Optional[Event] = None
-            for event in events:
-                if event.kind == "suspend":
-                    suspends += 1
-                    last_suspend = event
-                elif event.kind == "validate":
-                    validate = event
-                    validate_suspends = suspends
-                elif event.kind == "record" and validate is not None \
-                        and suspends > validate_suspends:
-                    assert last_suspend is not None
-                    same_function = (
-                        validate.function is event.function
-                        and last_suspend.function is event.function
-                        and event.function is root)
-                    if same_function:
-                        continue  # intra-function: TXN001's territory
-                    key = (event.function.module.path, event.line)
-                    if key in reported:
-                        continue
-                    reported.add(key)
-                    yield _finding(
-                        self, event.function.module.path, _node_at(event),
-                        f"{root.name!r} validates "
-                        f"(in {validate.function.name!r} line "
-                        f"{validate.line}) but records the outcome in "
-                        f"{event.function.name!r} after a suspension at "
-                        f"{last_suspend.function.name!r} line "
-                        f"{last_suspend.line}; revalidate after the "
-                        f"yield or record before it")
+    def roots(self, project: Project) -> List[FunctionInfo]:
+        """Handlers and daemons first, so a race they reach is reported
+        naming them; then the remaining validating generators."""
+        roots = super().roots(project)
+        seen = {fn.qualname for fn in roots}
+        return roots + [
+            fn for qualname, fn in sorted(project.functions.items())
+            if qualname not in seen and fn.is_generator
+            and self.applies_to(fn.module.path) and _calls_validate(fn)]
+
+    def check_events(self, root: FunctionInfo, events: List[Event]
+                     ) -> Iterator[Tuple[Event, str]]:
+        validate: Optional[Event] = None
+        validate_suspends = 0
+        suspends = 0
+        last_suspend: Optional[Event] = None
+        for event in events:
+            if event.kind == "suspend":
+                suspends += 1
+                last_suspend = event
+            elif event.kind == "validate":
+                validate = event
+                validate_suspends = suspends
+            elif event.kind == "record" and validate is not None \
+                    and suspends > validate_suspends:
+                assert last_suspend is not None
+                yield event, (
+                    f"{root.name!r} validates "
+                    f"(in {validate.function.name!r} line "
+                    f"{validate.lineno}) but records the outcome in "
+                    f"{event.function.name!r} after a suspension at "
+                    f"{last_suspend.function.name!r} line "
+                    f"{last_suspend.lineno}; revalidate after the "
+                    f"yield or record before it")
 
 
-def _node_at(event: Event) -> ast.AST:
-    node = ast.Pass()
-    node.lineno = event.line
-    node.col_offset = event.col
-    return node
+def _calls_validate(info: FunctionInfo) -> bool:
+    """Whether ``info`` itself calls a ``*validate`` function."""
+    for site in info.call_sites:
+        qualname = info.module.qualname(site.node.func)
+        if qualname and qualname.split(".")[-1].endswith("validate"):
+            return True
+    return False
 
 
 def is_volatile_source(qualname: str) -> bool:
@@ -176,20 +136,18 @@ def is_volatile_source(qualname: str) -> bool:
             or qualname.startswith("numpy.random."))
 
 
-def tainted_functions(project: Project,
-                      excluded_path_suffixes: Tuple[str, ...] = ()
-                      ) -> Set[str]:
+def tainted_functions(project: Project) -> Set[str]:
     """Qualnames of functions whose return value derives from a
     wall-clock/random read, propagated through ``return helper(...)``
-    chains. Shared taint engine for DET101 and DUR004."""
-    def excluded(info: FunctionInfo) -> bool:
-        path = info.module.path
-        return any(path.endswith(suffix)
-                   for suffix in excluded_path_suffixes)
-
+    chains, over DET101's scope. The taint engine DET101 and DUR004
+    share, computed once per project."""
+    if project.tainted is not None:
+        return project.tainted
+    scope = [info for info in project.functions.values()
+             if InterproceduralTaintRule.applies_to(info.module.path)]
     sources: Set[str] = set()
-    for info in project.functions.values():
-        if excluded(info) or not info.returns:
+    for info in scope:
+        if not info.returns:
             continue
         ctx = info.module
         for node in ast.walk(info.node):
@@ -202,8 +160,8 @@ def tainted_functions(project: Project,
     changed = True
     while changed:
         changed = False
-        for info in project.functions.values():
-            if info.qualname in sources or excluded(info):
+        for info in scope:
+            if info.qualname in sources:
                 continue
             for ret in info.returns:
                 if ret.value is None:
@@ -219,6 +177,7 @@ def tainted_functions(project: Project,
                         break
                 if info.qualname in sources:
                     break
+    project.tainted = sources
     return sources
 
 
@@ -249,19 +208,12 @@ class CheckThenActRaceRule(ProjectRule):
         "puts_deduplicated", "handler_errors",
     })
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        walker = InlineWalker(project)
-        reported: Set[Tuple[str, int, str]] = set()
-        for root in _roots(project, self.required_path_parts):
-            if not root.is_generator:
-                continue
-            yield from self._check_root(project, walker, root, reported)
+    def report_key(self, event: Event) -> Tuple[object, ...]:
+        # One finding per state family written on a line.
+        return super().report_key(event) + (event.family,)
 
-    def _check_root(self, project: Project, walker: InlineWalker,
-                    root: FunctionInfo,
-                    reported: Set[Tuple[str, int, str]]
-                    ) -> Iterator[Finding]:
-        events = walker.walk(root)
+    def check_events(self, root: FunctionInfo, events: List[Event]
+                     ) -> Iterator[Tuple[Event, str]]:
         suspends = 0
         last_suspend: Optional[Event] = None
         # family -> (guard event, suspend count at guard time)
@@ -291,17 +243,12 @@ class CheckThenActRaceRule(ProjectRule):
                 if suspends <= guard_suspends:
                     continue  # check-then-act completed before yielding
                 assert last_suspend is not None
-                key = (event.function.module.path, event.line, family)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield _finding(
-                    self, event.function.module.path, _node_at(event),
+                yield event, (
                     f"{root.name!r} checks self.{family} "
-                    f"(in {guard.function.name!r} line {guard.line}) "
+                    f"(in {guard.function.name!r} line {guard.lineno}) "
                     f"but writes it in {event.function.name!r} after a "
                     f"suspension at {last_suspend.function.name!r} line "
-                    f"{last_suspend.line}; re-check after the yield or "
+                    f"{last_suspend.lineno}; re-check after the yield or "
                     f"hold an in-flight guard")
 
 
@@ -329,14 +276,14 @@ class RegistrationConformanceRule(ProjectRule):
                 continue  # ad-hoc methods bypass the registry
             by_method.setdefault(site.method, []).append(site)
             if site.method not in REGISTRY:
-                yield _finding(
-                    self, site.path, site.node,
+                yield self.finding(
+                    site.path, site.node,
                     f"register of {site.method!r}, which has no "
                     f"MethodSpec in the repro.wire registry")
         for method, sites in sorted(by_method.items()):
             for extra in sites[1:]:
-                yield _finding(
-                    self, extra.path, extra.node,
+                yield self.finding(
+                    extra.path, extra.node,
                     f"duplicate handler registration for {method!r} "
                     f"(first at {sites[0].path}:"
                     f"{sites[0].node.lineno})")
@@ -350,8 +297,8 @@ class RegistrationConformanceRule(ProjectRule):
                 anchor = next(
                     site for site in project.register_sites
                     if _namespace(site.method) == namespace)
-                yield _finding(
-                    self, anchor.path, anchor.node,
+                yield self.finding(
+                    anchor.path, anchor.node,
                     f"registered wire method {method!r} has no handler "
                     f"in the analyzed tree (namespace {namespace!r} is "
                     f"handled here)")
@@ -360,8 +307,8 @@ class RegistrationConformanceRule(ProjectRule):
                     _namespace(site.method) not in _KNOWN_NAMESPACES:
                 continue
             if site.method not in REGISTRY:
-                yield _finding(
-                    self, site.function.module.path, site.node,
+                yield self.finding(
+                    site.function.module.path, site.node,
                     f"{site.kind}() to {site.method!r}, which has no "
                     f"MethodSpec in the repro.wire registry")
 
@@ -394,8 +341,8 @@ class HandlerReplyTypeRule(ProjectRule):
             expected = spec.response.__name__
             for ret, returned in self._returned_classes(project, handler):
                 if returned != expected:
-                    yield _finding(
-                        self, handler.module.path, ret,
+                    yield self.finding(
+                        handler.module.path, ret,
                         f"handler {handler.name!r} for {site.method!r} "
                         f"returns {returned}, but the registered reply "
                         f"is {expected}")
@@ -409,11 +356,7 @@ class HandlerReplyTypeRule(ProjectRule):
             value = ret.value
             if not isinstance(value, ast.Call):
                 continue
-            name = None
-            if isinstance(value.func, ast.Name):
-                name = value.func.id
-            elif isinstance(value.func, ast.Attribute):
-                name = value.func.attr
+            name = simple_name(value.func)
             if name in _WIRE_CLASS_NAMES:
                 yield ret, name
             elif depth == 0:
@@ -444,7 +387,7 @@ class UnhandledRpcFailureRule(ProjectRule):
     required_path_parts = ("milana", "semel", "harness")
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        roots = _roots(project, self.required_path_parts)
+        roots = self.roots(project)
         unprotected: Dict[str, FunctionInfo] = {}  # qualname -> witness root
         witness: Dict[str, FunctionInfo] = {}
         queue: List[Tuple[FunctionInfo, FunctionInfo]] = \
@@ -477,8 +420,8 @@ class UnhandledRpcFailureRule(ProjectRule):
             root = witness[fn.qualname]
             via = "" if root is fn else \
                 f" on the path from {root.name!r}"
-            yield _finding(
-                self, fn.module.path, wire_site.node,
+            yield self.finding(
+                fn.module.path, wire_site.node,
                 f"call to {wire_site.method!r} in {fn.name!r} has no "
                 f"reachable RpcError/RpcTimeout handling{via}; catch "
                 f"RpcError here or on a caller")
@@ -525,8 +468,8 @@ class HandlerExceptionLeakRule(ProjectRule):
             leaks = sorted(
                 project.transitive_raises(handler) & self.HANDLER_LEAKS)
             if leaks:
-                yield _finding(
-                    self, handler.module.path, handler.node,
+                yield self.finding(
+                    handler.module.path, handler.node,
                     f"handler {handler.name!r} for {site.method!r} may "
                     f"leak {', '.join(leaks)} to the RPC layer (opaque "
                     f"handler_errors failure); convert to AppError or a "
@@ -536,13 +479,13 @@ class HandlerExceptionLeakRule(ProjectRule):
             if not info.is_daemon or not info.is_generator or \
                     info.qualname in seen:
                 continue
-            if not info.path_has_part(self.required_path_parts):
+            if not self.applies_to(info.module.path):
                 continue
             leaks = sorted(
                 project.transitive_raises(info) & self.DAEMON_LEAKS)
             if leaks:
-                yield _finding(
-                    self, info.module.path, info.node,
+                yield self.finding(
+                    info.module.path, info.node,
                     f"daemon {info.name!r} dies permanently if "
                     f"{', '.join(leaks)} escapes its loop; catch it and "
                     f"retry on the next round")
@@ -568,18 +511,12 @@ class InterproceduralTaintRule(ProjectRule):
     _SCHEDULING_ATTRS = frozenset({"timeout", "schedule", "at", "after"})
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        tainted = tainted_functions(project, self.excluded_path_suffixes)
+        tainted = tainted_functions(project)
         if not tainted:
             return
         for info in project.functions.values():
-            if self._excluded(info):
-                continue
-            yield from self._sinks(project, info, tainted)
-
-    def _excluded(self, info: FunctionInfo) -> bool:
-        path = info.module.path
-        return any(path.endswith(suffix)
-                   for suffix in self.excluded_path_suffixes)
+            if self.applies_to(info.module.path):
+                yield from self._sinks(project, info, tainted)
 
     def _sinks(self, project: Project, info: FunctionInfo,
                tainted: Set[str]) -> Iterator[Finding]:
@@ -599,8 +536,8 @@ class InterproceduralTaintRule(ProjectRule):
                     continue
                 source = tainted_call_in(node.value)
                 if source is not None:
-                    yield _finding(
-                        self, info.module.path, node,
+                    yield self.finding(
+                        info.module.path, node,
                         f"{info.name!r} stores a value from "
                         f"{source!r}, which derives from a wall-clock/"
                         f"random read, into self.* state; derive it "
@@ -611,8 +548,8 @@ class InterproceduralTaintRule(ProjectRule):
                 for arg in node.args:
                     source = tainted_call_in(arg)
                     if source is not None:
-                        yield _finding(
-                            self, info.module.path, node,
+                        yield self.finding(
+                            info.module.path, node,
                             f"{info.name!r} feeds a value from "
                             f"{source!r}, which derives from a "
                             f"wall-clock/random read, into simulator "

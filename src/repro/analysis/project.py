@@ -9,9 +9,10 @@ analyzer invocation and layers three artifacts over the per-module
   (``src/repro/milana/server.py`` → ``repro.milana.server``);
 * a **call graph** — each call site resolved to a project function
   where possible: ``self.method(...)`` through the class hierarchy,
-  bare names through module scope / ``from``-imports (absolute and
-  relative), dotted names through import aliases, and, as a last
-  resort, a unique-bare-name match across the whole project.
+  bare names through module scope and the module's import map
+  (absolute and relative ``from``-imports), dotted names through import
+  aliases, and, as a last resort, a unique-bare-name match across the
+  whole project.
   ``sim.process(fn(...))`` spawn sites are kept separate from plain
   call edges because exceptions do not propagate across a spawn;
 * **effect summaries** per function — own-level suspension points,
@@ -22,28 +23,22 @@ analyzer invocation and layers three artifacts over the per-module
 
 Rules built on top (see :mod:`repro.analysis.iprules`) either consume
 the summaries directly (protocol conformance, exception-leak fixpoints)
-or replay a handler through :class:`InlineWalker`, which flattens the
+or replay a root through :class:`InlineWalker`, which flattens the
 transitive call chain into one ordered event stream with local-variable
 tag propagation — the machinery that makes a check-then-act race
 visible even when the check and the act live in different functions.
+The project owns the one walker and keeps each root's stream
+(:meth:`Project.events`), so every rule replaying a root shares one
+walk of it.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import PurePath
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Set
 
-from .engine import ModuleContext
+from ..wire.registry import REGISTRY
+from .engine import ModuleContext, simple_name
 
 __all__ = [
     "Project",
@@ -54,7 +49,6 @@ __all__ = [
     "WireCallSite",
     "InlineWalker",
     "Event",
-    "module_name_for_path",
     "EXCEPTION_BASES",
     "exception_matches",
     "uncaught",
@@ -124,25 +118,6 @@ def _append_sync_mode(call: ast.Call) -> str:
     return "sync"
 
 
-def module_name_for_path(path: str) -> str:
-    """Dotted module name derived from a file path.
-
-    ``src/repro/milana/server.py`` → ``repro.milana.server``;
-    ``pkg/__init__.py`` → ``pkg``. Leading ``src`` components are
-    dropped so paths under a conventional src-layout resolve to the
-    import name. The mapping only needs to be *consistent* within one
-    analyzed tree — relative imports are resolved against it.
-    """
-    parts = list(PurePath(path).parts)
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][:-3]
-    while parts and parts[0] in ("src", ".", ".."):
-        parts = parts[1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
 def exception_matches(raised: str, caught: Set[str]) -> bool:
     """True when an exception class named ``raised`` is covered by an
     ``except`` clause catching any of ``caught`` (bare ``except:`` is
@@ -203,18 +178,16 @@ class WireCallSite:
 class FunctionInfo:
     """One function or method, with its effect summary."""
 
-    def __init__(self, module: ModuleContext, module_name: str,
-                 node: ast.FunctionDef,
+    def __init__(self, module: ModuleContext, node: ast.FunctionDef,
                  class_info: Optional["ClassInfo"],
                  enclosing: Optional["FunctionInfo"]) -> None:
         self.module = module
-        self.module_name = module_name
         self.node = node
         self.name = node.name
         self.class_info = class_info
         #: Enclosing function for nested defs (else None).
         self.enclosing = enclosing
-        owner = class_info.qualname if class_info else module_name
+        owner = class_info.qualname if class_info else module.module_name
         if enclosing is not None:
             owner = enclosing.qualname
         self.qualname = f"{owner}.{node.name}" if owner else node.name
@@ -236,10 +209,6 @@ class FunctionInfo:
     def is_daemon(self) -> bool:
         return self.name.endswith("_daemon") or self.name.endswith("_loop")
 
-    def path_has_part(self, parts: Sequence[str]) -> bool:
-        file_parts = PurePath(self.module.path).parts
-        return any(part in file_parts for part in parts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FunctionInfo {self.qualname}>"
 
@@ -247,14 +216,12 @@ class FunctionInfo:
 class ClassInfo:
     """One class definition with its direct methods and base names."""
 
-    def __init__(self, module: ModuleContext, module_name: str,
-                 node: ast.ClassDef) -> None:
+    def __init__(self, module: ModuleContext, node: ast.ClassDef) -> None:
         self.module = module
-        self.module_name = module_name
         self.node = node
         self.name = node.name
-        self.qualname = f"{module_name}.{node.name}" if module_name \
-            else node.name
+        self.qualname = f"{module.module_name}.{node.name}" \
+            if module.module_name else node.name
         #: Base-class expressions as dotted strings (import-resolved).
         self.base_names: List[str] = []
         for base in node.bases:
@@ -267,16 +234,11 @@ class ClassInfo:
         return f"<ClassInfo {self.qualname}>"
 
 
-def _ordered_own_statements(node: ast.AST) -> Iterator[ast.AST]:
-    """Children of ``node`` in source order, not descending into nested
-    defs/classes/lambdas (unlike ``ast.walk``, order is deterministic
-    and matches the source)."""
-    for child in ast.iter_child_nodes(node):
-        yield child
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef, ast.Lambda)):
-            continue
-        yield from _ordered_own_statements(child)
+def _is_spawn(call: ast.Call) -> bool:
+    """``*.process(...)``: its generator arguments run as a separate
+    process, so no exception propagates back and nothing is inlined."""
+    return (isinstance(call.func, ast.Attribute)
+            and call.func.attr == "process")
 
 
 def _is_noop_yield_from(node: ast.AST) -> bool:
@@ -291,10 +253,8 @@ def _spawn_argument_calls(func: ast.AST) -> Set[int]:
     """ids of Call nodes that appear as arguments of ``*.process(...)``
     (spawned generators: separate process, no exception propagation)."""
     spawned: Set[int] = set()
-    for node in _ordered_own_statements(func):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "process"):
+    for node in ModuleContext.own_nodes(func):
+        if isinstance(node, ast.Call) and _is_spawn(node):
             for arg in node.args:
                 if isinstance(arg, ast.Call):
                     spawned.add(id(arg))
@@ -314,13 +274,7 @@ def _caught_map(func: ast.AST) -> Dict[int, Set[str]]:
             return {"BaseException"}
         types = handler.type.elts \
             if isinstance(handler.type, ast.Tuple) else [handler.type]
-        names: Set[str] = set()
-        for expr in types:
-            if isinstance(expr, ast.Attribute):
-                names.add(expr.attr)
-            elif isinstance(expr, ast.Name):
-                names.add(expr.id)
-        return names
+        return {name for name in map(simple_name, types) if name}
 
     def walk(node: ast.AST, active: Set[str]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -354,7 +308,6 @@ class Project:
 
     def __init__(self, contexts: Iterable[ModuleContext]) -> None:
         self.modules: Dict[str, ModuleContext] = {}
-        self.module_names: Dict[str, str] = {}  # path -> dotted name
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
@@ -366,19 +319,25 @@ class Project:
         for info in list(self.functions.values()):
             self._summarize(info)
         self._collect_protocol_sites()
+        #: Coroutine entry points in qualname order: registered wire
+        #: handlers plus daemon/loop generators (rules narrow them to
+        #: their scope with ``Rule.applies_to``).
+        self.roots = self._entry_points()
+        #: DET101's taint set, computed once by ``iprules.tainted_functions``.
+        self.tainted: Optional[Set[str]] = None
+        self._walker = InlineWalker(self)
+        self._events: Dict[str, List[Event]] = {}
 
     # -- collection --------------------------------------------------------
 
     def _collect_module(self, ctx: ModuleContext) -> None:
-        module_name = module_name_for_path(ctx.path)
         self.modules[ctx.path] = ctx
-        self.module_names[ctx.path] = module_name
 
         def visit(node: ast.AST, class_info: Optional[ClassInfo],
                   enclosing: Optional[FunctionInfo]) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    info = ClassInfo(ctx, module_name, child)
+                    info = ClassInfo(ctx, child)
                     self.classes[info.qualname] = info
                     self.classes_by_name.setdefault(
                         info.name, []).append(info)
@@ -387,7 +346,7 @@ class Project:
                                         ast.AsyncFunctionDef)):
                     if not isinstance(child, ast.FunctionDef):
                         continue  # async defs don't occur in this tree
-                    fn = FunctionInfo(ctx, module_name, child,
+                    fn = FunctionInfo(ctx, child,
                                       class_info if enclosing is None
                                       else None, enclosing)
                     self.functions[fn.qualname] = fn
@@ -402,18 +361,6 @@ class Project:
         visit(ctx.tree, None, None)
 
     # -- name resolution ---------------------------------------------------
-
-    def _resolve_relative_import(self, ctx: ModuleContext,
-                                 level: int, module: Optional[str],
-                                 name: str) -> Optional[FunctionInfo]:
-        """``from .validation import validate`` inside repro.milana.server
-        → repro.milana.validation.validate."""
-        package = module_name_for_path(ctx.path).split(".")[:-1]
-        if level > len(package):
-            return None
-        base = package[: len(package) - (level - 1)]
-        target = ".".join(base + (module.split(".") if module else []))
-        return self.functions.get(f"{target}.{name}")
 
     def _unique_by_name(self, name: str) -> Optional[FunctionInfo]:
         candidates = self.functions_by_name.get(name, [])
@@ -477,19 +424,15 @@ class Project:
         if isinstance(func, ast.Name):
             name = func.id
             # same-module function
-            local = self.functions.get(f"{caller.module_name}.{name}")
+            local = self.functions.get(
+                f"{caller.module.module_name}.{name}")
             if local is not None and local.class_info is None:
                 return local
-            # absolute from-import
-            if name in ctx.from_imports:
-                dotted = ctx.from_imports[name]
-                resolved = self.functions.get(dotted)
+            # absolute, then relative from-import
+            for imports in (ctx.from_imports, ctx.relative_imports):
+                resolved = self.functions.get(imports.get(name, ""))
                 if resolved is not None:
                     return resolved
-            # relative from-import
-            resolved = self._resolve_from_relative(ctx, name)
-            if resolved is not None:
-                return resolved
             return self._unique_by_name(name)
         if isinstance(func, ast.Attribute):
             dotted = ctx.qualname(func)
@@ -509,23 +452,13 @@ class Project:
             return candidates[0]
         return None
 
-    def _resolve_from_relative(self, ctx: ModuleContext,
-                               name: str) -> Optional[FunctionInfo]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                for alias in node.names:
-                    if (alias.asname or alias.name) == name:
-                        return self._resolve_relative_import(
-                            ctx, node.level, node.module, alias.name)
-        return None
-
     # -- summaries ---------------------------------------------------------
 
     def _summarize(self, info: FunctionInfo) -> None:
         func = info.node
         spawned = _spawn_argument_calls(func)
         caught = _caught_map(func)
-        for node in _ordered_own_statements(func):
+        for node in ModuleContext.own_nodes(func):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 info.is_generator = True
                 if not _is_noop_yield_from(node):
@@ -557,11 +490,7 @@ class Project:
     def _exception_name(expr: Optional[ast.AST]) -> Optional[str]:
         if isinstance(expr, ast.Call):
             expr = expr.func
-        if isinstance(expr, ast.Name):
-            return expr.id
-        if isinstance(expr, ast.Attribute):
-            return expr.attr
-        return None
+        return simple_name(expr)
 
     def _collect_protocol_sites(self) -> None:
         for info in self.functions.values():
@@ -585,6 +514,22 @@ class Project:
                             isinstance(call.args[1].value, str):
                         self.wire_call_sites.append(WireCallSite(
                             call.args[1].value, call, func.attr, info))
+
+    def _entry_points(self) -> List[FunctionInfo]:
+        roots = {site.handler.qualname: site.handler
+                 for site in self.register_sites
+                 if site.handler is not None and site.method in REGISTRY}
+        for info in self.functions.values():
+            if info.is_daemon and info.is_generator:
+                roots.setdefault(info.qualname, info)
+        return [roots[qualname] for qualname in sorted(roots)]
+
+    def events(self, root: FunctionInfo) -> List[Event]:
+        """``root``'s flattened event stream, walked once per project."""
+        events = self._events.get(root.qualname)
+        if events is None:
+            events = self._events[root.qualname] = self._walker.walk(root)
+        return events
 
     def _handler_for(self, registrar: FunctionInfo,
                      expr: ast.AST) -> Optional[FunctionInfo]:
@@ -646,14 +591,16 @@ class Project:
 
 class Event:
     """One event in a flattened handler execution: kind is one of
-    ``guard_read``, ``read``, ``write``, ``suspend``, ``validate``,
-    ``record``, ``acquire``, ``release``, plus the durability kinds
+    ``guard_read`` (a state read in a condition), ``write``,
+    ``suspend``, ``validate``, ``record``, plus the durability kinds
     ``wal_append`` (detail = ``sync``/``nosync``/``config`` fsync
     discipline), ``durable_write`` (a storage-backend mutation the WAL
     must cover), and ``reply`` (a ``return WireClass(...)``; detail =
-    the class name, node = the constructor call)."""
+    the class name, node = the constructor call). ``lineno`` and
+    ``col_offset`` are the node's, so an event anchors a finding
+    exactly as its node would."""
 
-    __slots__ = ("kind", "family", "function", "line", "col",
+    __slots__ = ("kind", "family", "function", "lineno", "col_offset",
                  "in_finally", "lock_depth", "detail", "node")
 
     def __init__(self, kind: str, family: Optional[str],
@@ -663,8 +610,8 @@ class Event:
         self.kind = kind
         self.family = family
         self.function = function
-        self.line = getattr(node, "lineno", 1)
-        self.col = getattr(node, "col_offset", 0)
+        self.lineno = getattr(node, "lineno", 1)
+        self.col_offset = getattr(node, "col_offset", 0)
         self.in_finally = in_finally
         self.lock_depth = lock_depth
         self.detail = detail
@@ -672,7 +619,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Event {self.kind} {self.family} "
-                f"{self.function.name}:{self.line}>")
+                f"{self.function.name}:{self.lineno}>")
 
 
 class _Frame:
@@ -698,10 +645,10 @@ class InlineWalker:
     * Branch bodies that end in ``return``/``raise``/``continue``/
       ``break`` have their state changes rolled back — the linear
       continuation models the fall-through path, not the exited one.
-    * Writes to in-flight coalescing maps (``LOCK_ATTR_PREFIXES``) are
-      lock acquire/release events; writes under a held lock or inside a
-      ``finally`` block are exempt from race reporting and are marked
-      on the emitted event instead.
+    * Writes to in-flight coalescing maps (``LOCK_ATTR_PREFIXES``)
+      acquire and release a lock; every event carries the lock depth and
+      whether it sits in a ``finally`` block, which is what exempts such
+      writes from race reporting.
     """
 
     MAX_DEPTH = 5
@@ -714,8 +661,7 @@ class InlineWalker:
         self.lock_depth = 0
         self.finally_depth = 0
         self._stack: List[str] = []
-        initial_tags = {}
-        self._walk_function(root, initial_tags)
+        self._walk_function(root, {})
         return self.events
 
     # -- helpers -----------------------------------------------------------
@@ -904,10 +850,8 @@ class InlineWalker:
             if isinstance(target, ast.Subscript):
                 if isinstance(target.ctx, ast.Del):
                     self.lock_depth = max(0, self.lock_depth - 1)
-                    self._emit("release", family, frame, target)
                 else:
                     self.lock_depth += 1
-                    self._emit("acquire", family, frame, target)
             return
         self._emit("write", family, frame, target)
         if family == "txn_table" and isinstance(target, ast.Subscript):
@@ -947,10 +891,10 @@ class InlineWalker:
                 self._walk_expression(expr.elt, frame, guard=guard)
             return
         family = self._family_of(expr, frame)
-        if family is not None and not self._is_lock_family(family):
+        if guard and family is not None and \
+                not self._is_lock_family(family):
             if isinstance(getattr(expr, "ctx", ast.Load()), ast.Load):
-                self._emit("guard_read" if guard else "read",
-                           family, frame, expr)
+                self._emit("guard_read", family, frame, expr)
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
                 self._walk_expression(child, frame, guard=guard)
@@ -959,7 +903,7 @@ class InlineWalker:
                    guard: bool = False) -> None:
         # Arguments / receiver first (evaluation order approximation).
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            if isinstance(arg, ast.Call) and self._is_spawn(call):
+            if isinstance(arg, ast.Call) and _is_spawn(call):
                 # Spawned generator: its body runs elsewhere; still walk
                 # the argument expressions for reads.
                 family = self._wal_append_family(arg, frame)
@@ -976,12 +920,8 @@ class InlineWalker:
                 continue
             self._walk_expression(arg, frame, guard=guard)
         func = call.func
-        # validate(...) event for ATM001 (same semantics as TXN001).
-        callee_name = None
-        if isinstance(func, ast.Name):
-            callee_name = func.id
-        elif isinstance(func, ast.Attribute):
-            callee_name = func.attr
+        # validate(...) event for ATM001.
+        callee_name = simple_name(func)
         if callee_name and callee_name.endswith("validate"):
             self._emit("validate", None, frame, call)
         # Mutator / read on a state receiver: self.X.m(...) or tagged.m(...)
@@ -994,10 +934,8 @@ class InlineWalker:
                 if self._is_lock_family(receiver_family):
                     if func.attr in ("pop", "discard", "remove", "clear"):
                         self.lock_depth = max(0, self.lock_depth - 1)
-                        self._emit("release", receiver_family, frame, call)
-                    elif func.attr in ("setdefault",):
+                    elif func.attr == "setdefault":
                         self.lock_depth += 1
-                        self._emit("acquire", receiver_family, frame, call)
                     # plain .get() on a lock map: not a state read
                 elif func.attr in WAL_APPEND_METHODS and \
                         _is_wal_family(receiver_family):
@@ -1010,19 +948,15 @@ class InlineWalker:
                     self._emit("write", receiver_family, frame, call)
                     if func.attr in ("mark_prepared", "mark_committed"):
                         self._emit("record", receiver_family, frame, call)
-                else:
-                    self._emit("guard_read" if guard else "read",
-                               receiver_family, frame, call)
+                elif guard:
+                    self._emit("guard_read", receiver_family, frame, call)
             elif isinstance(func.value, ast.Name) and \
                     func.value.id == "self":
                 pass  # self.method(...): handled via inlining below
             else:
                 self._walk_expression(func.value, frame, guard=guard)
-        # txn_table subscript store is handled by assignment targets;
-        # ``record`` events for subscript stores:
-        # (emitted in _handle_write_target callers via family name)
         # Inline resolved project calls.
-        if self._is_spawn_wrapper(call):
+        if _is_spawn(call):
             return
         callee = self.project.resolve_call(frame.info, call)
         if callee is not None and self._should_inline(frame.info, callee):
@@ -1054,22 +988,9 @@ class InlineWalker:
         acks. Rules filter on the class name (wire replies only)."""
         if not isinstance(value, ast.Call):
             return
-        func = value.func
-        name: Optional[str] = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        name = simple_name(value.func)
         if name and name[:1].isupper():
             self._emit("reply", None, frame, value, detail=name)
-
-    @staticmethod
-    def _is_spawn(call: ast.Call) -> bool:
-        return (isinstance(call.func, ast.Attribute)
-                and call.func.attr == "process")
-
-    def _is_spawn_wrapper(self, call: ast.Call) -> bool:
-        return self._is_spawn(call)
 
     def _should_inline(self, caller: FunctionInfo,
                        callee: FunctionInfo) -> bool:

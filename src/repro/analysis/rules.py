@@ -2,17 +2,19 @@
 
 Determinism rules (DET*) protect the guarantee that a fixed seed
 reproduces the paper's numbers exactly; simulation rules (SIM*) keep
-simulated time honest; protocol rules (RPC*, TXN*) enforce the failure
-handling the reproduction's correctness arguments rely on; API001 keeps
-the public surface coherent.
+simulated time honest; protocol rules (RPC*, WIRE*) enforce the
+failure handling the reproduction's correctness arguments rely on;
+API001 keeps the public surface coherent. The validate→yield→record
+window of MILANA's Algorithm 1 is ATM001's (``iprules``), inside one
+function or across a call chain.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from .engine import ModuleContext, Rule, rule
+from .engine import ModuleContext, Rule, rule, simple_name
 from .findings import Finding, Severity
 
 __all__ = [
@@ -23,12 +25,10 @@ __all__ = [
     "BlockingInProcessRule",
     "RpcTimeoutRule",
     "WirePayloadRule",
-    "YieldAtomicityRule",
     "CrashStatePokeRule",
     "ParallelismHygieneRule",
     "DunderAllRule",
     "UnusedSuppressionRule",
-    "rule_catalogue",
 ]
 
 
@@ -59,7 +59,7 @@ class WallClockRule(Rule):
         for call, qualname in ctx.calls():
             if qualname in self.WALL_CLOCK_CALLS:
                 yield self.finding(
-                    ctx, call,
+                    ctx.path, call,
                     f"call to {qualname}() reads the host wall clock; "
                     f"simulated code must use Simulator.now or a clock model")
 
@@ -88,13 +88,13 @@ class DirectRandomRule(Rule):
                     if alias.name in self.RANDOM_MODULES or \
                             alias.name.startswith("numpy.random."):
                         yield self.finding(
-                            ctx, node,
+                            ctx.path, node,
                             f"import of {alias.name!r}; use "
                             f"repro.sim.rng.SeededRng substreams")
             elif isinstance(node, ast.ImportFrom):
                 if node.module in self.RANDOM_MODULES:
                     yield self.finding(
-                        ctx, node,
+                        ctx.path, node,
                         f"import from {node.module!r}; use "
                         f"repro.sim.rng.SeededRng substreams")
         for call, qualname in ctx.calls():
@@ -103,7 +103,7 @@ class DirectRandomRule(Rule):
             root = qualname.split(".")[0]
             if root == "random" or qualname.startswith("numpy.random."):
                 yield self.finding(
-                    ctx, call,
+                    ctx.path, call,
                     f"call to {qualname}() uses global random state; "
                     f"draw from a SeededRng substream")
 
@@ -159,7 +159,7 @@ class UnorderedIterationRule(Rule):
             reason = self._unordered_reason(ctx, site)
             if reason is not None:
                 yield self.finding(
-                    ctx, site,
+                    ctx.path, site,
                     f"iterating over {reason} has hash/filesystem-dependent "
                     f"order; wrap in sorted(...) to keep event order "
                     f"deterministic")
@@ -195,7 +195,7 @@ class EnvironmentReadRule(Rule):
             if qualname in self.ENTROPY_CALLS or \
                     qualname.startswith("secrets."):
                 yield self.finding(
-                    ctx, call,
+                    ctx.path, call,
                     f"call to {qualname}() is nondeterministic; derive "
                     f"values from the experiment seed or pass them "
                     f"explicitly")
@@ -203,7 +203,7 @@ class EnvironmentReadRule(Rule):
             if isinstance(node, ast.Attribute) and \
                     ctx.qualname(node) == "os.environ":
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "reading os.environ makes results depend on the "
                     "invoking shell; take configuration as parameters")
 
@@ -240,10 +240,17 @@ class BlockingInProcessRule(Rule):
                 qualname = ctx.qualname(node.func)
                 if qualname in self.BLOCKING_CALLS:
                     yield self.finding(
-                        ctx, node,
+                        ctx.path, node,
                         f"sim process {func.name!r} calls {qualname}(), "
                         f"which blocks the host; use sim.timeout(...) or "
                         f"move the I/O outside the simulation")
+
+
+def _node_like(receiver: ast.AST) -> bool:
+    """An ``RpcNode``-looking receiver: ``node``, ``*_node``, or an
+    attribute of either name (``self.node``)."""
+    name = simple_name(receiver)
+    return name is not None and (name == "node" or name.endswith("_node"))
 
 
 @rule
@@ -267,14 +274,8 @@ class RpcTimeoutRule(Rule):
 
     def _is_rpc_call(self, node: ast.Call) -> bool:
         func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "call":
-            return False
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            return receiver.id == "node" or receiver.id.endswith("_node")
-        if isinstance(receiver, ast.Attribute):
-            return receiver.attr == "node" or receiver.attr.endswith("_node")
-        return False
+        return (isinstance(func, ast.Attribute) and func.attr == "call"
+                and _node_like(func.value))
 
     def _has_timeout(self, node: ast.Call, position: int) -> bool:
         if len(node.args) >= position:
@@ -289,7 +290,7 @@ class RpcTimeoutRule(Rule):
             if self._is_rpc_call(call):
                 if not self._has_timeout(call, self.TIMEOUT_POSITION):
                     yield self.finding(
-                        ctx, call,
+                        ctx.path, call,
                         "RpcNode.call without an explicit timeout=; state "
                         "the failure-detection budget at the send-site")
             elif qualname is not None and \
@@ -298,7 +299,7 @@ class RpcTimeoutRule(Rule):
                 #                      need_acks, timeout)
                 if not self._has_timeout(call, 6):
                     yield self.finding(
-                        ctx, call,
+                        ctx.path, call,
                         "replicate_to_backups without an explicit "
                         "timeout=; quorum waits need a visible budget")
 
@@ -325,13 +326,6 @@ class WirePayloadRule(Rule):
         "replicate_to_backups": 3,
     }
 
-    def _node_like(self, receiver: ast.AST) -> bool:
-        if isinstance(receiver, ast.Name):
-            return receiver.id == "node" or receiver.id.endswith("_node")
-        if isinstance(receiver, ast.Attribute):
-            return receiver.attr == "node" or receiver.attr.endswith("_node")
-        return False
-
     def _payload(self, call: ast.Call, attr: str) -> Optional[ast.AST]:
         for keyword in call.keywords:
             if keyword.arg == "payload":
@@ -347,7 +341,7 @@ class WirePayloadRule(Rule):
             attr = None
             if isinstance(func, ast.Attribute) and \
                     func.attr in ("call", "send_oneway"):
-                if self._node_like(func.value):
+                if _node_like(func.value):
                     attr = func.attr
             elif qualname is not None and \
                     qualname.split(".")[-1] == "replicate_to_backups":
@@ -357,85 +351,10 @@ class WirePayloadRule(Rule):
             payload = self._payload(call, attr)
             if isinstance(payload, (ast.Dict, ast.DictComp)):
                 yield self.finding(
-                    ctx, payload,
+                    ctx.path, payload,
                     f"dict literal passed as the {attr}() payload "
                     f"bypasses the typed wire protocol; build the "
                     f"registered repro.wire message for this method")
-
-
-@rule
-class YieldAtomicityRule(Rule):
-    """TXN001: validation outcomes must be recorded before yielding.
-
-    MILANA's Algorithm 1 checks and the transaction-table/prepared-mark
-    updates that record its verdict must happen on the same side of any
-    yield point: a yield in between lets a concurrent prepare interleave
-    and both transactions validate against pre-update state (classic
-    OCC time-of-check/time-of-use). Re-validating after the yield is
-    the sanctioned escape hatch.
-    """
-
-    rule_id = "TXN001"
-    severity = Severity.ERROR
-    description = ("yield between validate(...) and recording its outcome "
-                   "in the txn table / prepared marks")
-    required_path_parts = ("milana",)
-    counterpart = "SAN001"
-
-    MUTATOR_METHODS = frozenset({"mark_prepared", "mark_committed"})
-
-    def _validate_lines(self, ctx: ModuleContext,
-                        func: ast.FunctionDef) -> List[int]:
-        lines = []
-        for node in ctx.own_nodes(func):
-            if isinstance(node, ast.Call):
-                qualname = ctx.qualname(node.func)
-                if qualname and qualname.split(".")[-1].endswith("validate"):
-                    lines.append(node.lineno)
-        return lines
-
-    def _mutation_nodes(self, ctx: ModuleContext,
-                        func: ast.FunctionDef) -> List[ast.AST]:
-        nodes: List[ast.AST] = []
-        for node in ctx.own_nodes(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for target in targets:
-                    if (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Attribute)
-                            and target.value.attr == "txn_table"):
-                        nodes.append(node)
-            elif isinstance(node, ast.Call):
-                if (isinstance(node.func, ast.Attribute)
-                        and node.func.attr in self.MUTATOR_METHODS):
-                    nodes.append(node)
-        return nodes
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for func in ctx.generator_functions():
-            validates = self._validate_lines(ctx, func)
-            if not validates:
-                continue
-            yields = sorted(node.lineno for node in ctx.own_nodes(func)
-                            if isinstance(node, (ast.Yield, ast.YieldFrom)))
-            for mutation in self._mutation_nodes(ctx, func):
-                # A yield strictly between the last validate before the
-                # mutation and the mutation itself, with no re-validate
-                # after that yield, is a TOCTOU window.
-                before = [v for v in validates if v < mutation.lineno]
-                if not before:
-                    continue
-                last_validate = max(before)
-                window = [y for y in yields
-                          if last_validate < y < mutation.lineno]
-                if window:
-                    yield self.finding(
-                        ctx, mutation,
-                        f"{func.name!r} yields at line {window[0]} between "
-                        f"validation (line {last_validate}) and recording "
-                        f"its outcome; revalidate after the yield or move "
-                        f"the mutation before it")
 
 
 @rule
@@ -463,7 +382,7 @@ class CrashStatePokeRule(Rule):
             if isinstance(node, ast.Attribute) and \
                     node.attr == "_crashed":
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "touching Network._crashed bypasses the fault API "
                     "(absent from the nemesis timeline, so "
                     "can_communicate audits disagree with the poked "
@@ -508,7 +427,7 @@ class ParallelismHygieneRule(Rule):
                 continue
             if qualname in self.FORK_CALLS:
                 yield self.finding(
-                    ctx, call,
+                    ctx.path, call,
                     f"call to {qualname}() duplicates parent interpreter "
                     f"state into the child; sweep workers must be "
                     f"spawn-context processes")
@@ -516,14 +435,14 @@ class ParallelismHygieneRule(Rule):
                 method = call.args[0] if call.args else None
                 if method is None:
                     yield self.finding(
-                        ctx, call,
+                        ctx.path, call,
                         f"{qualname}() without a start method defaults "
                         f"to the platform method (fork on Linux); pass "
                         f"'spawn' explicitly")
                 elif not (isinstance(method, ast.Constant)
                           and method.value == "spawn"):
                     yield self.finding(
-                        ctx, call,
+                        ctx.path, call,
                         f"{qualname}() start method must be the literal "
                         f"'spawn'; fork duplicates parent state and "
                         f"other values are platform-dependent")
@@ -531,7 +450,7 @@ class ParallelismHygieneRule(Rule):
                 if not any(kw.arg == "mp_context"
                            for kw in call.keywords):
                     yield self.finding(
-                        ctx, call,
+                        ctx.path, call,
                         "ProcessPoolExecutor without mp_context= uses "
                         "the platform default start method (fork on "
                         "Linux); pass mp_context=get_context('spawn')")
@@ -560,7 +479,7 @@ class ParallelismHygieneRule(Rule):
                 continue
             names = ", ".join(plain) or "<target>"
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 f"module-level mutable container {names!r} in a sweep "
                 f"module; spawn workers re-import this module, so "
                 f"mutations diverge silently between parent and "
@@ -661,7 +580,7 @@ class DunderAllRule(Rule):
         for name in declared:
             if name not in bindings:
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     f"__all__ lists {name!r} but the module never "
                     f"defines it")
         declared_set = set(declared)
@@ -671,7 +590,7 @@ class DunderAllRule(Rule):
                 if not child.name.startswith("_") and \
                         child.name not in declared_set:
                     yield self.finding(
-                        ctx, child,
+                        ctx.path, child,
                         f"public {child.name!r} is missing from __all__; "
                         f"export it or rename it with a leading underscore")
 
@@ -711,32 +630,21 @@ class UnusedSuppressionRule(Rule):
                 continue  # meta-suppressions are never self-reported
             where = ("anywhere in this file" if sup.kind == "file"
                      else "on this line")
-            anchor = ast.Pass()
-            anchor.lineno = sup.line
-            anchor.col_offset = 0
             for rid in sorted(sup.rules):
                 if rid == _ALL:
                     continue
                 if rid not in known_ids:
                     yield self.finding(
-                        ctx, anchor,
+                        ctx.path, sup,
                         f"suppression references unknown rule id "
                         f"{rid!r}")
                 elif not filtering and rid not in sup.used_rules:
                     yield self.finding(
-                        ctx, anchor,
+                        ctx.path, sup,
                         f"useless suppression: {rid} does not fire "
                         f"{where}; remove the comment")
             if _ALL in sup.rules and not filtering and not sup.used_rules:
                 yield self.finding(
-                    ctx, anchor,
+                    ctx.path, sup,
                     f"useless blanket suppression: no rule fires "
                     f"{where}; remove the comment")
-
-
-#: Rule metadata for --list-rules and docs generation.
-def rule_catalogue() -> Dict[str, Tuple[str, str]]:
-    """rule id -> (severity, one-line description)."""
-    from .engine import all_rules
-    return {rid: (r.severity, r.description)
-            for rid, r in sorted(all_rules().items())}

@@ -10,7 +10,8 @@ accesses the SEMEL/MILANA servers report:
 
 * **SAN001** — stale-guard write: a section read a tracked location,
   suspended, and wrote it while a concurrent writer changed it in
-  between (the dynamic twin of ATM002/TXN001).
+  between (the dynamic twin of ATM002, and of ATM001's single-frame
+  validate→suspend→record window).
 * **SAN002** — unordered write-write race: two writes to the same
   tracked location with no happens-before edge and no common lock (the
   dynamic twin of ATM001); "exclusive" locations additionally assert a

@@ -3,11 +3,12 @@
 These mirror the shape of :class:`repro.analysis.engine.Rule` closely
 enough (``severity`` + ``description``) for the existing SARIF emitter
 to render sansim witnesses through the same machinery, and they carry
-the static/dynamic pairing that ``simlint --list-rules`` and the
-reconciliation report surface:
+the static/dynamic pairing that ``simlint --list-rules`` (which lists
+this catalogue as the ``dynamic`` domain, each rule's family being its
+id prefix) and the reconciliation report surface:
 
-* SAN001 is the dynamic twin of ATM002 (and of TXN001's lock-protocol
-  variant): a *witnessed* check-suspend-write staleness.
+* SAN001 is the dynamic twin of ATM002 (and of ATM001's single-frame
+  lock-protocol variant): a *witnessed* check-suspend-write staleness.
 * SAN002 is the dynamic twin of ATM001: a *witnessed* pair of writes
   with no happens-before edge, where the static rule could only point
   at a validate/apply split across a suspension.
@@ -32,8 +33,6 @@ class SanitizerRule:
     rule_id: str
     severity: str
     description: str
-    family: str = "SAN"
-    domain: str = "dynamic"
     #: The simlint rule approximating the same bug class statically.
     counterpart: str = ""
 

@@ -386,7 +386,7 @@ class TestTxn001YieldAtomicity:
                     self.txn_table[record.txn_id] = record
                     return result
             """, name="milana/server_like.py")
-        assert rule_ids(findings) == ["TXN001"]
+        assert rule_ids(findings) == ["ATM001"]
 
     def test_positive_mark_prepared_after_yield(self, tmp_path):
         findings = run_on(tmp_path, """\
@@ -397,7 +397,7 @@ class TestTxn001YieldAtomicity:
                     self.key_states.mark_prepared(record.key,
                                                   record.txn_id, 1.0)
             """, name="milana/server_like.py")
-        assert rule_ids(findings) == ["TXN001"]
+        assert rule_ids(findings) == ["ATM001"]
 
     def test_negative_record_before_yield(self, tmp_path):
         findings = run_on(tmp_path, """\
@@ -724,11 +724,26 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "do not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "sarif", "github"])
+    def test_from_json_renders_like_the_analysis(self, tmp_path, capsys,
+                                                fmt):
+        bad = self.write_bad_file(tmp_path)
+        report = tmp_path / "report.json"
+        assert cli_main([str(bad), "--format", "json",
+                         "--output", str(report)]) == 1
+        assert json.loads(report.read_text())["findings"]
+        capsys.readouterr()
+        cli_main([str(bad), "--format", fmt])
+        direct = capsys.readouterr()
+        assert cli_main(["--from-json", str(report), "--format", fmt]) == 0
+        rendered = capsys.readouterr()
+        assert (rendered.out, rendered.err) == (direct.out, direct.err)
+
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("DET001", "DET002", "DET003", "DET004",
-                        "SIM001", "RPC001", "WIRE001", "TXN001",
+                        "SIM001", "RPC001", "WIRE001",
                         "FLT001", "API001", "SUP001", "ATM001",
                         "ATM002", "PRO001", "PRO002", "PRO003",
                         "PRO004", "DET101"):
