@@ -147,7 +147,8 @@ class CallSite:
         #: Exception class names caught by ``try`` blocks enclosing the
         #: call *within the same function* (bare except → BaseException).
         self.caught = caught
-        #: True when the call is the argument of ``sim.process(...)`` —
+        #: True when the call is the argument of ``sim.process(...)`` or
+        #: ``sim.start(...)`` —
         #: a spawned process, whose failures do not propagate here.
         self.is_spawn = is_spawn
 
@@ -235,10 +236,11 @@ class ClassInfo:
 
 
 def _is_spawn(call: ast.Call) -> bool:
-    """``*.process(...)``: its generator arguments run as a separate
-    process, so no exception propagates back and nothing is inlined."""
+    """``*.process(...)`` / ``*.start(...)``: its generator arguments
+    run as a separate process, so no exception propagates back and
+    nothing is inlined."""
     return (isinstance(call.func, ast.Attribute)
-            and call.func.attr == "process")
+            and call.func.attr in ("process", "start"))
 
 
 def _is_noop_yield_from(node: ast.AST) -> bool:
@@ -250,7 +252,7 @@ def _is_noop_yield_from(node: ast.AST) -> bool:
 
 
 def _spawn_argument_calls(func: ast.AST) -> Set[int]:
-    """ids of Call nodes that appear as arguments of ``*.process(...)``
+    """ids of Call nodes that appear as arguments of a spawn
     (spawned generators: separate process, no exception propagation)."""
     spawned: Set[int] = set()
     for node in ModuleContext.own_nodes(func):
@@ -447,8 +449,8 @@ class Project:
         e.g. ``.get(...)`` on a dict never resolves to a method."""
         candidates = [fn for fn in self.functions_by_name.get(name, [])]
         if len(candidates) == 1 and name not in (
-                "get", "put", "call", "send", "run", "process", "register",
-                "timeout", "event"):
+                "get", "put", "call", "send", "run", "process", "start",
+                "register", "timeout", "event"):
             return candidates[0]
         return None
 

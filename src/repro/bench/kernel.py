@@ -6,13 +6,17 @@ millions of times per run:
 * event dispatch — the pure pop/callback/succeed cycle of the run loop
   over a prebuilt event chain, the floor every other number sits on;
 * event alloc — the same cycle with ``Event`` allocation and callback
-  wiring inside the loop, i.e. the inbox pattern's cost per message;
+  wiring inside the loop, i.e. the cost of every allocated trigger (a
+  message delivery, a deadline, a pending-call record);
 * timeout chain — processes doing ``yield sim.timeout(...)`` in a loop,
   i.e. the generator trampoline plus the pure-delay fast path;
 * store handoff — producer/consumer pairs through a
-  :class:`~repro.sim.resources.Store`, the inbox pattern;
+  :class:`~repro.sim.resources.Store`, the queue a raw network inbox
+  is;
 * RPC round-trips — full request/response cycles over the simulated
-  network, the unit of work every protocol message pays.
+  network, the unit of work every protocol message pays: one heap hop
+  per message, five events per round trip with this echo's one
+  suspension adding a sixth (see ``repro.net.rpc``).
 
 All results are rates per **host** second; simulated time is reported
 in ``extra`` where it is interesting. Scales are chosen so the full
@@ -73,8 +77,8 @@ def bench_event_alloc(scale: float = 1.0) -> BenchResult:
 
     A self-perpetuating relay callback allocates the successor event
     inside the measured loop, so this adds ``Event`` construction and
-    callback wiring — the per-message cost of the inbox pattern — on
-    top of the dispatch floor measured by ``kernel/events``.
+    callback wiring — the per-event cost of every allocated trigger —
+    on top of the dispatch floor measured by ``kernel/events``.
     """
     n = _scaled(200_000, scale)
     sim = Simulator()

@@ -100,7 +100,9 @@ def _run_counting_collector(benchmark: Callable[[float], BenchResult],
     """
     # Garbage that earlier runs left behind must not be billed to this
     # one. One pass is not always enough: it closes suspended
-    # generators, and what their frames held goes in the next.
+    # generators, and what their frames held goes in the next; and a
+    # first pass that frees nothing says nothing about the second.
+    gc.collect()
     while gc.collect():
         pass
     passes, collected = _collector_totals()
@@ -240,7 +242,9 @@ def check_against_baseline(
     Returns a list of human-readable problems; empty means the run is
     within tolerance (fractional allowed slowdown) of the baseline on
     every benchmark both sides know about. Benchmarks only present on
-    one side are reported too, so the baseline cannot silently rot.
+    one side are reported too, so the baseline cannot silently rot. So
+    is any benchmark the cyclic collector freed objects in: kernel
+    objects must die by refcounting, whatever the speed.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
@@ -251,6 +255,12 @@ def check_against_baseline(
     seen = set()
     for result in results:
         seen.add(result.name)
+        collected = result.extra.get("gc_collected", 0)
+        if collected:
+            problems.append(
+                f"{result.name}: the cyclic collector freed {collected} "
+                f"objects; kernel objects must die by refcounting "
+                f"(docs/PERFORMANCE.md, \"The collector\")")
         entry = baseline_by_name.get(result.name)
         if entry is None:
             problems.append(

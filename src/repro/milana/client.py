@@ -171,7 +171,7 @@ class MilanaClient:
     def txn_get(self, txn: Transaction, key: str) -> Process:
         """Read ``key`` at the transaction's snapshot; fires with the value
         (or None for a missing key)."""
-        return self.sim.process(self._txn_get(txn, key))
+        return self.sim.start(self._txn_get(txn, key))
 
     def txn_get_many(self, txn: Transaction, keys) -> Process:
         """Read several keys at the transaction's snapshot in parallel.
@@ -203,7 +203,7 @@ class MilanaClient:
 
     def commit(self, txn: Transaction) -> Process:
         """Run the commit protocol; fires with COMMITTED or ABORTED."""
-        return self.sim.process(self._commit(txn))
+        return self.sim.start(self._commit(txn))
 
     def abort(self, txn: Transaction, reason: str = "application") -> None:
         """Discard the transaction's state and count the abort."""

@@ -1,11 +1,15 @@
 """Simulated message network between named nodes.
 
-Every node owns an inbox (:class:`~repro.sim.resources.Store`). ``send``
-delivers a message into the destination inbox after a latency-model draw;
-messages may therefore arrive out of order. Every message that gets on
-the wire is one ``_Delivery`` heap entry, the only arrival path, with or
-without a fault table installed. The fault model has three layers (see
-DESIGN.md "Fault model" for the full taxonomy):
+Every node registers a *receive callable*. ``send`` schedules one
+``_Delivery`` heap entry per message after a latency-model draw (messages
+may therefore arrive out of order), and that entry hands the message
+straight to the destination's callable when it fires: the only arrival
+path, with or without a fault table installed. An
+:class:`~repro.net.rpc.RpcNode` registers its own receive method; a raw
+:meth:`Network.register` gives the node a
+:class:`~repro.sim.resources.Store` inbox whose ``offer`` is the
+callable. The fault model has three layers (see DESIGN.md "Fault model"
+for the full taxonomy):
 
 * **fail-stop crashes** — :meth:`crash` silently drops all traffic to and
   from a node until :meth:`recover`; senders observe the failure only as
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Any, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from ..sim.core import Simulator
 from ..sim.events import Event
@@ -110,7 +114,8 @@ class Network:
             else DEFAULT_DATACENTER_LATENCY()
         self.duplicate_probability = duplicate_probability
         self.stats = NetworkStats()
-        self._inboxes: Dict[str, Store] = {}
+        #: node name -> the callable every message for it is handed to.
+        self._receivers: Dict[str, Callable[[Any], None]] = {}
         self._crashed: Set[str] = set()
         self._faults: Optional[LinkFaults] = None
         # Bound once so every delivery shares one callback object
@@ -126,14 +131,26 @@ class Network:
 
     # -- membership ----------------------------------------------------------
 
-    def register(self, name: str) -> Store:
-        """Create (or return) the inbox for node ``name``."""
-        if name not in self._inboxes:
-            self._inboxes[name] = Store(self.sim)
-        return self._inboxes[name]
+    def register(self, name: str,
+                 receive: Optional[Callable[[Any], None]] = None
+                 ) -> Optional[Store]:
+        """Attach node ``name``: every message that arrives for it is
+        handed to ``receive`` inside its delivery event.
+
+        Without ``receive`` the node gets a fresh :class:`Store` inbox,
+        whose ``offer`` is the callable, and the inbox is returned.
+        """
+        if name in self._receivers:
+            raise ValueError(f"node {name!r} is already registered")
+        inbox = None
+        if receive is None:
+            inbox = Store(self.sim)
+            receive = inbox.offer
+        self._receivers[name] = receive
+        return inbox
 
     def is_registered(self, name: str) -> bool:
-        return name in self._inboxes
+        return name in self._receivers
 
     # -- failure injection -------------------------------------------------------
 
@@ -182,7 +199,7 @@ class Network:
         Silently drops traffic involving crashed nodes (fail-stop model —
         senders observe failures only as timeouts).
         """
-        if dst not in self._inboxes:
+        if dst not in self._receivers:
             raise KeyError(f"unknown destination node {dst!r}")
         self.stats.messages_sent += 1
         if src in self._crashed or dst in self._crashed:
@@ -218,7 +235,9 @@ class Network:
         _Delivery(self, src, dst, message, delay)
 
     def _finish_delivery(self, event: "_Delivery") -> None:
-        """Complete an arrival: re-check crashes, hand to the inbox."""
+        """Complete an arrival: re-check crashes, hand the message to
+        the receiver. What the receiver pushes runs under the delivery
+        event's origin, the sender's causal clock under sansim."""
         src = event.src
         dst = event.dst
         if dst in self._crashed or src in self._crashed:
@@ -226,20 +245,4 @@ class Network:
             self.stats.messages_dropped += 1
             return
         self.stats.messages_delivered += 1
-        message = event.message
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # Sanitizer seam: remember the sender clock this message
-            # carries so the receiver's dispatch loop can adopt it.
-            tracer.tag_payload(message)
-        inbox = self._inboxes[dst]
-        getters = inbox._getters
-        if getters:
-            # Inline Store.put for the two common inbox states; the
-            # bounded-and-full case falls back to the real put so
-            # putter queueing stays in one place.
-            getters.popleft().succeed(message)
-        elif len(inbox._items) < inbox.capacity:
-            inbox._items.append(message)
-        else:
-            inbox.put(message)
+        self._receivers[dst](event.message)

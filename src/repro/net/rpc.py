@@ -1,11 +1,22 @@
 """Request/response RPC over the simulated network.
 
-An :class:`RpcNode` owns a network inbox, a dispatch loop, and a handler
-registry. Calls carry request ids unique per :class:`Network`;
-retransmissions reuse the id, so servers see duplicates exactly the way
-SEMEL's idempotence machinery expects (§3.3). One-way messages
-(watermark broadcasts, async commit notifications) skip the response
-path entirely.
+An :class:`RpcNode` is a handler registry plus the receive callable the
+network hands each arriving message to (no inbox, no dispatch process).
+Calls carry request ids unique per :class:`Network`; retransmissions
+reuse the id, so servers see duplicates exactly the way SEMEL's
+idempotence machinery expects (§3.3). One-way messages (watermark
+broadcasts, async commit notifications) skip the response path entirely.
+
+One heap hop per message. A request starts its handler process on
+arrival, inside the delivery event (``Simulator.start``). A call is a
+*pending-call record*: the :class:`~repro.sim.events.Event` that
+:meth:`RpcNode.call` returns, kept in ``RpcNode._pending`` by request id
+and succeeded or failed directly by the response. Its deadline is one
+``Timeout`` that carries the request id, not the record, so an answered
+record dies by refcounting while its deadline still sits on the heap;
+retries and their backoff run from that timer's callback. A no-suspend
+echo round trip is therefore five events: two deliveries, the handler's
+completion, the record and its spent deadline.
 
 Methods listed in the :mod:`repro.wire` registry are type-checked at
 both ends: ``call``/``send_oneway`` reject request payloads that are not
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict
 
 from ..sim.core import Simulator
-from ..sim.events import PENDING, Event, Interrupt
+from ..sim.events import PENDING, Event, Interrupt, Timeout
 from ..sim.process import Process
 from ..wire.registry import spec_for
 from ..wire.sizing import LENGTH_PREFIX_SIZE, SCALAR_SIZE, payload_size
@@ -99,6 +110,33 @@ def _check_request_payload(method: str, payload: Any) -> None:
             f"got {type(payload).__name__}")
 
 
+class _Call(Event):
+    """A pending call: the event :meth:`RpcNode.call` returns.
+
+    Born pending, like ``Event``, with the request and its retry state
+    in its own slots. ``in_flight`` is False while a retry backs off;
+    a response that arrives then answers an abandoned attempt and is
+    dropped, as it is after the last deadline.
+    """
+
+    __slots__ = ("dst", "request", "timeout", "attempts", "attempt",
+                 "in_flight")
+
+    def __init__(self, sim: Simulator, dst: str, request: Request,
+                 timeout: float, attempts: int) -> None:
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self.dst = dst
+        self.request = request
+        self.timeout = timeout
+        self.attempts = attempts
+        self.attempt = 0
+        self.in_flight = True
+
+
 class RpcNode:
     """A named endpoint that can serve handlers and make calls."""
 
@@ -106,9 +144,11 @@ class RpcNode:
         self.sim = sim
         self.network = network
         self.name = name
-        self._inbox = network.register(name)
         self._handlers: Dict[str, Callable] = {}
-        self._pending: Dict[int, Event] = {}
+        #: request id -> pending-call record, in call order.
+        self._pending: Dict[int, _Call] = {}
+        # Bound once: every deadline and backoff timer shares it.
+        self._timer_callback = self._on_timer
         # Per-node jitter stream for retry backoff. Substream derivation
         # draws nothing from the parent, and this stream is touched only
         # when a retry actually fires, so retry-free runs are unaffected.
@@ -117,7 +157,7 @@ class RpcNode:
         #: are converted to error responses, and counted here so tests can
         #: assert nothing blew up silently.
         self.handler_errors = 0
-        #: Live serve/call processes, so an amnesia crash can interrupt
+        #: Live handler processes, so an amnesia crash can interrupt
         #: every in-flight handler (they reference volatile state through
         #: ``self`` and must not keep mutating it across a restart). A
         #: dict for its insertion order: processes hash by identity, so
@@ -126,7 +166,9 @@ class RpcNode:
         #: that differs from one host run to the next.
         self._procs: Dict[Process, None] = {}
         self.crashes = 0
-        self._dispatcher = sim.process(self._dispatch_loop())
+        #: False between :meth:`crash` and :meth:`restart`.
+        self._up = True
+        network.register(name, self._receive)
 
     # -- server side -------------------------------------------------------
 
@@ -146,36 +188,28 @@ class RpcNode:
                 f"MethodSpec before registering a handler")
         self._handlers[method] = handler
 
-    def _dispatch_loop(self):
-        # Hot-path note: this generator runs once per delivered message on
-        # every node. The loop-invariant lookups (inbox.get, the sim, the
-        # pending-waiter pop) are hoisted into locals; all are safe because
-        # crash/restart tears down this generator and builds a fresh one
-        # (``_pending`` is ``.clear()``-ed, never reassigned, so the bound
-        # ``pop`` stays valid across crashes within a single incarnation).
-        sim = self.sim
-        inbox_get = self._inbox.get
-        new_process = sim.process
-        track = self._track
-        serve = self._serve
-        pending_pop = self._pending.pop
-        while True:
-            message = yield inbox_get()
-            tracer = sim.tracer
-            if tracer is not None:
-                # Sanitizer seam: this loop is a courier for unrelated
-                # conversations — adopt the message's own causal clock
-                # rather than accumulating one across all of them.
-                tracer.adopt_payload(message)
-            if isinstance(message, Request):
-                track(new_process(serve(message)))
-            elif isinstance(message, Response):
-                waiter = pending_pop(message.request_id, None)
-                if waiter is not None and waiter._value is PENDING:
-                    waiter.succeed(message)
-                # else: duplicate or post-timeout response; drop.
+    def _receive(self, message: Any) -> None:
+        """The node's receive callable; runs inside the message's
+        delivery event. A request starts its handler there; a response
+        answers its pending call."""
+        if not self._up:
+            return
+        if isinstance(message, Request):
+            proc = self.sim.start(self._serve(message))
+            if proc._value is PENDING:
+                self._procs[proc] = None
+                proc.callbacks.append(self._untrack)
+        elif isinstance(message, Response):
+            record = self._pending.get(message.request_id)
+            if record is None or not record.in_flight:
+                return  # duplicate, late or post-crash response: drop
+            del self._pending[message.request_id]
+            if message.ok:
+                record.succeed(message.payload)
             else:
-                raise TypeError(f"unexpected message {message!r}")
+                record.fail(AppError(message.payload))
+        else:
+            raise TypeError(f"unexpected message {message!r}")
 
     def _serve(self, request: Request):
         handler = self._handlers.get(request.method)
@@ -228,20 +262,23 @@ class RpcNode:
         payload: Any = None,
         timeout: float = DEFAULT_RPC_TIMEOUT,
         retries: int = 0,
-    ) -> Process:
+    ) -> Event:
         """Asynchronously call ``method`` on ``dst``.
 
-        The returned process fires with the response payload; it fails
-        with :class:`RpcTimeout` after ``1 + retries`` attempts, or with
-        :class:`AppError` if the handler rejected the request. Retries
-        reuse the request id, so the callee can deduplicate, and back
-        off exponentially with deterministic jitter between attempts.
+        The returned pending-call record fires with the response
+        payload; it fails with :class:`RpcTimeout` after ``1 + retries``
+        attempts, or with :class:`AppError` if the handler rejected the
+        request. Retries reuse the request id, so the callee can
+        deduplicate, and back off exponentially with deterministic
+        jitter between attempts.
         """
         _check_request_payload(method, payload)
-        proc = self.sim.process(
-            self._call(dst, method, payload, timeout, retries))
-        self._track(proc)
-        return proc
+        request = Request(self.network.next_request_id(), self.name,
+                          method, payload)
+        record = _Call(self.sim, dst, request, timeout, 1 + max(0, retries))
+        self._pending[request.request_id] = record
+        self._transmit(record)
+        return record
 
     def send_oneway(self, dst: str, method: str, payload: Any = None) -> None:
         """Fire-and-forget one-way message."""
@@ -250,63 +287,69 @@ class RpcNode:
                           method, payload, oneway=True)
         self.network.send(self.name, dst, request)
 
-    # -- crash / restart ---------------------------------------------------
+    def _transmit(self, record: _Call) -> None:
+        """Send one attempt and arm its deadline."""
+        request = record.request
+        self.network.send(self.name, record.dst, request)
+        Timeout(self.sim, record.timeout,
+                request.request_id).callbacks.append(self._timer_callback)
 
-    def _track(self, proc: Process) -> Process:
-        self._procs[proc] = None
-        proc.callbacks.append(self._untrack)
-        return proc
+    def _on_timer(self, timer: Event) -> None:
+        """A call's deadline or backoff timer fired. Each pending call
+        has exactly one timer on the heap, and ``in_flight`` says which
+        kind it is."""
+        request_id = timer._value
+        record = self._pending.get(request_id)
+        if record is None:
+            return  # answered, or failed by a crash
+        if not record.in_flight:
+            # Backoff over: retransmit under the same request id.
+            record.in_flight = True
+            self._transmit(record)
+            return
+        attempt = record.attempt
+        if attempt + 1 < record.attempts:
+            record.attempt = attempt + 1
+            record.in_flight = False
+            backoff = min(RETRY_BACKOFF_BASE * (2 ** attempt),
+                          RETRY_BACKOFF_CAP)
+            backoff *= 0.5 + self._backoff_rng.random()
+            Timeout(self.sim, backoff,
+                    request_id).callbacks.append(self._timer_callback)
+            return
+        del self._pending[request_id]
+        record.fail(RpcTimeout(
+            f"{self.name} -> {record.dst}.{record.request.method}: no "
+            f"response after {record.attempts} attempt(s) of "
+            f"{record.timeout}s"))
+
+    # -- crash / restart ---------------------------------------------------
 
     def _untrack(self, proc: Any) -> None:
         self._procs.pop(proc, None)
 
     def crash(self) -> None:
-        """Amnesia fail-stop: kill the dispatcher and every in-flight
-        serve/call process (in the order they were spawned), forget
-        queued inbox messages and pending response waiters. The caller
-        is responsible for having the network drop this node's traffic
-        first (``Network.crash``)."""
-        if self._dispatcher.is_alive:
-            self._dispatcher.interrupt("crash")
+        """Amnesia fail-stop: interrupt every in-flight handler (in the
+        order the requests arrived), fail every pending call with a
+        defused :class:`Interrupt` (in call order), and take no message
+        until :meth:`restart`. The caller is responsible for having the
+        network drop this node's traffic first (``Network.crash``)."""
+        self._up = False
         for proc in list(self._procs):
             if proc.is_alive:
                 proc.interrupt("crash")
         self._procs.clear()
+        pending = list(self._pending.values())
         self._pending.clear()
-        self._inbox.reset()
+        for record in pending:
+            record.defused = True
+            record.fail(Interrupt("crash"))
         self.crashes += 1
 
     def restart(self) -> None:
-        """Re-arm a crashed node: fresh dispatcher, empty pending set."""
-        if self._dispatcher.is_alive:
+        """Re-arm a crashed node: it takes messages again."""
+        if self._up:
             raise RuntimeError(
-                f"{self.name}: restart() while the dispatcher is alive; "
+                f"{self.name}: restart() while the node is up; "
                 f"crash() first")
-        self._pending.clear()
-        self._dispatcher = self.sim.process(self._dispatch_loop())
-
-    def _call(self, dst: str, method: str, payload: Any,
-              timeout: float, retries: int):
-        request_id = self.network.next_request_id()
-        request = Request(request_id, self.name, method, payload)
-        attempts = 1 + max(0, retries)
-        for attempt in range(attempts):
-            waiter = self.sim.event()
-            self._pending[request_id] = waiter
-            self.network.send(self.name, dst, request)
-            deadline = self.sim.timeout(timeout)
-            outcome = yield self.sim.any_of([waiter, deadline])
-            if waiter in outcome:
-                response: Response = outcome[waiter]
-                if response.ok:
-                    return response.payload
-                raise AppError(response.payload)
-            self._pending.pop(request_id, None)
-            if attempt + 1 < attempts:
-                backoff = min(RETRY_BACKOFF_BASE * (2 ** attempt),
-                              RETRY_BACKOFF_CAP)
-                backoff *= 0.5 + self._backoff_rng.random()
-                yield self.sim.timeout(backoff)
-        raise RpcTimeout(
-            f"{self.name} -> {dst}.{method}: no response after "
-            f"{attempts} attempt(s) of {timeout}s")
+        self._up = True

@@ -91,6 +91,9 @@ class TracedSimulator(Simulator):
     def process(self, generator: Generator[Any, Any, Any]) -> TracedProcess:
         return TracedProcess(self, generator)
 
+    def start(self, generator: Generator[Any, Any, Any]) -> TracedProcess:
+        return TracedProcess(self, generator, now=True)
+
     # -- tie-aware pop ----------------------------------------------------
 
     def _pop_next(self) -> Tuple[float, int, Event]:

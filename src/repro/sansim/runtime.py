@@ -141,9 +141,6 @@ class SanitizerRuntime:
         self._seq_origin: Dict[int, Dict[int, int]] = {}
         #: id(condition) -> join of fired children's ambient clocks.
         self._cond_joins: Dict[int, Dict[int, int]] = {}
-        #: id(message) -> clock carried by an in-flight delivered message
-        #: (tagged at inbox delivery, adopted at dispatch).
-        self._payload_clocks: Dict[int, Dict[int, int]] = {}
         self._locations: Dict[Tuple[Any, ...], _Location] = {}
         self._cwd = str(Path.cwd())
 
@@ -166,6 +163,12 @@ class SanitizerRuntime:
             setdefault(seq, origin)
 
     def begin_resume(self, process: Any) -> _Context:
+        """Enter ``process``'s step under the clock that caused it.
+
+        That is the ambient clock, except for a process started inside
+        another one's step (``Simulator.start``): it runs nested, and
+        inherits the starter's clock as it stands at the start call.
+        """
         ctx = self._contexts.get(process)
         if ctx is None:
             generator = getattr(process, "_generator", None)
@@ -174,7 +177,9 @@ class SanitizerRuntime:
             ctx = _Context(label)
             self._contexts[process] = ctx
         ctx.resumes += 1
-        ctx.clock = _join(ctx.clock, self._ambient)
+        current = self._current
+        ctx.clock = _join(ctx.clock, self._ambient if current is self._root
+                          else current.clock)
         self._stack.append(self._current)
         self._current = ctx
         return ctx
@@ -196,30 +201,6 @@ class SanitizerRuntime:
         if target_ctx is not None:
             self._seq_origin[seq] = _join(self._current.clock,
                                           target_ctx.clock)
-
-    def tag_payload(self, message: Any) -> None:
-        """Record the causal clock a just-delivered message carries.
-
-        Called by the network as it places a message into an inbox; the
-        ambient clock at that moment is the sender's clock at send time
-        (the delivery event's attributed origin).
-        """
-        self._payload_clocks[id(message)] = (
-            self._ambient if self._current is self._root
-            else self._current.clock)
-
-    def adopt_payload(self, message: Any) -> None:
-        """Courier seam: a dispatch loop routes messages for *many*
-        unrelated conversations, so letting its context accumulate joins
-        would launder causality between them (e.g. a replication ack's
-        clock would falsely order a later, unrelated RPC reply after the
-        replicated writes). The dispatcher instead *replaces* its clock
-        with the popped message's carried clock, so everything it pushes
-        while routing this message — handler spawns, reply waiter
-        wake-ups — inherits exactly that message's causal past.
-        """
-        clock = self._payload_clocks.pop(id(message), None)
-        self._current.clock = clock if clock is not None else self._ambient
 
     def on_condition_child(self, condition: Any, child: Any) -> None:
         clock = (self._ambient if self._current is self._root

@@ -7,9 +7,11 @@ order recoverable. Concretely the primary sends an update to its 2f
 backups and waits for the first f acknowledgements (itself being the
 (f+1)-th copy).
 
-:func:`replicate_to_backups` spawns all the calls, fires as soon as the
-quorum is met, and leaves the stragglers running in the background — this
-is exactly the relaxed-backup-update behaviour of the paper's Figure 5.
+:func:`replicate_to_backups` sends all the calls, fires as soon as the
+quorum is met, and leaves the stragglers in flight — this is exactly the
+relaxed-backup-update behaviour of the paper's Figure 5. Acks are counted
+by a callback on each pending-call record, so a replication round costs
+no process beyond the handler that waits for it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import Any, List
 
 from ..net.rpc import RpcError, RpcNode
+from ..sim.events import PENDING, Event
 
 __all__ = ["QuorumError", "replicate_to_backups"]
 
@@ -38,7 +41,7 @@ def replicate_to_backups(
 
     Raises :class:`QuorumError` once enough backups have *failed* that the
     quorum can no longer be reached. Late acknowledgements beyond the
-    quorum are simply absorbed by the still-running call processes.
+    quorum land on calls nobody waits for any more.
     """
     if need_acks <= 0:
         return 0
@@ -46,26 +49,28 @@ def replicate_to_backups(
         raise QuorumError(
             f"need {need_acks} acks but only {len(backups)} backups")
 
-    sim = node.sim
-    quorum = sim.event()
-    state = {"acks": 0, "failures": 0}
+    quorum = node.sim.event()
+    acks = failures = 0
 
-    def tracked_call(backup: str):
-        try:
-            yield node.call(backup, method, payload, timeout=timeout)
-        except RpcError:
-            state["failures"] += 1
-            if (not quorum.triggered
-                    and len(backups) - state["failures"] < need_acks):
-                quorum.fail(QuorumError(
-                    f"{method}: only {len(backups) - state['failures']} "
-                    f"backups reachable, need {need_acks}"))
+    def tally(call: Event) -> None:
+        nonlocal acks, failures
+        if quorum._value is not PENDING:
             return
-        state["acks"] += 1
-        if not quorum.triggered and state["acks"] >= need_acks:
-            quorum.succeed(state["acks"])
+        if call._ok:
+            acks += 1
+            if acks >= need_acks:
+                quorum.succeed(acks)
+        elif isinstance(call._value, RpcError):
+            failures += 1
+            if len(backups) - failures < need_acks:
+                quorum.fail(QuorumError(
+                    f"{method}: only {len(backups) - failures} "
+                    f"backups reachable, need {need_acks}"))
+        # else: this node crashed, and the handler waiting here with it.
 
     for backup in backups:
-        sim.process(tracked_call(backup))
+        call = node.call(backup, method, payload, timeout=timeout)
+        call.defused = True
+        call.callbacks.append(tally)
     result = yield quorum
     return result

@@ -93,6 +93,11 @@ class Simulator:
         """Start a new process driving ``generator``; returns its Process."""
         return Process(self, generator)
 
+    def start(self, generator: Generator) -> Process:
+        """Start a process whose first step runs now, inside the
+        caller's step, instead of from a queued bootstrap event."""
+        return Process(self, generator, now=True)
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition event that fires when any child fires."""
         return AnyOf(self, list(events))

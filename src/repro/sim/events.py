@@ -238,9 +238,8 @@ class _Condition(Event):
         """Take the check callback off every child that has not fired.
 
         Called once, when the condition triggers. A child left attached
-        would pin the condition (and whatever its value holds: an RPC
-        response, for the ``any_of([waiter, deadline])`` of every call)
-        until it fires, and forever if it never does, as a reference
+        would pin the condition (and whatever its value holds, such as
+        the winning child's payload) until it fires, and forever if it never does, as a reference
         cycle only the cyclic collector can free. The child itself
         stays where it is: a losing timeout still fires, with nobody
         listening, so the event count does not change. The bound method

@@ -6,6 +6,14 @@ and resumes with the event's value (or, for a failed event, the exception is
 thrown into the generator). A process is itself an event that fires with the
 generator's return value, so processes can wait on each other.
 
+A process normally takes its first step from a bootstrap event queued
+at the current time (``Simulator.process``). ``Simulator.start`` runs
+that first step at once instead, nested in the caller's step and
+through the same resume body, and queues nothing: the network starts a
+request's handler that way inside the request's delivery event, and
+the MILANA client its ``txn_get``/``commit`` processes, which saves one
+heap event per start.
+
 Hot-path note: :meth:`Process._resume` runs once per yield of every
 process in the system, so it reads event state through the underscored
 attributes and pushes onto the simulator heap directly, like the rest of
@@ -38,6 +46,14 @@ from .events import Event, Interrupt
 
 __all__ = ["Process"]
 
+#: The trigger a process started ``now`` resumes from: born succeeded
+#: and processed, never pushed, shared because a succeeded trigger is
+#: only ever read.
+_ARRIVAL = Event(None)  # type: ignore[arg-type]
+_ARRIVAL._ok = True
+_ARRIVAL._value = None
+_ARRIVAL._processed = True
+
 
 class Process(Event):
     """Drives a generator, suspending at each yielded event."""
@@ -45,7 +61,12 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_resume_cb", "_send",
                  "_throw")
 
-    def __init__(self, sim: "Simulator", generator: Generator) -> None:  # noqa: F821
+    def __init__(self, sim: "Simulator", generator: Generator,  # noqa: F821
+                 *, now: bool = False) -> None:
+        """Drive ``generator`` from a bootstrap event queued at the
+        current time; with ``now`` (``Simulator.start``), run its first
+        step here instead, inside the caller's step, through the one
+        resume body, and queue nothing."""
         if not hasattr(generator, "send"):
             raise TypeError(
                 f"Process requires a generator, got {generator!r}; did you "
@@ -55,7 +76,10 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         resume = self._resume_cb = self._resume
-        self._waiting_on: Event = None  # type: ignore[assignment]
+        if now:
+            self._waiting_on = _ARRIVAL
+            resume(_ARRIVAL)
+            return
         bootstrap = Event(sim)
         bootstrap._ok = True
         bootstrap._value = None

@@ -77,6 +77,18 @@ class Store:
             self._putters.append((event, item))
         return event
 
+    def offer(self, item: Any) -> None:
+        """Put ``item`` for a producer that never waits on the put, such
+        as the network delivering into a raw inbox: hand it to the
+        oldest getter or buffer it, with no completion event. A bounded
+        store that is full queues it as a regular :meth:`put`."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            self.put(item)
+
     def get(self) -> Event:
         """Request the next item; the returned event fires with it."""
         sim = self.sim
@@ -92,18 +104,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def reset(self) -> None:
-        """Crash semantics: drop buffered items and abandon all waiters.
-
-        Pending get/put events are simply forgotten — the processes that
-        held them are expected to have been interrupted by the caller
-        (a revived consumer must issue a fresh ``get``, or a stale
-        pre-crash getter would swallow the first post-restart item).
-        """
-        self._items.clear()
-        self._getters.clear()
-        self._putters.clear()
 
     def _admit_putter(self) -> None:
         if self._putters and len(self._items) < self.capacity:

@@ -49,11 +49,14 @@ def check_serializability(
     for versions in versions_by_key.values():
         versions.sort()
 
-    edges: Dict[str, set] = {entry.txn_id: set() for entry in history}
+    # Successors in insertion order (a dict, not a set of strings), so
+    # the cycle reported does not depend on PYTHONHASHSEED.
+    edges: Dict[str, Dict[str, None]] = {
+        entry.txn_id: {} for entry in history}
 
     def add_edge(src: str, dst: str) -> None:
         if src != dst:
-            edges[src].add(dst)
+            edges[src][dst] = None
 
     for key, versions in versions_by_key.items():
         for older, newer in zip(versions, versions[1:]):

@@ -72,9 +72,11 @@ class TestRunner:
             assert result.extra["gc_collections"] >= 0
             assert result.extra["gc_collected"] >= 0
             assert "gc_collected=" in line and "gc_collections=" in line
-        # Processes, timeouts and store handoffs die by refcounting.
-        assert by_name["kernel/timeouts"].extra["gc_collected"] == 0
-        assert by_name["kernel/store"].extra["gc_collected"] == 0
+        # Processes, timeouts, store handoffs and call records die by
+        # refcounting: ``--check`` fails on anything else.
+        assert {name: result.extra["gc_collected"]
+                for name, result in by_name.items()} == \
+            dict.fromkeys(by_name, 0)
 
     def test_render_mentions_name_and_metric(self):
         result = BenchResult(name="kernel/x", metric="ops_per_s",
@@ -139,6 +141,16 @@ class TestReports:
                    for p in problems)
         assert any("kernel/rpc" in p and "not produced" in p
                    for p in problems)
+
+    def test_check_flags_collector_work(self, tmp_path):
+        path = str(tmp_path / "base.json")
+        write_report(self._results(), path)
+        current = self._results()
+        current[1].extra["gc_collected"] = 12
+        problems = check_against_baseline(current, path)
+        assert len(problems) == 1
+        assert "kernel/rpc" in problems[0]
+        assert "freed 12 objects" in problems[0]
 
     def test_check_rejects_bad_tolerance(self, tmp_path):
         path = str(tmp_path / "base.json")

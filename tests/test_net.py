@@ -299,6 +299,101 @@ class TestRpc:
         sim.run()
         assert received == [99]
 
+    def test_no_suspend_echo_round_trip_costs_five_heap_events(self):
+        sim = Simulator()
+        _, client, server = self._pair(sim)
+
+        def echo(payload):
+            yield from ()
+            return payload
+
+        server.register("echo", echo)
+        seq0 = sim._seq
+        record = client.call("server", "echo", 7, timeout=1e-3)
+        assert sim.run_until_event(record) == 7
+        sim.run()
+        # Request delivery (the handler runs inside it), the handler's
+        # completion, reply delivery, the record, the spent deadline:
+        # no caller process, waiter, AnyOf, inbox hand-off or bootstrap.
+        assert sim._seq - seq0 == 5
+        assert sim.events_processed == 5
+        assert sim.now == pytest.approx(1e-3)
+
+    def test_retries_resend_the_same_request_id_after_backoff(self):
+        sim = Simulator()
+        net = make_net(sim)
+        client = RpcNode(sim, net, "client")
+        inbox = net.register("mute")  # takes requests, never answers
+
+        def caller():
+            try:
+                yield client.call("mute", "op", None, timeout=1e-3,
+                                  retries=2)
+            except RpcTimeout as exc:
+                return str(exc), sim.now
+
+        message, failed_at = sim.run_until_event(sim.process(caller()))
+        assert "after 3 attempt(s)" in message
+        requests = inbox.items
+        assert len(requests) == 3
+        assert len({request.request_id for request in requests}) == 1
+        # Three deadlines plus two jittered backoffs in [0.5, 1.5) of
+        # 1 ms and 2 ms.
+        assert 3e-3 + 1.5e-3 <= failed_at < 3e-3 + 4.5e-3
+
+    def test_response_during_backoff_is_dropped(self):
+        sim = Simulator()
+        _, client, server = self._pair(sim, latency=FixedLatency(1e-3))
+        served = []
+
+        def slow_once(payload):
+            served.append(sim.now)
+            yield sim.timeout(1.25e-3 if len(served) == 1 else 0.0)
+            return len(served)
+
+        server.register("op", slow_once)
+        record = client.call("server", "op", None, timeout=3e-3,
+                             retries=1)
+        # The first reply lands at 3.25 ms, inside the backoff (at
+        # least 0.5 ms) that follows the 3 ms deadline; only the
+        # retry's reply counts.
+        assert sim.run_until_event(record) == 2
+        assert len(served) == 2
+
+    def test_crash_fails_pending_calls_in_call_order(self):
+        sim = Simulator()
+        _, client, server = self._pair(sim)
+
+        def hold(payload):
+            yield sim.timeout(1.0)
+
+        server.register("hold", hold)
+        failed = []
+        records = [client.call("server", "hold", n, timeout=10e-3,
+                               retries=n) for n in (2, 0, 1)]
+        for n, record in zip((2, 0, 1), records):
+            record.callbacks.append(
+                lambda event, n=n: failed.append((n, event.value)))
+        sim.run(until=1e-3)
+        client.crash()
+        sim.run(until=2e-3)
+        assert [n for n, _ in failed] == [2, 0, 1]
+        assert all(isinstance(value, Interrupt) for _, value in failed)
+        assert all(record.defused for record in records)
+        # Deadlines that outlive the crash find nothing to expire.
+        sim.run()
+        assert len(failed) == 3
+
+    def test_restart_requires_a_crash(self):
+        sim = Simulator()
+        _, client, _ = self._pair(sim)
+        with pytest.raises(RuntimeError, match="crash\\(\\) first"):
+            client.restart()
+        client.crash()
+        client.restart()
+        with pytest.raises(RuntimeError, match="crash\\(\\) first"):
+            client.restart()
+
     def test_late_response_after_timeout_is_dropped(self):
         sim = Simulator()
         _, client, server = self._pair(sim, latency=FixedLatency(2e-3))

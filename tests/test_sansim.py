@@ -4,12 +4,14 @@ End-to-end exploration (the seeded CTP-race fixture, reconciliation,
 CLI) lives in ``test_sansim_explorer.py``; schedule-equivalence against
 the golden fingerprints lives in ``test_sansim_fingerprints.py``. This
 file covers the runtime pieces in isolation: vector-clock joins, the
-SAN001/SAN002 checks, lock suppression, the courier seam, tie-break
-policies, witness identity, and the traced kernel's lockstep behaviour.
+SAN001/SAN002 checks, lock suppression, the clocks a handler started on
+arrival and a nested start inherit, tie-break policies, witness
+identity, and the traced kernel's lockstep behaviour.
 """
 
 import pytest
 
+from repro.net import FixedLatency, Network, RpcNode
 from repro.sansim import (
     FifoTieBreak,
     RandomTieBreak,
@@ -23,6 +25,7 @@ from repro.sansim.explorer import parse_replay_spec
 from repro.sansim.policies import make_policy
 from repro.sansim.runtime import _join
 from repro.sansim.witnesses import Site, canonical_location
+from repro.sim import SeededRng
 from repro.sim.core import Simulator
 
 LOC = ("txn", "srv-a", "t1")
@@ -157,28 +160,27 @@ class TestRuntimeChecks:
         rt.end_resume(ctx, 0, 0)
         assert rt.witnesses == []
 
-    def test_courier_adopts_message_clock(self):
+    def test_delivery_origin_reaches_a_handler_started_on_arrival(self):
         rt = SanitizerRuntime()
-        writer, courier = _Proc(), _Proc()
+        writer, handler = _Proc(), _Proc()
         ctx_w = _resume(rt, writer)
         rt.on_write(LOC)
         writer_clock = ctx_w.clock
         rt.end_resume(ctx_w, 7, 8)
         rt.on_pop(7, object())  # delivery fires under the sender clock
-        message = object()
-        rt.tag_payload(message)
-        ctx_c = _resume(rt, courier)
-        ctx_c.clock = {99: 5}  # accumulated garbage from earlier routing
-        rt.adopt_payload(message)
-        assert ctx_c.clock == writer_clock
+        ctx_h = _resume(rt, handler)  # started inside the delivery
+        assert ctx_h.clock == writer_clock
 
-    def test_adopt_without_tag_falls_back_to_ambient(self):
+    def test_nested_start_inherits_the_starters_clock(self):
         rt = SanitizerRuntime()
-        courier = _Proc()
-        ctx = _resume(rt, courier)
-        ctx.clock = {99: 5}
-        rt.adopt_payload(object())
-        assert ctx.clock == {}
+        starter, child = _Proc(), _Proc()
+        rt.on_pop(3, object())  # an unrelated, empty ambient
+        ctx_s = _resume(rt, starter)
+        rt.on_write(LOC)
+        ctx_c = _resume(rt, child)  # Simulator.start inside the step
+        assert ctx_c.clock == ctx_s.clock != {}
+        rt.end_resume(ctx_c, 0, 0)
+        rt.end_resume(ctx_s, 0, 0)
 
     def test_stats_shape(self):
         rt = self._race()
@@ -306,6 +308,59 @@ class TestTracedKernel:
         second = _run_schedule(TracedSimulator(
             tracer=SanitizerRuntime(), tie_break=RandomTieBreak(5)))
         assert first == second
+
+    def _rpc_pair(self, sim):
+        network = Network(sim, SeededRng(7), latency=FixedLatency(50e-6))
+        return RpcNode(sim, network, "client"), RpcNode(sim, network,
+                                                        "server")
+
+    def test_a_round_trip_orders_the_writes_around_it(self):
+        # Caller write -> request -> handler writes (before and after
+        # a suspension) -> reply -> caller write: every edge is a
+        # delivery event's origin, with no courier in between.
+        sim = TracedSimulator()
+        tracer = sim.tracer
+        client, server = self._rpc_pair(sim)
+
+        def touch(payload):
+            tracer.on_write(LOC)
+            yield sim.timeout(1e-6)
+            tracer.on_write(LOC)
+            return payload
+
+        server.register("touch", touch)
+
+        def caller():
+            tracer.on_write(LOC)
+            yield client.call("server", "touch", 1)
+            tracer.begin_section("after")  # a new guard window
+            tracer.on_write(LOC)
+
+        sim.run_until_event(sim.process(caller()))
+        assert tracer.writes == 4
+        assert tracer.witnesses == []
+
+    def test_a_started_process_is_ordered_after_its_starter(self):
+        sim = TracedSimulator()
+        tracer = sim.tracer
+
+        def child():
+            tracer.on_write(LOC)
+            yield sim.timeout(1e-6)
+
+        def starter():
+            tracer.on_write(LOC)
+            yield sim.start(child())
+
+        def stranger():
+            tracer.on_write(LOC)
+            yield sim.timeout(0)
+
+        sim.run_until_event(sim.process(starter()))
+        assert tracer.witnesses == []
+        # Control: a write from an unrelated process is still a race.
+        sim.run_until_event(sim.process(stranger()))
+        assert [w.rule_id for w in tracer.witnesses] == ["SAN002"]
 
     def test_plain_simulator_has_no_tracer(self):
         # The zero-cost seam: `tracer` is a class attribute on the base

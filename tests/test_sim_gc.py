@@ -23,7 +23,10 @@ from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.ftl import MFTLBackend
 from repro.harness import ClusterConfig, run_retwis_on_cluster
+from repro.net import (AppError, FixedLatency, Network, RpcNode, RpcTimeout,
+                       rpc)
 from repro.sansim import TracedSimulator
+from repro.semel.replication import replicate_to_backups
 from repro.sim import Interrupt, SeededRng, Simulator
 from repro.sim.events import AnyOf, Event
 from repro.sim.process import Process
@@ -62,6 +65,9 @@ def saved_garbage():
     # Flush what earlier tests dropped. A discarded cluster takes two
     # passes: the first closes its suspended generators, whose
     # ``finally`` blocks touch the rest, so those survive into a second.
+    # The first pass may free nothing at all (everything it found sat
+    # behind a generator finalizer), so it never ends the flush.
+    gc.collect()
     while gc.collect():
         pass
     flags = gc.get_debug()
@@ -213,6 +219,100 @@ class TestRefcountingFreesFinishedKernelObjects:
         sim.run()
         assert cond.ok is False
         assert first.callbacks == [] and third.callbacks == []
+
+
+class WeakCall(rpc._Call):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def weak_calls(monkeypatch):
+    """``RpcNode.call`` builds weak-referenceable call records."""
+    monkeypatch.setattr(rpc, "_Call", WeakCall)
+
+
+class TestCallRecordsDieByRefcounting:
+    """A call record is referenced by the caller and, while pending, by
+    ``RpcNode._pending``; its deadline carries only the request id. So
+    once answered it dies with the caller's reference, whatever is
+    still on the heap."""
+
+    def _pair(self, sim):
+        network = Network(sim, SeededRng(7), latency=FixedLatency(50e-6))
+        client = RpcNode(sim, network, "client")
+        server = RpcNode(sim, network, "server")
+
+        def echo(payload):
+            yield sim.timeout(1e-6)
+            return payload
+
+        def reject(payload):
+            raise AppError("no")
+            yield  # pragma: no cover - makes this a generator
+
+        server.register("echo", echo)
+        server.register("reject", reject)
+        return network, client
+
+    @pytest.mark.parametrize("outcome, error", [
+        ("success", None), ("app-error", AppError),
+        ("timeout", RpcTimeout), ("crash", Interrupt)])
+    def test_record_dies_with_its_last_reference(
+            self, no_collector, weak_calls, outcome, error):
+        sim = Simulator()
+        network, client = self._pair(sim)
+        if outcome == "timeout":
+            network.crash("server")
+        method = "reject" if outcome == "app-error" else "echo"
+        record = client.call("server", method, "x", timeout=1e-3,
+                             retries=2)
+        assert type(record) is WeakCall
+        record.defused = True
+        if outcome == "crash":
+            sim.run(until=10e-6)
+            client.crash()
+        if outcome == "timeout":
+            sim.run()
+        else:
+            # Decided well before its first deadline, which stays on
+            # the heap without holding the record.
+            sim.run(until=0.5e-3)
+            assert sim.peek() == pytest.approx(1e-3)
+        assert record.processed
+        if error is None:
+            assert record.value == "x"
+        else:
+            assert isinstance(record.value, error)
+        assert client._pending == {}
+        ref = weakref.ref(record)
+        del record
+        assert ref() is None
+        sim.run()
+
+    def test_quorum_round_leaves_nothing_behind(self, no_collector,
+                                                weak_calls):
+        sim = Simulator()
+        network = Network(sim, SeededRng(7), latency=FixedLatency(50e-6))
+        primary = RpcNode(sim, network, "primary")
+        backups = [f"backup-{index}" for index in range(4)]
+        for name in backups:
+            RpcNode(sim, network, name).register(
+                "ack", lambda payload: (yield sim.timeout(1e-6)))
+        network.crash("backup-3")
+
+        def round_trip():
+            acks = yield from replicate_to_backups(
+                primary, backups, "ack", None, need_acks=2,
+                timeout=1e-3)
+            return acks
+
+        proc = WeakProcess(sim, round_trip())
+        sim.run()
+        assert proc.value == 2
+        assert primary._pending == {}
+        ref = weakref.ref(proc)
+        del proc
+        assert ref() is None
 
 
 class TestWorkloadsLeaveNoKernelGarbage:

@@ -1,6 +1,10 @@
 """Tests for the offline correctness checkers, including an end-to-end
 linearizability check of SEMEL's single-key RPCs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.harness.cluster import Cluster, ClusterConfig
@@ -12,6 +16,19 @@ from repro.verify import (
     check_linearizability,
     check_serializability,
 )
+
+#: t0 reads k1..k5 at their initial state and writes x; each ti writes
+#: ki and reads x's initial state: rw edges t0 -> ti and ti -> t0.
+_FAN_OUT_CYCLES = """
+import json
+from repro.verify import TxnEntry, check_serializability
+history = [TxnEntry("t0", reads={f"k{i}": None for i in range(1, 6)},
+                    writes={"x": (1.0, 0)}, ts=1.0)]
+history += [TxnEntry(f"t{i}", reads={"x": None},
+                     writes={f"k{i}": (2.0, i)}, ts=2.0)
+            for i in range(1, 6)]
+print(json.dumps(check_serializability(history)[1]))
+"""
 
 
 class TestSerializabilityChecker:
@@ -50,6 +67,20 @@ class TestSerializabilityChecker:
         ]
         ok, _ = check_serializability(history)
         assert not ok
+
+    def test_witness_does_not_depend_on_the_hash_seed(self):
+        """t0 has five successors, each closing its own cycle back to
+        t0; the witness names the first one t0's edges were built
+        with, under every ``PYTHONHASHSEED``."""
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            completed = subprocess.run(
+                [sys.executable, "-c", _FAN_OUT_CYCLES], env=env,
+                capture_output=True, text=True, check=True)
+            outputs.add(completed.stdout)
+        assert outputs == {'["cycle", "t1", "t0"]\n'}
 
     def test_snapshot_read_of_older_version_ok(self):
         """A reader serialized before a later writer is fine even though
