@@ -102,6 +102,26 @@ class TestCleanTree:
         assert result.stats["contexts"] > 0
 
 
+#: (tracked_reads, tracked_writes, locations, witnesses) of one fifo
+#: trial. An access the instrumentation gains or loses moves these, and
+#: an extra read is not harmless: it joins the last writer's clock and
+#: can hide a real race.
+INSTRUMENTATION_PINS = {
+    "retwis:0:fifo:1": (1401, 1161, 434, 0),
+    "ycsb:0:fifo:1": (1553, 2033, 950, 0),
+    "ctp-race-safe:0:fifo:1": (12, 15, 10, 0),
+}
+
+
+class TestInstrumentationPins:
+    @pytest.mark.parametrize("spec", sorted(INSTRUMENTATION_PINS))
+    def test_trial_sees_exactly_the_pinned_accesses(self, spec):
+        stats = run_trial(parse_replay_spec(spec)).stats
+        got = (stats["tracked_reads"], stats["tracked_writes"],
+               stats["locations"], stats["witnesses"])
+        assert got == INSTRUMENTATION_PINS[spec]
+
+
 class TestReconciliation:
     def test_static_rules_fire_on_fixture(self):
         findings, _files = analyze_paths([FIXTURE_SCOPE],
