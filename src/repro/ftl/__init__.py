@@ -34,7 +34,6 @@ from .packing import DEFAULT_PACKING_DELAY, PagePacker
 from .sftl import DEFAULT_FTL_OP_CPU, GenericFTL
 from .versionstore import PackedVersionStore
 from .vftl import DEFAULT_KV_OP_CPU, VFTLBackend
-from .wear import DEFAULT_WEAR_THRESHOLD, StaticWearLeveler
 
 __all__ = [
     "KVBackend",
@@ -57,6 +56,4 @@ __all__ = [
     "VFTLBackend",
     "DEFAULT_KV_OP_CPU",
     "DRAMBackend",
-    "StaticWearLeveler",
-    "DEFAULT_WEAR_THRESHOLD",
 ]

@@ -219,8 +219,7 @@ class Collector:
         self.pool = pool
         self.pick_victim = pick_victim
         self.reclaim = reclaim
-        #: Victims being reclaimed right now, by the daemon or by anyone
-        #: else who called :meth:`collect` (the static wear leveler).
+        #: Victims being reclaimed right now (``pick_victim`` skips them).
         self.in_flight: set = set()
         self.daemon = sim.process(self._gc_daemon())
 

@@ -37,8 +37,6 @@ from .transaction import ABORTED, COMMITTED, PREPARED, STATUS_RANK, \
 __all__ = ["RecoveryError", "recover_primary", "recover_steps",
            "merge_records"]
 
-_STATUS_RANK = STATUS_RANK
-
 
 class RecoveryError(Exception):
     """Recovery could not complete (e.g. no majority of replicas)."""
@@ -58,8 +56,8 @@ def merge_records(
             record = wire.to_record()
             existing = merged.get(record.txn_id)
             if (existing is None
-                    or _STATUS_RANK[record.status]
-                    > _STATUS_RANK[existing.status]):
+                    or STATUS_RANK[record.status]
+                    > STATUS_RANK[existing.status]):
                 merged[record.txn_id] = record
     return merged
 
@@ -124,20 +122,12 @@ def _recover(server: MilanaServer, lease_wait: float):
         if record.status == COMMITTED:
             yield from _ensure_applied(server, record)
         elif record.status == ABORTED:
-            server.txn_table[record.txn_id] = record
+            server.txn_table.restore(record)
         else:  # PREPARED
             yield from _resolve_prepared(server, record)
 
     # 3. Rebuild per-key state.
-    for key in server.backend.keys():
-        versions = server.backend.versions_of(key)
-        if versions:
-            server.key_states.mark_committed(key, versions[0])
-    for record in server.txn_table.values():
-        if record.status == PREPARED:
-            for key, _value in record.writes:
-                server.key_states.mark_prepared(
-                    key, record.txn_id, record.ts_commit)
+    server.rebuild_key_states()
 
     # 4. Propagate the merged table to the backups (best effort; the
     #    records are already majority-durable).
@@ -165,7 +155,7 @@ def _ensure_applied(server: MilanaServer, record: TransactionRecord):
     if puts:
         yield server.sim.all_of(puts)
     record.status = COMMITTED
-    server.txn_table[record.txn_id] = record
+    server.txn_table.restore(record)
 
 
 def _resolve_prepared(server: MilanaServer, record: TransactionRecord):
@@ -195,15 +185,13 @@ def _resolve_prepared(server: MilanaServer, record: TransactionRecord):
         # An explicit UNKNOWN means that participant never prepared, so
         # the client cannot have committed (CTP rule 2).
         record.status = ABORTED
-        server.txn_table[record.txn_id] = record
+        server.txn_table.restore(record)
     elif unreachable:
         # Cannot decide safely yet: keep it prepared; the CTP daemon will
         # retry once the other participant is reachable again.
         record.status = PREPARED
-        server.txn_table[record.txn_id] = record
-        for key, _value in record.writes:
-            server.key_states.mark_prepared(
-                key, record.txn_id, record.ts_commit)
+        server.txn_table.restore(record)
+        server.key_states.restore_prepared(record)
     else:
         # All participants still prepared: the transaction is outstanding
         # and should be committed (§4.5). Propagate the decision with

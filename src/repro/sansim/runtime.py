@@ -50,8 +50,12 @@ __all__ = ["SanitizerRuntime"]
 
 _EMPTY_CLOCK: Dict[int, int] = {}
 
-#: Frames from these path fragments never appear in witness stacks.
-_INTERNAL_FRAGMENTS = ("/repro/sansim/", "/repro/sim/", "/importlib/")
+#: Frames from these path fragments never appear in witness stacks. The
+#: MILANA tables report their own accesses, so a site names the handler
+#: that called them rather than the table's method.
+_INTERNAL_FRAGMENTS = ("/repro/sansim/", "/repro/sim/", "/importlib/",
+                       "/repro/milana/transaction.py",
+                       "/repro/milana/validation.py")
 
 
 def _join(base: Dict[int, int], other: Dict[int, int]) -> Dict[int, int]:

@@ -15,6 +15,12 @@ objects (§3.3):
 Backups apply replication records in whatever order they arrive —
 "inconsistent replication" (§3.2) — because version stamps recover the
 order. All handlers are idempotent.
+
+Sanitizer notes: ``_inflight_puts`` (:class:`InflightMap`) reports its
+entries to ``sim.tracer`` (repro.sansim) as locks, and a put reports its
+``("store", server, key)`` read and the relaxed write of the put it
+waited for. A backup's ``_inflight_replicas`` is a plain dict: its only
+tracked access is a relaxed store write, which no lock orders.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from ..wire import (
     SemelReplicate,
     WatermarkReport,
 )
+from .inflight import InflightMap
 from .replication import QuorumError, replicate_to_backups
 from .sharding import Directory
 from .watermark import WatermarkTracker
@@ -77,8 +84,10 @@ class StorageServer:
         self.puts_deduplicated = 0
         #: (key, version) -> completion event for puts still in flight, so
         #: a retransmission arriving mid-write coalesces with the original
-        #: instead of double-inserting.
-        self._inflight_puts: Dict[tuple, Any] = {}
+        #: instead of double-inserting; ``_inflight_replicas`` does the
+        #: same for a backup's replication records.
+        self._inflight_puts = InflightMap(sim, name, "inflight-put")
+        self._inflight_replicas: Dict[tuple, Any] = {}
         #: (key, version) pairs written locally but not yet acked by a
         #: backup quorum (replication failed or is still running). A
         #: retransmission must not be acked as a duplicate success until
@@ -179,9 +188,6 @@ class StorageServer:
         done = self.sim.event()
         self._inflight_puts[inflight_key] = done
         self._unreplicated.add(inflight_key)
-        if tracer is not None:
-            tracer.on_acquire(("inflight-put", self.name, key,
-                               tuple(version)))
         try:
             yield self.backend.put(key, value, version)
             if tracer is not None:
@@ -199,9 +205,6 @@ class StorageServer:
                 op="put", key=key, value=value, version=tuple(version)))
             self._unreplicated.discard(inflight_key)
         finally:
-            if tracer is not None:
-                tracer.on_release(("inflight-put", self.name, key,
-                                   tuple(version)))
             # pop, not del: a crash-kill interrupt lands here after the
             # volatile tables were replaced, so the key may be gone.
             self._inflight_puts.pop(inflight_key, None)
@@ -232,13 +235,13 @@ class StorageServer:
         key = request.key
         if request.op == "put":
             version = Version(*request.version)
-            inflight_key = ("replicate", key, version)
-            inflight = self._inflight_puts.get(inflight_key)
+            inflight_key = (key, version)
+            inflight = self._inflight_replicas.get(inflight_key)
             if inflight is not None:
                 yield inflight
             elif version not in self.backend.versions_of(key):
                 done = self.sim.event()
-                self._inflight_puts[inflight_key] = done
+                self._inflight_replicas[inflight_key] = done
                 try:
                     yield self.backend.put(key, request.value, version)
                     tracer = self.sim.tracer
@@ -252,7 +255,7 @@ class StorageServer:
                             key, request.value, version,
                             sync=self.wal.config.sync_semel)
                 finally:
-                    self._inflight_puts.pop(inflight_key, None)
+                    self._inflight_replicas.pop(inflight_key, None)
                     done.succeed()
         elif request.op == "delete":
             yield self.backend.delete(key)
@@ -281,7 +284,9 @@ class StorageServer:
         self.node.crash()
         if self.wal is not None:
             self.wal.crash()
-        self._inflight_puts = {}
+        self._inflight_puts = InflightMap(self.sim, self.name,
+                                          "inflight-put")
+        self._inflight_replicas = {}
         self._unreplicated = set()
         self.watermarks = WatermarkTracker()
 

@@ -11,6 +11,7 @@ from repro.milana import (
     validate,
 )
 from repro.net import AppError
+from repro.sim.core import Simulator
 from repro.versioning import Version
 from repro.wire import MilanaDecide
 
@@ -37,17 +38,17 @@ class TestValidationAlgorithm:
             participants=["shard0"])
 
     def test_empty_transaction_validates(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         assert validate(self._record(), table).ok
 
     def test_read_of_unchanged_key_validates(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_committed("k", Version(5.0, 1))
         record = self._record(reads=[("k", (5.0, 1))])
         assert validate(record, table).ok
 
     def test_read_of_changed_key_aborts(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_committed("k", Version(7.0, 2))
         record = self._record(reads=[("k", (5.0, 1))])
         result = validate(record, table)
@@ -55,25 +56,25 @@ class TestValidationAlgorithm:
         assert "changed" in result.reason
 
     def test_read_of_prepared_key_aborts(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_committed("k", Version(5.0, 1))
         table.mark_prepared("k", "other-txn", 9.0)
         record = self._record(reads=[("k", (5.0, 1))])
         assert not validate(record, table).ok
 
     def test_missing_key_read_validates_when_still_missing(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         record = self._record(reads=[("k", None)])
         assert validate(record, table).ok
 
     def test_missing_key_read_aborts_when_created(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_committed("k", Version(5.0, 1))
         record = self._record(reads=[("k", None)])
         assert not validate(record, table).ok
 
     def test_write_over_prepared_key_aborts(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_prepared("k", "other-txn", 9.0)
         record = self._record(writes=[("k", "v")])
         assert not validate(record, table).ok
@@ -81,7 +82,7 @@ class TestValidationAlgorithm:
     def test_write_behind_latest_read_aborts(self):
         """The rule enabling local validation: a late-arriving commit
         below an already-served read timestamp must abort."""
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.observe_read("k", 12.0)
         record = self._record(writes=[("k", "v")], ts_commit=10.0)
         result = validate(record, table)
@@ -89,13 +90,13 @@ class TestValidationAlgorithm:
         assert "read at" in result.reason
 
     def test_write_behind_latest_committed_aborts(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_committed("k", Version(11.0, 1))
         record = self._record(writes=[("k", "v")], ts_commit=10.0)
         assert not validate(record, table).ok
 
     def test_write_ahead_of_everything_validates(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_committed("k", Version(5.0, 1))
         table.observe_read("k", 6.0)
         record = self._record(reads=[("k", (5.0, 1))],
@@ -103,7 +104,7 @@ class TestValidationAlgorithm:
         assert validate(record, table).ok
 
     def test_clear_prepared_only_for_owner(self):
-        table = KeyStateTable()
+        table = KeyStateTable(Simulator(), "srv-0-0")
         table.mark_prepared("k", "t1", 5.0)
         table.clear_prepared("k", "t2")
         assert table.peek("k").prepared is not None
