@@ -10,6 +10,7 @@ nanoseconds to seconds with O(1) recording and tiny memory.
 from __future__ import annotations
 
 import math
+from math import log2
 from typing import Dict, Iterable
 
 __all__ = ["LatencyHistogram"]
@@ -31,6 +32,9 @@ class LatencyHistogram:
         self.sub_buckets = sub_buckets
         self._decades = int(math.ceil(
             math.log2(max_value / min_value))) + 1
+        #: Lower bound of each power-of-two range, ``min_value * 2**e``.
+        self._lows = [min_value * (2 ** exponent)
+                      for exponent in range(self._decades)]
         self._counts = [0] * (self._decades * sub_buckets)
         self.count = 0
         self.total = 0.0
@@ -39,22 +43,36 @@ class LatencyHistogram:
 
     # -- recording ----------------------------------------------------------
 
-    def _index_of(self, value: float) -> int:
-        clamped = min(max(value, self.min_value), self.max_value)
-        exponent = int(math.floor(math.log2(clamped / self.min_value)))
-        exponent = min(exponent, self._decades - 1)
-        low = self.min_value * (2 ** exponent)
-        fraction = (clamped - low) / low  # in [0, 1)
-        sub = min(int(fraction * self.sub_buckets), self.sub_buckets - 1)
-        return exponent * self.sub_buckets + sub
-
     def record(self, value: float) -> None:
-        """Record one observation (negative values are clamped up)."""
-        self._counts[self._index_of(value)] += 1
+        """Record one observation (negative values are clamped up).
+
+        Hot path: every simulated request records at least once, so the
+        bucket is computed inline, with comparisons in place of
+        ``min``/``max`` and each power-of-two range's lower bound read
+        from ``_lows``. ``int`` truncates like ``floor`` here because the
+        clamped ratio is at least 1, so every bucket, total and extreme
+        is the one the plain formula gives.
+        """
+        min_value = self.min_value
+        if value > min_value:
+            clamped = value if value < self.max_value else self.max_value
+        else:
+            clamped = min_value
+        exponent = int(log2(clamped / min_value))
+        if exponent >= self._decades:
+            exponent = self._decades - 1
+        low = self._lows[exponent]
+        sub_buckets = self.sub_buckets
+        sub = int((clamped - low) / low * sub_buckets)  # fraction in [0, 1)
+        if sub >= sub_buckets:
+            sub = sub_buckets - 1
+        self._counts[exponent * sub_buckets + sub] += 1
         self.count += 1
         self.total += value
-        self.min_seen = min(self.min_seen, value)
-        self.max_seen = max(self.max_seen, value)
+        if value < self.min_seen:
+            self.min_seen = value
+        if value > self.max_seen:
+            self.max_seen = value
 
     # -- queries --------------------------------------------------------------
 

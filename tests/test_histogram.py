@@ -1,5 +1,8 @@
 """Tests for the log-linear latency histogram."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +121,55 @@ class TestAccuracyProperty:
         assert hist.count == len(values)
         assert hist.min_seen == min(values)
         assert hist.max_seen == max(values)
+
+
+def reference_record(hist, value):
+    """The plain ``min``/``max``/``floor`` formula ``record`` inlines,
+    kept here as the reference."""
+    clamped = min(max(value, hist.min_value), hist.max_value)
+    exponent = int(math.floor(math.log2(clamped / hist.min_value)))
+    exponent = min(exponent, hist._decades - 1)
+    low = hist.min_value * (2 ** exponent)
+    fraction = (clamped - low) / low
+    sub = min(int(fraction * hist.sub_buckets), hist.sub_buckets - 1)
+    hist._counts[exponent * hist.sub_buckets + sub] += 1
+    hist.count += 1
+    hist.total += value
+    hist.min_seen = min(hist.min_seen, value)
+    hist.max_seen = max(hist.max_seen, value)
+
+
+def boundary_values(hist):
+    """Every bucket's lower edge and its two ``nextafter`` neighbours,
+    plus zero, negatives and values past ``max_value``."""
+    values = [0.0, -0.0, -1e-6, -5.0, hist.max_value * 1.5, 1e9]
+    for index in range(len(hist._counts)):
+        exponent, sub = divmod(index, hist.sub_buckets)
+        low = hist.min_value * (2 ** exponent)
+        edge = low * (1 + sub / hist.sub_buckets)
+        values += [math.nextafter(edge, -math.inf), edge,
+                   math.nextafter(edge, math.inf)]
+    for edge in (hist.min_value, hist.max_value):
+        values += [math.nextafter(edge, -math.inf), edge,
+                   math.nextafter(edge, math.inf)]
+    return values
+
+
+class TestRecordMatchesPlainFormula:
+    @pytest.mark.parametrize("config", [
+        {}, {"sub_buckets": 7}, {"min_value": 1e-6, "max_value": 1.0}])
+    def test_same_buckets_total_and_extremes(self, config):
+        fast = LatencyHistogram(**config)
+        plain = LatencyHistogram(**config)
+        rng = random.Random(1)
+        values = boundary_values(fast)
+        values += [math.exp(rng.uniform(-25.0, 6.0)) for _ in range(20000)]
+        for value in values:
+            fast.record(value)
+            reference_record(plain, value)
+        assert fast._counts == plain._counts
+        assert (fast.count, fast.total, fast.min_seen, fast.max_seen) == (
+            plain.count, plain.total, plain.min_seen, plain.max_seen)
 
 
 class TestClientIntegration:
