@@ -20,7 +20,8 @@ Backends also model the **request-path CPU**: the paper's emulator is
 CPU-bound at 100 % GET (one kernel boundary crossing per I/O), and the
 MFTL-vs-VFTL gap at high GET rates comes from VFTL paying two map lookups
 and two layer crossings per request. :class:`Cpu` serializes per-op
-overhead through a single core.
+overhead through a single core; an op charges it with ``yield
+self.cpu.charge(seconds)``.
 """
 
 from __future__ import annotations
@@ -53,22 +54,26 @@ class CapacityError(Exception):
 GetResult = Optional[Tuple[Version, Any]]
 
 
-class Cpu:
-    """A single request-processing core charging fixed per-op costs."""
+class Cpu(Resource):
+    """A single request-processing core charging fixed per-op costs.
+
+    ``yield cpu.charge(seconds)`` occupies the core for ``seconds``: one
+    :meth:`~repro.sim.resources.Resource.hold` of the core's one slot, so
+    a charge on an idle core is one heap entry and no process, and
+    charges queue FIFO behind a busy core. ``busy_time`` is the total
+    charged so far, counted as each charge ends.
+    """
+
+    __slots__ = ()
 
     def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._core = Resource(sim, capacity=1)
-        self.busy_time = 0.0
+        super().__init__(sim, capacity=1)
 
-    def charge(self, seconds: float):
-        """Generator: occupy the core for ``seconds``; yield from a process."""
-        yield self._core.acquire()
-        try:
-            yield self.sim.timeout(seconds)
-            self.busy_time += seconds
-        finally:
-            self._core.release()
+    charge = Resource.hold
+
+    @property
+    def busy_time(self) -> float:
+        return self.held_time
 
 
 @dataclass

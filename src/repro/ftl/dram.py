@@ -58,7 +58,7 @@ class DRAMBackend(KVBackend):
 
     def _put(self, key: str, value: Any, version: Version, visible):
         start = self.sim.now
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         yield self.sim.timeout(self.write_latency)
         versions = self._versions.setdefault(key, [])
         values = self._values.setdefault(key, [])
@@ -75,7 +75,7 @@ class DRAMBackend(KVBackend):
 
     def _get(self, key: str, max_timestamp: Optional[float]):
         start = self.sim.now
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         yield self.sim.timeout(self.read_latency)
         result = self._lookup(key, max_timestamp)
         self.stats.observe_get(self.sim.now - start)
@@ -85,7 +85,7 @@ class DRAMBackend(KVBackend):
         return self.sim.process(self._delete(key))
 
     def _delete(self, key: str):
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         yield self.sim.timeout(self.write_latency)
         self._versions.pop(key, None)
         self._values.pop(key, None)

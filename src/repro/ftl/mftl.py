@@ -111,7 +111,7 @@ class MFTLBackend(PackedVersionStore):
                 continue
             yield from self._scan_page((victim, page))
             if self.op_cpu > 0:
-                yield from self.cpu.charge(self.op_cpu)
+                yield self.cpu.charge(self.op_cpu)
         yield from self._pins.drain(victim)
         try:
             yield self.device.erase_block(victim)

@@ -120,17 +120,15 @@ class GenericFTL:
             raise ValueError(
                 f"LBA {lba} out of range [0, {self.usable_lbas})")
 
-    def _charge_cpu(self):
-        if self.cpu is not None and self.op_cpu > 0:
-            yield from self.cpu.charge(self.op_cpu)
-
     def _write(self, lba: int, data: Any):
-        yield from self._charge_cpu()
+        if self.cpu is not None and self.op_cpu > 0:
+            yield self.cpu.charge(self.op_cpu)
         yield from self._allocator.writer_gate()
         block, page = self._allocator.allocate()
-        # Create the device process in the same step as the allocation so
-        # same-block programs are issued in frontier order; pin the block so
-        # GC never scans or erases it while this program is in flight.
+        # Issue the program in the same step as the allocation so
+        # same-block programs reach the device in frontier order; pin the
+        # block so GC never scans or erases it while this program is in
+        # flight.
         self._pins.pin(block)
         write_done = self.device.write_page(block, page, data)
         try:
@@ -143,7 +141,8 @@ class GenericFTL:
         self._valid_pages[block] += 1
 
     def _read(self, lba: int):
-        yield from self._charge_cpu()
+        if self.cpu is not None and self.op_cpu > 0:
+            yield self.cpu.charge(self.op_cpu)
         location = self._map.get(lba)
         if location is None:
             return None
@@ -228,7 +227,7 @@ class GenericFTL:
                 self._valid_pages[new_block] += 1
                 self.pages_remapped += 1
             if self.cpu is not None and self.op_cpu > 0:
-                yield from self.cpu.charge(self.op_cpu)
+                yield self.cpu.charge(self.op_cpu)
         if self._valid_pages[victim] != 0:
             # A racing writer landed data here? Cannot happen: the victim is
             # never the active block. Guard anyway.

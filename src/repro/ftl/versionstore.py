@@ -32,6 +32,7 @@ import bisect
 from typing import Any, Dict, List, Optional
 
 from ..sim.core import Simulator
+from ..sim.events import Event
 from ..sim.process import Process
 from ..flash.device import FlashDevice
 from ..versioning import Version
@@ -97,12 +98,12 @@ class PackedVersionStore(KVBackend):
         """The collection unit (pool unit, GC victim) holding ``address``."""
 
     @abc.abstractmethod
-    def _read_page(self, address: Any) -> Process:
-        """Process that fires with the records of the page at ``address``."""
+    def _read_page(self, address: Any) -> Event:
+        """Event that fires with the records of the page at ``address``."""
 
     @abc.abstractmethod
-    def _program_page(self, address: Any, payload: tuple) -> Process:
-        """Process that fires once ``payload`` is durable at ``address``."""
+    def _program_page(self, address: Any, payload: tuple) -> Event:
+        """Event that fires once ``payload`` is durable at ``address``."""
 
     @abc.abstractmethod
     def _bulk_place(self, address: Any, payload: tuple) -> None:
@@ -172,7 +173,7 @@ class PackedVersionStore(KVBackend):
 
     def _put(self, key: str, value: Any, version: Version, visible=None):
         start = self.sim.now
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         yield from self._allocator.writer_gate()
         entry = _Entry(version, cached_value=value)
         self._insert(key, entry)
@@ -188,7 +189,7 @@ class PackedVersionStore(KVBackend):
 
     def _get(self, key: str, max_timestamp: Optional[float]):
         start = self.sim.now
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         entry = self._lookup(key, max_timestamp)
         if entry is None:
             self.stats.observe_get(self.sim.now - start)
@@ -214,7 +215,7 @@ class PackedVersionStore(KVBackend):
         return version, value
 
     def _delete(self, key: str):
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         entries = self._map.pop(key, [])
         for entry in entries:
             self._kill(entry)

@@ -150,7 +150,7 @@ class VFTLBackend(PackedVersionStore):
         The trimmed page is garbage the FTL below still has to find and
         erase in a collection of its own.
         """
-        yield from self.cpu.charge(self.op_cpu)
+        yield self.cpu.charge(self.op_cpu)
         # Wait out the victim's in-flight initial write, if any.
         yield from self._pins.drain(victim)
         yield from self._scan_page(victim)

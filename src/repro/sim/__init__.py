@@ -2,8 +2,9 @@
 
 This package provides the deterministic simulation substrate the whole
 reproduction runs on: an event heap with float seconds of virtual time,
-generator-based processes, condition events, FIFO stores, counted
-resources, and named seedable random streams.
+generator-based processes, condition events, FIFO stores, resources
+whose slots are held for a fixed time, and named seedable random
+streams.
 """
 
 from .core import Simulator

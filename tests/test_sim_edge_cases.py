@@ -251,10 +251,8 @@ class TestDeterminism:
                 stream = rng.substream(f"w{index}")
                 for _ in range(5):
                     yield sim.timeout(stream.uniform(0.1, 1.0))
-                    yield resource.acquire()
-                    yield sim.timeout(stream.uniform(0.01, 0.1))
+                    yield resource.hold(stream.uniform(0.01, 0.1))
                     log.append((round(sim.now, 9), index))
-                    resource.release()
 
             for index in range(4):
                 sim.process(worker(index))

@@ -19,7 +19,9 @@ from contextlib import contextmanager
 import pytest
 
 from repro.durability import DurabilityConfig
+from repro.flash import device as device_module
 from repro.flash.device import FlashDevice
+from repro.flash.errors import ReadError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl import MFTLBackend
 from repro.harness import ClusterConfig, run_retwis_on_cluster
@@ -27,7 +29,7 @@ from repro.net import (AppError, FixedLatency, Network, RpcNode, RpcTimeout,
                        rpc)
 from repro.sansim import TracedSimulator
 from repro.semel.replication import replicate_to_backups
-from repro.sim import Interrupt, SeededRng, Simulator
+from repro.sim import Interrupt, SeededRng, Simulator, resources
 from repro.sim.events import AnyOf, Event
 from repro.sim.process import Process
 from repro.workloads.microbench import run_kv_microbench
@@ -313,6 +315,92 @@ class TestCallRecordsDieByRefcounting:
         ref = weakref.ref(proc)
         del proc
         assert ref() is None
+
+
+class WeakHold(resources._Hold):
+    __slots__ = ("__weakref__",)
+
+
+class WeakEvent(Event):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def weak_commands(monkeypatch):
+    """Flash commands and their completion events become weak-
+    referenceable; returns the list of weak references, one per
+    command and one per completion, as they are made."""
+    refs = []
+
+    class WeakCommand(device_module._Command):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+            refs.append(weakref.ref(self.done))
+
+    monkeypatch.setattr(device_module, "_Command", WeakCommand)
+    monkeypatch.setattr(device_module, "Event", WeakEvent)
+    return refs
+
+
+class TestHoldsAndCommandsDieByRefcounting:
+    """A hold or a flash command is referenced only by the heap (and its
+    queue while it waits) and by whoever yields it, so it dies with
+    them: nothing ties it into a cycle."""
+
+    def test_free_queued_and_abandoned_holds_die(self, no_collector,
+                                                 monkeypatch):
+        monkeypatch.setattr(resources, "_Hold", WeakHold)
+        sim = Simulator()
+        core = resources.Resource(sim, capacity=1)
+
+        def holder(seconds):
+            yield core.hold(seconds)
+
+        def abandoning():
+            try:
+                yield core.hold(2.0)
+            except Interrupt:
+                pass
+
+        refs = [weakref.ref(core.hold(1.0))]
+        core.hold(1.0)
+        sim.process(holder(1.0))
+        quitter = sim.process(abandoning())
+        sim.run(until=0.5)
+        refs += [weakref.ref(hold) for hold in core._waiters]
+        assert len(refs) == 4 and core.queued == 3
+        quitter.interrupt("stop")
+        sim.run()
+        assert (sim.now, core.held_time) == (5.0, 5.0)
+        assert [ref() for ref in refs] == [None] * 4
+
+    def test_free_queued_and_failed_commands_die(self, no_collector,
+                                                 weak_commands):
+        sim = Simulator()
+        device = FlashDevice(sim, FlashGeometry(
+            page_size=4096, pages_per_block=4, num_blocks=8,
+            num_channels=2), queue_depth=2)
+        device.chip.program(0, 0, "v")
+        outcomes = []
+
+        def issue(block):
+            try:
+                outcomes.append((yield device.read_page(block, 0)))
+            except ReadError:
+                outcomes.append("failed")
+
+        device.read_page(0, 0)
+        # All on channel 0 with two slots: one waits for the channel and
+        # two for a slot. Blocks 1 and 2 are unprogrammed.
+        for block in (1, 2, 0):
+            sim.process(issue(block))
+        sim.run()
+        assert outcomes == ["failed", "failed", "v"]
+        assert len(weak_commands) == 8
+        assert [ref() for ref in weak_commands] == [None] * 8
 
 
 class TestWorkloadsLeaveNoKernelGarbage:

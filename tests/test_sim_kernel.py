@@ -341,21 +341,20 @@ class TestResource:
         log = []
 
         def worker(name):
-            yield res.acquire()
-            log.append((name, "start", sim.now))
-            yield sim.timeout(1.0)
-            log.append((name, "end", sim.now))
-            res.release()
+            log.append((name, "request", sim.now))
+            yield res.hold(1.0)
+            log.append((name, "done", sim.now))
 
         sim.process(worker("a"))
         sim.process(worker("b"))
         sim.run()
         assert log == [
-            ("a", "start", 0.0),
-            ("a", "end", 1.0),
-            ("b", "start", 1.0),
-            ("b", "end", 2.0),
+            ("a", "request", 0.0),
+            ("b", "request", 0.0),
+            ("a", "done", 1.0),
+            ("b", "done", 2.0),
         ]
+        assert res.held_time == 2.0
 
     def test_capacity_allows_parallelism(self):
         sim = Simulator()
@@ -363,40 +362,79 @@ class TestResource:
         ends = []
 
         def worker():
-            yield res.acquire()
-            yield sim.timeout(1.0)
+            yield res.hold(1.0)
             ends.append(sim.now)
-            res.release()
 
         for _ in range(4):
             sim.process(worker())
         sim.run()
         assert ends == [1.0, 1.0, 2.0, 2.0]
 
-    def test_release_without_acquire_is_error(self):
+    def test_negative_duration_is_error(self):
         sim = Simulator()
         res = Resource(sim)
-        with pytest.raises(RuntimeError):
-            res.release()
+        with pytest.raises(ValueError):
+            res.hold(-1.0)
+        assert (res.in_use, res.queued) == (0, 0)
 
     def test_queued_counter(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
-
-        def holder():
-            yield res.acquire()
-            yield sim.timeout(10.0)
-            res.release()
-
-        def waiter():
-            yield res.acquire()
-            res.release()
-
-        sim.process(holder())
-        sim.process(waiter())
+        res.hold(10.0)
+        res.hold(1.0)
         sim.run(until=5.0)
         assert res.queued == 1
         assert res.in_use == 1
+        sim.run()
+        assert (res.queued, res.in_use, res.held_time) == (0, 0, 11.0)
+
+    def test_free_hold_is_one_heap_entry_and_queued_adds_none(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        first, second = res.hold(2.0), res.hold(3.0)
+        assert len(sim._heap) == 1 and not second.triggered
+        sim.run()
+        assert (first.processed, second.processed) == (True, True)
+        assert (sim.now, sim.events_processed) == (5.0, 2)
+
+    def test_release_runs_before_the_holder_resumes(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        seen = []
+
+        def holder():
+            yield res.hold(1.0)
+            seen.append((res.in_use, res.held_time))
+
+        sim.process(holder())
+        sim.run()
+        assert seen == [(0, 1.0)]
+
+    def test_interrupted_holder_keeps_its_slot(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def holder():
+            try:
+                yield res.hold(10.0)
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+
+        def next_in_line():
+            yield sim.timeout(1.0)
+            yield res.hold(1.0)
+            log.append(("next", sim.now))
+
+        proc = sim.process(holder())
+        sim.process(next_in_line())
+        sim.run(until=2.0)
+        proc.interrupt("stop")
+        sim.run(until=5.0)
+        assert res.in_use == 1 and res.queued == 1
+        sim.run()
+        assert log == [("interrupted", 2.0), ("next", 11.0)]
+        assert res.held_time == 11.0
 
 
 class TestSeededRng:
