@@ -6,8 +6,8 @@ the CI smoke job protects — how fast the simulator itself runs:
 
 * :mod:`repro.bench.kernel` — microbenchmarks of the kernel hot paths
   (event dispatch and allocation, timeout trampolines, RPC
-  round-trips, store handoffs), reported as operations per **host**
-  second;
+  round-trips, store handoffs, device reads), reported as operations
+  per **host** second;
 * :mod:`repro.bench.fingerprint` — schedule fingerprints that gate
   every optimisation: a kernel change may only land if the
   default-config Retwis/YCSB/figure-6 fingerprints are byte-identical
@@ -29,6 +29,7 @@ measures.
 
 from .fingerprint import all_fingerprints, schedule_fingerprint
 from .kernel import (
+    bench_device_reads,
     bench_event_alloc,
     bench_event_dispatch,
     bench_rpc_roundtrips,
@@ -47,6 +48,7 @@ from .runner import (
 __all__ = [
     "BenchResult",
     "all_fingerprints",
+    "bench_device_reads",
     "bench_event_alloc",
     "bench_event_dispatch",
     "bench_rpc_roundtrips",

@@ -16,7 +16,11 @@ millions of times per run:
 * RPC round-trips — full request/response cycles over the simulated
   network, the unit of work every protocol message pays: one heap hop
   per message, five events per round trip with this echo's one
-  suspension adding a sixth (see ``repro.net.rpc``).
+  suspension adding a sixth (see ``repro.net.rpc``);
+* device reads — readers that charge the FTL core and then read a
+  page, the MFTL GET path without the store: a charge is one
+  ``Resource.hold`` heap entry, a page read a service end plus a
+  completion, and neither is a process (see ``repro.flash.device``).
 
 All results are rates per **host** second; simulated time is reported
 in ``extra`` where it is interesting. Scales are chosen so the full
@@ -26,6 +30,9 @@ them further for CI smoke runs.
 
 from __future__ import annotations
 
+from ..flash.device import FlashDevice
+from ..flash.geometry import FlashGeometry
+from ..ftl.base import Cpu
 from ..net.latency import FixedLatency
 from ..net.network import Network
 from ..net.rpc import RpcNode
@@ -36,6 +43,7 @@ from ..sim.rng import SeededRng
 from .runner import BenchResult, host_clock
 
 __all__ = [
+    "bench_device_reads",
     "bench_event_alloc",
     "bench_event_dispatch",
     "bench_rpc_roundtrips",
@@ -187,3 +195,40 @@ def bench_rpc_roundtrips(scale: float = 1.0) -> BenchResult:
         value=n / seconds if seconds else 0.0,
         n=n, seconds=seconds,
         extra={"messages_sent": network.stats.messages_sent})
+
+
+def bench_device_reads(scale: float = 1.0) -> BenchResult:
+    """Closed population of readers, each charging the FTL core and
+    then reading a page, in a loop.
+
+    Thirty-two readers share one core (2.2 us per charge, MFTL's GET
+    cost) and sixteen channels, two readers per channel, so charges
+    queue behind a busy core and reads behind a busy channel, as on
+    the ``kv_get`` device.
+    """
+    readers = 32
+    per_reader = _scaled(2_000, scale)
+    geometry = FlashGeometry(page_size=4096, pages_per_block=16,
+                             num_blocks=16, num_channels=16)
+    sim = Simulator()
+    device = FlashDevice(sim, geometry)
+    cpu = Cpu(sim)
+    for page in range(geometry.pages_per_block):  # one per channel
+        device.chip.program(0, page, page)
+
+    def reader(page: int):
+        for _ in range(per_reader):
+            yield cpu.charge(2.2e-6)
+            yield device.read_page(0, page)
+
+    for index in range(readers):
+        sim.process(reader(index % geometry.pages_per_block))
+    start = host_clock()
+    sim.run()
+    seconds = host_clock() - start
+    reads = readers * per_reader
+    return BenchResult(
+        name="kernel/device", metric="reads_per_s",
+        value=reads / seconds if seconds else 0.0,
+        n=reads, seconds=seconds,
+        extra={"readers": readers, "sim_seconds": round(sim.now, 9)})

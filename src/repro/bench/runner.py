@@ -116,6 +116,7 @@ def _run_counting_collector(benchmark: Callable[[float], BenchResult],
 def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
     # Imported lazily so ``repro bench --help`` stays instant.
     from .kernel import (
+        bench_device_reads,
         bench_event_alloc,
         bench_event_dispatch,
         bench_rpc_roundtrips,
@@ -129,6 +130,7 @@ def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
         ("kernel/timeouts", bench_timeout_chain),
         ("kernel/store", bench_store_handoff),
         ("kernel/rpc", bench_rpc_roundtrips),
+        ("kernel/device", bench_device_reads),
     ]
 
 
