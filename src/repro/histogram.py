@@ -4,14 +4,22 @@ Means hide tails; a storage paper reproduction should expose them. The
 histogram buckets values on a log-linear grid: values within each
 power-of-two range are split into ``sub_buckets`` linear slots, giving a
 bounded relative error (about 1/sub_buckets) at every magnitude from
-nanoseconds to seconds with O(1) recording and tiny memory.
+nanoseconds to seconds with O(1) recording.
+
+Memory follows what is recorded, not the configured span. Each
+power-of-two range owns one row of ``sub_buckets`` counters, allocated
+when that range records its first sample, so a histogram holds 8 B x
+``sub_buckets`` per range actually recorded into. A 1,024-sub-bucket
+histogram spanning 1 ns to 100 s has 38 ranges (304 KiB if all were
+allocated), but latencies between 50 us and 5 ms touch at most eight of
+them (64 KiB).
 """
 
 from __future__ import annotations
 
 import math
 from math import log2
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["LatencyHistogram"]
 
@@ -35,7 +43,9 @@ class LatencyHistogram:
         #: Lower bound of each power-of-two range, ``min_value * 2**e``.
         self._lows = [min_value * (2 ** exponent)
                       for exponent in range(self._decades)]
-        self._counts = [0] * (self._decades * sub_buckets)
+        #: One row of ``sub_buckets`` counters per power-of-two range,
+        #: ``None`` until that range records its first sample.
+        self._rows: List[Optional[List[int]]] = [None] * self._decades
         self.count = 0
         self.total = 0.0
         self.min_seen = float("inf")
@@ -51,7 +61,8 @@ class LatencyHistogram:
         ``min``/``max`` and each power-of-two range's lower bound read
         from ``_lows``. ``int`` truncates like ``floor`` here because the
         clamped ratio is at least 1, so every bucket, total and extreme
-        is the one the plain formula gives.
+        is the one the plain formula gives. A range's row is allocated
+        on its first sample.
         """
         min_value = self.min_value
         if value > min_value:
@@ -66,7 +77,10 @@ class LatencyHistogram:
         sub = int((clamped - low) / low * sub_buckets)  # fraction in [0, 1)
         if sub >= sub_buckets:
             sub = sub_buckets - 1
-        self._counts[exponent * sub_buckets + sub] += 1
+        row = self._rows[exponent]
+        if row is None:
+            row = self._rows[exponent] = [0] * sub_buckets
+        row[sub] += 1
         self.count += 1
         self.total += value
         if value < self.min_seen:
@@ -76,8 +90,7 @@ class LatencyHistogram:
 
     # -- queries --------------------------------------------------------------
 
-    def _bucket_value(self, index: int) -> float:
-        exponent, sub = divmod(index, self.sub_buckets)
+    def _bucket_value(self, exponent: int, sub: int) -> float:
         low = self.min_value * (2 ** exponent)
         return low * (1 + (sub + 0.5) / self.sub_buckets)
 
@@ -93,10 +106,13 @@ class LatencyHistogram:
             return 0.0
         target = max(1, math.ceil(self.count * p / 100.0))
         running = 0
-        for index, bucket_count in enumerate(self._counts):
-            running += bucket_count
-            if running >= target:
-                return self._bucket_value(index)
+        for exponent, row in enumerate(self._rows):
+            if row is None:
+                continue
+            for sub, bucket_count in enumerate(row):
+                running += bucket_count
+                if running >= target:
+                    return self._bucket_value(exponent, sub)
         return self.max_seen
 
     def percentiles(self, ps: Iterable[float]) -> Dict[float, float]:
@@ -114,14 +130,26 @@ class LatencyHistogram:
         }
 
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same configuration) into this one."""
+        """Fold another histogram (same configuration) into this one.
+
+        Adds row by row. A row only ``other`` has is copied, never
+        shared, so recording into either histogram afterwards leaves the
+        other unchanged.
+        """
         if (other.min_value != self.min_value
                 or other.sub_buckets != self.sub_buckets
                 or other.max_value != self.max_value):
             raise ValueError("cannot merge differently configured "
                              "histograms")
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
+        rows = self._rows
+        for exponent, row in enumerate(other._rows):
+            if row is None:
+                continue
+            mine = rows[exponent]
+            if mine is None:
+                rows[exponent] = list(row)
+            else:
+                rows[exponent] = [a + b for a, b in zip(mine, row)]
         self.count += other.count
         self.total += other.total
         self.min_seen = min(self.min_seen, other.min_seen)
