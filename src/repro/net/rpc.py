@@ -12,11 +12,13 @@ arrival, inside the delivery event (``Simulator.start``). A call is a
 *pending-call record*: the :class:`~repro.sim.events.Event` that
 :meth:`RpcNode.call` returns, kept in ``RpcNode._pending`` by request id
 and succeeded or failed directly by the response. Its deadline is one
-``Timeout`` that carries the request id, not the record, so an answered
-record dies by refcounting while its deadline still sits on the heap;
-retries and their backoff run from that timer's callback. A no-suspend
-echo round trip is therefore five events: two deliveries, the handler's
-completion, the record and its spent deadline.
+``Timeout`` that carries the request id, not the record, so no cycle
+forms through the heap; retries and their backoff run from that timer's
+callback. The record keeps its current timer, and the response that
+answers it cancels that timer (``Simulator.cancel``), so the heap holds
+only the deadlines of calls still waiting. A no-suspend echo round trip
+is therefore four fired events (two deliveries, the handler's
+completion and the record) plus a cancelled deadline that never fires.
 
 Methods listed in the :mod:`repro.wire` registry are type-checked at
 both ends: ``call``/``send_oneway`` reject request payloads that are not
@@ -116,11 +118,13 @@ class _Call(Event):
     Born pending, like ``Event``, with the request and its retry state
     in its own slots. ``in_flight`` is False while a retry backs off;
     a response that arrives then answers an abandoned attempt and is
-    dropped, as it is after the last deadline.
+    dropped, as it is after the last deadline. ``timer`` is the
+    deadline or backoff ``Timeout`` now on the heap, set by each
+    transmission and backoff.
     """
 
     __slots__ = ("dst", "request", "timeout", "attempts", "attempt",
-                 "in_flight")
+                 "in_flight", "timer")
 
     def __init__(self, sim: Simulator, dst: str, request: Request,
                  timeout: float, attempts: int) -> None:
@@ -204,6 +208,7 @@ class RpcNode:
             if record is None or not record.in_flight:
                 return  # duplicate, late or post-crash response: drop
             del self._pending[message.request_id]
+            self.sim.cancel(record.timer)
             if message.ok:
                 record.succeed(message.payload)
             else:
@@ -291,17 +296,17 @@ class RpcNode:
         """Send one attempt and arm its deadline."""
         request = record.request
         self.network.send(self.name, record.dst, request)
-        Timeout(self.sim, record.timeout,
-                request.request_id).callbacks.append(self._timer_callback)
+        timer = record.timer = Timeout(self.sim, record.timeout,
+                                       request.request_id)
+        timer.callbacks.append(self._timer_callback)
 
     def _on_timer(self, timer: Event) -> None:
         """A call's deadline or backoff timer fired. Each pending call
-        has exactly one timer on the heap, and ``in_flight`` says which
-        kind it is."""
+        has exactly one timer on the heap, ``record.timer``, and
+        ``in_flight`` says which kind it is. An answered or crashed
+        call's timer was cancelled, so the call is still pending."""
         request_id = timer._value
-        record = self._pending.get(request_id)
-        if record is None:
-            return  # answered, or failed by a crash
+        record = self._pending[request_id]
         if not record.in_flight:
             # Backoff over: retransmit under the same request id.
             record.in_flight = True
@@ -314,8 +319,8 @@ class RpcNode:
             backoff = min(RETRY_BACKOFF_BASE * (2 ** attempt),
                           RETRY_BACKOFF_CAP)
             backoff *= 0.5 + self._backoff_rng.random()
-            Timeout(self.sim, backoff,
-                    request_id).callbacks.append(self._timer_callback)
+            timer = record.timer = Timeout(self.sim, backoff, request_id)
+            timer.callbacks.append(self._timer_callback)
             return
         del self._pending[request_id]
         record.fail(RpcTimeout(
@@ -331,7 +336,8 @@ class RpcNode:
     def crash(self) -> None:
         """Amnesia fail-stop: interrupt every in-flight handler (in the
         order the requests arrived), fail every pending call with a
-        defused :class:`Interrupt` (in call order), and take no message
+        defused :class:`Interrupt` (in call order) and cancel its
+        deadline or backoff timer, and take no message
         until :meth:`restart`. The caller is responsible for having the
         network drop this node's traffic first (``Network.crash``)."""
         self._up = False
@@ -341,7 +347,9 @@ class RpcNode:
         self._procs.clear()
         pending = list(self._pending.values())
         self._pending.clear()
+        cancel = self.sim.cancel
         for record in pending:
+            cancel(record.timer)
             record.defused = True
             record.fail(Interrupt("crash"))
         self.crashes += 1

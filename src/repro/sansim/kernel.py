@@ -14,6 +14,9 @@ single traced fire body, which adds two things to the base kernel:
    :class:`~repro.sansim.policies.FifoTieBreak` picks index 0, which is
    byte-identical to the base kernel's ``(time, seq)`` order.
 
+``cancel`` drops the event's callbacks but keeps its entry, so every
+tie the policy sees is the one the uncancelled schedule had.
+
 ``run`` and ``run_until_event`` are inherited. ``process()`` returns a
 :class:`TracedProcess`, which wraps the one resume body
 (``Process._resume``) in begin/end-resume bookkeeping and overrides
@@ -93,6 +96,18 @@ class TracedSimulator(Simulator):
 
     def start(self, generator: Generator[Any, Any, Any]) -> TracedProcess:
         return TracedProcess(self, generator, now=True)
+
+    def cancel(self, event: Event) -> None:
+        """Drop ``event``'s callbacks and never compact.
+
+        Seeded tie-break policies draw over every tied entry (two calls
+        sent in one step with one timeout have deadlines at the same
+        float), and the runtime keys origins by seq, so removing
+        cancelled entries would change which entry a draw picks. Kept,
+        they pop and fire with no callbacks, and schedules stay those of
+        the kernel without cancellation under every policy.
+        """
+        self._disarm(event)
 
     # -- tie-aware pop ----------------------------------------------------
 

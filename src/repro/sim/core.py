@@ -26,19 +26,28 @@ plus :meth:`Event._fire`, with local bindings instead of three method
 calls per event; ``tests/test_fingerprints.py`` pins the resulting
 schedules byte-for-byte. ``events_processed`` counts popped events so
 ``repro bench`` can report kernel throughput as events per host second.
+
+The heap holds what is live. :meth:`Simulator.cancel` withdraws an entry
+nobody will wait on (an answered RPC's deadline) so that it runs
+nothing, and once such entries outnumber the live ones the heap is
+rebuilt without them.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Simulator"]
 
 _INF = float("inf")
+
+#: Compaction needs more cancelled entries than this, and more than half
+#: the heap (asyncio's rule for cancelled timer handles).
+_MIN_CANCELLED_TO_COMPACT = 64
 
 
 class Simulator:
@@ -49,7 +58,8 @@ class Simulator:
     fixed seed.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "events_processed")
+    __slots__ = ("_now", "_heap", "_seq", "_cancelled", "_compacted",
+                 "events_processed")
 
     #: Sanitizer seam (see :mod:`repro.sansim`): the traced subclass
     #: carries a ``SanitizerRuntime`` here; on the base class this is a
@@ -64,6 +74,11 @@ class Simulator:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
+        #: Cancelled entries still on the heap.
+        self._cancelled = 0
+        #: Cancelled entries removed by compaction, which ``_drain``
+        #: subtracts from its arithmetic pop count.
+        self._compacted = 0
         #: Cumulative count of events popped and fired; purely
         #: observational (the bench harness divides it by host seconds).
         self.events_processed = 0
@@ -80,6 +95,50 @@ class Simulator:
         seq = self._seq
         heappush(self._heap, (self._now + delay, seq, event))
         self._seq = seq + 1
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw ``event``, a triggered entry still on the heap that
+        nobody else waits on: it will never run a callback.
+
+        Its callbacks are dropped and a failure it carries is defused,
+        so the entry pins nothing and raises nothing. It stays on the
+        heap until the loop pops it, as an event with no callbacks, or
+        until cancelled entries are more than 64 and more than half the
+        heap. Then the heap is rebuilt in place without them and
+        heapified; removed entries never count in ``events_processed``.
+        Survivors keep their ``(time, seq)`` keys, so the order in which
+        they fire is the one they had.
+
+        One edge: a removed entry no longer moves the clock. A ``run()``
+        without ``until`` ends at the last entry left, so its final
+        ``now`` need not reach the deadline of an answered call.
+
+        Raises ``RuntimeError`` if ``event`` is untriggered (not on the
+        heap), already processed or already cancelled.
+        """
+        self._disarm(event)
+        cancelled = self._cancelled + 1
+        heap = self._heap
+        if cancelled > _MIN_CANCELLED_TO_COMPACT and 2 * cancelled > len(heap):
+            live = [entry for entry in heap if entry[2].callbacks is not None]
+            self._compacted += len(heap) - len(live)
+            heap[:] = live
+            heapify(heap)
+            cancelled = 0
+        self._cancelled = cancelled
+
+    @staticmethod
+    def _disarm(event: Event) -> None:
+        """Check that ``event`` can be cancelled, drop its callbacks and
+        defuse it; ``callbacks is None`` marks a cancelled entry."""
+        if event._value is PENDING:
+            raise RuntimeError(f"cannot cancel {event!r}: not triggered")
+        if event._processed:
+            raise RuntimeError(f"cannot cancel {event!r}: already processed")
+        if event.callbacks is None:
+            raise RuntimeError(f"cannot cancel {event!r}: already cancelled")
+        event.callbacks = None  # type: ignore[assignment]
+        event._defused = True
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` simulated seconds."""
@@ -119,6 +178,8 @@ class Simulator:
         time, _, event = heappop(self._heap)
         self._now = time
         self.events_processed += 1
+        if event.callbacks is None:
+            self._cancelled -= 1
         event._fire()
 
     def _drain(self, until: float, stop: Optional[Event]) -> None:
@@ -131,9 +192,11 @@ class Simulator:
         pop = heappop
         # Pops are counted arithmetically rather than per iteration:
         # every push site bumps ``_seq`` exactly once, so
-        # pops = pushes-during-run + how much the heap shrank.
+        # pops = pushes-during-run + how much the heap shrank, less the
+        # entries compaction removed.
         seq0 = self._seq
         len0 = len(heap)
+        compacted0 = self._compacted
         try:
             while heap and heap[0][0] <= until:
                 time, _, event = pop(heap)
@@ -162,6 +225,8 @@ class Simulator:
                             event.callbacks = []
                             for callback in callbacks:
                                 callback(event)
+                    elif callbacks is None:
+                        self._cancelled -= 1  # a cancelled entry
                     if event._ok is False:
                         if not event.defused:
                             raise event._value
@@ -172,7 +237,8 @@ class Simulator:
                     else:
                         break
         finally:
-            self.events_processed += self._seq - seq0 + len0 - len(heap)
+            self.events_processed += (self._seq - seq0 + len0 - len(heap)
+                                      - (self._compacted - compacted0))
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue empties or simulated time reaches ``until``.

@@ -384,6 +384,45 @@ class TestRpc:
         sim.run()
         assert len(failed) == 3
 
+    def test_crash_cancels_the_timers_of_the_calls_it_fails(self):
+        sim = Simulator()
+        net, client, _ = self._pair(sim)
+        net.register("mute")  # takes requests, never answers
+        backing_off = client.call("mute", "op", timeout=1e-3, retries=2)
+        waiting = client.call("mute", "op", timeout=10e-3)
+        sim.run(until=1.2e-3)
+        assert not backing_off.in_flight  # its timer is the backoff
+        timers = [backing_off.timer, waiting.timer]
+        client.crash()
+        assert [timer.callbacks for timer in timers] == [None, None]
+        assert sim._cancelled == 2
+        sent = net.stats.messages_sent
+        sim.run()
+        assert net.stats.messages_sent == sent and sim._cancelled == 0
+        assert backing_off.attempt == 1
+
+    def test_answered_deadlines_leave_the_heap(self):
+        sim = Simulator()
+        _, client, server = self._pair(sim, latency=FixedLatency(10e-6))
+
+        def echo(payload):
+            yield from ()
+            return payload
+
+        server.register("echo", echo)
+        heap_lengths = []
+
+        def caller():
+            for n in range(2000):
+                reply = yield client.call("server", "echo", n,
+                                          timeout=10e-3)
+                assert reply == n
+                heap_lengths.append(len(sim._heap))
+
+        sim.run_until_event(sim.process(caller()))
+        assert max(heap_lengths) < 200
+        assert sim._compacted > 0
+
     def test_restart_requires_a_crash(self):
         sim = Simulator()
         _, client, _ = self._pair(sim)

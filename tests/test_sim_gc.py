@@ -30,7 +30,7 @@ from repro.net import (AppError, FixedLatency, Network, RpcNode, RpcTimeout,
 from repro.sansim import TracedSimulator
 from repro.semel.replication import replicate_to_backups
 from repro.sim import Interrupt, SeededRng, Simulator, resources
-from repro.sim.events import AnyOf, Event
+from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.workloads.microbench import run_kv_microbench
 
@@ -315,6 +315,70 @@ class TestCallRecordsDieByRefcounting:
         ref = weakref.ref(proc)
         del proc
         assert ref() is None
+
+
+class WeakTimeout(Timeout):
+    __slots__ = ("__weakref__",)
+
+
+class TestCancelledEntriesDieByRefcounting:
+    """A cancelled entry has no callbacks, so the heap is its only
+    owner: an entry compaction removes dies right there, and one left on
+    the heap dies when it pops."""
+
+    @pytest.mark.parametrize("simulator", [Simulator, TracedSimulator])
+    def test_cancelled_timeouts(self, no_collector, simulator):
+        sim = simulator()
+        refs = []
+        for index in range(100):
+            timer = WeakTimeout(sim, 1.0 + index, index)
+            timer.callbacks.append(lambda event: None)
+            refs.append(weakref.ref(timer))
+            if index < 65:
+                sim.cancel(timer)
+        del timer
+        compacted = [ref() is None for ref in refs[:65]]
+        # The plain kernel compacts at the 65th cancel; the traced one
+        # keeps every entry until it pops.
+        assert all(compacted) if simulator is Simulator else not any(
+            compacted)
+        assert all(ref() is not None for ref in refs[65:])
+        sim.run()
+        assert all(ref() is None for ref in refs)
+
+    def test_answered_deadlines(self, no_collector, monkeypatch):
+        refs = []
+
+        class RecordedTimeout(WeakTimeout):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(rpc, "Timeout", RecordedTimeout)
+        sim = Simulator()
+        network = Network(sim, SeededRng(7), latency=FixedLatency(10e-6))
+        client = RpcNode(sim, network, "client")
+        server = RpcNode(sim, network, "server")
+
+        def echo(payload):
+            yield from ()
+            return payload
+
+        server.register("echo", echo)
+
+        def caller():
+            for n in range(300):
+                yield client.call("server", "echo", n, timeout=10e-3)
+
+        sim.run_until_event(sim.process(caller()))
+        assert len(refs) == 300 and sim._compacted > 0
+        on_heap = {id(entry[2]) for entry in sim._heap}
+        alive = {id(ref()) for ref in refs if ref() is not None}
+        assert alive <= on_heap
+        sim.run()
+        assert all(ref() is None for ref in refs)
 
 
 class WeakHold(resources._Hold):

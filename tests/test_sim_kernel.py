@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -75,6 +77,104 @@ class TestSimulatorBasics:
             sim.process(make(name)())
         sim.run()
         assert order == ["a", "b", "c"]
+
+
+def cancel_run(seed, cancel):
+    """Seeded timeouts (many tied), a random subset cancelled up front
+    and more cancelled, and new ones armed, from the callbacks of those
+    that fire. Returns the fired ``(name, now)`` order and the
+    simulator."""
+    sim = Simulator()
+    rng = random.Random(seed)
+    fired = []
+    timers = []
+    gone = set()
+
+    def arm(delay):
+        name = len(timers)
+        timer = sim.timeout(delay)
+        timer.callbacks.append(lambda event: on_fire(name))
+        timers.append(timer)
+
+    def drop(target):
+        if target not in gone and not timers[target].processed:
+            gone.add(target)
+            cancel(sim, timers[target])
+
+    def on_fire(name):
+        fired.append((name, sim.now))
+        if rng.random() < 0.4:
+            arm(rng.randrange(40) * 1e-3)
+        for _ in range(rng.randrange(4)):
+            drop(rng.randrange(len(timers)))
+
+    for _ in range(400):
+        arm(rng.randrange(40) * 1e-3)
+    for target in rng.sample(range(400), 150):
+        drop(target)
+    sim.run()
+    return fired, sim
+
+
+class TestCancel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_order_is_that_of_no_op_callbacks(self, seed):
+        reference, plain = cancel_run(
+            seed, lambda sim, timer: timer.callbacks.clear())
+        fired, sim = cancel_run(seed, lambda sim, timer: sim.cancel(timer))
+        assert fired == reference
+        assert sim._compacted > 0
+        assert sim.events_processed == (plain.events_processed
+                                        - sim._compacted)
+        assert sim._heap == [] and sim._cancelled == 0
+
+    def test_compaction_removes_cancelled_entries_uncounted(self):
+        sim = Simulator()
+        fired = []
+        timers = [sim.timeout(index * 1e-3, index) for index in range(100)]
+        for timer in timers:
+            timer.callbacks.append(lambda event: fired.append(event.value))
+        # The 65th cancel is more than 64 and more than half the heap.
+        for timer in timers[:64]:
+            sim.cancel(timer)
+        assert len(sim._heap) == 100 and sim._cancelled == 64
+        sim.cancel(timers[64])
+        assert len(sim._heap) == 35 and sim._cancelled == 0
+        sim.run()
+        assert fired == list(range(65, 100))
+        assert sim.events_processed == 35
+
+    def test_cancelled_entry_left_on_the_heap_pops_and_runs_nothing(self):
+        sim = Simulator()
+        fired = []
+        timers = [sim.timeout(delay) for delay in (1.0, 2.0, 3.0)]
+        for timer in timers:
+            timer.callbacks.append(lambda event: fired.append(sim.now))
+        sim.cancel(timers[1])
+        sim.run()
+        assert fired == [1.0, 3.0]
+        assert (sim.events_processed, sim._cancelled) == (3, 0)
+
+    def test_cancelled_failure_is_defused(self):
+        sim = Simulator()
+        event = sim.event().fail(RuntimeError("nobody listens"))
+        sim.cancel(event)
+        sim.run()
+        assert event.processed
+
+    def test_cancel_raises_on_pending_processed_or_cancelled(self):
+        sim = Simulator()
+        with pytest.raises(RuntimeError, match="not triggered"):
+            sim.cancel(sim.event())
+        done = sim.timeout(1.0)
+        sim.run()
+        with pytest.raises(RuntimeError, match="already processed"):
+            sim.cancel(done)
+        twice = sim.timeout(1.0)
+        sim.cancel(twice)
+        with pytest.raises(RuntimeError, match="already cancelled"):
+            sim.cancel(twice)
+        assert sim._cancelled == 1
 
 
 class TestProcess:
