@@ -15,12 +15,16 @@ millions of times per run:
   is;
 * RPC round-trips — full request/response cycles over the simulated
   network, the unit of work every protocol message pays: one heap hop
-  per message, five events per round trip with this echo's one
-  suspension adding a sixth (see ``repro.net.rpc``);
+  per message, four events per round trip with this echo's one
+  suspension adding a fifth, and a deadline that the answer cancels
+  (see ``repro.net.rpc``), so the heap stays as small as what is live;
 * device reads — readers that charge the FTL core and then read a
   page, the MFTL GET path without the store: a charge is one
   ``Resource.hold`` heap entry, a page read a service end plus a
-  completion, and neither is a process (see ``repro.flash.device``).
+  completion, and neither is a process (see ``repro.flash.device``);
+* histogram records — latencies recorded into the 1,024-sub-bucket
+  :class:`~repro.histogram.LatencyHistogram` the end-to-end benchmark
+  uses, whose counters are allocated one power-of-two range at a time.
 
 All results are rates per **host** second; simulated time is reported
 in ``extra`` where it is interesting. Scales are chosen so the full
@@ -30,9 +34,13 @@ them further for CI smoke runs.
 
 from __future__ import annotations
 
+import math
+import sys
+
 from ..flash.device import FlashDevice
 from ..flash.geometry import FlashGeometry
 from ..ftl.base import Cpu
+from ..histogram import LatencyHistogram
 from ..net.latency import FixedLatency
 from ..net.network import Network
 from ..net.rpc import RpcNode
@@ -46,6 +54,7 @@ __all__ = [
     "bench_device_reads",
     "bench_event_alloc",
     "bench_event_dispatch",
+    "bench_histogram_records",
     "bench_rpc_roundtrips",
     "bench_store_handoff",
     "bench_timeout_chain",
@@ -194,7 +203,8 @@ def bench_rpc_roundtrips(scale: float = 1.0) -> BenchResult:
         name="kernel/rpc", metric="roundtrips_per_s",
         value=n / seconds if seconds else 0.0,
         n=n, seconds=seconds,
-        extra={"messages_sent": network.stats.messages_sent})
+        extra={"messages_sent": network.stats.messages_sent,
+               "heap_len": len(sim._heap)})
 
 
 def bench_device_reads(scale: float = 1.0) -> BenchResult:
@@ -232,3 +242,30 @@ def bench_device_reads(scale: float = 1.0) -> BenchResult:
         value=reads / seconds if seconds else 0.0,
         n=reads, seconds=seconds,
         extra={"readers": readers, "sim_seconds": round(sim.now, 9)})
+
+
+def bench_histogram_records(scale: float = 1.0) -> BenchResult:
+    """A seeded log-normal latency stream (median 300 us) recorded into
+    a 1,024-sub-bucket histogram.
+
+    The values are drawn outside the timed region. ``extra`` reports
+    how many power-of-two ranges hold counters and their bytes: 8 B x
+    1,024 per range the stream touched, not per range the histogram
+    spans.
+    """
+    n = _scaled(200_000, scale)
+    rng = SeededRng(11)
+    values = [rng.lognormvariate(math.log(300e-6), 0.8) for _ in range(n)]
+    histogram = LatencyHistogram(sub_buckets=1024)
+    record = histogram.record
+    start = host_clock()
+    for value in values:
+        record(value)
+    seconds = host_clock() - start
+    rows = [row for row in histogram._rows if row is not None]
+    return BenchResult(
+        name="kernel/histogram", metric="records_per_s",
+        value=n / seconds if seconds else 0.0,
+        n=n, seconds=seconds,
+        extra={"rows": len(rows),
+               "counter_bytes": sum(sys.getsizeof(row) for row in rows)})

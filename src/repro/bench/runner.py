@@ -119,6 +119,7 @@ def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
         bench_device_reads,
         bench_event_alloc,
         bench_event_dispatch,
+        bench_histogram_records,
         bench_rpc_roundtrips,
         bench_store_handoff,
         bench_timeout_chain,
@@ -131,6 +132,7 @@ def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
         ("kernel/store", bench_store_handoff),
         ("kernel/rpc", bench_rpc_roundtrips),
         ("kernel/device", bench_device_reads),
+        ("kernel/histogram", bench_histogram_records),
     ]
 
 
