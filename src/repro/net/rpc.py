@@ -12,13 +12,15 @@ arrival, inside the delivery event (``Simulator.start``). A call is a
 *pending-call record*: the :class:`~repro.sim.events.Event` that
 :meth:`RpcNode.call` returns, kept in ``RpcNode._pending`` by request id
 and succeeded or failed directly by the response. Its deadline is one
-``Timeout`` that carries the request id, not the record, so no cycle
-forms through the heap; retries and their backoff run from that timer's
-callback. The record keeps its current timer, and the response that
-answers it cancels that timer (``Simulator.cancel``), so the heap holds
-only the deadlines of calls still waiting. A no-suspend echo round trip
-is therefore four fired events (two deliveries, the handler's
-completion and the record) plus a cancelled deadline that never fires.
+``Timeout`` that carries the request id, not the record, so nothing on
+the heap holds an answered record; retries and their backoff run from
+that timer's callback. The record keeps its current timer, and the
+response that answers it cancels that timer (``Simulator.cancel``), so
+the heap holds only the deadlines of calls still waiting, plus cancelled
+ones until the next compaction. A no-suspend echo round trip is
+therefore five events: two deliveries, the handler's completion, the
+record, and its cancelled deadline, which runs nothing and is popped or
+compacted away.
 
 Methods listed in the :mod:`repro.wire` registry are type-checked at
 both ends: ``call``/``send_oneway`` reject request payloads that are not
@@ -336,9 +338,9 @@ class RpcNode:
     def crash(self) -> None:
         """Amnesia fail-stop: interrupt every in-flight handler (in the
         order the requests arrived), fail every pending call with a
-        defused :class:`Interrupt` (in call order) and cancel its
-        deadline or backoff timer, and take no message
-        until :meth:`restart`. The caller is responsible for having the
+        defused :class:`Interrupt` (in call order), cancelling its
+        deadline or backoff timer, and take no message until
+        :meth:`restart`. The caller is responsible for having the
         network drop this node's traffic first (``Network.crash``)."""
         self._up = False
         for proc in list(self._procs):
