@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Chaos engineering: rolling failures under an active master.
 
-Runs the Retwis workload while a ChaosMonkey crashes and revives random
-backups (never breaking a quorum) and, midway, fail-stops a shard
-primary outright. The heartbeat-driven master detects the silence,
+Runs the Retwis workload under ``rolling_chaos``: every 60 ms it pauses
+a random server (never breaking a quorum) for 45 ms. With a master
+running, primaries are fair game too, and 45 ms of silence outlasts the
+master's 35 ms failure timeout: the heartbeat-driven master detects it,
 promotes a backup, runs the Algorithm 2 recovery merge, and the workload
 rides through — this is §3's "global master" plus §4.5's recovery story,
 end to end.
@@ -11,7 +12,7 @@ end to end.
 Run:  python examples/chaos_with_master.py
 """
 
-from repro.harness.chaos import ChaosMonkey
+from repro.harness.chaos import rolling_chaos
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.sim import SeededRng
 from repro.workloads import RetwisInstance
@@ -30,9 +31,9 @@ def main():
     ))
     sim = cluster.sim
 
-    monkey = ChaosMonkey(cluster, SeededRng(78),
-                         interval=30e-3, downtime=15e-3)
-    monkey.start()
+    plan = rolling_chaos(cluster, SeededRng(78), start=0.0, duration=0.6,
+                         interval=60e-3, downtime=45e-3)
+    plan.start()
 
     instances = [
         RetwisInstance(sim, client, cluster.populated_keys,
@@ -40,22 +41,14 @@ def main():
         for i, client in enumerate(cluster.clients)
     ]
     procs = [instance.run(duration=0.6) for instance in instances]
-
-    # Midway: kill a primary for real (the monkey only takes backups).
-    def assassin():
-        yield sim.timeout(0.25)
-        primary = cluster.directory.shard("shard0").primary
-        print(f"t={sim.now * 1e3:5.0f} ms  killing PRIMARY {primary}")
-        cluster.pause_server(primary)
-
-    sim.process(assassin())
     for proc in procs:
         sim.run_until_event(proc)
     sim.run(until=sim.now + 0.2)   # let the failover settle
 
     committed = sum(i.stats.committed for i in instances)
     aborted = sum(i.stats.aborted for i in instances)
-    print(f"backup blips injected : {len(monkey.kills)}")
+    for at, label in plan.timeline:
+        print(f"  t={at * 1e3:5.0f} ms  {label}")
     print(f"primary failovers     : {len(cluster.master.failovers)}")
     for at, shard, dead, successor in cluster.master.failovers:
         print(f"  t={at * 1e3:5.0f} ms  {shard}: {dead} -> {successor} "

@@ -5,14 +5,15 @@ plain-text reporting."""
 from .ablations import ABLATIONS
 from .audit import AuditReport, collect_history, run_audit, sync_replicas
 from .chaos import (
-    ChaosMonkey,
     NemesisPlan,
     clock_storm,
+    dup_storm,
     isolate_master,
     largest_connected_majority,
     loss_storm,
     majority_minority_split,
     partition_primary_from_backups,
+    rolling_chaos,
 )
 from .cluster import BACKEND_KINDS, Cluster, ClusterConfig
 from .experiments import FIGURES, Experiment, ExperimentResult
@@ -51,13 +52,14 @@ __all__ = [
     "run_audit",
     "sync_replicas",
     "NemesisPlan",
-    "ChaosMonkey",
     "largest_connected_majority",
     "partition_primary_from_backups",
     "isolate_master",
     "majority_minority_split",
     "clock_storm",
     "loss_storm",
+    "dup_storm",
+    "rolling_chaos",
     "SCENARIOS",
     "Scenario",
     "NemesisRunResult",

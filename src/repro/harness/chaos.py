@@ -1,23 +1,18 @@
 """Scripted and randomized failure injection.
 
 Recovery code that is only exercised by hand-built scenarios rots; a
-chaos schedule keeps it honest. Two tools:
-
-* :class:`NemesisPlan` — the fault DSL: partitions (symmetric and
-  asymmetric), probabilistic link loss, latency spikes, clock anomalies
-  (steps, drift, spike storms), link-level pauses (the node's memory
-  survives) and amnesia crashes, all scheduled at exact instants and
-  recorded on a fault-event timeline. Named builders
-  (:func:`partition_primary_from_backups`, :func:`isolate_master`,
-  :func:`majority_minority_split`, :func:`clock_storm`,
-  :func:`loss_storm`) compose onto one plan via their ``plan=``
-  argument; SeededRng-drawn schedules keep every run reproducible.
-* :class:`ChaosMonkey` — randomized rolling failures: every interval it
-  crashes a random *backup* (never reducing any shard below a connected
-  majority — partitions count) and revives it after ``downtime``.
-  Primaries are excluded by default because automatic primary failover
-  is the :class:`~repro.semel.master.Master`'s job — enable
-  ``include_primaries`` when one is running.
+chaos schedule keeps it honest. :class:`NemesisPlan` is the fault DSL:
+partitions (symmetric and asymmetric), probabilistic link loss,
+duplicate delivery, clock skew spikes, link-level pauses (the node's
+memory survives) and amnesia crashes, all scheduled at exact instants
+and recorded on a fault-event timeline. Named builders
+(:func:`partition_primary_from_backups`, :func:`isolate_master`,
+:func:`majority_minority_split`, :func:`clock_storm`,
+:func:`loss_storm`, :func:`dup_storm`, :func:`rolling_chaos`) compose
+onto one plan via their ``plan=`` argument; SeededRng-drawn schedules
+keep every run reproducible. :func:`rolling_chaos` is the randomized
+one: every interval it fails a random node that no quorum depends on
+(partitions count) and revives it after ``downtime``.
 """
 
 from __future__ import annotations
@@ -31,13 +26,14 @@ from .cluster import Cluster
 
 __all__ = [
     "NemesisPlan",
-    "ChaosMonkey",
     "largest_connected_majority",
     "partition_primary_from_backups",
     "isolate_master",
     "majority_minority_split",
     "clock_storm",
     "loss_storm",
+    "dup_storm",
+    "rolling_chaos",
 ]
 
 
@@ -46,29 +42,35 @@ class NemesisPlan:
 
     Every event is scheduled at an exact simulated instant and recorded
     on :attr:`timeline` when it fires, so a run's fault history can be
-    reported next to its metrics. Helpers cover the full fault surface:
-    link state (:meth:`partition` / :meth:`block` / :meth:`set_loss` /
-    :meth:`latency_spike`), clocks (:meth:`clock_step` /
-    :meth:`clock_drift` / :meth:`clock_spike`) and fail-stop crashes.
-    ``heal_all`` restores a fault-free network (crashed nodes recover
-    separately, clock anomalies clear separately).
+    reported next to its metrics. The verbs are those the scenario rows
+    use: link state (:meth:`partition` / :meth:`set_loss` /
+    :meth:`set_duplicate` and their heals), clock skew
+    (:meth:`clock_spike`), pauses and amnesia crashes. Anything else is
+    one :meth:`at` call away.
     """
 
     def __init__(self, cluster: Cluster, name: str = "nemesis") -> None:
         self.cluster = cluster
         self.name = name
-        self._events: List[Tuple[float, int, str, Callable[[], None]]] = []
+        self._events: List[
+            Tuple[float, int, Optional[str], Callable[[], object]]] = []
         #: (time, description) of every fault event that has fired.
         self.timeline: List[Tuple[float, str]] = []
-        #: Restart Processes spawned by :meth:`restart`/:meth:`recover`,
-        #: so a driver can wait for the recovery protocols to finish.
+        #: Restart Processes spawned by :meth:`restart` (and by
+        #: :func:`rolling_chaos`), so a driver can wait for the recovery
+        #: protocols to finish.
         self.restarts: List[Process] = []
 
     # -- generic scheduling -------------------------------------------------
 
-    def at(self, time: float, label: str,
-           action: Callable[[], None]) -> "NemesisPlan":
-        """Schedule ``action()`` at simulated ``time``."""
+    def at(self, time: float, label: Optional[str],
+           action: Callable[[], object]) -> "NemesisPlan":
+        """Schedule ``action()`` at simulated ``time``.
+
+        ``label`` is what the timeline records when the event fires. An
+        event whose subject is chosen at fire time passes ``None`` and
+        returns its own label, or ``None`` to record nothing.
+        """
         self._events.append((time, len(self._events), label, action))
         return self
 
@@ -94,14 +96,6 @@ class NemesisPlan:
             at, f"heal partition {side_a} | {side_b}",
             lambda: self._faults().heal_partition(side_a, side_b))
 
-    def block(self, at: float, src: str, dst: str) -> "NemesisPlan":
-        return self.at(at, f"block {src} -> {dst}",
-                       lambda: self._faults().block(src, dst))
-
-    def unblock(self, at: float, src: str, dst: str) -> "NemesisPlan":
-        return self.at(at, f"unblock {src} -> {dst}",
-                       lambda: self._faults().unblock(src, dst))
-
     def set_loss(self, at: float, probability: float,
                  src: Optional[str] = None,
                  dst: Optional[str] = None) -> "NemesisPlan":
@@ -114,22 +108,10 @@ class NemesisPlan:
         return self.at(at, "clear loss",
                        lambda: self._faults().clear_loss())
 
-    def latency_spike(self, at: float, extra: float,
-                      src: Optional[str] = None,
-                      dst: Optional[str] = None) -> "NemesisPlan":
-        where = f"{src} -> {dst}" if src else "all links"
+    def set_duplicate(self, at: float, probability: float) -> "NemesisPlan":
         return self.at(
-            at, f"latency +{extra:g}s on {where}",
-            lambda: self._faults().set_extra_latency(extra, src, dst))
-
-    def clear_latency_spike(self, at: float) -> "NemesisPlan":
-        return self.at(at, "clear latency spikes",
-                       lambda: self._faults().clear_extra_latency())
-
-    def heal_all(self, at: float) -> "NemesisPlan":
-        """Clear every link fault (partitions, loss, spikes) at once."""
-        return self.at(at, "heal all link faults",
-                       lambda: self._faults().heal())
+            at, f"duplicate {probability:g} on all links",
+            lambda: self._faults().set_duplicate(probability))
 
     # -- crashes ------------------------------------------------------------
 
@@ -156,33 +138,10 @@ class NemesisPlan:
             self.restarts.append(self.cluster.restart_server(node))
         return self.at(at, f"restart {node}", action)
 
-    def recover(self, at: float, node: str) -> "NemesisPlan":
-        """State-routed recovery: unpause a paused node, restart a
-        crashed one, leave an already-recovering or healthy node alone.
-        For scripts that do not care which failure hit the node."""
-        def action() -> None:
-            state = self.cluster.server_state(node)
-            if state == "paused":
-                self.cluster.unpause_server(node)
-            elif state == "crashed":
-                self.restarts.append(self.cluster.restart_server(node))
-            # "recovering" and "up" need nothing.
-        return self.at(at, f"recover {node}", action)
-
     # -- clock anomalies ----------------------------------------------------
 
     def _clock(self, clock_name: str):
         return self.cluster.clock_ensemble.clock_for(clock_name)
-
-    def clock_step(self, at: float, clock_name: str,
-                   offset: float) -> "NemesisPlan":
-        return self.at(at, f"clock step {offset:+g}s on {clock_name}",
-                       lambda: self._clock(clock_name).step(offset))
-
-    def clock_drift(self, at: float, clock_name: str,
-                    rate: float) -> "NemesisPlan":
-        return self.at(at, f"clock drift {rate:+g}s/s on {clock_name}",
-                       lambda: self._clock(clock_name).set_drift(rate))
 
     def clock_spike(self, at: float, clock_name: str, amplitude: float,
                     duration: float) -> "NemesisPlan":
@@ -190,10 +149,6 @@ class NemesisPlan:
             at, f"clock spike {amplitude:+g}s/{duration:g}s on "
                 f"{clock_name}",
             lambda: self._clock(clock_name).spike(amplitude, duration))
-
-    def clear_clock(self, at: float, clock_name: str) -> "NemesisPlan":
-        return self.at(at, f"clear clock anomalies on {clock_name}",
-                       lambda: self._clock(clock_name).clear())
 
     # -- execution ----------------------------------------------------------
 
@@ -212,8 +167,11 @@ class NemesisPlan:
                                            key=lambda e: (e[0], e[1])):
             if at > sim.now:
                 yield sim.timeout(at - sim.now)
-            action()
-            self.timeline.append((sim.now, label))
+            fired = action()
+            if label is None:
+                label = fired
+            if label is not None:
+                self.timeline.append((sim.now, label))
 
 
 # -- named nemesis plans ----------------------------------------------------
@@ -347,6 +305,25 @@ def loss_storm(
     return plan
 
 
+# Share of messages :func:`dup_storm` delivers twice.
+_DUP_STORM_PROBABILITY = 0.3
+
+
+def dup_storm(
+    cluster: Cluster,
+    rng: SeededRng,
+    start: float,
+    duration: float,
+    plan: Optional[NemesisPlan] = None,
+) -> NemesisPlan:
+    """Duplicate delivery on every link for a window: the servers'
+    in-flight coalescing must keep every put and prepare at most once."""
+    plan = _plan(cluster, plan, "dup-storm")
+    plan.set_duplicate(start, _DUP_STORM_PROBABILITY)
+    plan.set_duplicate(start + duration, 0.0)
+    return plan
+
+
 def largest_connected_majority(network: Network,
                                nodes: Sequence[str]) -> int:
     """Size of the largest mutually communicating component of
@@ -372,114 +349,85 @@ def largest_connected_majority(network: Network,
     return best
 
 
-class ChaosMonkey:
-    """Randomized rolling backup failures that never break quorums.
+def rolling_chaos(
+    cluster: Cluster,
+    rng: SeededRng,
+    start: float,
+    duration: float,
+    plan: Optional[NemesisPlan] = None,
+    interval: float = 25e-3,
+    downtime: float = 12e-3,
+    amnesia: bool = False,
+) -> NemesisPlan:
+    """Randomized rolling failures that never break a quorum.
 
-    ``amnesia=False`` (default) pauses victims and unpauses them after
-    ``downtime`` — the historical behaviour. ``amnesia=True`` crashes
-    them for real: volatile state wiped, revival via the full restart
-    protocol (WAL replay + catch-up), which the monkey waits out before
-    counting the node as back.
+    Every ``interval`` from ``start`` until ``start + duration`` a tick
+    draws a victim with ``rng`` among the nodes that :func:`_may_fail`
+    and pauses it, or amnesia-crashes it when ``amnesia`` is set;
+    ``downtime`` later it is unpaused, or restarted into
+    ``plan.restarts``. A tick with no such node records nothing.
     """
+    if downtime >= interval:
+        raise ValueError(
+            f"downtime {downtime} must be < interval {interval} so "
+            "failures do not overlap unboundedly")
+    plan = _plan(cluster, plan, "chaos-amnesia" if amnesia else "chaos")
+    # One-slot handoff of this tick's victim to its revive: another
+    # event of a composed plan may also have a node down.
+    victim_slot: List[str] = []
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        rng: SeededRng,
-        interval: float = 50e-3,
-        downtime: float = 30e-3,
-        include_primaries: bool = False,
-        amnesia: bool = False,
-    ) -> None:
-        if downtime >= interval:
-            raise ValueError(
-                f"downtime {downtime} must be < interval {interval} so "
-                "failures do not overlap unboundedly")
-        self.cluster = cluster
-        self.rng = rng
-        self.interval = interval
-        self.downtime = downtime
-        self.include_primaries = include_primaries
-        self.amnesia = amnesia
-        self.kills: List[Tuple[float, str]] = []
-        self._down: set = set()
-        self._daemon: Optional[Process] = None
+    def kill() -> Optional[str]:
+        candidates = [node for node in cluster.directory.all_servers()
+                      if _may_fail(cluster, node)]
+        if not candidates:
+            return None
+        victim = rng.choice(candidates)
+        victim_slot.append(victim)
+        if amnesia:
+            cluster.crash_server(victim)
+            return f"crash {victim}"
+        cluster.pause_server(victim)
+        return f"pause {victim}"
 
-    def start(self) -> Process:
-        if self._daemon is None:
-            self._daemon = self.cluster.sim.process(self._loop())
-        return self._daemon
+    def revive() -> Optional[str]:
+        if not victim_slot:
+            return None
+        victim = victim_slot.pop()
+        if amnesia:
+            plan.restarts.append(cluster.restart_server(victim))
+            return f"restart {victim}"
+        cluster.unpause_server(victim)
+        return f"unpause {victim}"
 
-    # -- victim selection ---------------------------------------------------
+    tick = 0
+    while tick * interval < duration:
+        plan.at(start + tick * interval, None, kill)
+        plan.at(start + tick * interval + downtime, None, revive)
+        tick += 1
+    return plan
 
-    def _quorum_safe(self, node: str) -> bool:
-        """Would crashing ``node`` leave every shard with a *connected*
-        majority?
 
-        Counting non-crashed replicas is not enough once link faults
-        exist: a replica on the wrong side of a partition cannot ack
-        replication, so only the largest mutually communicating
-        component counts toward the majority. Likewise a paused,
-        amnesia-crashed, or still-recovering replica
-        (``Cluster.is_serving``) contributes nothing.
-        """
-        directory = self.cluster.directory
-        network = self.cluster.network
-        for shard_name in directory.shard_names:
-            shard = directory.shard(shard_name)
-            if node not in shard.replicas:
-                continue
-            alive = [
-                replica for replica in shard.replicas
-                if replica != node and replica not in self._down
-                and self.cluster.is_serving(replica)
-                and not network.is_crashed(replica)
-            ]
-            if largest_connected_majority(network, alive) \
-                    < shard.fault_tolerance + 1:
-                return False
-        return True
+def _may_fail(cluster: Cluster, node: str) -> bool:
+    """Can ``node`` fail now without breaking a quorum?
 
-    def _candidates(self) -> Sequence[str]:
-        directory = self.cluster.directory
-        primaries = set(directory.all_primaries())
-        nodes = []
-        for node in directory.all_servers():
-            if node in self._down:
-                continue
-            if not self.cluster.is_serving(node):
-                continue
-            if not self.include_primaries and node in primaries:
-                continue
-            if self._quorum_safe(node):
-                nodes.append(node)
-        return nodes
-
-    # -- the loop -------------------------------------------------------------
-
-    def _loop(self):
-        sim = self.cluster.sim
-        while True:
-            yield sim.timeout(self.interval)
-            candidates = self._candidates()
-            if not candidates:
-                continue
-            victim = self.rng.choice(list(candidates))
-            self._down.add(victim)
-            if self.amnesia:
-                self.cluster.crash_server(victim)
-            else:
-                self.cluster.pause_server(victim)
-            self.kills.append((sim.now, victim))
-            sim.process(self._revive(victim))
-
-    def _revive(self, node: str):
-        yield self.cluster.sim.timeout(self.downtime)
-        if self.amnesia:
-            # Down until the restart protocol actually finishes — an
-            # amnesia-crashed node with an empty store is not a quorum
-            # member just because its links are back.
-            yield self.cluster.restart_server(node)
-        else:
-            self.cluster.unpause_server(node)
-        self._down.discard(node)
+    It must be serving (a primary only when a master runs to fail it
+    over), and each shard it replicates must keep a *connected*
+    majority of serving replicas without it: partitions count.
+    """
+    directory = cluster.directory
+    network = cluster.network
+    if not cluster.is_serving(node) or network.is_crashed(node):
+        return False
+    if cluster.master is None and node in directory.all_primaries():
+        return False
+    for shard_name in directory.shard_names:
+        shard = directory.shard(shard_name)
+        if node not in shard.replicas:
+            continue
+        alive = [replica for replica in shard.replicas
+                 if replica != node and cluster.is_serving(replica)
+                 and not network.is_crashed(replica)]
+        if largest_connected_majority(network, alive) \
+                < shard.fault_tolerance + 1:
+            return False
+    return True

@@ -40,10 +40,12 @@ from .audit import AuditReport, run_audit, sync_replicas
 from .chaos import (
     NemesisPlan,
     clock_storm,
+    dup_storm,
     isolate_master,
     loss_storm,
     majority_minority_split,
     partition_primary_from_backups,
+    rolling_chaos,
 )
 from .cluster import Cluster, ClusterConfig
 from .metrics import WindowMetrics, snapshot, window_metrics
@@ -165,6 +167,9 @@ SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("rolling-restart", _rolling_restart),
     Scenario("crash-during-recovery", _crash_during_recovery),
     Scenario("crash-partition", _crash_partition),
+    Scenario("chaos", rolling_chaos),
+    Scenario("chaos-amnesia", partial(rolling_chaos, amnesia=True)),
+    Scenario("dup-storm", dup_storm),
 )
 
 

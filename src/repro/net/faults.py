@@ -10,7 +10,10 @@ actually face:
   from a dedicated SeededRng substream so enabling loss never perturbs
   the latency jitter stream;
 * **latency spikes** — per-edge or default extra one-way delay, for
-  congestion/bufferbloat excursions.
+  congestion/bufferbloat excursions;
+* **duplicate delivery** — an all-links probability that a carried
+  message arrives twice, each copy with its own latency draw, the fault
+  SEMEL's at-most-once and MILANA's idempotence machinery exist for.
 
 The structure is deliberately *inert by default*: a freshly installed
 ``LinkFaults`` has ``active == False`` and the network skips it entirely,
@@ -22,7 +25,7 @@ scheduling of fault windows belongs to the nemesis plans in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..sim.rng import SeededRng
 
@@ -54,6 +57,7 @@ class LinkFaults:
         self._default_loss = 0.0
         self._extra_latency: Dict[Edge, float] = {}
         self._default_extra_latency = 0.0
+        self._duplicate = 0.0
 
     # -- activity gate ------------------------------------------------------
 
@@ -61,7 +65,8 @@ class LinkFaults:
     def active(self) -> bool:
         """True when any fault is currently configured."""
         return bool(self._blocked or self._loss or self._default_loss
-                    or self._extra_latency or self._default_extra_latency)
+                    or self._extra_latency or self._default_extra_latency
+                    or self._duplicate)
 
     # -- blocked edges / partitions -----------------------------------------
 
@@ -76,10 +81,6 @@ class LinkFaults:
         """Drop traffic in both directions between ``a`` and ``b``."""
         self.block(a, b)
         self.block(b, a)
-
-    def unblock_pair(self, a: str, b: str) -> None:
-        self.unblock(a, b)
-        self.unblock(b, a)
 
     def partition(self, side_a: Iterable[str], side_b: Iterable[str],
                   symmetric: bool = True) -> None:
@@ -101,16 +102,8 @@ class LinkFaults:
                 self.unblock(a, b)
                 self.unblock(b, a)
 
-    def isolate(self, node: str, others: Iterable[str]) -> None:
-        """Cut ``node`` off from every node in ``others``, both ways."""
-        self.partition([node], others)
-
     def is_blocked(self, src: str, dst: str) -> bool:
         return (src, dst) in self._blocked
-
-    @property
-    def blocked_edges(self) -> List[Edge]:
-        return sorted(self._blocked)
 
     # -- probabilistic loss ------------------------------------------------
 
@@ -135,9 +128,6 @@ class LinkFaults:
         self._loss.clear()
         self._default_loss = 0.0
 
-    def loss_probability(self, src: str, dst: str) -> float:
-        return self._loss.get((src, dst), self._default_loss)
-
     # -- latency spikes ----------------------------------------------------
 
     def set_extra_latency(self, extra: float, src: Optional[str] = None,
@@ -161,17 +151,31 @@ class LinkFaults:
         self._extra_latency.clear()
         self._default_extra_latency = 0.0
 
-    def extra_latency(self, src: str, dst: str) -> float:
-        return self._extra_latency.get((src, dst),
-                                       self._default_extra_latency)
+    # -- duplicate delivery ------------------------------------------------
+
+    def set_duplicate(self, probability: float) -> None:
+        """Deliver each carried message twice with ``probability``, on
+        every link. 0 clears."""
+        if not 0.0 <= probability < 1.0:
+            raise ValueError("duplicate probability must be in [0, 1), "
+                             f"got {probability}")
+        self._duplicate = probability
+
+    def duplicates(self) -> bool:
+        """Whether the message just carried is delivered a second time.
+        Draws from this object's rng substream only while duplication
+        is on."""
+        return self._duplicate > 0.0 and self.rng.random() < self._duplicate
 
     # -- wholesale heal ----------------------------------------------------
 
     def heal(self) -> None:
-        """Clear every configured fault (partitions, loss, spikes)."""
+        """Clear every configured fault (partitions, loss, spikes,
+        duplication)."""
         self._blocked.clear()
         self.clear_loss()
         self.clear_extra_latency()
+        self._duplicate = 0.0
 
     # -- the per-message decision ------------------------------------------
 

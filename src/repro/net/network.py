@@ -8,27 +8,27 @@ path, with or without a fault table installed. An
 :class:`~repro.net.rpc.RpcNode` registers its own receive method; a raw
 :meth:`Network.register` gives the node a
 :class:`~repro.sim.resources.Store` inbox whose ``offer`` is the
-callable. The fault model has three layers (see DESIGN.md "Fault model"
+callable. The fault model has two layers (see DESIGN.md "Fault model"
 for the full taxonomy):
 
 * **fail-stop crashes** — :meth:`crash` silently drops all traffic to and
   from a node until :meth:`recover`; senders observe the failure only as
   RPC timeouts (§4.5). Recovery of the node's *state* is the protocol
   layer's business, not the network's.
-* **duplicate delivery** — ``duplicate_probability`` re-delivers a sent
-  message with independent latency, exercising SEMEL's at-most-once and
-  MILANA's idempotence machinery (§3.3).
 * **link faults** — :meth:`install_faults` attaches a
-  :class:`~repro.net.faults.LinkFaults` table of per-edge state: blocked
-  directed edges (symmetric/asymmetric partitions), probabilistic message
-  loss, and latency spikes. The table is consulted only while it has
-  faults configured (``active``), and its loss draws come from a
+  :class:`~repro.net.faults.LinkFaults` table: blocked directed edges
+  (symmetric/asymmetric partitions), probabilistic message loss,
+  latency spikes, and duplicate delivery (a second copy with its own
+  latency draw, exercising SEMEL's at-most-once and MILANA's
+  idempotence machinery, §3.3). The table is consulted only while it
+  has faults configured (``active``), and its draws come from a
   dedicated rng substream, so runs with no faults enabled are
   byte-identical to runs on a network that never installed the table.
 
 Use :meth:`can_communicate` to ask whether a directed path is currently
-healthy under all three layers; chaos schedulers (e.g.
-``ChaosMonkey._quorum_safe``) must consult it rather than ``_crashed``.
+healthy under both layers; chaos schedulers (e.g. the quorum check of
+:func:`~repro.harness.chaos.rolling_chaos`) must consult it rather than
+``_crashed``.
 """
 
 from __future__ import annotations
@@ -102,17 +102,11 @@ class Network:
         sim: Simulator,
         rng: SeededRng,
         latency: LatencyModel = None,
-        duplicate_probability: float = 0.0,
     ) -> None:
-        if not 0.0 <= duplicate_probability < 1.0:
-            raise ValueError(
-                "duplicate_probability must be in [0, 1), got "
-                f"{duplicate_probability}")
         self.sim = sim
         self.rng = rng.substream("network")
         self.latency = latency if latency is not None \
             else DEFAULT_DATACENTER_LATENCY()
-        self.duplicate_probability = duplicate_probability
         self.stats = NetworkStats()
         #: node name -> the callable every message for it is handed to.
         self._receivers: Dict[str, Callable[[Any], None]] = {}
@@ -168,7 +162,8 @@ class Network:
     def install_faults(self) -> LinkFaults:
         """Attach (or return) the per-link fault table.
 
-        Loss draws use the dedicated ``faults`` substream, so installing
+        Loss and duplication draws use the dedicated ``faults``
+        substream, so installing
         an empty table — or never calling this at all — leaves every
         other rng stream untouched.
         """
@@ -208,19 +203,22 @@ class Network:
         # Link faults are checked at send time: a message already in
         # flight when a partition begins is a packet on the wire and
         # still arrives. The `active` gate keeps the default path free
-        # of fault-table lookups (and of loss-rng draws).
-        extra_delay = 0.0
-        if self._faults is not None and self._faults.active:
-            dropped, extra_delay = self._faults.apply(src, dst)
+        # of fault-table lookups (and of fault-rng draws).
+        faults = self._faults
+        if faults is not None and faults.active:
+            dropped, extra_delay = faults.apply(src, dst)
             if dropped:
                 self.stats.messages_dropped += 1
                 return
-        size = wire_size_of(message)
-        self._schedule_delivery(src, dst, message, size, extra_delay)
-        if (self.duplicate_probability > 0
-                and self.rng.random() < self.duplicate_probability):
-            self.stats.messages_duplicated += 1
+            size = wire_size_of(message)
             self._schedule_delivery(src, dst, message, size, extra_delay)
+            if faults.duplicates():
+                # The copy travels on its own latency draw and is
+                # charged on the wire like the original.
+                self.stats.messages_duplicated += 1
+                self._schedule_delivery(src, dst, message, size, extra_delay)
+            return
+        self._schedule_delivery(src, dst, message, wire_size_of(message))
 
     def _schedule_delivery(self, src: str, dst: str, message: Any,
                            size: int, extra_delay: float = 0.0) -> None:

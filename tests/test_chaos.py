@@ -3,11 +3,26 @@
 import pytest
 
 from repro.durability import DurabilityConfig
-from repro.harness.chaos import ChaosMonkey, NemesisPlan
+from repro.harness.chaos import NemesisPlan, rolling_chaos
 from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.nemesis import run_nemesis
 from repro.milana import COMMITTED
 from repro.sim import SeededRng
 from repro.workloads import RetwisInstance
+
+
+def start_chaos(cluster, seed, duration, **kwargs):
+    """Run :func:`rolling_chaos` from now for ``duration``."""
+    plan = rolling_chaos(cluster, SeededRng(seed), cluster.sim.now,
+                         duration, **kwargs)
+    plan.start()
+    return plan
+
+
+def kills(plan):
+    """(time, victim) of every kill on the plan's timeline."""
+    return [(at, label.split()[1]) for at, label in plan.timeline
+            if label.split()[0] in ("pause", "crash")]
 
 
 def make_cluster(**overrides):
@@ -68,24 +83,34 @@ class TestPausePlan:
         assert values == [f"gen-{i}" for i in range(20)]
 
 
-class TestChaosMonkey:
+class TestRollingChaos:
     def test_never_breaks_quorum(self):
         cluster = make_cluster()
-        monkey = ChaosMonkey(cluster, SeededRng(139),
-                             interval=20e-3, downtime=10e-3)
-        monkey.start()
+        plan = start_chaos(cluster, 139, 0.4,
+                           interval=20e-3, downtime=10e-3)
         cluster.sim.run(until=0.4)
-        assert len(monkey.kills) >= 10
-        # Primaries were never touched.
+        assert len(kills(plan)) >= 10
+        # Without a master, primaries are never touched.
         primaries = set(cluster.directory.all_primaries())
-        for _, victim in monkey.kills:
+        for _, victim in kills(plan):
             assert victim not in primaries
+
+    def test_every_kill_is_revived_downtime_later(self):
+        cluster = make_cluster()
+        plan = start_chaos(cluster, 139, 0.1,
+                           interval=20e-3, downtime=10e-3)
+        cluster.sim.run(until=0.2)
+        labels = [label for _, label in plan.timeline]
+        assert len(labels) == 10
+        for kill, revive in zip(labels[::2], labels[1::2]):
+            assert kill.startswith("pause ")
+            assert revive == "un" + kill
+        assert all(cluster.is_serving(name) for name in cluster.servers)
 
     def test_workload_survives_rolling_backup_failures(self):
         cluster = make_cluster(num_clients=4)
-        monkey = ChaosMonkey(cluster, SeededRng(149),
-                             interval=25e-3, downtime=12e-3)
-        monkey.start()
+        plan = start_chaos(cluster, 149, 1.0,
+                           interval=25e-3, downtime=12e-3)
         instances = [
             RetwisInstance(cluster.sim, client, cluster.populated_keys,
                            cluster.rng.substream(f"chaos{i}"), alpha=0.5)
@@ -98,13 +123,13 @@ class TestChaosMonkey:
         assert committed >= 150, (
             f"only {committed}/160 logical transactions committed under "
             "rolling backup failures")
-        assert len(monkey.kills) > 0
+        assert kills(plan)
 
     def test_validates_parameters(self):
         cluster = make_cluster()
         with pytest.raises(ValueError):
-            ChaosMonkey(cluster, SeededRng(0), interval=10e-3,
-                        downtime=10e-3)
+            rolling_chaos(cluster, SeededRng(0), 0.0, 0.1,
+                          interval=10e-3, downtime=10e-3)
 
     def test_quorum_safety_consults_partitions(self):
         """A replica on the wrong side of a partition cannot ack
@@ -115,12 +140,10 @@ class TestChaosMonkey:
         # srv-0-1 is cut off: the only connected majority left is
         # {srv-0-0, srv-0-2}, so srv-0-2 must never be killed.
         faults.partition(["srv-0-1"], ["srv-0-0", "srv-0-2"])
-        monkey = ChaosMonkey(cluster, SeededRng(7),
-                             interval=20e-3, downtime=10e-3)
-        monkey.start()
+        plan = start_chaos(cluster, 7, 0.4,
+                           interval=20e-3, downtime=10e-3)
         cluster.sim.run(until=0.4)
-        victims = {victim for _, victim in monkey.kills}
-        assert monkey.kills
+        victims = {victim for _, victim in kills(plan)}
         assert victims == {"srv-0-1"}
 
     def test_amnesia_mode_wipes_and_restarts_victims(self):
@@ -129,10 +152,8 @@ class TestChaosMonkey:
         quorum mid-recovery, and committed data still survives."""
         cluster = make_cluster(num_clients=2, clock_preset="perfect",
                                durability=DurabilityConfig())
-        monkey = ChaosMonkey(cluster, SeededRng(163),
-                             interval=8e-3, downtime=4e-3,
-                             amnesia=True)
-        monkey.start()
+        plan = start_chaos(cluster, 163, 1.0, interval=8e-3,
+                           downtime=4e-3, amnesia=True)
         instances = [
             RetwisInstance(cluster.sim, client, cluster.populated_keys,
                            cluster.rng.substream(f"amn{i}"), alpha=0.5)
@@ -141,9 +162,11 @@ class TestChaosMonkey:
         procs = [instance.run_transactions(80) for instance in instances]
         for proc in procs:
             cluster.sim.run_until_event(proc)
-        assert monkey.kills
+        assert kills(plan)
+        assert all(label.split()[0] in ("crash", "restart")
+                   for _, label in plan.timeline)
         # Every victim was really wiped: its WAL had to be replayed.
-        victims = {victim for _, victim in monkey.kills}
+        victims = {victim for _, victim in kills(plan)}
         for victim in victims:
             assert cluster.servers[victim].wal.replays >= 1, victim
         committed = sum(i.stats.committed for i in instances)
@@ -151,8 +174,8 @@ class TestChaosMonkey:
             f"only {committed}/160 logical transactions committed under "
             "rolling amnesia crashes")
 
-    def test_include_primaries_with_master_failover(self):
-        """With a master running, the monkey may kill primaries too;
+    def test_primaries_fail_over_when_a_master_runs(self):
+        """With a master running, primaries are eligible victims too;
         failover promotes a backup and committed data survives."""
         cluster = make_cluster(num_shards=1, num_clients=2,
                                with_master=True, clock_preset="perfect")
@@ -169,17 +192,10 @@ class TestChaosMonkey:
 
         cluster.sim.run_until_event(cluster.sim.process(seed()))
 
-        monkey = ChaosMonkey(cluster, SeededRng(151),
-                             interval=150e-3, downtime=100e-3,
-                             include_primaries=True)
-        monkey.start()
+        plan = start_chaos(cluster, 151, 0.8,
+                           interval=150e-3, downtime=100e-3)
         cluster.sim.run(until=cluster.sim.now + 0.8)
-        primaries_killed = [victim for _, victim in monkey.kills
-                            if victim.endswith("-0")]
-        assert "srv-0-0" in {v for _, v in monkey.kills} or \
-            cluster.master.failovers, \
-            f"no primary ever killed: {monkey.kills}"
-        assert cluster.master.failovers, primaries_killed
+        assert cluster.master.failovers, kills(plan)
 
         # After the dust settles, every seeded write is still readable.
         cluster.sim.run(until=cluster.sim.now + 0.3)
@@ -195,3 +211,10 @@ class TestChaosMonkey:
         values = cluster.sim.run_until_event(
             cluster.sim.process(audit()))
         assert values == [f"pre-{i}" for i in range(10)]
+
+
+@pytest.mark.parametrize("scenario", ["chaos", "chaos-amnesia"])
+def test_chaos_rows_pass_their_audit(scenario):
+    result = run_nemesis(scenario)
+    assert result.passed, result.summary()
+    assert len(kills(result.plan)) >= 3

@@ -122,7 +122,7 @@ class TestEndToEndSerializability:
             num_shards=1, replicas_per_shard=3, num_clients=4,
             backend="dram", clock_preset="ptp-sw", seed=71,
             populate_keys=10))
-        cluster.network.duplicate_probability = 0.3
+        cluster.network.install_faults().set_duplicate(0.3)
         history = run_random_workload(cluster)
         assert len(history) > 25
         assert _history_is_serializable(history)

@@ -111,7 +111,8 @@ class TestNetwork:
 
     def test_duplicates_injected(self):
         sim = Simulator()
-        net = make_net(sim, duplicate_probability=0.5)
+        net = make_net(sim)
+        net.install_faults().set_duplicate(0.5)
         inbox = net.register("dst")
         net.register("src")
         for i in range(100):
@@ -270,7 +271,8 @@ class TestRpc:
         """The RPC layer itself does NOT dedupe — that's the server
         protocol's job (SEMEL §3.3). Duplicates reach the handler."""
         sim = Simulator()
-        net = make_net(sim, duplicate_probability=0.999)
+        net = make_net(sim)
+        net.install_faults().set_duplicate(0.999)
         client = RpcNode(sim, net, "client")
         server = RpcNode(sim, net, "server")
         calls = []

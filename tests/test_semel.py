@@ -219,8 +219,8 @@ class TestSemelService:
     def test_duplicate_requests_idempotent(self):
         sim = Simulator()
         rng = SeededRng(11)
-        network = Network(sim, rng, latency=FixedLatency(50e-6),
-                          duplicate_probability=0.8)
+        network = Network(sim, rng, latency=FixedLatency(50e-6))
+        network.install_faults().set_duplicate(0.8)
         directory = Directory({"shard0": ["srv-0"]})
         server = StorageServer(sim, network, directory, "srv-0", "shard0",
                                DRAMBackend(sim))

@@ -233,11 +233,10 @@ class TestSizedOnce:
         assert value.calls == 1
 
 
-def make_net(seed=1, latency=None, duplicate_probability=0.0):
+def make_net(seed=1, latency=None):
     sim = Simulator()
     network = Network(sim, SeededRng(seed),
-                      latency=latency or FixedLatency(50e-6),
-                      duplicate_probability=duplicate_probability)
+                      latency=latency or FixedLatency(50e-6))
     return sim, network
 
 
@@ -363,11 +362,11 @@ class TestSizeAwareTransport:
 # -- duplicate-delivery idempotence under the typed protocol ----------------
 
 
-def run_semel_workload(duplicate_probability):
+def run_semel_workload(duplicate):
     """A scripted SEMEL run; returns (acked versions, replica states)."""
     sim = Simulator()
-    network = Network(sim, SeededRng(23), latency=FixedLatency(50e-6),
-                      duplicate_probability=duplicate_probability)
+    network = Network(sim, SeededRng(23), latency=FixedLatency(50e-6))
+    network.install_faults().set_duplicate(duplicate)
     directory = Directory({"shard0": ["s-0", "s-1", "s-2"]})
     servers = {
         name: StorageServer(sim, network, directory, name, "shard0",
@@ -394,11 +393,11 @@ def run_semel_workload(duplicate_probability):
     return acked, states
 
 
-def run_milana_workload(duplicate_probability):
+def run_milana_workload(duplicate):
     """A scripted MILANA run; returns (outcomes, txn statuses, states)."""
     sim = Simulator()
-    network = Network(sim, SeededRng(29), latency=FixedLatency(50e-6),
-                      duplicate_probability=duplicate_probability)
+    network = Network(sim, SeededRng(29), latency=FixedLatency(50e-6))
+    network.install_faults().set_duplicate(duplicate)
     directory = Directory({"shard0": ["m-0", "m-1", "m-2"]})
     servers = {
         name: MilanaServer(sim, network, directory, name, "shard0",
@@ -453,8 +452,8 @@ class TestDuplicateDeliveryIdempotence:
     def test_duplicates_were_actually_injected(self):
         sim = Simulator()
         network = Network(sim, SeededRng(23),
-                          latency=FixedLatency(50e-6),
-                          duplicate_probability=0.6)
+                          latency=FixedLatency(50e-6))
+        network.install_faults().set_duplicate(0.6)
         network.register("a")
         network.register("b")
         for _ in range(50):
