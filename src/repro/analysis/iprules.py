@@ -44,10 +44,6 @@ __all__ = [
     "InterproceduralTaintRule",
 ]
 
-#: Namespaces the wire registry defines; PRO rules only reason about
-#: methods in these namespaces so ad-hoc test methods stay out of scope.
-_KNOWN_NAMESPACES = {method.split(".")[0] for method in REGISTRY}
-
 #: Wire message class names, for PRO002 reply-type matching.
 _WIRE_CLASS_NAMES = (
     {spec.request.__name__ for spec in REGISTRY.values()}
@@ -256,10 +252,13 @@ class CheckThenActRaceRule(ProjectRule):
 class RegistrationConformanceRule(ProjectRule):
     """PRO001: the handler surface matches the wire registry.
 
-    Every registered wire method has exactly one handler registration
-    in the analyzed tree, every ``register``/``call`` site with a
-    dotted method name refers to a registry entry. Namespace-gated: a
-    namespace is only checked for completeness when the analyzed tree
+    The only cross-check of the registry against the code. Every
+    registered wire method has exactly one handler registration in the
+    analyzed tree, and every ``register``/``call``/``send_oneway``/
+    ``replicate_to_backups`` site with a dotted method name (positional
+    or ``method=``), in any namespace, refers to a registry entry; bare
+    names are ad-hoc methods outside the registry. Completeness is
+    namespace-gated: a namespace is only checked when the analyzed tree
     registers at least one of its methods, so analyzing a single file
     does not report the rest of the tree as missing.
     """
@@ -303,10 +302,7 @@ class RegistrationConformanceRule(ProjectRule):
                     f"in the analyzed tree (namespace {namespace!r} is "
                     f"handled here)")
         for site in project.wire_call_sites:
-            if "." not in site.method or \
-                    _namespace(site.method) not in _KNOWN_NAMESPACES:
-                continue
-            if site.method not in REGISTRY:
+            if "." in site.method and site.method not in REGISTRY:
                 yield self.finding(
                     site.function.module.path, site.node,
                     f"{site.kind}() to {site.method!r}, which has no "

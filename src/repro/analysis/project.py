@@ -118,6 +118,25 @@ def _append_sync_mode(call: ast.Call) -> str:
     return "sync"
 
 
+#: Protocol-site kind -> position of its method-name argument.
+_METHOD_POSITIONS = {"register": 0, "call": 1, "send_oneway": 1,
+                     "replicate_to_backups": 2}
+
+
+def _literal_method(call: ast.Call, position: int) -> Optional[str]:
+    """The string literal a protocol site names as its method, given
+    positionally or as ``method=``; None for any other expression."""
+    expr: Optional[ast.expr] = None
+    if len(call.args) > position:
+        expr = call.args[position]
+    for keyword in call.keywords:
+        if keyword.arg == "method":
+            expr = keyword.value
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        return expr.value
+    return None
+
+
 def exception_matches(raised: str, caught: Set[str]) -> bool:
     """True when an exception class named ``raised`` is covered by an
     ``except`` clause catching any of ``caught`` (bare ``except:`` is
@@ -499,23 +518,29 @@ class Project:
             for site in info.call_sites:
                 call = site.node
                 func = call.func
-                if not isinstance(func, ast.Attribute):
+                if isinstance(func, ast.Attribute) and \
+                        func.attr in ("register", "call", "send_oneway"):
+                    kind = func.attr
+                else:
+                    # replicate_to_backups(node, backups, "<method>", ...),
+                    # recognised as WIRE001 does, by its resolved name.
+                    qualname = info.module.qualname(func)
+                    if qualname is None or qualname.split(".")[-1] != \
+                            "replicate_to_backups":
+                        continue
+                    kind = "replicate_to_backups"
+                method = _literal_method(call, _METHOD_POSITIONS[kind])
+                if method is None:
                     continue
-                if func.attr == "register" and call.args:
-                    method = call.args[0]
-                    if isinstance(method, ast.Constant) and \
-                            isinstance(method.value, str):
-                        handler = None
-                        if len(call.args) > 1:
-                            handler = self._handler_for(info, call.args[1])
-                        self.register_sites.append(RegisterSite(
-                            method.value, call, info.module.path, handler))
-                elif func.attr in ("call", "send_oneway"):
-                    if len(call.args) >= 2 and \
-                            isinstance(call.args[1], ast.Constant) and \
-                            isinstance(call.args[1].value, str):
-                        self.wire_call_sites.append(WireCallSite(
-                            call.args[1].value, call, func.attr, info))
+                if kind == "register":
+                    handler = None
+                    if len(call.args) > 1:
+                        handler = self._handler_for(info, call.args[1])
+                    self.register_sites.append(RegisterSite(
+                        method, call, info.module.path, handler))
+                else:
+                    self.wire_call_sites.append(
+                        WireCallSite(method, call, kind, info))
 
     def _entry_points(self) -> List[FunctionInfo]:
         roots = {site.handler.qualname: site.handler

@@ -24,10 +24,9 @@ Commands
     exploration (see ``repro.sansim``); extra arguments are forwarded,
     e.g. ``python -m repro sansim retwis --trials 25 --format json``.
 ``wire``
-    Validate the typed wire-protocol registry (``--check``) or print
-    the message catalogue (``--catalogue``). ``--check`` cross-checks
-    the registry against every RPC call site under ``src/repro`` and
-    exits non-zero on drift; CI runs it next to simlint.
+    Print the message catalogue rendered from the typed wire-protocol
+    registry (PROTOCOL.md carries it verbatim). The registry is checked
+    against the call sites by simlint's PRO001 (``analyze``).
 ``nemesis``
     Run a named fault-injection scenario (partitions, message loss,
     clock storms) under a live workload, heal, and audit the aftermath
@@ -117,15 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sansim.add_argument("sansim_args", nargs=argparse.REMAINDER,
                         help="arguments forwarded to repro.sansim")
 
-    wire = sub.add_parser(
-        "wire", help="inspect/validate the typed wire-protocol registry")
-    wire.add_argument("--check", action="store_true",
-                      help="validate the registry against RPC call sites")
-    wire.add_argument("--catalogue", action="store_true",
-                      help="print the message catalogue as markdown")
-    wire.add_argument("--root", default=None,
-                      help="source tree to scan (default: the installed "
-                           "repro package)")
+    sub.add_parser(
+        "wire", help="print the wire-protocol message catalogue")
 
     from .harness.nemesis import SCENARIOS
     nemesis = sub.add_parser(
@@ -247,9 +239,9 @@ def _cluster_config(args) -> ClusterConfig:
     )
 
 
-def _print_run_summary(metrics, clients, network=None) -> None:
-    histogram = merged_latency_histogram(clients)
-    summary = histogram.summary()
+def _print_run_summary(result) -> None:
+    metrics = result.metrics
+    summary = result.latency_histogram.summary()
     print(f"committed txns : {metrics.committed}")
     print(f"aborted txns   : {metrics.aborted} "
           f"(abort rate {metrics.abort_rate:.3f})")
@@ -262,13 +254,13 @@ def _print_run_summary(metrics, clients, network=None) -> None:
         print(f"wire traffic   : {metrics.network_bytes:,} bytes in "
               f"{metrics.messages_sent:,} messages "
               f"({metrics.network_bandwidth_used / 1e6:.2f} MB/s)")
-    if network is not None and network.stats.bytes_by_edge:
-        top = sorted(network.stats.bytes_by_edge.items(),
-                     key=lambda kv: -kv[1])[:3]
+    bytes_by_edge = result.cluster.network.stats.bytes_by_edge
+    if bytes_by_edge:
+        top = sorted(bytes_by_edge.items(), key=lambda kv: -kv[1])[:3]
         print("busiest edges  : " + "; ".join(
             f"{src}->{dst} {count:,} B" for (src, dst), count in top))
     reasons: Dict[str, int] = {}
-    for client in clients:
+    for client in result.cluster.clients:
         for reason, count in client.stats.abort_reasons.items():
             category = _abort_category(reason)
             reasons[category] = reasons.get(category, 0) + count
@@ -302,8 +294,7 @@ def _command_retwis(args) -> int:
     print(f"Retwis on {args.backend} x {args.shards} shard(s) x "
           f"{args.replicas} replica(s), {args.clients} clients, "
           f"clock={args.clock}, alpha={args.alpha}")
-    _print_run_summary(result.metrics, result.cluster.clients,
-                       network=result.cluster.network)
+    _print_run_summary(result)
     return 0
 
 
@@ -441,28 +432,11 @@ def _command_sansim(args) -> int:
     return sansim_main(args.sansim_args, prog="repro sansim")
 
 
-def _command_wire(args) -> int:
-    from pathlib import Path
-
-    from .wire.check import run_check
+def _command_wire(_args) -> int:
     from .wire.registry import render_catalogue
 
-    if not args.check and not args.catalogue:
-        args.check = True  # bare ``repro wire`` validates
-    status = 0
-    if args.catalogue:
-        print(render_catalogue())
-    if args.check:
-        root = Path(args.root) if args.root else Path(__file__).parent
-        problems, num_methods = run_check(root)
-        if problems:
-            for problem in problems:
-                print(f"wire-check: {problem}")
-            status = 1
-        else:
-            print(f"wire-check: OK ({num_methods} methods, registry and "
-                  f"call sites agree)")
-    return status
+    print(render_catalogue())
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

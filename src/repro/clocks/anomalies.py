@@ -1,24 +1,20 @@
-"""Clock fault injection: step/drift excursions and skew-spike storms.
+"""Clock fault injection: skew spikes, the building block of clock storms.
 
 :class:`FaultyClock` wraps any :class:`~repro.clocks.base.Clock` and adds
 an *injected offset* on top of the inner clock's raw reading:
 
-* :meth:`step` — an NTP-style step: the local time jumps by a fixed
-  amount and stays there (until cleared);
-* :meth:`set_drift` — a rate excursion: the clock gains ``rate`` extra
-  seconds per true second, modelling a thermal/oscillator event or a bad
-  sync source;
 * :meth:`spike` — a bounded skew spike: a constant extra offset during a
-  window, the building block of nemesis "clock storms".
+  window, the building block of nemesis "clock storms";
+* :meth:`clear` — the heal, dropping every spike still standing.
 
 The wrapper is installed unconditionally by
 :class:`~repro.clocks.skew.ClockEnsemble`, so injection needs no
-re-wiring — but while no anomaly is configured, ``_raw_now`` returns the
+re-wiring — but while no spike is standing, ``_raw_now`` returns the
 inner clock's reading *unmodified* (not ``+ 0.0``), keeping fault-free
 runs float-identical to a world without the wrapper. The inner clock's
 ``now()`` is never called; its monotonic guard is superseded by the
 wrapper's own, which also absorbs the backward jump when a positive
-anomaly is cleared.
+spike expires or is cleared.
 """
 
 from __future__ import annotations
@@ -31,42 +27,16 @@ __all__ = ["FaultyClock"]
 
 
 class FaultyClock(Clock):
-    """A clock with an injectable anomaly offset on top of its inner
+    """A clock with an injectable spike offset on top of its inner
     clock's raw reading."""
 
     def __init__(self, inner: Clock) -> None:
         super().__init__(inner.sim, name=f"faulty:{inner.name}")
         self.inner = inner
-        self._step = 0.0
-        self._drift_rate = 0.0
-        self._drift_since = 0.0
         #: (start, end, amplitude) windows, pruned lazily.
         self._spikes: List[Tuple[float, float, float]] = []
-        #: Count of anomalies ever injected (for reports).
-        self.anomalies_injected = 0
 
     # -- injection ---------------------------------------------------------
-
-    def step(self, offset: float) -> None:
-        """Jump local time by ``offset`` seconds, permanently (until
-        :meth:`clear`). Negative steps are absorbed by the monotonic
-        guard: readings plateau instead of going backwards."""
-        self._step += offset
-        self.anomalies_injected += 1
-
-    def set_drift(self, rate: float) -> None:
-        """Gain ``rate`` extra seconds per true second from now on.
-
-        ``set_drift(0.0)`` stops the excursion, folding the drift
-        accumulated so far into the standing step offset.
-        """
-        now = self.sim.now
-        if self._drift_rate:
-            self._step += self._drift_rate * (now - self._drift_since)
-        self._drift_rate = rate
-        self._drift_since = now
-        if rate:
-            self.anomalies_injected += 1
 
     def spike(self, amplitude: float, duration: float) -> None:
         """Add ``amplitude`` seconds of offset for the next ``duration``
@@ -75,36 +45,28 @@ class FaultyClock(Clock):
             raise ValueError(f"spike duration must be > 0, got {duration}")
         now = self.sim.now
         self._spikes.append((now, now + duration, amplitude))
-        self.anomalies_injected += 1
 
     def clear(self) -> None:
-        """Remove every standing anomaly (the monotonic guard absorbs
-        any resulting backward jump)."""
-        self._step = 0.0
-        self._drift_rate = 0.0
+        """Remove every standing spike (the monotonic guard absorbs any
+        resulting backward jump)."""
         self._spikes.clear()
 
     # -- reading -----------------------------------------------------------
 
     @property
     def faulted(self) -> bool:
-        """True while any anomaly is configured."""
+        """True while any spike is standing."""
         if self._spikes:
             now = self.sim.now
             self._spikes = [s for s in self._spikes if s[1] > now]
-        return bool(self._step or self._drift_rate or self._spikes)
+        return bool(self._spikes)
 
     def injected_offset(self) -> float:
         """The anomaly contribution at the current instant."""
         now = self.sim.now
-        offset = self._step
-        if self._drift_rate:
-            offset += self._drift_rate * (now - self._drift_since)
-        if self._spikes:
-            self._spikes = [s for s in self._spikes if s[1] > now]
-            offset += sum(amp for start, end, amp in self._spikes
-                          if start <= now)
-        return offset
+        self._spikes = [s for s in self._spikes if s[1] > now]
+        return sum((amp for start, end, amp in self._spikes
+                    if start <= now), 0.0)
 
     def _raw_now(self) -> float:
         raw = self.inner._raw_now()

@@ -11,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..histogram import LatencyHistogram
 from ..workloads.retwis import RetwisInstance
 from .cluster import Cluster, ClusterConfig
-from .metrics import WindowMetrics, snapshot, window_metrics
+from .metrics import (
+    WindowMetrics,
+    merged_latency_histogram,
+    snapshot,
+    window_metrics,
+)
 
 __all__ = ["RetwisRunResult", "run_retwis_on_cluster"]
 
@@ -25,6 +31,10 @@ class RetwisRunResult:
     metrics: WindowMetrics
     cluster: Cluster
     instances: List[RetwisInstance]
+    #: Latencies of the transactions decided inside the measured window,
+    #: merged over every client: the percentiles that go with
+    #: ``metrics``.
+    latency_histogram: LatencyHistogram
 
     @property
     def abort_rate(self) -> float:
@@ -64,8 +74,13 @@ def run_retwis_on_cluster(
     procs = [instance.run(warmup + duration) for instance in instances]
     sim.run(until=sim.now + warmup)
     before = snapshot(sim.now, cluster.clients, cluster.network)
+    # Fresh histograms see the window only; merged when it closes, they
+    # leave out warm-up and the drain below.
+    for client in cluster.clients:
+        client.stats.latency_histogram = LatencyHistogram()
     sim.run(until=deadline)
     after = snapshot(sim.now, cluster.clients, cluster.network)
+    latency_histogram = merged_latency_histogram(cluster.clients)
     # Let in-flight transactions drain so no process errors linger.
     for proc in procs:
         sim.run_until_event(proc)
@@ -73,4 +88,5 @@ def run_retwis_on_cluster(
         metrics=window_metrics(before, after),
         cluster=cluster,
         instances=instances,
+        latency_histogram=latency_histogram,
     )

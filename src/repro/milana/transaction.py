@@ -117,35 +117,6 @@ class TransactionRecord:
     snapshot: Optional[Any] = field(default=None, init=False, repr=False,
                                     compare=False)
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Plain-dict form for RPC payloads and backup logs."""
-        return {
-            "txn_id": self.txn_id,
-            "client_id": self.client_id,
-            "client_name": self.client_name,
-            "ts_commit": self.ts_commit,
-            "reads": list(self.reads),
-            "writes": list(self.writes),
-            "participants": list(self.participants),
-            "status": self.status,
-            "prepared_at": self.prepared_at,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "TransactionRecord":
-        return cls(
-            txn_id=payload["txn_id"],
-            client_id=payload["client_id"],
-            client_name=payload["client_name"],
-            ts_commit=payload["ts_commit"],
-            reads=[(key, tuple(ver) if ver is not None else None)
-                   for key, ver in payload["reads"]],
-            writes=[tuple(pair) for pair in payload["writes"]],
-            participants=list(payload["participants"]),
-            status=payload["status"],
-            prepared_at=payload["prepared_at"],
-        )
-
     @property
     def commit_version_of(self):
         """Factory for this transaction's write version stamps."""

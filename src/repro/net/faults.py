@@ -77,11 +77,6 @@ class LinkFaults:
     def unblock(self, src: str, dst: str) -> None:
         self._blocked.discard((src, dst))
 
-    def block_pair(self, a: str, b: str) -> None:
-        """Drop traffic in both directions between ``a`` and ``b``."""
-        self.block(a, b)
-        self.block(b, a)
-
     def partition(self, side_a: Iterable[str], side_b: Iterable[str],
                   symmetric: bool = True) -> None:
         """Cut every ``side_a -> side_b`` edge (and the reverse when
@@ -161,12 +156,6 @@ class LinkFaults:
                              f"got {probability}")
         self._duplicate = probability
 
-    def duplicates(self) -> bool:
-        """Whether the message just carried is delivered a second time.
-        Draws from this object's rng substream only while duplication
-        is on."""
-        return self._duplicate > 0.0 and self.rng.random() < self._duplicate
-
     # -- wholesale heal ----------------------------------------------------
 
     def heal(self) -> None:
@@ -179,22 +168,27 @@ class LinkFaults:
 
     # -- the per-message decision ------------------------------------------
 
-    def apply(self, src: str, dst: str) -> Tuple[bool, float]:
+    def apply(self, src: str, dst: str) -> Tuple[bool, float, bool]:
         """Fault decision for one message on ``src -> dst``.
 
-        Returns ``(dropped, extra_delay)``. Loss draws come from this
-        object's own rng substream, so they happen only for edges with a
-        configured loss probability and never perturb other streams.
+        Returns ``(dropped, extra_delay, duplicate)``: whether the
+        message is lost, the spike added to its delay, and whether a
+        carried message arrives a second time. Loss and then duplication
+        are drawn from this object's own rng substream, each only while
+        its probability is configured, so they never perturb other
+        streams.
         """
         if (src, dst) in self._blocked:
             self.stats.messages_blocked += 1
-            return True, 0.0
+            return True, 0.0, False
         loss = self._loss.get((src, dst), self._default_loss)
         if loss > 0.0 and self.rng.random() < loss:
             self.stats.messages_lost += 1
-            return True, 0.0
+            return True, 0.0, False
         extra = self._extra_latency.get((src, dst),
                                         self._default_extra_latency)
         if extra > 0.0:
             self.stats.messages_delayed += 1
-        return False, extra
+        duplicate = (self._duplicate > 0.0
+                     and self.rng.random() < self._duplicate)
+        return False, extra, duplicate

@@ -206,13 +206,13 @@ class Network:
         # of fault-table lookups (and of fault-rng draws).
         faults = self._faults
         if faults is not None and faults.active:
-            dropped, extra_delay = faults.apply(src, dst)
+            dropped, extra_delay, duplicate = faults.apply(src, dst)
             if dropped:
                 self.stats.messages_dropped += 1
                 return
             size = wire_size_of(message)
             self._schedule_delivery(src, dst, message, size, extra_delay)
-            if faults.duplicates():
+            if duplicate:
                 # The copy travels on its own latency draw and is
                 # charged on the wire like the original.
                 self.stats.messages_duplicated += 1

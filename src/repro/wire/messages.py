@@ -7,14 +7,12 @@ simulated wire. Every message knows its own deterministic byte size
 transmission delay and per-edge byte counters; the value semantics are
 also what allow that size to be computed once per message object.
 
-``to_wire()``/``from_wire()`` round-trip a message through a plain-dict
-form — the shape a real serializer would see — and are exercised by
-:func:`repro.wire.registry.validate_registry` and ``repro wire --check``.
+The message object is the only wire form: the network carries it as it
+is, and nothing encodes it to or decodes it from another shape.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -59,31 +57,9 @@ __all__ = [
 _MESSAGE_HEADER = 2
 
 
-def _encode(value: Any) -> Any:
-    """Recursively turn nested messages into their plain-dict form."""
-    if isinstance(value, WireMessage):
-        return value.to_wire()
-    if isinstance(value, tuple):
-        return tuple(_encode(item) for item in value)
-    return value
-
-
 @dataclass(frozen=True)
 class WireMessage:
     """Base class: a frozen, self-sizing protocol message."""
-
-    def to_wire(self) -> Dict[str, Any]:
-        """Plain-dict form (nested messages become dicts too)."""
-        return {
-            f.name: _encode(getattr(self, f.name))
-            for f in dataclasses.fields(self)
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "WireMessage":
-        """Rebuild from :meth:`to_wire` output. Subclasses with nested
-        or sequence-typed fields override this to re-coerce them."""
-        return cls(**payload)
 
     def wire_size(self) -> int:
         """Modelled size in bytes: type tag + field payloads.
@@ -93,7 +69,7 @@ class WireMessage:
         same object is sized again for every backup it fans out to,
         every retry and every envelope it is nested in. The size lives
         in the instance ``__dict__`` beside the fields, not among them,
-        so ``==``, ``hash``, :meth:`to_wire` and ``dataclasses.replace``
+        so ``==``, ``hash``, ``dataclasses.asdict`` and ``dataclasses.replace``
         never see it.
         """
         size: Optional[int] = self.__dict__.get("_wire_size")
@@ -144,12 +120,6 @@ class SemelGetHistoryReply(WireMessage):
     #: ((version tuple, value), ...) oldest first.
     versions: Tuple[Tuple[Any, Any], ...] = ()
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SemelGetHistoryReply":
-        return cls(versions=tuple(
-            (tuple(version), value)
-            for version, value in payload["versions"]))
-
 
 @dataclass(frozen=True)
 class SemelPut(WireMessage):
@@ -158,11 +128,6 @@ class SemelPut(WireMessage):
     key: str
     value: Any
     version: Tuple[float, int]
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SemelPut":
-        return cls(key=payload["key"], value=payload["value"],
-                   version=tuple(payload["version"]))
 
 
 @dataclass(frozen=True)
@@ -191,13 +156,6 @@ class SemelReplicate(WireMessage):
     key: str
     value: Any = None
     version: Optional[Tuple[float, int]] = None
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "SemelReplicate":
-        version = payload.get("version")
-        return cls(op=payload["op"], key=payload["key"],
-                   value=payload.get("value"),
-                   version=tuple(version) if version is not None else None)
 
 
 @dataclass(frozen=True)
@@ -238,22 +196,6 @@ class TxnRecordWire(WireMessage):
     status: str
     prepared_at: float = 0.0
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "TxnRecordWire":
-        return cls(
-            txn_id=payload["txn_id"],
-            client_id=payload["client_id"],
-            client_name=payload["client_name"],
-            ts_commit=payload["ts_commit"],
-            reads=tuple(
-                (key, tuple(version) if version is not None else None)
-                for key, version in payload["reads"]),
-            writes=tuple(
-                (key, value) for key, value in payload["writes"]),
-            participants=tuple(payload["participants"]),
-            status=payload["status"],
-            prepared_at=payload["prepared_at"],
-        )
 
     @classmethod
     def from_record(cls, record: Any) -> "TxnRecordWire":
@@ -347,10 +289,6 @@ class MilanaPrepare(WireMessage):
 
     record: TxnRecordWire
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "MilanaPrepare":
-        return cls(record=TxnRecordWire.from_wire(payload["record"]))
-
 
 @dataclass(frozen=True)
 class MilanaPrepareReply(WireMessage):
@@ -396,12 +334,6 @@ class MilanaFetchLog(WireMessage):
 class MilanaFetchLogReply(WireMessage):
     records: Tuple[TxnRecordWire, ...] = ()
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "MilanaFetchLogReply":
-        return cls(records=tuple(
-            TxnRecordWire.from_wire(record)
-            for record in payload["records"]))
-
 
 @dataclass(frozen=True)
 class MilanaCatchup(WireMessage):
@@ -419,27 +351,12 @@ class MilanaCatchupReply(WireMessage):
     #: ((key, version tuple, value), ...) — newest version per key.
     versions: Tuple[Tuple[str, Tuple[float, int], Any], ...] = ()
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "MilanaCatchupReply":
-        return cls(
-            records=tuple(
-                TxnRecordWire.from_wire(record)
-                for record in payload["records"]),
-            versions=tuple(
-                (key, tuple(version), value)
-                for key, version, value in payload["versions"]),
-        )
-
 
 @dataclass(frozen=True)
 class MilanaReplicateTxn(WireMessage):
     """``milana.replicate_txn``: unordered txn-record replication."""
 
     record: TxnRecordWire
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "MilanaReplicateTxn":
-        return cls(record=TxnRecordWire.from_wire(payload["record"]))
 
 
 @dataclass(frozen=True)
@@ -487,14 +404,3 @@ class MasterLookupReply(WireMessage):
     epoch: Optional[int] = None
     #: ...full-map lookups fill this: shard name -> info dict.
     shards: Optional[Dict[str, Dict[str, Any]]] = None
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "MasterLookupReply":
-        replicas = payload.get("replicas")
-        return cls(
-            shard=payload.get("shard"),
-            primary=payload.get("primary"),
-            replicas=tuple(replicas) if replicas is not None else None,
-            epoch=payload.get("epoch"),
-            shards=payload.get("shards"),
-        )

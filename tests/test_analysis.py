@@ -265,7 +265,7 @@ class TestRpc001Timeouts:
     def test_positive_bare_call(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node, request):
-                reply = yield node.call("dst", "m.ping", request)
+                reply = yield node.call("dst", "ping", request)
                 return reply
             """)
         assert rule_ids(findings) == ["RPC001"]
@@ -274,7 +274,7 @@ class TestRpc001Timeouts:
         findings = run_on(tmp_path, """\
             class Client:
                 def send(self, request):
-                    return self.node.call("dst", "m.ping", request,
+                    return self.node.call("dst", "ping", request,
                                           retries=2)
             """)
         assert rule_ids(findings) == ["RPC001"]
@@ -282,14 +282,14 @@ class TestRpc001Timeouts:
     def test_negative_keyword_timeout(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node, request):
-                yield node.call("dst", "m.ping", request, timeout=5e-3)
+                yield node.call("dst", "ping", request, timeout=5e-3)
             """)
         assert findings == []
 
     def test_negative_positional_timeout(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node, request):
-                yield node.call("dst", "m.ping", request, 5e-3)
+                yield node.call("dst", "ping", request, 5e-3)
             """)
         assert findings == []
 
@@ -298,7 +298,7 @@ class TestRpc001Timeouts:
             from repro.semel.replication import replicate_to_backups
             def push(node, backups, payload):
                 yield from replicate_to_backups(
-                    node, backups, "m.put", payload, 2)
+                    node, backups, "put", payload, 2)
             """)
         assert rule_ids(findings) == ["RPC001"]
 
@@ -314,7 +314,7 @@ class TestWire001Payloads:
     def test_positive_dict_literal_in_call(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node):
-                yield node.call("dst", "m.ping", {"key": "k"},
+                yield node.call("dst", "ping", {"key": "k"},
                                 timeout=5e-3)
             """)
         assert rule_ids(findings) == ["WIRE001"]
@@ -322,14 +322,14 @@ class TestWire001Payloads:
     def test_positive_dict_literal_in_send_oneway(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node):
-                node.send_oneway("dst", "m.tick", {"now": 1.0})
+                node.send_oneway("dst", "tick", {"now": 1.0})
             """)
         assert rule_ids(findings) == ["WIRE001"]
 
     def test_positive_dict_comprehension_payload(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node, keys):
-                node.send_oneway("dst", "m.bulk",
+                node.send_oneway("dst", "bulk",
                                  {k: 1 for k in keys})
             """)
         assert rule_ids(findings) == ["WIRE001"]
@@ -337,7 +337,7 @@ class TestWire001Payloads:
     def test_positive_payload_keyword(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node):
-                yield node.call("dst", "m.ping", timeout=5e-3,
+                yield node.call("dst", "ping", timeout=5e-3,
                                 payload={"key": "k"})
             """)
         assert rule_ids(findings) == ["WIRE001"]
@@ -347,7 +347,7 @@ class TestWire001Payloads:
             from repro.semel.replication import replicate_to_backups
             def push(node, backups):
                 yield from replicate_to_backups(
-                    node, backups, "m.put", {"key": "k"}, 2,
+                    node, backups, "put", {"key": "k"}, 2,
                     timeout=5e-3)
             """)
         assert rule_ids(findings) == ["WIRE001"]
@@ -355,14 +355,14 @@ class TestWire001Payloads:
     def test_negative_message_object_payload(self, tmp_path):
         findings = run_on(tmp_path, """\
             def send(node, request):
-                yield node.call("dst", "m.ping", request, timeout=5e-3)
+                yield node.call("dst", "ping", request, timeout=5e-3)
             """)
         assert findings == []
 
     def test_negative_unrelated_receiver(self, tmp_path):
         findings = run_on(tmp_path, """\
             def invoke(handler):
-                return handler.call("dst", "m.ping", {"key": "k"})
+                return handler.call("dst", "ping", {"key": "k"})
             """)
         assert findings == []
 
@@ -370,7 +370,7 @@ class TestWire001Payloads:
         findings = run_on(tmp_path, """\
             def send(node):
                 node.send_oneway(
-                    "dst", "m.tick",
+                    "dst", "tick",
                     {"now": 1.0})  # simlint: disable=WIRE001
             """)
         assert findings == []

@@ -265,6 +265,101 @@ class TestDurRules:
             in entry["message"]
 
 
+# -- PRO001: the registry against the call sites ---------------------------
+
+
+class TestPro001Rules:
+    """PRO001 over miniature projects: one test per kind of drift
+    between the wire registry and the code."""
+
+    SERVER = """\
+        from repro.semel.replication import replicate_to_backups
+
+
+        class Server:
+            def __init__(self, node):
+                self.node = node
+                self.node.register("master.heartbeat", self._handle)
+                self.node.register("master.lookup", self._handle)
+                {extra}
+
+            def _handle(self, request):
+                yield from ()
+                return None
+
+            def _push(self, request):
+                {push}
+    """
+
+    def _messages(self, extra="pass", push="yield from ()"):
+        source = self.SERVER.format(extra=extra, push=push)
+        project = make_project({"harness/mod.py": source})
+        rule = all_rules()["PRO001"]
+        return [finding.message for finding in rule.check_project(project)]
+
+    def test_complete_surface_is_clean(self):
+        push = ("yield from replicate_to_backups(\n"
+                "                    self.node, [], \"master.heartbeat\","
+                " request, 1,\n"
+                "                    timeout=0.01)")
+        assert self._messages(push=push) == []
+
+    def test_register_of_an_unregistered_method(self):
+        messages = self._messages(
+            extra='self.node.register("master.frobnicate", self._handle)')
+        assert messages == [
+            "register of 'master.frobnicate', which has no MethodSpec "
+            "in the repro.wire registry"]
+
+    @pytest.mark.parametrize("kind", ["call", "send_oneway"])
+    def test_send_of_an_unregistered_method_in_an_unknown_namespace(
+            self, kind):
+        messages = self._messages(
+            push=f'yield self.node.{kind}("dst", "frob.ping", request)')
+        assert messages == [
+            f"{kind}() to 'frob.ping', which has no MethodSpec in the "
+            f"repro.wire registry"]
+
+    def test_replicate_to_backups_of_an_unregistered_method(self):
+        push = ("yield from replicate_to_backups(\n"
+                "                    self.node, [], \"master.replicate\","
+                " request, 1,\n"
+                "                    timeout=0.01)")
+        assert self._messages(push=push) == [
+            "replicate_to_backups() to 'master.replicate', which has no "
+            "MethodSpec in the repro.wire registry"]
+
+    def test_method_keyword(self):
+        messages = self._messages(
+            extra=('self.node.register(method="master.bogus",\n'
+                   '                                   '
+                   'handler=self._handle)'),
+            push=('yield self.node.call("dst", method="master.nope",\n'
+                  '                                     payload=request)'))
+        assert messages == [
+            "register of 'master.bogus', which has no MethodSpec in the "
+            "repro.wire registry",
+            "call() to 'master.nope', which has no MethodSpec in the "
+            "repro.wire registry"]
+
+    def test_registry_entry_without_a_handler_in_a_handled_namespace(self):
+        source = self.SERVER.format(extra="pass", push="yield from ()")
+        source = source.replace(
+            'self.node.register("master.lookup", self._handle)', "pass")
+        project = make_project({"harness/mod.py": source})
+        messages = [finding.message for finding in
+                    all_rules()["PRO001"].check_project(project)]
+        assert messages == [
+            "registered wire method 'master.lookup' has no handler in the "
+            "analyzed tree (namespace 'master' is handled here)"]
+
+    def test_bare_methods_are_outside_the_registry(self):
+        messages = self._messages(
+            extra='self.node.register("ping", self._handle)',
+            push='yield self.node.call("dst", "ping", request)')
+        assert messages == []
+
+
 # -- project model ---------------------------------------------------------
 
 

@@ -345,3 +345,15 @@ class TestClientIntegration:
         merged = merged_latency_histogram(cluster.clients)
         assert merged.count == 5
         assert merged.percentile(50) > 0
+
+    def test_retwis_window_histogram_counts_only_the_window(self):
+        from repro.harness import ClusterConfig, run_retwis_on_cluster
+
+        result = run_retwis_on_cluster(
+            ClusterConfig(num_shards=1, replicas_per_shard=3,
+                          num_clients=2, backend="dram",
+                          populate_keys=50, seed=7),
+            alpha=0.6, duration=0.02, warmup=0.01)
+        assert result.metrics.decided > 0
+        # Warm-up and drain transactions are decided too, but not here.
+        assert result.latency_histogram.count == result.metrics.decided

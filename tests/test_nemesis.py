@@ -41,10 +41,8 @@ class TestLinkFaults:
     def test_block_is_directional(self):
         faults = LinkFaults(SeededRng(1))
         faults.block("a", "b")
-        dropped, _ = faults.apply("a", "b")
-        assert dropped
-        dropped, _ = faults.apply("b", "a")
-        assert not dropped
+        assert faults.apply("a", "b") == (True, 0.0, False)
+        assert faults.apply("b", "a") == (False, 0.0, False)
         assert faults.stats.messages_blocked == 1
 
     def test_partition_symmetric_and_heal(self):
@@ -77,10 +75,8 @@ class TestLinkFaults:
     def test_extra_latency_reported_not_dropped(self):
         faults = LinkFaults(SeededRng(1))
         faults.set_extra_latency(2e-3, "a", "b")
-        dropped, extra = faults.apply("a", "b")
-        assert not dropped
-        assert extra == 2e-3
-        assert faults.apply("b", "a") == (False, 0.0)
+        assert faults.apply("a", "b") == (False, 2e-3, False)
+        assert faults.apply("b", "a") == (False, 0.0, False)
         assert faults.stats.messages_delayed == 1
 
     def test_heal_clears_everything(self):
@@ -91,7 +87,7 @@ class TestLinkFaults:
         assert faults.active
         faults.heal()
         assert not faults.active
-        assert faults.apply("a", "b") == (False, 0.0)
+        assert faults.apply("a", "b") == (False, 0.0, False)
 
 
     @pytest.mark.parametrize("probability", [-0.1, 1.0, 1.5])
@@ -103,10 +99,20 @@ class TestLinkFaults:
         faults = LinkFaults(SeededRng(1))
         faults.set_duplicate(0.5)
         assert faults.active
-        assert faults.apply("a", "b") == (False, 0.0)
+        assert any(faults.apply("a", "b")[2] for _ in range(20))
         faults.heal()
         assert not faults.active
-        assert not faults.duplicates()
+        assert faults.apply("a", "b") == (False, 0.0, False)
+
+    def test_loss_is_drawn_before_duplication(self):
+        faults = LinkFaults(SeededRng(5))
+        faults.set_loss(0.3)
+        faults.set_duplicate(0.4)
+        draws = SeededRng(5)
+        for _ in range(200):
+            lost = draws.random() < 0.3
+            duplicate = not lost and draws.random() < 0.4
+            assert faults.apply("a", "b") == (lost, 0.0, duplicate)
 
 
 def _retwis_schedule(setup):
@@ -183,14 +189,6 @@ class TestFaultyClock:
         assert isinstance(clock, FaultyClock)
         assert not clock.faulted
 
-    def test_step_shifts_now(self):
-        cluster = make_cluster()
-        clock = cluster.clock_ensemble.clock_for("client-0")
-        base = clock.now()
-        clock.step(5e-3)
-        assert clock.faulted
-        assert clock.now() == pytest.approx(base + 5e-3, abs=1e-9)
-
     def test_spike_expires(self):
         cluster = make_cluster()
         clock = cluster.clock_ensemble.clock_for("client-0")
@@ -200,15 +198,16 @@ class TestFaultyClock:
         assert not clock.faulted
         assert clock.now() == pytest.approx(cluster.sim.now, abs=1e-9)
 
-    def test_drift_accumulates_and_clear_restores(self):
+    def test_clear_during_spike_restores(self):
         cluster = make_cluster()
         clock = cluster.clock_ensemble.clock_for("client-0")
-        clock.set_drift(0.5)
+        clock.spike(5e-3, duration=1.0)
         cluster.sim.run(until=cluster.sim.now + 10e-3)
-        skew = clock.now() - cluster.sim.now
-        assert skew == pytest.approx(5e-3, rel=0.01)
+        before = clock.now()
+        assert before - cluster.sim.now == pytest.approx(5e-3, rel=0.01)
         clock.clear()
         assert not clock.faulted
+        assert clock.now() > before  # never backwards
         # The monotonic guard absorbs the backward jump; once simulated
         # time passes the old high-water mark the clock reads true again.
         cluster.sim.run(until=cluster.sim.now + 20e-3)

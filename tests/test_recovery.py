@@ -167,7 +167,7 @@ class TestPrimaryFailover:
             status=PREPARED)
         for name in ("srv-0-0", "srv-0-1", "srv-0-2"):
             cluster.servers[name].txn_table["orphan"] = \
-                TransactionRecord.from_wire(record.to_wire())
+                TxnRecordWire.from_record(record).to_record()
 
         cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-2")
@@ -196,9 +196,9 @@ class TestPrimaryFailover:
             participants=["shard0", "shard1"], status=PREPARED)
         for replica in cluster.directory.shard("shard0").replicas:
             cluster.servers[replica].txn_table["xshard"] = \
-                TransactionRecord.from_wire(record.to_wire())
+                TxnRecordWire.from_record(record).to_record()
         # shard1's primary saw the commit decision.
-        other = TransactionRecord.from_wire(record.to_wire())
+        other = TxnRecordWire.from_record(record).to_record()
         other.writes = []
         other.status = COMMITTED
         shard1_primary = cluster.directory.shard("shard1").primary
@@ -222,7 +222,7 @@ class TestPrimaryFailover:
             participants=["shard0", "shard1"], status=PREPARED)
         for replica in cluster.directory.shard("shard0").replicas:
             cluster.servers[replica].txn_table[record.txn_id] = \
-                TransactionRecord.from_wire(record.to_wire())
+                TxnRecordWire.from_record(record).to_record()
 
         cluster.pause_server("srv-0-0")
         cluster.directory.promote("shard0", "srv-0-1")
@@ -264,11 +264,11 @@ class TestDecideLostMidPartition:
         for replica in cluster.directory.shard("shard0").replicas:
             server = cluster.servers[replica]
             server.txn_table["in-doubt"] = \
-                TransactionRecord.from_wire(record.to_wire())
+                TxnRecordWire.from_record(record).to_record()
         primary0 = cluster.directory.shard("shard0").primary
         cluster.servers[primary0].key_states.mark_prepared(
             key0, "in-doubt", ts)
-        other = TransactionRecord.from_wire(record.to_wire())
+        other = TxnRecordWire.from_record(record).to_record()
         other.writes = [(key1, "survives-too")]
         other.status = COMMITTED
         primary1 = cluster.directory.shard("shard1").primary
@@ -288,7 +288,7 @@ class TestDecideLostMidPartition:
         new_primary = cluster.servers["srv-0-1"]
         faults = cluster.network.install_faults()
         primary1 = cluster.directory.shard("shard1").primary
-        faults.block_pair("srv-0-1", primary1)
+        faults.partition(["srv-0-1"], [primary1])
         run(cluster, recover_primary(new_primary, lease_wait=10e-3))
         # Unreachable peer: recovery must keep it PREPARED, not guess.
         assert new_primary.txn_table["in-doubt"].status == PREPARED
@@ -326,8 +326,8 @@ class TestDecideLostMidPartition:
             prepared_at=cluster.sim.now)
         for replica in cluster.directory.shard("shard0").replicas:
             cluster.servers[replica].txn_table["outstanding"] = \
-                TransactionRecord.from_wire(record.to_wire())
-        peer = TransactionRecord.from_wire(record.to_wire())
+                TxnRecordWire.from_record(record).to_record()
+        peer = TxnRecordWire.from_record(record).to_record()
         peer.writes = [(key1, "w1")]
         primary1 = cluster.directory.shard("shard1").primary
         server1 = cluster.servers[primary1]
