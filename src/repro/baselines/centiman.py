@@ -73,13 +73,6 @@ class CentimanClient(MilanaClient):
         # begin after "now", so "now" is a valid low-water contribution.
         self.watermark_board.post(self.client_id, self.clock.now())
 
-    @property
-    def local_validation_fraction(self) -> float:
-        if not self.local_validation_attempts:
-            return 0.0
-        return (self.local_validation_successes
-                / self.local_validation_attempts)
-
     def _commit(self, txn: Transaction):
         if txn.is_read_only:
             self.local_validation_attempts += 1

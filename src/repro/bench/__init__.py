@@ -6,7 +6,7 @@ the CI smoke job protects — how fast the simulator itself runs:
 
 * :mod:`repro.bench.kernel` — microbenchmarks of the kernel hot paths
   (event dispatch and allocation, timeout trampolines, RPC
-  round-trips, store handoffs, device reads), reported as operations
+  round-trips, device reads, histogram records), reported as operations
   per **host** second;
 * :mod:`repro.bench.fingerprint` — schedule fingerprints that gate
   every optimisation: a kernel change may only land if the
@@ -33,7 +33,6 @@ from .kernel import (
     bench_event_alloc,
     bench_event_dispatch,
     bench_rpc_roundtrips,
-    bench_store_handoff,
     bench_timeout_chain,
 )
 from .runner import (
@@ -52,7 +51,6 @@ __all__ = [
     "bench_event_alloc",
     "bench_event_dispatch",
     "bench_rpc_roundtrips",
-    "bench_store_handoff",
     "bench_timeout_chain",
     "check_against_baseline",
     "host_metadata",

@@ -10,9 +10,6 @@ millions of times per run:
   message delivery, a deadline, a pending-call record);
 * timeout chain — processes doing ``yield sim.timeout(...)`` in a loop,
   i.e. the generator trampoline plus the pure-delay fast path;
-* store handoff — producer/consumer pairs through a
-  :class:`~repro.sim.resources.Store`, the queue a raw network inbox
-  is;
 * RPC round-trips — full request/response cycles over the simulated
   network, the unit of work every protocol message pays: one heap hop
   per message, four events per round trip with this echo's one
@@ -46,7 +43,6 @@ from ..net.network import Network
 from ..net.rpc import RpcNode
 from ..sim.core import Simulator
 from ..sim.events import Event
-from ..sim.resources import Store
 from ..sim.rng import SeededRng
 from .runner import BenchResult, host_clock
 
@@ -56,7 +52,6 @@ __all__ = [
     "bench_event_dispatch",
     "bench_histogram_records",
     "bench_rpc_roundtrips",
-    "bench_store_handoff",
     "bench_timeout_chain",
 ]
 
@@ -145,35 +140,6 @@ def bench_timeout_chain(scale: float = 1.0) -> BenchResult:
         value=timeouts / seconds if seconds else 0.0,
         n=timeouts, seconds=seconds,
         extra={"processes": num_procs, "sim_seconds": round(sim.now, 9)})
-
-
-def bench_store_handoff(scale: float = 1.0) -> BenchResult:
-    """Producer/consumer pairs ping-ponging items through Stores."""
-    pairs = 8
-    per_pair = _scaled(15_000, scale)
-    sim = Simulator()
-
-    def producer(store: Store):
-        for index in range(per_pair):
-            yield store.put(index)
-            yield sim.timeout(1e-6)
-
-    def consumer(store: Store):
-        for _ in range(per_pair):
-            yield store.get()
-
-    for _ in range(pairs):
-        store = Store(sim)
-        sim.process(producer(store))
-        sim.process(consumer(store))
-    start = host_clock()
-    sim.run()
-    seconds = host_clock() - start
-    handoffs = pairs * per_pair
-    return BenchResult(
-        name="kernel/store", metric="handoffs_per_s",
-        value=handoffs / seconds if seconds else 0.0,
-        n=handoffs, seconds=seconds, extra={"pairs": pairs})
 
 
 def bench_rpc_roundtrips(scale: float = 1.0) -> BenchResult:

@@ -121,7 +121,6 @@ def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
         bench_event_dispatch,
         bench_histogram_records,
         bench_rpc_roundtrips,
-        bench_store_handoff,
         bench_timeout_chain,
     )
 
@@ -129,7 +128,6 @@ def _suite() -> List[Tuple[str, Callable[[float], BenchResult]]]:
         ("kernel/events", bench_event_dispatch),
         ("kernel/alloc", bench_event_alloc),
         ("kernel/timeouts", bench_timeout_chain),
-        ("kernel/store", bench_store_handoff),
         ("kernel/rpc", bench_rpc_roundtrips),
         ("kernel/device", bench_device_reads),
         ("kernel/histogram", bench_histogram_records),

@@ -9,16 +9,13 @@ NTP 1.51 ms).
 
 from .anomalies import FaultyClock
 from .base import Clock, MONOTONIC_STEP
-from .ntp import NTP_MEAN_SKEW, NTPClock, ntp_clock
+from .ntp import NTP_MEAN_SKEW, NTPClock
 from .perfect import PerfectClock
 from .ptp import (
     PTP_DTP_MEAN_SKEW,
     PTP_HARDWARE_MEAN_SKEW,
     PTP_SOFTWARE_MEAN_SKEW,
     PTPClock,
-    dtp_clock,
-    ptp_hardware_clock,
-    ptp_software_clock,
 )
 from .skew import (
     CLOCK_PRESETS,
@@ -37,10 +34,6 @@ __all__ = [
     "SyncedClock",
     "PTPClock",
     "NTPClock",
-    "ptp_software_clock",
-    "ptp_hardware_clock",
-    "dtp_clock",
-    "ntp_clock",
     "PTP_SOFTWARE_MEAN_SKEW",
     "PTP_HARDWARE_MEAN_SKEW",
     "PTP_DTP_MEAN_SKEW",

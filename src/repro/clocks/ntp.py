@@ -17,7 +17,7 @@ from ..sim.rng import SeededRng
 from .ptp import PAIRWISE_TO_STD
 from .synced import SyncedClock
 
-__all__ = ["NTP_MEAN_SKEW", "NTPClock", "ntp_clock"]
+__all__ = ["NTP_MEAN_SKEW", "NTPClock"]
 
 #: Paper §5.2: "NTP shows an average skew of 1.51 ms among clients".
 NTP_MEAN_SKEW = 1.51e-3
@@ -48,7 +48,3 @@ class NTPClock(SyncedClock):
             name=name,
         )
 
-
-def ntp_clock(sim, rng: SeededRng, name: str = "ntp") -> NTPClock:
-    """An NTP clock calibrated to the paper's measured 1.51 ms mean skew."""
-    return NTPClock(sim, rng, name=name)

@@ -10,9 +10,9 @@ timestamped sync messages. Accuracy depends on where timestamps are taken:
   cites ~150 ns across a data center, < 30 ns for direct links).
 
 For independent zero-mean Gaussian offsets with standard deviation σ, the
-expected pairwise skew E|o_i − o_j| is 2σ/√π ≈ 1.1284 σ; the factory
-functions below invert that so the configured *average pairwise skew*
-matches the paper's reported numbers.
+expected pairwise skew E|o_i − o_j| is 2σ/√π ≈ 1.1284 σ; the clock
+inverts that so the configured *average pairwise skew* matches the
+paper's reported numbers (``CLOCK_PRESETS`` in ``repro.clocks.skew``).
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = [
     "PTP_HARDWARE_MEAN_SKEW",
     "PTP_DTP_MEAN_SKEW",
     "PTPClock",
-    "ptp_software_clock",
-    "ptp_hardware_clock",
-    "dtp_clock",
 ]
 
 #: Divide a target mean pairwise skew by this to get the Gaussian std dev.
@@ -69,17 +66,3 @@ class PTPClock(SyncedClock):
             name=name,
         )
 
-
-def ptp_software_clock(sim, rng: SeededRng, name: str = "ptp-sw") -> PTPClock:
-    """PTP with software timestamping — the paper's client configuration."""
-    return PTPClock(sim, rng, PTP_SOFTWARE_MEAN_SKEW, name=name)
-
-
-def ptp_hardware_clock(sim, rng: SeededRng, name: str = "ptp-hw") -> PTPClock:
-    """PTP with hardware timestamping (< 1 µs skew)."""
-    return PTPClock(sim, rng, PTP_HARDWARE_MEAN_SKEW, name=name)
-
-
-def dtp_clock(sim, rng: SeededRng, name: str = "dtp") -> PTPClock:
-    """DTP-class network-assisted synchronization (~150 ns skew)."""
-    return PTPClock(sim, rng, PTP_DTP_MEAN_SKEW, name=name)

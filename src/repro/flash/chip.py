@@ -46,10 +46,6 @@ class BlockState:
         self.programmed = 0
         self.erase_count = 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.programmed >= len(self.pages)
-
 
 class FlashChip:
     """The functional (data-holding) half of the simulated SSD."""

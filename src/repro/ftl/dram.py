@@ -24,7 +24,7 @@ __all__ = ["DRAMBackend"]
 
 #: NVM-class access latencies (§1: "byte-addressable persistent memory can
 #: achieve DRAM latencies (<= 100ns)").
-DEFAULT_READ_LATENCY = 0.1e-6
+READ_LATENCY = 0.1e-6
 DEFAULT_WRITE_LATENCY = 0.2e-6
 #: Request-path CPU per op (shared API/dispatch cost, same as MFTL's).
 DEFAULT_OP_CPU = 2.2e-6
@@ -36,12 +36,10 @@ class DRAMBackend(KVBackend):
     def __init__(
         self,
         sim: Simulator,
-        read_latency: float = DEFAULT_READ_LATENCY,
         write_latency: float = DEFAULT_WRITE_LATENCY,
         op_cpu: float = DEFAULT_OP_CPU,
     ) -> None:
         super().__init__(sim)
-        self.read_latency = read_latency
         self.write_latency = write_latency
         self.op_cpu = op_cpu
         self.cpu = Cpu(sim)
@@ -76,7 +74,7 @@ class DRAMBackend(KVBackend):
     def _get(self, key: str, max_timestamp: Optional[float]):
         start = self.sim.now
         yield self.cpu.charge(self.op_cpu)
-        yield self.sim.timeout(self.read_latency)
+        yield self.sim.timeout(READ_LATENCY)
         result = self._lookup(key, max_timestamp)
         self.stats.observe_get(self.sim.now - start)
         return result

@@ -95,15 +95,13 @@ class VFTLBackend(PackedVersionStore):
         self,
         sim: Simulator,
         device: FlashDevice,
-        kv_op_cpu: float = DEFAULT_KV_OP_CPU,
-        ftl_op_cpu: float = DEFAULT_FTL_OP_CPU,
         packing_delay: float = DEFAULT_PACKING_DELAY,
         reserve_fraction: float = 0.10,
     ) -> None:
         # One core serves both layers; the FTL starts its own collector.
         cpu = Cpu(sim)
         self.ftl = GenericFTL(
-            sim, device, cpu=cpu, op_cpu=ftl_op_cpu,
+            sim, device, cpu=cpu, op_cpu=DEFAULT_FTL_OP_CPU,
             reserve_fraction=reserve_fraction)
         # The KV layer reserves another 10 % of the FTL's logical space for
         # its own remapping — the double reserve §5.1 calls out.
@@ -112,7 +110,7 @@ class VFTLBackend(PackedVersionStore):
         super().__init__(
             sim, device, cpu,
             _LbaPool(sim, self.usable_lbas, self._reclaimable),
-            kv_op_cpu, packing_delay)
+            DEFAULT_KV_OP_CPU, packing_delay)
 
     # -- placement: a page is an LBA of the generic FTL ------------------------
 

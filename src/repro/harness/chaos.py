@@ -3,16 +3,17 @@
 Recovery code that is only exercised by hand-built scenarios rots; a
 chaos schedule keeps it honest. :class:`NemesisPlan` is the fault DSL:
 partitions (symmetric and asymmetric), probabilistic link loss,
-duplicate delivery, clock skew spikes, link-level pauses (the node's
-memory survives) and amnesia crashes, all scheduled at exact instants
-and recorded on a fault-event timeline. Named builders
-(:func:`partition_primary_from_backups`, :func:`isolate_master`,
-:func:`majority_minority_split`, :func:`clock_storm`,
-:func:`loss_storm`, :func:`dup_storm`, :func:`rolling_chaos`) compose
-onto one plan via their ``plan=`` argument; SeededRng-drawn schedules
-keep every run reproducible. :func:`rolling_chaos` is the randomized
-one: every interval it fails a random node that no quorum depends on
-(partitions count) and revives it after ``downtime``.
+duplicate delivery, clock skew spikes and amnesia crashes, all
+scheduled at exact instants and recorded on a fault-event timeline.
+Named builders (:func:`partition_primary_from_backups`,
+:func:`isolate_master`, :func:`majority_minority_split`,
+:func:`clock_storm`, :func:`loss_storm`, :func:`dup_storm`,
+:func:`rolling_chaos`) compose onto one plan via their ``plan=``
+argument; SeededRng-drawn schedules keep every run reproducible.
+:func:`rolling_chaos` is the randomized one: every interval it fails a
+random node that no quorum depends on (partitions count), by a
+link-level pause that keeps its memory or an amnesia crash, and
+revives it after ``downtime``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class NemesisPlan:
     reported next to its metrics. The verbs are those the scenario rows
     use: link state (:meth:`partition` / :meth:`set_loss` /
     :meth:`set_duplicate` and their heals), clock skew
-    (:meth:`clock_spike`), pauses and amnesia crashes. Anything else is
-    one :meth:`at` call away.
+    (:meth:`clock_spike`) and amnesia crashes (:meth:`crash` /
+    :meth:`restart`). Anything else, such as the pauses of
+    :func:`rolling_chaos`, is one :meth:`at` call away.
     """
 
     def __init__(self, cluster: Cluster, name: str = "nemesis") -> None:
@@ -114,15 +116,6 @@ class NemesisPlan:
             lambda: self._faults().set_duplicate(probability))
 
     # -- crashes ------------------------------------------------------------
-
-    def pause(self, at: float, node: str) -> "NemesisPlan":
-        """Cut ``node``'s links; its volatile state survives."""
-        return self.at(at, f"pause {node}",
-                       lambda: self.cluster.pause_server(node))
-
-    def unpause(self, at: float, node: str) -> "NemesisPlan":
-        return self.at(at, f"unpause {node}",
-                       lambda: self.cluster.unpause_server(node))
 
     def crash(self, at: float, node: str) -> "NemesisPlan":
         """Fail-stop ``node``: its volatile state is wiped and it only

@@ -79,11 +79,6 @@ class WindowMetrics:
         """Wire bytes per simulated second over the window."""
         return self.network_bytes / self.duration if self.duration else 0.0
 
-    @property
-    def bytes_per_commit(self) -> float:
-        return self.network_bytes / self.committed if self.committed \
-            else 0.0
-
 
 def snapshot(sim_now: float,
              clients: Sequence[MilanaClient],

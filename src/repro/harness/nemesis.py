@@ -203,8 +203,7 @@ class NemesisRunResult:
             stats = self.fault_stats
             lines.append(
                 f"link faults: blocked={stats.messages_blocked} "
-                f"lost={stats.messages_lost} "
-                f"delayed={stats.messages_delayed}")
+                f"lost={stats.messages_lost}")
         metrics = self.metrics
         lines.append(
             f"workload: committed={metrics.committed} "

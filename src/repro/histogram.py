@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from math import log2
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["LatencyHistogram"]
 
@@ -114,9 +114,6 @@ class LatencyHistogram:
                 if running >= target:
                     return self._bucket_value(exponent, sub)
         return self.max_seen
-
-    def percentiles(self, ps: Iterable[float]) -> Dict[float, float]:
-        return {p: self.percentile(p) for p in ps}
 
     def summary(self) -> Dict[str, float]:
         """The standard reporting tuple: count/mean/p50/p95/p99/max."""

@@ -81,24 +81,6 @@ class TxnStats:
     latency_histogram: LatencyHistogram = field(
         default_factory=LatencyHistogram)
 
-    @property
-    def decided(self) -> int:
-        return self.committed + self.aborted
-
-    @property
-    def abort_rate(self) -> float:
-        return self.aborted / self.decided if self.decided else 0.0
-
-    @property
-    def mean_latency(self) -> float:
-        return self.latency_total / self.decided if self.decided else 0.0
-
-    @property
-    def mean_commit_latency(self) -> float:
-        if not self.committed:
-            return 0.0
-        return self.latency_committed_total / self.committed
-
     def count_abort(self, reason: str) -> None:
         self.aborted += 1
         self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
@@ -172,34 +154,6 @@ class MilanaClient:
         """Read ``key`` at the transaction's snapshot; fires with the value
         (or None for a missing key)."""
         return self.sim.start(self._txn_get(txn, key))
-
-    def txn_get_many(self, txn: Transaction, keys) -> Process:
-        """Read several keys at the transaction's snapshot in parallel.
-
-        Issues the server round trips concurrently (they are independent
-        snapshot reads at ``ts_begin``), which collapses an N-key read
-        phase from N round trips to ~1. Fires with a dict
-        ``{key: value}``.
-        """
-        return self.sim.process(self._txn_get_many(txn, list(keys)))
-
-    def _txn_get_many(self, txn: Transaction, keys):
-        pending = [
-            (key, self.sim.process(self._txn_get(txn, key)))
-            for key in keys
-        ]
-        if pending:
-            outcome = self.sim.all_of([proc for _, proc in pending])
-            try:
-                yield outcome
-            except Exception:
-                # One read failed (e.g. snapshot miss): the others may
-                # still fail later; absorb their failures so the abort
-                # propagates exactly once, through this call.
-                for _, proc in pending:
-                    proc.defused = True
-                raise
-        return {key: proc.value for key, proc in pending}
 
     def commit(self, txn: Transaction) -> Process:
         """Run the commit protocol; fires with COMMITTED or ABORTED."""

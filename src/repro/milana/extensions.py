@@ -119,8 +119,3 @@ class CachingMilanaClient(MilanaClient):
         self._cache.move_to_end(key)
         while len(self._cache) > self.cache_capacity:
             self._cache.popitem(last=False)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0

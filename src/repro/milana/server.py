@@ -89,11 +89,10 @@ class MilanaServer(StorageServer):
         name: str,
         shard_name: str,
         backend: KVBackend,
-        replication_timeout: float = 10e-3,
         ctp_timeout: Optional[float] = DEFAULT_CTP_TIMEOUT,
     ) -> None:
         super().__init__(sim, network, directory, name, shard_name,
-                         backend, replication_timeout)
+                         backend)
         #: txn_id -> TransactionRecord; the §4.1 transaction table.
         self.txn_table = TxnTable(sim, name)
         self.key_states = KeyStateTable(sim, name)

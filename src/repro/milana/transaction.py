@@ -80,10 +80,6 @@ class Transaction:
     def write_set(self) -> List[Tuple[str, Any]]:
         return list(self.writes.items())
 
-    @property
-    def keys_touched(self) -> List[str]:
-        return sorted(set(self.reads) | set(self.writes))
-
 
 @dataclass
 class TransactionRecord:

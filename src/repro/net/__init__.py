@@ -3,7 +3,6 @@ and a request/response RPC layer with retransmission and failure
 injection."""
 
 from .latency import (
-    DEFAULT_DATACENTER_LATENCY,
     FixedLatency,
     JitteredLatency,
     LatencyModel,
@@ -24,7 +23,6 @@ __all__ = [
     "LatencyModel",
     "FixedLatency",
     "JitteredLatency",
-    "DEFAULT_DATACENTER_LATENCY",
     "Network",
     "NetworkStats",
     "LinkFaults",

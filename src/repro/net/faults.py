@@ -9,8 +9,6 @@ actually face:
 * **probabilistic loss** — per-edge or default drop probability, drawn
   from a dedicated SeededRng substream so enabling loss never perturbs
   the latency jitter stream;
-* **latency spikes** — per-edge or default extra one-way delay, for
-  congestion/bufferbloat excursions;
 * **duplicate delivery** — an all-links probability that a carried
   message arrives twice, each copy with its own latency draw, the fault
   SEMEL's at-most-once and MILANA's idempotence machinery exist for.
@@ -42,8 +40,6 @@ class FaultStats:
         self.messages_blocked = 0
         #: Messages dropped by a probabilistic-loss draw.
         self.messages_lost = 0
-        #: Messages delayed by a latency spike (count, not seconds).
-        self.messages_delayed = 0
 
 
 class LinkFaults:
@@ -55,8 +51,6 @@ class LinkFaults:
         self._blocked: Set[Edge] = set()
         self._loss: Dict[Edge, float] = {}
         self._default_loss = 0.0
-        self._extra_latency: Dict[Edge, float] = {}
-        self._default_extra_latency = 0.0
         self._duplicate = 0.0
 
     # -- activity gate ------------------------------------------------------
@@ -65,7 +59,6 @@ class LinkFaults:
     def active(self) -> bool:
         """True when any fault is currently configured."""
         return bool(self._blocked or self._loss or self._default_loss
-                    or self._extra_latency or self._default_extra_latency
                     or self._duplicate)
 
     # -- blocked edges / partitions -----------------------------------------
@@ -123,29 +116,6 @@ class LinkFaults:
         self._loss.clear()
         self._default_loss = 0.0
 
-    # -- latency spikes ----------------------------------------------------
-
-    def set_extra_latency(self, extra: float, src: Optional[str] = None,
-                          dst: Optional[str] = None) -> None:
-        """Add ``extra`` seconds of one-way delay on an edge, or on every
-        edge when ``src``/``dst`` are omitted. 0 clears."""
-        if extra < 0:
-            raise ValueError(f"extra latency must be >= 0, got {extra}")
-        if src is None and dst is None:
-            self._default_extra_latency = extra
-            return
-        if src is None or dst is None:
-            raise ValueError(
-                "set_extra_latency needs both src and dst, or neither")
-        if extra == 0.0:
-            self._extra_latency.pop((src, dst), None)
-        else:
-            self._extra_latency[(src, dst)] = extra
-
-    def clear_extra_latency(self) -> None:
-        self._extra_latency.clear()
-        self._default_extra_latency = 0.0
-
     # -- duplicate delivery ------------------------------------------------
 
     def set_duplicate(self, probability: float) -> None:
@@ -159,36 +129,29 @@ class LinkFaults:
     # -- wholesale heal ----------------------------------------------------
 
     def heal(self) -> None:
-        """Clear every configured fault (partitions, loss, spikes,
-        duplication)."""
+        """Clear every configured fault (partitions, loss, duplication)."""
         self._blocked.clear()
         self.clear_loss()
-        self.clear_extra_latency()
         self._duplicate = 0.0
 
     # -- the per-message decision ------------------------------------------
 
-    def apply(self, src: str, dst: str) -> Tuple[bool, float, bool]:
+    def apply(self, src: str, dst: str) -> Tuple[bool, bool]:
         """Fault decision for one message on ``src -> dst``.
 
-        Returns ``(dropped, extra_delay, duplicate)``: whether the
-        message is lost, the spike added to its delay, and whether a
-        carried message arrives a second time. Loss and then duplication
-        are drawn from this object's own rng substream, each only while
-        its probability is configured, so they never perturb other
-        streams.
+        Returns ``(dropped, duplicate)``: whether the message is lost,
+        and whether a carried message arrives a second time. Loss and
+        then duplication are drawn from this object's own rng substream,
+        each only while its probability is configured, so they never
+        perturb other streams.
         """
         if (src, dst) in self._blocked:
             self.stats.messages_blocked += 1
-            return True, 0.0, False
+            return True, False
         loss = self._loss.get((src, dst), self._default_loss)
         if loss > 0.0 and self.rng.random() < loss:
             self.stats.messages_lost += 1
-            return True, 0.0, False
-        extra = self._extra_latency.get((src, dst),
-                                        self._default_extra_latency)
-        if extra > 0.0:
-            self.stats.messages_delayed += 1
+            return True, False
         duplicate = (self._duplicate > 0.0
                      and self.rng.random() < self._duplicate)
-        return False, extra, duplicate
+        return False, duplicate

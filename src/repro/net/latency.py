@@ -18,7 +18,6 @@ __all__ = [
     "LatencyModel",
     "FixedLatency",
     "JitteredLatency",
-    "DEFAULT_DATACENTER_LATENCY",
 ]
 
 
@@ -86,8 +85,3 @@ class JitteredLatency(LatencyModel):
             return max(self.base, self.floor)
         draw = self.base * rng.lognormvariate(0.0, self.jitter_fraction)
         return max(draw, self.floor)
-
-
-def DEFAULT_DATACENTER_LATENCY() -> JitteredLatency:
-    """~50 µs one-way with 20 % jitter: same-site VM-to-VM messaging."""
-    return JitteredLatency(base=50e-6, jitter_fraction=0.2)

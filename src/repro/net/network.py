@@ -5,11 +5,9 @@ Every node registers a *receive callable*. ``send`` schedules one
 may therefore arrive out of order), and that entry hands the message
 straight to the destination's callable when it fires: the only arrival
 path, with or without a fault table installed. An
-:class:`~repro.net.rpc.RpcNode` registers its own receive method; a raw
-:meth:`Network.register` gives the node a
-:class:`~repro.sim.resources.Store` inbox whose ``offer`` is the
-callable. The fault model has two layers (see DESIGN.md "Fault model"
-for the full taxonomy):
+:class:`~repro.net.rpc.RpcNode` registers its own receive method. The
+fault model has two layers (see DESIGN.md "Fault model" for the full
+taxonomy):
 
 * **fail-stop crashes** — :meth:`crash` silently drops all traffic to and
   from a node until :meth:`recover`; senders observe the failure only as
@@ -17,13 +15,13 @@ for the full taxonomy):
   layer's business, not the network's.
 * **link faults** — :meth:`install_faults` attaches a
   :class:`~repro.net.faults.LinkFaults` table: blocked directed edges
-  (symmetric/asymmetric partitions), probabilistic message loss,
-  latency spikes, and duplicate delivery (a second copy with its own
-  latency draw, exercising SEMEL's at-most-once and MILANA's
-  idempotence machinery, §3.3). The table is consulted only while it
-  has faults configured (``active``), and its draws come from a
-  dedicated rng substream, so runs with no faults enabled are
-  byte-identical to runs on a network that never installed the table.
+  (symmetric/asymmetric partitions), probabilistic message loss and
+  duplicate delivery (a second copy with its own latency draw,
+  exercising SEMEL's at-most-once and MILANA's idempotence machinery,
+  §3.3). The table is consulted only while it has faults configured
+  (``active``), and its draws come from a dedicated rng substream, so
+  runs with no faults enabled are byte-identical to runs on a network
+  that never installed the table.
 
 Use :meth:`can_communicate` to ask whether a directed path is currently
 healthy under both layers; chaos schedulers (e.g. the quorum check of
@@ -40,11 +38,10 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from ..sim.core import Simulator
 from ..sim.events import Event
-from ..sim.resources import Store
 from ..sim.rng import SeededRng
 from ..wire.sizing import wire_size_of
 from .faults import LinkFaults
-from .latency import DEFAULT_DATACENTER_LATENCY, LatencyModel
+from .latency import LatencyModel
 
 __all__ = ["Network", "NetworkStats"]
 
@@ -97,16 +94,11 @@ class NetworkStats:
 class Network:
     """A latency-modelled, failure-injectable message fabric."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rng: SeededRng,
-        latency: LatencyModel = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, rng: SeededRng,
+                 latency: LatencyModel) -> None:
         self.sim = sim
         self.rng = rng.substream("network")
-        self.latency = latency if latency is not None \
-            else DEFAULT_DATACENTER_LATENCY()
+        self.latency = latency
         self.stats = NetworkStats()
         #: node name -> the callable every message for it is handed to.
         self._receivers: Dict[str, Callable[[Any], None]] = {}
@@ -125,23 +117,12 @@ class Network:
 
     # -- membership ----------------------------------------------------------
 
-    def register(self, name: str,
-                 receive: Optional[Callable[[Any], None]] = None
-                 ) -> Optional[Store]:
+    def register(self, name: str, receive: Callable[[Any], None]) -> None:
         """Attach node ``name``: every message that arrives for it is
-        handed to ``receive`` inside its delivery event.
-
-        Without ``receive`` the node gets a fresh :class:`Store` inbox,
-        whose ``offer`` is the callable, and the inbox is returned.
-        """
+        handed to ``receive`` inside its delivery event."""
         if name in self._receivers:
             raise ValueError(f"node {name!r} is already registered")
-        inbox = None
-        if receive is None:
-            inbox = Store(self.sim)
-            receive = inbox.offer
         self._receivers[name] = receive
-        return inbox
 
     def is_registered(self, name: str) -> bool:
         return name in self._receivers
@@ -206,24 +187,24 @@ class Network:
         # of fault-table lookups (and of fault-rng draws).
         faults = self._faults
         if faults is not None and faults.active:
-            dropped, extra_delay, duplicate = faults.apply(src, dst)
+            dropped, duplicate = faults.apply(src, dst)
             if dropped:
                 self.stats.messages_dropped += 1
                 return
             size = wire_size_of(message)
-            self._schedule_delivery(src, dst, message, size, extra_delay)
+            self._schedule_delivery(src, dst, message, size)
             if duplicate:
                 # The copy travels on its own latency draw and is
                 # charged on the wire like the original.
                 self.stats.messages_duplicated += 1
-                self._schedule_delivery(src, dst, message, size, extra_delay)
+                self._schedule_delivery(src, dst, message, size)
             return
         self._schedule_delivery(src, dst, message, wire_size_of(message))
 
     def _schedule_delivery(self, src: str, dst: str, message: Any,
-                           size: int, extra_delay: float = 0.0) -> None:
+                           size: int) -> None:
         delay = self.latency.sample(self.rng)
-        delay += self.latency.transmission_delay(size) + extra_delay
+        delay += self.latency.transmission_delay(size)
         stats = self.stats
         edge = (src, dst)
         stats.bytes_by_edge[edge] = stats.bytes_by_edge.get(edge, 0) + size

@@ -89,10 +89,6 @@ class ExplorationResult:
     flagged_locations: Set[str] = field(default_factory=set)
     trial_stats: List[Dict[str, int]] = field(default_factory=list)
 
-    @property
-    def fingerprints(self) -> List[str]:
-        return [witness.fingerprint for witness in self.witnesses]
-
 
 def _policy_for_trial(trial: int) -> str:
     if trial == 0:

@@ -61,6 +61,9 @@ class StorageServer:
     #: ``Simulator.tracer``) so the disabled path costs one attribute
     #: load and schedules stay byte-identical.
     wal = None
+    #: How long a primary waits for its backups' replication acks (and
+    #: the recovery and lease rounds built on them) before giving up.
+    replication_timeout = 10e-3
 
     def __init__(
         self,
@@ -70,14 +73,12 @@ class StorageServer:
         name: str,
         shard_name: str,
         backend: KVBackend,
-        replication_timeout: float = 10e-3,
     ) -> None:
         self.sim = sim
         self.directory = directory
         self.name = name
         self.shard_name = shard_name
         self.backend = backend
-        self.replication_timeout = replication_timeout
         self.node = RpcNode(sim, network, name)
         self.watermarks = WatermarkTracker()
         self.puts_rejected_stale = 0

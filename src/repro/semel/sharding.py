@@ -81,10 +81,6 @@ class ShardInfo:
         return self.replicas[1:]
 
     @property
-    def replication_factor(self) -> int:
-        return len(self.replicas)
-
-    @property
     def fault_tolerance(self) -> int:
         """f such that the shard has 2f+1 replicas (majority = f+1)."""
         return (len(self.replicas) - 1) // 2
@@ -96,10 +92,6 @@ class ShardInfo:
                 f"{new_primary!r} is not a replica of shard {self.name!r}")
         self.replicas.remove(new_primary)
         self.replicas.insert(0, new_primary)
-
-    def remove_replica(self, server: str) -> None:
-        """Drop a failed replica from the membership."""
-        self.replicas.remove(server)
 
 
 class Directory:

@@ -2,15 +2,14 @@
 
 This package provides the deterministic simulation substrate the whole
 reproduction runs on: an event heap with float seconds of virtual time,
-generator-based processes, condition events, FIFO stores, resources
-whose slots are held for a fixed time, and named seedable random
-streams.
+generator-based processes, condition events, resources whose slots
+are held for a fixed time, and named seedable random streams.
 """
 
 from .core import Simulator
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .process import Process
-from .resources import Resource, Store
+from .resources import Resource
 from .rng import SeededRng
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "Process",
-    "Store",
     "Resource",
     "SeededRng",
 ]

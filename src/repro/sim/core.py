@@ -202,7 +202,7 @@ class Simulator:
                 time, _, event = pop(heap)
                 self._now = time
                 # Same-timestamp batch drain: zero-latency cascades
-                # (event chains, inbox handoffs) put long runs of
+                # (event chains, process resumes) put long runs of
                 # entries at one timestamp on the heap; the inner loop
                 # pops them without re-storing ``_now`` per event (the
                 # equal-time guard implies ``<= until``). Pops still

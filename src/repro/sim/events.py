@@ -13,7 +13,7 @@ The lifecycle of an event is:
 3. *processed* — the simulator has popped the event and run its callbacks.
 
 Hot-path note: events are the most-allocated objects in the whole
-reproduction (every message, timeout and store handoff creates at least
+reproduction (every message, timeout and process resume creates at least
 one), so this module trades a little uniformity for speed — ``__slots__``
 everywhere, trigger paths that push onto the simulator's heap directly
 instead of going through :meth:`Simulator.schedule`, and kernel-internal

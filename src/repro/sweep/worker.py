@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from ..bench.runner import host_clock
@@ -45,9 +45,6 @@ class CellResult:
     fingerprint: str
     host_seconds: float
     cache_hit: bool = False
-
-    def as_cached(self) -> "CellResult":
-        return replace(self, cache_hit=True, host_seconds=0.0)
 
 
 def canonical_json(value: Any) -> str:

@@ -63,11 +63,6 @@ class RetwisStats:
     retries: int = 0
     by_type: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def abort_rate(self) -> float:
-        decided = self.committed + self.aborted
-        return self.aborted / decided if decided else 0.0
-
 
 class RetwisInstance:
     """One Retwis benchmark instance bound to a MILANA client.

@@ -58,11 +58,6 @@ class YcsbStats:
     inserts: int = 0
     by_operation: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def abort_rate(self) -> float:
-        decided = self.committed + self.aborted
-        return self.aborted / decided if decided else 0.0
-
 
 class YcsbInstance:
     """One YCSB client loop bound to a MILANA client."""

@@ -128,11 +128,6 @@ class TestCentimanClient:
         # is held at that seed even though this client advanced.
         assert board._posted[client.client_id] > start_watermark
 
-    def test_local_validation_fraction_property(self):
-        cluster, board = centiman_cluster()
-        client = cluster.clients[0]
-        assert client.local_validation_fraction == 0.0
-
     def test_read_write_always_remote(self):
         cluster, board = centiman_cluster()
         client = cluster.clients[0]

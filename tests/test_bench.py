@@ -14,10 +14,10 @@ from repro.bench import (
 from repro.bench.kernel import (
     bench_event_alloc,
     bench_event_dispatch,
-    bench_store_handoff,
     bench_timeout_chain,
 )
 from repro.bench.runner import REPORT_SCHEMA, host_clock, host_metadata
+from repro.cli import main as cli_main
 
 
 TINY = 0.005  # scale factor keeping each microbench to ~1k units
@@ -44,11 +44,6 @@ class TestKernelBenchmarks:
         assert result.extra["processes"] == 50
         assert result.extra["sim_seconds"] > 0
 
-    def test_store_handoff_moves_every_item(self):
-        result = bench_store_handoff(TINY)
-        assert result.n == 8 * 75
-        assert result.value > 0
-
 
 class TestRunner:
     def test_host_clock_advances(self):
@@ -72,7 +67,7 @@ class TestRunner:
             assert result.extra["gc_collections"] >= 0
             assert result.extra["gc_collected"] >= 0
             assert "gc_collected=" in line and "gc_collections=" in line
-        # Processes, timeouts, store handoffs and call records die by
+        # Processes, timeouts, deliveries and call records die by
         # refcounting: ``--check`` fails on anything else.
         assert {name: result.extra["gc_collected"]
                 for name, result in by_name.items()} == \
@@ -171,3 +166,20 @@ class TestReports:
         with open(path, "w") as handle:
             json.dump({"schema": 1, "quick": True, "results": []}, handle)
         assert load_report(path)["schema"] == 1
+
+    def test_check_only_keeps_stale_entries_inside_the_prefix(
+            self, tmp_path, capsys):
+        # ``--only PREFIX`` forgives the baseline entries outside
+        # PREFIX, never one inside it that the run did not produce.
+        path = str(tmp_path / "base.json")
+        write_report([
+            BenchResult(name=name, metric="x_per_s", value=1.0, n=1,
+                        seconds=1.0)
+            for name in ("kernel/events", "kernel/events-retired",
+                         "kernel/rpc")], path)
+        code = cli_main(["bench", "--quick", "--only", "kernel/events",
+                         "--check", path])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "kernel/events-retired: in baseline but not produced" in out
+        assert "kernel/rpc" not in out

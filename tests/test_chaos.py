@@ -33,12 +33,23 @@ def make_cluster(**overrides):
     return Cluster(ClusterConfig(**defaults))
 
 
+def pause(plan, at, node):
+    """Schedule a link-level pause of ``node`` on ``plan``."""
+    return plan.at(at, f"pause {node}",
+                   lambda: plan.cluster.pause_server(node))
+
+
+def unpause(plan, at, node):
+    return plan.at(at, f"unpause {node}",
+                   lambda: plan.cluster.unpause_server(node))
+
+
 class TestPausePlan:
     def test_executes_in_time_order(self):
         cluster = make_cluster()
-        plan = (NemesisPlan(cluster)
-                .unpause(30e-3, "srv-0-1")
-                .pause(10e-3, "srv-0-1"))
+        plan = NemesisPlan(cluster)
+        unpause(plan, 30e-3, "srv-0-1")
+        pause(plan, 10e-3, "srv-0-1")
         plan.start()
         cluster.sim.run(until=0.05)
         assert [(round(t, 4), label) for t, label in plan.timeline] == [
@@ -50,10 +61,9 @@ class TestPausePlan:
     def test_backup_blip_does_not_lose_commits(self):
         cluster = make_cluster()
         client = cluster.clients[0]
-        (NemesisPlan(cluster)
-            .pause(5e-3, "srv-0-1")
-            .unpause(25e-3, "srv-0-1")
-            .start())
+        plan = NemesisPlan(cluster)
+        pause(plan, 5e-3, "srv-0-1")
+        unpause(plan, 25e-3, "srv-0-1").start()
 
         def work():
             outcomes = []

@@ -410,60 +410,11 @@ class TestSerializability:
         assert committed > 20
 
 
-class TestParallelReads:
-    def test_get_many_returns_all_values(self):
-        cluster = make_cluster(num_shards=2, populate_keys=30)
-        client = cluster.clients[0]
-
-        def work():
-            txn = client.begin()
-            keys = cluster.populated_keys[:6]
-            values = yield client.txn_get_many(txn, keys)
-            outcome = yield client.commit(txn)
-            return values, outcome
-
-        values, outcome = run(cluster, cluster.sim.process(work()))
-        assert outcome == COMMITTED
-        assert len(values) == 6
-        for key, value in values.items():
-            assert value == f"value-of-{key}"
-
-    def test_get_many_is_faster_than_sequential(self):
-        def elapsed(parallel):
-            cluster = make_cluster(populate_keys=30)
-            client = cluster.clients[0]
-            keys = cluster.populated_keys[:8]
-
-            def work():
-                t0 = cluster.sim.now
-                txn = client.begin()
-                if parallel:
-                    yield client.txn_get_many(txn, keys)
-                else:
-                    for key in keys:
-                        yield client.txn_get(txn, key)
-                yield client.commit(txn)
-                return cluster.sim.now - t0
-
-            return run(cluster, cluster.sim.process(work()))
-
-        assert elapsed(parallel=True) < elapsed(parallel=False) / 3
-
-    def test_get_many_empty(self):
-        cluster = make_cluster()
-        client = cluster.clients[0]
-
-        def work():
-            txn = client.begin()
-            values = yield client.txn_get_many(txn, [])
-            yield client.commit(txn)
-            return values
-
-        assert run(cluster, cluster.sim.process(work())) == {}
-
-    def test_get_many_snapshot_miss_aborts_once(self):
-        """On a single-version store, parallel reads hitting rewritten
-        keys raise exactly one TransactionAborted."""
+class TestSnapshotMiss:
+    def test_snapshot_miss_aborts_once(self):
+        """On a single-version store, a read of a key rewritten after
+        the snapshot raises TransactionAborted, and the transaction is
+        aborted exactly once."""
         from repro.milana import TransactionAborted
         cluster = make_cluster(backend="sftl", num_clients=2,
                                populate_keys=10)
@@ -479,8 +430,8 @@ class TestParallelReads:
                 yield writer.commit(overwrite)
             yield cluster.sim.timeout(1e-3)
             try:
-                yield reader.txn_get_many(
-                    txn, [f"key:{i}" for i in range(3)])
+                for i in range(3):
+                    yield reader.txn_get(txn, f"key:{i}")
             except TransactionAborted:
                 reader.abort(txn, "snapshot-miss")
                 return "aborted-once"
@@ -490,6 +441,8 @@ class TestParallelReads:
         result = run(cluster, cluster.sim.process(work()))
         cluster.sim.run(until=cluster.sim.now + 0.05)  # no stray failures
         assert result == "aborted-once"
+        assert reader.stats.abort_reasons == {"snapshot-miss": 1}
+        assert reader.stats.committed == 0
 
 
 class TestQuorumLossHardening:

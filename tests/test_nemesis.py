@@ -41,8 +41,8 @@ class TestLinkFaults:
     def test_block_is_directional(self):
         faults = LinkFaults(SeededRng(1))
         faults.block("a", "b")
-        assert faults.apply("a", "b") == (True, 0.0, False)
-        assert faults.apply("b", "a") == (False, 0.0, False)
+        assert faults.apply("a", "b") == (True, False)
+        assert faults.apply("b", "a") == (False, False)
         assert faults.stats.messages_blocked == 1
 
     def test_partition_symmetric_and_heal(self):
@@ -72,22 +72,15 @@ class TestLinkFaults:
         assert 20 < lost < 80
         assert faults.stats.messages_lost == lost
 
-    def test_extra_latency_reported_not_dropped(self):
-        faults = LinkFaults(SeededRng(1))
-        faults.set_extra_latency(2e-3, "a", "b")
-        assert faults.apply("a", "b") == (False, 2e-3, False)
-        assert faults.apply("b", "a") == (False, 0.0, False)
-        assert faults.stats.messages_delayed == 1
-
     def test_heal_clears_everything(self):
         faults = LinkFaults(SeededRng(1))
         faults.block("a", "b")
         faults.set_loss(0.1)
-        faults.set_extra_latency(1e-3)
+        faults.set_duplicate(0.1)
         assert faults.active
         faults.heal()
         assert not faults.active
-        assert faults.apply("a", "b") == (False, 0.0, False)
+        assert faults.apply("a", "b") == (False, False)
 
 
     @pytest.mark.parametrize("probability", [-0.1, 1.0, 1.5])
@@ -99,10 +92,10 @@ class TestLinkFaults:
         faults = LinkFaults(SeededRng(1))
         faults.set_duplicate(0.5)
         assert faults.active
-        assert any(faults.apply("a", "b")[2] for _ in range(20))
+        assert any(faults.apply("a", "b")[1] for _ in range(20))
         faults.heal()
         assert not faults.active
-        assert faults.apply("a", "b") == (False, 0.0, False)
+        assert faults.apply("a", "b") == (False, False)
 
     def test_loss_is_drawn_before_duplication(self):
         faults = LinkFaults(SeededRng(5))
@@ -112,7 +105,7 @@ class TestLinkFaults:
         for _ in range(200):
             lost = draws.random() < 0.3
             duplicate = not lost and draws.random() < 0.4
-            assert faults.apply("a", "b") == (lost, 0.0, duplicate)
+            assert faults.apply("a", "b") == (lost, duplicate)
 
 
 def _retwis_schedule(setup):

@@ -41,19 +41,22 @@ class TestLatencyModels:
         assert model.sample(SeededRng(1)) == 50e-6
 
 
+def register_pair(net, src="src", dst="dst"):
+    """Register ``src`` and ``dst``; the list ``dst`` receives into."""
+    received = []
+    net.register(dst, received.append)
+    net.register(src, lambda message: None)
+    return received
+
+
 class TestNetwork:
     def test_delivery_after_latency(self):
         sim = Simulator()
         net = make_net(sim)
-        inbox = net.register("dst")
-        net.register("src")
+        net.register("src", lambda message: None)
         received = []
-
-        def consumer():
-            message = yield inbox.get()
-            received.append((sim.now, message))
-
-        sim.process(consumer())
+        net.register("dst",
+                     lambda message: received.append((sim.now, message)))
         net.send("src", "dst", "hello")
         sim.run()
         assert received == [(50e-6, "hello")]
@@ -61,64 +64,59 @@ class TestNetwork:
     def test_unknown_destination_rejected(self):
         sim = Simulator()
         net = make_net(sim)
-        net.register("src")
+        net.register("src", lambda message: None)
         with pytest.raises(KeyError):
             net.send("src", "ghost", "x")
 
     def test_crashed_destination_drops(self):
         sim = Simulator()
         net = make_net(sim)
-        inbox = net.register("dst")
-        net.register("src")
+        received = register_pair(net)
         net.crash("dst")
         net.send("src", "dst", "lost")
         sim.run()
-        assert len(inbox) == 0
+        assert received == []
         assert net.stats.messages_dropped == 1
 
     def test_crashed_source_drops(self):
         sim = Simulator()
         net = make_net(sim)
-        inbox = net.register("dst")
-        net.register("src")
+        received = register_pair(net)
         net.crash("src")
         net.send("src", "dst", "lost")
         sim.run()
-        assert len(inbox) == 0
+        assert received == []
 
     def test_recover_resumes_delivery(self):
         sim = Simulator()
         net = make_net(sim)
-        inbox = net.register("dst")
-        net.register("src")
+        received = register_pair(net)
         net.crash("dst")
         net.send("src", "dst", "lost")
         net.recover("dst")
         net.send("src", "dst", "found")
         sim.run()
-        assert inbox.items == ("found",)
+        assert received == ["found"]
 
     def test_crash_during_flight_drops(self):
         sim = Simulator()
         net = make_net(sim, latency=FixedLatency(1e-3))
-        inbox = net.register("dst")
-        net.register("src")
+        received = register_pair(net)
         net.send("src", "dst", "in-flight")
         sim.run(until=0.5e-3)
         net.crash("dst")
         sim.run()
-        assert len(inbox) == 0
+        assert received == []
 
     def test_duplicates_injected(self):
         sim = Simulator()
         net = make_net(sim)
         net.install_faults().set_duplicate(0.5)
-        inbox = net.register("dst")
-        net.register("src")
+        received = register_pair(net)
         for i in range(100):
             net.send("src", "dst", i)
         sim.run()
-        assert len(inbox) > 100
+        assert len(received) > 100
         assert net.stats.messages_duplicated > 10
 
 
@@ -325,7 +323,8 @@ class TestRpc:
         sim = Simulator()
         net = make_net(sim)
         client = RpcNode(sim, net, "client")
-        inbox = net.register("mute")  # takes requests, never answers
+        requests = []
+        net.register("mute", requests.append)  # never answers
 
         def caller():
             try:
@@ -336,7 +335,6 @@ class TestRpc:
 
         message, failed_at = sim.run_until_event(sim.process(caller()))
         assert "after 3 attempt(s)" in message
-        requests = inbox.items
         assert len(requests) == 3
         assert len({request.request_id for request in requests}) == 1
         # Three deadlines plus two jittered backoffs in [0.5, 1.5) of
@@ -389,7 +387,7 @@ class TestRpc:
     def test_crash_cancels_the_timers_of_the_calls_it_fails(self):
         sim = Simulator()
         net, client, _ = self._pair(sim)
-        net.register("mute")  # takes requests, never answers
+        net.register("mute", lambda request: None)  # never answers
         backing_off = client.call("mute", "op", timeout=1e-3, retries=2)
         waiting = client.call("mute", "op", timeout=10e-3)
         sim.run(until=1.2e-3)
@@ -461,55 +459,47 @@ class TestDeliveryFastPath:
     or without an active fault table (class name kept from when a
     second, generator-chain path existed under faults)."""
 
-    EXTRA = 2e-3
-
-    def _faulty_net(self, sim, latency):
-        # Extra latency on the edge under test plus a blocked edge
-        # between two ghost nodes: the table is active and is consulted
-        # for every tx -> rx message.
+    def _faulty_net(self, sim, latency, receive):
+        # A blocked edge between two ghost nodes: the table is active
+        # and is consulted for every tx -> rx message.
         network = make_net(sim, latency=latency)
-        inbox = network.register("rx")
-        network.register("tx")
+        network.register("rx", receive)
+        network.register("tx", lambda message: None)
         faults = network.install_faults()
         faults.block("ghost-a", "ghost-b")
-        faults.set_extra_latency(self.EXTRA, "tx", "rx")
         assert faults.active
-        return network, inbox
+        return network
 
     def _run_exchange(self, sim):
-        network, inbox = self._faulty_net(
-            sim, JitteredLatency(base=50e-6, jitter_fraction=0.3))
         received = []
+        network = self._faulty_net(
+            sim, JitteredLatency(base=50e-6, jitter_fraction=0.3),
+            lambda message: received.append((repr(sim.now), message)))
 
         def sender():
             for index in range(20):
                 network.send("tx", "rx", ("msg", index))
                 yield sim.timeout(20e-6)
 
-        def receiver():
-            for _ in range(20):
-                message = yield inbox.get()
-                received.append((repr(sim.now), message))
-
         sim.process(sender())
-        done = sim.process(receiver())
-        sim.run_until_event(done, limit=1.0)
+        sim.run(until=1.0)
         assert network.stats.messages_delivered == 20
         return received
 
     def test_active_fault_table_costs_one_heap_entry_per_message(self):
         sim = Simulator()
-        network, inbox = self._faulty_net(sim, FixedLatency(1e-3))
+        received = []
+        network = self._faulty_net(sim, FixedLatency(1e-3), received.append)
         stats = network.stats
         seq0 = sim._seq
         network.send("tx", "rx", "late")
         # One arrival entry, no Process bootstrap / timeout / put chain.
         assert sim._seq - seq0 == 1
-        assert sim.peek() == 1e-3 + self.EXTRA
+        assert sim.peek() == 1e-3
         sim.run()
         assert sim._seq - seq0 == 1
-        assert sim.now == 1e-3 + self.EXTRA
-        assert inbox.items == ("late",)
+        assert sim.now == 1e-3
+        assert received == ["late"]
         assert (stats.messages_delivered, stats.messages_dropped) == (1, 0)
         assert list(stats.bytes_by_edge) == [("tx", "rx")]
         assert stats.total_bytes == stats.bytes_by_edge[("tx", "rx")] > 0
@@ -518,7 +508,7 @@ class TestDeliveryFastPath:
         network.crash("tx")
         sim.run()
         assert (stats.messages_delivered, stats.messages_dropped) == (1, 1)
-        assert inbox.items == ("late",)
+        assert received == ["late"]
 
     def test_traced_kernel_sees_the_same_receive_log_under_faults(self):
         traced = TracedSimulator(tracer=SanitizerRuntime(),
@@ -528,29 +518,30 @@ class TestDeliveryFastPath:
     def test_fast_path_drops_on_crash_during_flight(self):
         sim = Simulator()
         network = make_net(sim, latency=FixedLatency(1e-3))
-        network.register("rx")
-        network.register("tx")
+        received = register_pair(network, "tx", "rx")
         network.send("tx", "rx", "doomed")
         network.crash("rx")
         sim.run()
         assert network.stats.messages_dropped == 1
         assert network.stats.messages_delivered == 0
+        assert received == []
 
-    def test_fast_path_buffers_when_no_getter_waits(self):
+    def test_fast_path_hands_the_message_to_the_receiver(self):
         sim = Simulator()
         network = make_net(sim, latency=FixedLatency(1e-3))
-        inbox = network.register("rx")
-        network.register("tx")
+        arrivals = []
+        network.register("rx",
+                         lambda message: arrivals.append((sim.now, message)))
+        network.register("tx", lambda message: None)
         network.send("tx", "rx", "early")
         sim.run()
-        assert inbox.items == ("early",)
+        assert arrivals == [(1e-3, "early")]
         assert network.stats.messages_delivered == 1
 
     def test_total_bytes_tracks_per_edge_sum(self):
         sim = Simulator()
         network = make_net(sim)
-        network.register("rx")
-        network.register("tx")
+        register_pair(network, "tx", "rx")
         for index in range(5):
             network.send("tx", "rx", ("payload", index))
         sim.run()

@@ -10,7 +10,6 @@ from repro.sim import (
     Resource,
     SeededRng,
     Simulator,
-    Store,
 )
 
 
@@ -124,14 +123,14 @@ class TestRunUntilEvent:
 
 
 class TestInterruptEdgeCases:
-    def test_interrupt_while_waiting_on_store(self):
+    def test_interrupt_while_waiting_on_event(self):
         sim = Simulator()
-        store = Store(sim)
+        never = sim.event()
         outcome = []
 
         def consumer():
             try:
-                yield store.get()
+                yield never
             except Interrupt as exc:
                 outcome.append(("interrupted", exc.cause))
 
@@ -191,52 +190,29 @@ class TestInterruptEdgeCases:
         assert seen == [None]
 
 
-class TestStoreFairness:
-    def test_getters_served_fifo(self):
+class TestEventFairness:
+    def test_waiters_resume_fifo(self):
+        # Processes waiting on one event resume in the order they
+        # started waiting, each seeing the event's value.
         sim = Simulator()
-        store = Store(sim)
+        gate = sim.event()
         served = []
 
-        def getter(name, delay):
+        def waiter(name, delay):
             yield sim.timeout(delay)
-            item = yield store.get()
-            served.append((name, item))
+            item = yield gate
+            served.append((name, item, sim.now))
 
-        sim.process(getter("first", 0.1))
-        sim.process(getter("second", 0.2))
+        sim.process(waiter("second", 0.2))
+        sim.process(waiter("first", 0.1))
 
-        def producer():
+        def opener():
             yield sim.timeout(1.0)
-            yield store.put("a")
-            yield store.put("b")
+            gate.succeed("open")
 
-        sim.process(producer())
+        sim.process(opener())
         sim.run()
-        assert served == [("first", "a"), ("second", "b")]
-
-    def test_putters_unblock_fifo(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        order = []
-
-        def putter(name, delay):
-            yield sim.timeout(delay)
-            yield store.put(name)
-            order.append(name)
-
-        sim.process(putter("fill", 0.0))
-        sim.process(putter("w1", 0.1))
-        sim.process(putter("w2", 0.2))
-
-        def consumer():
-            yield sim.timeout(1.0)
-            yield store.get()
-            yield sim.timeout(1.0)
-            yield store.get()
-
-        sim.process(consumer())
-        sim.run()
-        assert order == ["fill", "w1", "w2"]
+        assert served == [("first", "open", 1.0), ("second", "open", 1.0)]
 
 
 class TestDeterminism:
@@ -346,9 +322,9 @@ class TestKernelFastPathGuards:
     The kernel's one loop (``Simulator._drain``, behind ``run`` and
     ``run_until_event``) drains same-timestamp events in an inner batch
     loop, single-callback events take a cheaper dispatch branch,
-    ``Process`` caches its resume callback as a bound method, and
-    ``Store.put``/``get`` inline the immediate-success case. Each test
-    here fails if one of those shortcuts changes observable behaviour.
+    and ``Process`` caches its resume callback as a bound method. Each
+    test here fails if one of those shortcuts changes observable
+    behaviour.
     """
 
     def test_same_timestamp_cascade_drains_within_run_until(self):
@@ -495,47 +471,3 @@ class TestKernelFastPathGuards:
         # the process resumes only from its post-interrupt timeout.
         assert log == ["interrupted: bump", "slept after interrupt"]
         assert sim.now == 11.0
-
-    def test_store_put_handoff_triggers_both_events(self):
-        # Store.put inlines the getter-waiting branch; both the getter's
-        # event and the put event must still fire, getter first.
-        sim = Simulator()
-        store = Store(sim)
-        order = []
-
-        def consumer():
-            item = yield store.get()
-            order.append(("got", item))
-
-        def producer():
-            yield sim.timeout(0.1)
-            yield store.put("x")
-            order.append(("put-ack", "x"))
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert order == [("got", "x"), ("put-ack", "x")]
-
-    def test_store_get_from_buffer_admits_waiting_putter(self):
-        # Store.get inlines the items-available branch; it must still
-        # admit a capacity-blocked putter.
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        order = []
-
-        def producer():
-            yield store.put("first")
-            order.append("first in")
-            yield store.put("second")
-            order.append("second in")
-
-        def consumer():
-            yield sim.timeout(1.0)
-            item = yield store.get()
-            order.append(f"took {item}")
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert order == ["first in", "took first", "second in"]

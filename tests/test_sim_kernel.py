@@ -9,7 +9,6 @@ from repro.sim import (
     Resource,
     SeededRng,
     Simulator,
-    Store,
 )
 
 
@@ -349,89 +348,6 @@ class TestConditions:
         p = sim.process(proc())
         sim.run()
         assert p.value == 0.0
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        results = []
-
-        def producer():
-            yield store.put("a")
-            yield sim.timeout(1.0)
-            yield store.put("b")
-
-        def consumer():
-            for _ in range(2):
-                item = yield store.get()
-                results.append((sim.now, item))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert results == [(0.0, "a"), (1.0, "b")]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        results = []
-
-        def consumer():
-            item = yield store.get()
-            results.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(4.0)
-            yield store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert results == [(4.0, "late")]
-
-    def test_capacity_blocks_putter(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put(1)
-            log.append(("put1", sim.now))
-            yield store.put(2)
-            log.append(("put2", sim.now))
-
-        def consumer():
-            yield sim.timeout(5.0)
-            item = yield store.get()
-            log.append(("got", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put1", 0.0) in log
-        assert ("put2", 5.0) in log
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        store = Store(sim)
-        for item in range(5):
-            store.put(item)
-        got = []
-
-        def consumer():
-            while len(got) < 5:
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_invalid_capacity(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
 
 
 class TestResource:

@@ -243,7 +243,7 @@ class TestTypedEnforcement:
     def test_call_rejects_raw_dict_payload(self):
         sim, network = make_net()
         node = RpcNode(sim, network, "a")
-        network.register("b")
+        network.register("b", lambda message: None)
         with pytest.raises(TypeError, match="SemelGet"):
             node.call("b", "semel.get",
                       {"key": "k"})  # simlint: disable=WIRE001
@@ -251,7 +251,7 @@ class TestTypedEnforcement:
     def test_send_oneway_rejects_wrong_message_type(self):
         sim, network = make_net()
         node = RpcNode(sim, network, "a")
-        network.register("b")
+        network.register("b", lambda message: None)
         with pytest.raises(TypeError):
             node.send_oneway("b", "semel.watermark", SemelGet(key="k"))
 
@@ -314,15 +314,12 @@ class TestPerNetworkRequestIds:
 class TestSizeAwareTransport:
     def _timed_delivery(self, latency, message):
         sim, network = make_net(latency=latency)
-        inbox = network.register("b")
-        network.register("a")
+        arrivals = []
+        network.register("b", lambda received: arrivals.append(sim.now))
+        network.register("a", lambda received: None)
         network.send("a", "b", message)
-
-        def receive():
-            yield inbox.get()
-            return sim.now
-
-        arrival = sim.run_until_event(sim.process(receive()))
+        sim.run()
+        (arrival,) = arrivals
         return sim, network, arrival
 
     def test_no_bandwidth_means_no_transmission_delay(self):
@@ -347,8 +344,8 @@ class TestSizeAwareTransport:
 
     def test_crashed_destination_is_not_charged(self):
         sim, network = make_net()
-        network.register("a")
-        network.register("b")
+        network.register("a", lambda message: None)
+        network.register("b", lambda message: None)
         network.crash("b")
         network.send("a", "b", SemelGet(key="k"))
         assert network.stats.bytes_by_edge == {}
@@ -453,8 +450,8 @@ class TestDuplicateDeliveryIdempotence:
         network = Network(sim, SeededRng(23),
                           latency=FixedLatency(50e-6))
         network.install_faults().set_duplicate(0.6)
-        network.register("a")
-        network.register("b")
+        network.register("a", lambda message: None)
+        network.register("b", lambda message: None)
         for _ in range(50):
             network.send("a", "b", SemelGet(key="k"))
         assert network.stats.messages_duplicated > 0
