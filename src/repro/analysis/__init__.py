@@ -1,23 +1,24 @@
 """simlint: determinism & protocol-hygiene static analysis for this repo.
 
 The reproduction's headline guarantee — identical abort-rate/latency
-numbers run-to-run for a fixed seed — is a *whole-codebase* invariant.
-One ``time.time()`` in an event handler, one bare ``random.random()``,
-or one iteration over an unordered ``set`` feeding replication fan-out
-silently breaks it. ``repro.analysis`` enforces those rules with an
-AST-based analyzer:
+numbers run-to-run for a fixed seed — is checked by running the code:
+the golden fingerprints, the benchmark digests and the nemesis outputs
+change when a wall-clock read, a global ``random`` draw or an unordered
+iteration reaches a result. ``repro.analysis`` keeps the rules those
+gates cannot see — bugs on paths no run reaches, or that change no
+output — with an AST-based analyzer:
 
 * one rule framework (``engine``): per-module import maps, the rule
   registry, ``Rule.applies_to`` scoping and ``Rule.finding``,
-* module rules (``rules``) — DET001..DET004, SIM001, RPC001, WIRE001,
-  PAR001, FLT001, API001, SUP001,
+* module rules (``rules``) — SIM001, RPC001, PAR001, FLT001, API001,
+  SUP001,
 * whole-program rules over a project model that walks each handler or
   daemon once (``project``, ``iprules``, ``durrules``) — ATM001/ATM002,
-  PRO001..PRO004, DET101, DUR001..DUR005,
+  PRO004, DET101, DUR001, DUR003..DUR005,
 * inline ``# simlint: disable=RULE`` suppressions,
 * a checked-in baseline file for grandfathered findings (``baseline``),
-* a CLI: ``python -m repro.analysis [paths] [--format text|json]``,
-  also exposed as ``python -m repro analyze``.
+* the ``repro analyze`` subcommand's arguments and run body (``cli``);
+  ``python -m repro.analysis`` is an alias of it.
 
 See ``docs/ANALYSIS.md`` for the rule catalogue and rationale.
 """

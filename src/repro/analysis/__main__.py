@@ -1,7 +1,7 @@
-"""Entry point for ``python -m repro.analysis``."""
+"""``python -m repro.analysis``: an alias of ``repro analyze``."""
 
 import sys
 
-from .cli import main
+from ..cli import main
 
-sys.exit(main())
+sys.exit(main(["analyze", *sys.argv[1:]]))

@@ -1,4 +1,5 @@
-"""simlint command line: ``python -m repro.analysis [paths ...]``.
+"""simlint command line: ``repro analyze [paths ...]`` (``python -m
+repro.analysis`` is an alias of it).
 
 Exit codes: 0 clean (or all findings baselined), 1 findings (or stale
 baseline entries under ``--fail-on-stale``), 2 usage error. ``--format
@@ -17,26 +18,24 @@ exits 0.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .baseline import Baseline, BaselineError, apply_baseline, emit
 from .engine import all_rules, analyze_paths
 from .findings import Finding, Severity
 
-__all__ = ["main", "build_parser"]
+__all__ = ["add_arguments", "run"]
 
 DEFAULT_PATHS = ("src/repro",)
 
 
-def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description=("simlint: determinism & protocol-hygiene static "
-                     "analysis for the SEMEL/MILANA reproduction"))
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Fill in the ``repro analyze`` subparser."""
+    parser.description = ("simlint: determinism & protocol-hygiene static "
+                          "analysis for the SEMEL/MILANA reproduction")
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to analyze "
                              "(default: src/repro)")
@@ -55,7 +54,6 @@ def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
                              "always exits 0)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    return parser
 
 
 def _split_rules(text: Optional[str]) -> Optional[List[str]]:
@@ -65,23 +63,18 @@ def _split_rules(text: Optional[str]) -> Optional[List[str]]:
 
 
 def _list_rules() -> int:
-    """The full catalogue: static simlint rules plus (when the package
-    is importable) the dynamic sansim rules, with each rule's family,
-    domain, and cross-domain counterpart."""
+    """The full catalogue: static simlint rules plus the dynamic sansim
+    rules, with each rule's family, domain, and cross-domain
+    counterpart."""
+    from ..sansim.rules import SANITIZER_RULES
+
     rows: List[Tuple[str, str, str, str, str]] = []
     for rule_id, r in sorted(all_rules().items()):
         rows.append((rule_id, r.severity, "static", r.counterpart,
                      r.description))
-    try:
-        # Imported dynamically: the sansim package is untyped simulation
-        # machinery and must stay out of this module's static surface.
-        sansim: Any = importlib.import_module("repro.sansim.rules")
-    except ImportError:  # pragma: no cover - sansim ships alongside
-        sansim = None
-    if sansim is not None:
-        for rule_id, dyn in sorted(sansim.SANITIZER_RULES.items()):
-            rows.append((rule_id, dyn.severity, "dynamic", dyn.counterpart,
-                         dyn.description))
+    for rule_id, dyn in sorted(SANITIZER_RULES.items()):
+        rows.append((rule_id, dyn.severity, "dynamic", dyn.counterpart,
+                     dyn.description))
     for rule_id, severity, domain, counterpart, description in rows:
         family = "".join(ch for ch in rule_id if ch.isalpha())
         twin = f" [twin: {counterpart}]" if counterpart else ""
@@ -181,10 +174,8 @@ def _render_from_json(args: argparse.Namespace,
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None,
-         prog: str = "repro.analysis") -> int:
-    parser = build_parser(prog)
-    args = parser.parse_args(argv)
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run ``repro analyze``; ``parser`` reports usage errors (exit 2)."""
     if args.list_rules:
         return _list_rules()
     if args.from_json:
@@ -229,7 +220,3 @@ def main(argv: Optional[Sequence[str]] = None,
     if args.fail_on_stale and stale:
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -13,9 +13,6 @@ crash-ordering invariants the durability tests probe dynamically:
   static twin of the ``test_durability.py`` nemesis A/B pair (the
   lossy ``sync_*=False`` control loses acked writes; the durable
   default does not).
-* **DUR002 — mutation-without-log.** Durable state (the versioned
-  store, the transaction table) mutated on a WAL-enabled path with no
-  append on the same reply segment is silently forgotten by replay.
 * **DUR003 — crash-unsafe cleanup.** ``finally`` blocks after a
   suspend run *after* :meth:`crash` replaced the volatile tables, so
   indexing them with bare ``del d[k]``/``d[k]`` raises KeyError into
@@ -43,7 +40,6 @@ from .project import WAL_APPEND_METHODS, Event, FunctionInfo, Project
 
 __all__ = [
     "AckBeforeFsyncRule",
-    "MutationWithoutLogRule",
     "CrashUnsafeCleanupRule",
     "VolatileWalPayloadRule",
     "WalReplayRegistryRule",
@@ -107,30 +103,6 @@ def _is_tracked_mutation(event: Event) -> bool:
     if event.kind == "durable_write":
         return True
     return event.kind == "write" and event.family in _DURABLE_WRITE_FAMILIES
-
-
-def _mentions_self_wal(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "wal" and \
-                isinstance(sub.value, ast.Name) and sub.value.id == "self":
-            return True
-    return False
-
-
-def _wal_enabled_classes(project: Project) -> Set[str]:
-    """Qualnames of classes (including subclasses) whose methods touch
-    ``self.wal`` — the surface whose handlers owe the log an append."""
-    direct: Set[str] = set()
-    for class_info in project.classes.values():
-        if any(_mentions_self_wal(method.node)
-               for method in class_info.methods.values()):
-            direct.add(class_info.qualname)
-    enabled: Set[str] = set()
-    for class_info in project.classes.values():
-        if any(ancestor.qualname in direct
-               for ancestor in project.mro(class_info)):
-            enabled.add(class_info.qualname)
-    return enabled
 
 
 def _absolute_name(ctx: ModuleContext, expr: ast.AST) -> Optional[str]:
@@ -238,59 +210,6 @@ class AckBeforeFsyncRule(ProjectRule):
                 unsynced = None
                 window = None
                 wrote = None
-
-
-@rule
-class MutationWithoutLogRule(ProjectRule):
-    """DUR002: durable state mutated on a WAL-enabled path, never logged.
-
-    Within one reply segment (handler entry or previous ack up to the
-    next ack), a storage-backend write or transaction-table write with
-    zero WAL appends anywhere on the segment is forgotten by replay: the
-    crash-restart rebuild never sees it.
-    """
-
-    rule_id = "DUR002"
-    severity = Severity.ERROR
-    description = ("durable state mutated on a WAL-enabled path with no "
-                   "WAL append on the same path; replay after an "
-                   "amnesia crash silently forgets the mutation")
-    required_path_parts = ("milana", "semel")
-    counterpart = "DUR001"
-
-    def roots(self, project: Project) -> List[FunctionInfo]:
-        """Only the roots of WAL-enabled classes owe the log an append."""
-        enabled = _wal_enabled_classes(project)
-        return [root for root in super().roots(project)
-                if root.class_info is not None
-                and root.class_info.qualname in enabled]
-
-    def check_events(self, root: FunctionInfo, events: List[Event]
-                     ) -> Iterator[Tuple[Event, str]]:
-        segments: List[Tuple[Optional[Event], bool]] = []
-        first_write: Optional[Event] = None
-        appended = False
-        for event in events:
-            if event.kind == "wal_append":
-                appended = True
-            elif _is_tracked_mutation(event) and first_write is None:
-                first_write = event
-            elif event.kind == "reply" and event.detail is not None \
-                    and _is_ack_name(event.detail):
-                segments.append((first_write, appended))
-                first_write = None
-                appended = False
-        segments.append((first_write, appended))
-        for write, has_append in segments:
-            if write is None or has_append:
-                continue
-            family = write.family or "the backing store"
-            yield write, (
-                f"{root.name!r} mutates durable state ({family}) "
-                f"on a WAL-enabled path with no WAL append on the "
-                f"same path; an amnesia crash leaves no record to "
-                f"replay — append before (or alongside) the "
-                f"mutation")
 
 
 @rule
@@ -462,7 +381,6 @@ class WalReplayRegistryRule(ProjectRule):
                    "arm handles it; recovery silently drops those "
                    "records")
     required_path_parts = ("milana", "semel", "durability")
-    counterpart = "PRO001"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         constants = self._string_constants(project)

@@ -260,7 +260,7 @@ class Rule:
 
     Subclasses set ``rule_id``, ``severity``, ``description`` and
     implement ``check``. ``excluded_path_suffixes`` names files the rule
-    never applies to (e.g. DET002 must not flag ``sim/rng.py``, the one
+    never applies to (e.g. DET101 must not flag ``sim/rng.py``, the one
     sanctioned wrapper around ``random.Random``); ``required_path_parts``
     restricts a rule to a sub-tree (e.g. ATM001 to ``milana/``).
     """

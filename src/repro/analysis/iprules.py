@@ -9,16 +9,12 @@ Three families (see docs/ANALYSIS.md for the catalogue):
   suspension. ATM001 is MILANA's validate → yield → record window,
   inside one function or across calls; ATM002 is the general
   check-then-act pattern over any ``self.<attr>`` state family.
-* **PRO0xx — protocol conformance against the repro.wire registry.**
-  Registration completeness (PRO001), handler reply types (PRO002),
-  reachable RpcError/timeout handling on every registered-method call
-  path (PRO003), and exception leakage out of handlers/daemons
-  (PRO004 — the rule that catches a ``QuorumError`` escaping through
-  ``except RpcError`` clauses, because it is *not* an RpcError).
+* **PRO004 — exception leakage out of handlers and daemons.** It
+  catches a ``QuorumError`` escaping through ``except RpcError``
+  clauses, because it is *not* an RpcError.
 * **DET1xx — interprocedural nondeterminism taint.** A helper that
   returns a wall-clock/``random`` value poisons every caller that
-  stores it into simulator-visible state, even though no single
-  function violates DET001/DET002 on its own line.
+  stores it into simulator-visible state.
 """
 
 from __future__ import annotations
@@ -27,32 +23,18 @@ import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..wire.registry import REGISTRY
-from .engine import ProjectRule, rule, simple_name
+from .engine import ProjectRule, rule
 from .findings import Finding, Severity
-from .project import Event, FunctionInfo, Project, RegisterSite, uncaught
-from .rules import WallClockRule
+from .project import Event, FunctionInfo, Project
 
 __all__ = [
     "is_volatile_source",
     "tainted_functions",
     "InterproceduralValidateRaceRule",
     "CheckThenActRaceRule",
-    "RegistrationConformanceRule",
-    "HandlerReplyTypeRule",
-    "UnhandledRpcFailureRule",
     "HandlerExceptionLeakRule",
     "InterproceduralTaintRule",
 ]
-
-#: Wire message class names, for PRO002 reply-type matching.
-_WIRE_CLASS_NAMES = (
-    {spec.request.__name__ for spec in REGISTRY.values()}
-    | {spec.response.__name__ for spec in REGISTRY.values()})
-
-
-def _namespace(method: str) -> str:
-    return method.split(".")[0]
-
 
 @rule
 class InterproceduralValidateRaceRule(ProjectRule):
@@ -123,11 +105,22 @@ def _calls_validate(info: FunctionInfo) -> bool:
     return False
 
 
+#: Calls that read the host's wall clock.
+_WALL_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns",
+    "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.process_time", "time.process_time_ns",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+
+
 def is_volatile_source(qualname: str) -> bool:
     """A fully-qualified call name that reads the wall clock or a
-    non-seeded random stream — the sources DET001/DET002 flag directly
-    and DET101/DUR004 chase through helper returns."""
-    return (qualname in WallClockRule.WALL_CLOCK_CALLS
+    non-seeded random stream — the sources DET101/DUR004 chase through
+    helper returns."""
+    return (qualname in _WALL_CLOCK_CALLS
             or qualname.split(".")[0] == "random"
             or qualname.startswith("numpy.random."))
 
@@ -249,188 +242,6 @@ class CheckThenActRaceRule(ProjectRule):
 
 
 @rule
-class RegistrationConformanceRule(ProjectRule):
-    """PRO001: the handler surface matches the wire registry.
-
-    The only cross-check of the registry against the code. Every
-    registered wire method has exactly one handler registration in the
-    analyzed tree, and every ``register``/``call``/``send_oneway``/
-    ``replicate_to_backups`` site with a dotted method name (positional
-    or ``method=``), in any namespace, refers to a registry entry; bare
-    names are ad-hoc methods outside the registry. Completeness is
-    namespace-gated: a namespace is only checked when the analyzed tree
-    registers at least one of its methods, so analyzing a single file
-    does not report the rest of the tree as missing.
-    """
-
-    rule_id = "PRO001"
-    severity = Severity.ERROR
-    description = ("handler registration out of sync with the repro.wire "
-                   "registry (missing, duplicate, or unknown method)")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        by_method: Dict[str, List[RegisterSite]] = {}
-        for site in project.register_sites:
-            if "." not in site.method:
-                continue  # ad-hoc methods bypass the registry
-            by_method.setdefault(site.method, []).append(site)
-            if site.method not in REGISTRY:
-                yield self.finding(
-                    site.path, site.node,
-                    f"register of {site.method!r}, which has no "
-                    f"MethodSpec in the repro.wire registry")
-        for method, sites in sorted(by_method.items()):
-            for extra in sites[1:]:
-                yield self.finding(
-                    extra.path, extra.node,
-                    f"duplicate handler registration for {method!r} "
-                    f"(first at {sites[0].path}:"
-                    f"{sites[0].node.lineno})")
-        namespaces_present = {
-            _namespace(m) for m in by_method if m in REGISTRY}
-        for method in sorted(REGISTRY):
-            namespace = _namespace(method)
-            if namespace not in namespaces_present:
-                continue
-            if method not in by_method:
-                anchor = next(
-                    site for site in project.register_sites
-                    if _namespace(site.method) == namespace)
-                yield self.finding(
-                    anchor.path, anchor.node,
-                    f"registered wire method {method!r} has no handler "
-                    f"in the analyzed tree (namespace {namespace!r} is "
-                    f"handled here)")
-        for site in project.wire_call_sites:
-            if "." in site.method and site.method not in REGISTRY:
-                yield self.finding(
-                    site.function.module.path, site.node,
-                    f"{site.kind}() to {site.method!r}, which has no "
-                    f"MethodSpec in the repro.wire registry")
-
-
-@rule
-class HandlerReplyTypeRule(ProjectRule):
-    """PRO002: handlers return the registered reply message type.
-
-    The RPC layer type-checks replies at runtime (``_serve`` turns a
-    mistyped result into a generic error response); this rule moves the
-    check to analysis time by matching every ``return WireClass(...)``
-    in a handler against the method's ``MethodSpec.response``.
-    """
-
-    rule_id = "PRO002"
-    severity = Severity.ERROR
-    description = ("handler returns a different wire message than the "
-                   "registered reply type for its method")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        seen: Set[Tuple[str, str]] = set()
-        for site in project.register_sites:
-            spec = REGISTRY.get(site.method)
-            handler = site.handler
-            if spec is None or handler is None:
-                continue
-            if (site.method, handler.qualname) in seen:
-                continue  # duplicate registration is PRO001's finding
-            seen.add((site.method, handler.qualname))
-            expected = spec.response.__name__
-            for ret, returned in self._returned_classes(project, handler):
-                if returned != expected:
-                    yield self.finding(
-                        handler.module.path, ret,
-                        f"handler {handler.name!r} for {site.method!r} "
-                        f"returns {returned}, but the registered reply "
-                        f"is {expected}")
-
-    def _returned_classes(
-            self, project: Project, handler: FunctionInfo,
-            depth: int = 0) -> Iterator[Tuple[ast.Return, str]]:
-        """(return statement, wire class name) pairs, following
-        ``return self._helper(...)`` one level deep."""
-        for ret in handler.returns:
-            value = ret.value
-            if not isinstance(value, ast.Call):
-                continue
-            name = simple_name(value.func)
-            if name in _WIRE_CLASS_NAMES:
-                yield ret, name
-            elif depth == 0:
-                callee = project.resolve_call(handler, value)
-                if callee is not None:
-                    for _, inner in self._returned_classes(
-                            project, callee, depth + 1):
-                        yield ret, inner
-
-
-@rule
-class UnhandledRpcFailureRule(ProjectRule):
-    """PRO003: registered-method call sites have a reachable
-    RpcError/timeout handling path.
-
-    An ``RpcNode.call`` to a wire method can always fail with
-    ``RpcTimeout``; if neither the call site nor any caller on a path
-    from a handler/daemon entry point catches it, the failure either
-    kills a daemon or surfaces as a generic handler error — the
-    hardened failure-handling contract requires an explicit decision at
-    some level of the chain.
-    """
-
-    rule_id = "PRO003"
-    severity = Severity.ERROR
-    description = ("RPC call to a registered method with no reachable "
-                   "RpcError/RpcTimeout handling on any caller path")
-    required_path_parts = ("milana", "semel", "harness")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        roots = self.roots(project)
-        unprotected: Dict[str, FunctionInfo] = {}  # qualname -> witness root
-        witness: Dict[str, FunctionInfo] = {}
-        queue: List[Tuple[FunctionInfo, FunctionInfo]] = \
-            [(fn, fn) for fn in roots]
-        while queue:
-            fn, root = queue.pop(0)
-            if fn.qualname in unprotected:
-                continue
-            unprotected[fn.qualname] = fn
-            witness[fn.qualname] = root
-            for site in fn.call_sites:
-                if site.callee is None:
-                    continue
-                if not site.is_spawn and \
-                        uncaught({"RpcTimeout"}, site.caught):
-                    queue.append((site.callee, root))
-                elif site.is_spawn:
-                    # A spawned process starts a fresh unprotected chain.
-                    queue.append((site.callee, root))
-        for wire_site in project.wire_call_sites:
-            if wire_site.kind != "call" or \
-                    wire_site.method not in REGISTRY:
-                continue
-            fn = wire_site.function
-            if fn.qualname not in unprotected:
-                continue
-            caught = self._caught_at(fn, wire_site.node)
-            if not uncaught({"RpcTimeout"}, caught):
-                continue
-            root = witness[fn.qualname]
-            via = "" if root is fn else \
-                f" on the path from {root.name!r}"
-            yield self.finding(
-                fn.module.path, wire_site.node,
-                f"call to {wire_site.method!r} in {fn.name!r} has no "
-                f"reachable RpcError/RpcTimeout handling{via}; catch "
-                f"RpcError here or on a caller")
-
-    @staticmethod
-    def _caught_at(fn: FunctionInfo, node: ast.Call) -> Set[str]:
-        for site in fn.call_sites:
-            if site.node is node:
-                return site.caught
-        return set()
-
-
-@rule
 class HandlerExceptionLeakRule(ProjectRule):
     """PRO004: handlers and daemons do not leak transport/quorum errors.
 
@@ -491,11 +302,11 @@ class HandlerExceptionLeakRule(ProjectRule):
 class InterproceduralTaintRule(ProjectRule):
     """DET101: wall-clock/random values flowing into state via helpers.
 
-    DET001/DET002 flag direct calls; this rule follows the value: a
-    function whose return derives from a wall-clock or ``random`` read
-    taints every call site, and storing a tainted value into ``self.*``
-    state (or feeding it to ``sim.timeout``-style scheduling) breaks
-    determinism one function removed from the offending call.
+    The rule follows the value, not the call: a function whose return
+    derives from a wall-clock or ``random`` read taints every call site,
+    and storing a tainted value into ``self.*`` state (or feeding it to
+    ``sim.timeout``-style scheduling) breaks determinism one function
+    removed from the offending call.
     """
 
     rule_id = "DET101"

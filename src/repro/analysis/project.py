@@ -46,7 +46,6 @@ __all__ = [
     "FunctionInfo",
     "CallSite",
     "RegisterSite",
-    "WireCallSite",
     "InlineWalker",
     "Event",
     "EXCEPTION_BASES",
@@ -118,17 +117,12 @@ def _append_sync_mode(call: ast.Call) -> str:
     return "sync"
 
 
-#: Protocol-site kind -> position of its method-name argument.
-_METHOD_POSITIONS = {"register": 0, "call": 1, "send_oneway": 1,
-                     "replicate_to_backups": 2}
-
-
-def _literal_method(call: ast.Call, position: int) -> Optional[str]:
-    """The string literal a protocol site names as its method, given
+def _literal_method(call: ast.Call) -> Optional[str]:
+    """The string literal a ``register`` call names as its method, given
     positionally or as ``method=``; None for any other expression."""
     expr: Optional[ast.expr] = None
-    if len(call.args) > position:
-        expr = call.args[position]
+    if call.args:
+        expr = call.args[0]
     for keyword in call.keywords:
         if keyword.arg == "method":
             expr = keyword.value
@@ -181,18 +175,6 @@ class RegisterSite:
         self.node = node
         self.path = path
         self.handler = handler
-
-
-class WireCallSite:
-    """One RPC send-site with a literal dotted method name."""
-
-    def __init__(self, method: str, node: ast.Call, kind: str,
-                 function: "FunctionInfo") -> None:
-        self.method = method
-        self.node = node
-        #: "call", "send_oneway", or "replicate_to_backups".
-        self.kind = kind
-        self.function = function
 
 
 class FunctionInfo:
@@ -334,12 +316,11 @@ class Project:
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
         self.classes_by_name: Dict[str, List[ClassInfo]] = {}
         self.register_sites: List[RegisterSite] = []
-        self.wire_call_sites: List[WireCallSite] = []
         for ctx in contexts:
             self._collect_module(ctx)
         for info in list(self.functions.values()):
             self._summarize(info)
-        self._collect_protocol_sites()
+        self._collect_register_sites()
         #: Coroutine entry points in qualname order: registered wire
         #: handlers plus daemon/loop generators (rules narrow them to
         #: their scope with ``Rule.applies_to``).
@@ -513,34 +494,22 @@ class Project:
             expr = expr.func
         return simple_name(expr)
 
-    def _collect_protocol_sites(self) -> None:
+    def _collect_register_sites(self) -> None:
         for info in self.functions.values():
             for site in info.call_sites:
                 call = site.node
                 func = call.func
-                if isinstance(func, ast.Attribute) and \
-                        func.attr in ("register", "call", "send_oneway"):
-                    kind = func.attr
-                else:
-                    # replicate_to_backups(node, backups, "<method>", ...),
-                    # recognised as WIRE001 does, by its resolved name.
-                    qualname = info.module.qualname(func)
-                    if qualname is None or qualname.split(".")[-1] != \
-                            "replicate_to_backups":
-                        continue
-                    kind = "replicate_to_backups"
-                method = _literal_method(call, _METHOD_POSITIONS[kind])
+                if not (isinstance(func, ast.Attribute)
+                        and func.attr == "register"):
+                    continue
+                method = _literal_method(call)
                 if method is None:
                     continue
-                if kind == "register":
-                    handler = None
-                    if len(call.args) > 1:
-                        handler = self._handler_for(info, call.args[1])
-                    self.register_sites.append(RegisterSite(
-                        method, call, info.module.path, handler))
-                else:
-                    self.wire_call_sites.append(
-                        WireCallSite(method, call, kind, info))
+                handler = None
+                if len(call.args) > 1:
+                    handler = self._handler_for(info, call.args[1])
+                self.register_sites.append(RegisterSite(
+                    method, call, info.module.path, handler))
 
     def _entry_points(self) -> List[FunctionInfo]:
         roots = {site.handler.qualname: site.handler

@@ -1,12 +1,12 @@
 """The built-in simlint rules (see docs/ANALYSIS.md for the catalogue).
 
-Determinism rules (DET*) protect the guarantee that a fixed seed
-reproduces the paper's numbers exactly; simulation rules (SIM*) keep
-simulated time honest; protocol rules (RPC*, WIRE*) enforce the
-failure handling the reproduction's correctness arguments rely on;
-API001 keeps the public surface coherent. The validate→yield→record
-window of MILANA's Algorithm 1 is ATM001's (``iprules``), inside one
-function or across a call chain.
+The simulation rule (SIM001) keeps simulated time honest; the protocol
+rule (RPC001) keeps the failure detection budget the correctness
+arguments rely on visible; FLT001 and PAR001 keep fault state and sweep
+parallelism on their sanctioned paths; API001 keeps the public surface
+coherent; SUP001 audits suppressions. Wall-clock, random, unordered and
+environment reads that reach a result are caught by the fingerprint,
+digest and nemesis gates, which is why no DET0xx module rule remains.
 """
 
 from __future__ import annotations
@@ -18,194 +18,13 @@ from .engine import ModuleContext, Rule, rule, simple_name
 from .findings import Finding, Severity
 
 __all__ = [
-    "WallClockRule",
-    "DirectRandomRule",
-    "UnorderedIterationRule",
-    "EnvironmentReadRule",
     "BlockingInProcessRule",
     "RpcTimeoutRule",
-    "WirePayloadRule",
     "CrashStatePokeRule",
     "ParallelismHygieneRule",
     "DunderAllRule",
     "UnusedSuppressionRule",
 ]
-
-
-@rule
-class WallClockRule(Rule):
-    """DET001: no wall-clock reads inside the reproduction.
-
-    Simulated components must take time from ``Simulator.now`` / their
-    ``Clock``; a host-clock read couples results to the machine running
-    them and breaks run-to-run reproducibility.
-    """
-
-    rule_id = "DET001"
-    severity = Severity.ERROR
-    description = ("wall-clock read (time.time/perf_counter/datetime.now); "
-                   "use Simulator.now or a repro.clocks clock")
-
-    WALL_CLOCK_CALLS = frozenset({
-        "time.time", "time.time_ns",
-        "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns",
-        "time.process_time", "time.process_time_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for call, qualname in ctx.calls():
-            if qualname in self.WALL_CLOCK_CALLS:
-                yield self.finding(
-                    ctx.path, call,
-                    f"call to {qualname}() reads the host wall clock; "
-                    f"simulated code must use Simulator.now or a clock model")
-
-
-@rule
-class DirectRandomRule(Rule):
-    """DET002: all randomness flows through ``SeededRng`` substreams.
-
-    A bare ``random.random()`` draws from interpreter-global state, so
-    any new caller perturbs every existing consumer's sequence. The one
-    sanctioned wrapper is ``repro.sim.rng``.
-    """
-
-    rule_id = "DET002"
-    severity = Severity.ERROR
-    description = ("direct use of the random module; draw from a "
-                   "SeededRng substream instead")
-    excluded_path_suffixes = ("sim/rng.py",)
-
-    RANDOM_MODULES = ("random", "numpy.random")
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in self.RANDOM_MODULES or \
-                            alias.name.startswith("numpy.random."):
-                        yield self.finding(
-                            ctx.path, node,
-                            f"import of {alias.name!r}; use "
-                            f"repro.sim.rng.SeededRng substreams")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in self.RANDOM_MODULES:
-                    yield self.finding(
-                        ctx.path, node,
-                        f"import from {node.module!r}; use "
-                        f"repro.sim.rng.SeededRng substreams")
-        for call, qualname in ctx.calls():
-            if qualname is None:
-                continue
-            root = qualname.split(".")[0]
-            if root == "random" or qualname.startswith("numpy.random."):
-                yield self.finding(
-                    ctx.path, call,
-                    f"call to {qualname}() uses global random state; "
-                    f"draw from a SeededRng substream")
-
-
-@rule
-class UnorderedIterationRule(Rule):
-    """DET003: no iteration over unordered collections.
-
-    ``set`` iteration order depends on ``PYTHONHASHSEED``; feeding it
-    into event scheduling, sharding, or replication fan-out reorders
-    events between runs. Directory listings have filesystem order.
-    Wrap the iterable in ``sorted(...)``.
-    """
-
-    rule_id = "DET003"
-    severity = Severity.ERROR
-    description = ("iteration over an unordered set/directory listing; "
-                   "wrap in sorted(...)")
-
-    SET_METHODS = frozenset({
-        "union", "intersection", "difference", "symmetric_difference",
-    })
-    UNORDERED_CALLS = frozenset({
-        "set", "frozenset", "os.listdir", "glob.glob", "glob.iglob",
-        "os.scandir",
-    })
-
-    def _unordered_reason(self, ctx: ModuleContext,
-                          node: ast.AST) -> Optional[str]:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "a set expression"
-        if isinstance(node, ast.Call):
-            qualname = ctx.qualname(node.func)
-            if qualname in self.UNORDERED_CALLS:
-                return f"{qualname}(...)"
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.SET_METHODS):
-                return f".{node.func.attr}(...)"
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "iterdir"):
-                return ".iterdir()"
-        return None
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        iter_sites: List[ast.AST] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                iter_sites.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iter_sites.extend(gen.iter for gen in node.generators)
-        for site in iter_sites:
-            reason = self._unordered_reason(ctx, site)
-            if reason is not None:
-                yield self.finding(
-                    ctx.path, site,
-                    f"iterating over {reason} has hash/filesystem-dependent "
-                    f"order; wrap in sorted(...) to keep event order "
-                    f"deterministic")
-
-
-@rule
-class EnvironmentReadRule(Rule):
-    """DET004: no nondeterministic environment reads in sim paths.
-
-    ``os.urandom`` / ``uuid.uuid4`` smuggle entropy past the seed;
-    ``os.environ`` makes results depend on the invoking shell; the
-    builtin ``hash`` of a str/bytes is salted per process
-    (``PYTHONHASHSEED``). Ids must derive from seeded streams or
-    counters, configuration from explicit parameters, key placement from
-    ``repro.semel.sharding.stable_hash``.
-    """
-
-    rule_id = "DET004"
-    severity = Severity.ERROR
-    description = ("entropy/environment read (os.urandom, uuid.uuid4, "
-                   "os.environ, builtin hash); derive from the seed or "
-                   "explicit config")
-
-    ENTROPY_CALLS = frozenset({
-        "os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4",
-        "os.getenv", "hash",
-    })
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for call, qualname in ctx.calls():
-            if qualname is None:
-                continue
-            if qualname in self.ENTROPY_CALLS or \
-                    qualname.startswith("secrets."):
-                yield self.finding(
-                    ctx.path, call,
-                    f"call to {qualname}() is nondeterministic; derive "
-                    f"values from the experiment seed or pass them "
-                    f"explicitly")
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and \
-                    ctx.qualname(node) == "os.environ":
-                yield self.finding(
-                    ctx.path, node,
-                    "reading os.environ makes results depend on the "
-                    "invoking shell; take configuration as parameters")
 
 
 @rule
@@ -302,59 +121,6 @@ class RpcTimeoutRule(Rule):
                         ctx.path, call,
                         "replicate_to_backups without an explicit "
                         "timeout=; quorum waits need a visible budget")
-
-
-@rule
-class WirePayloadRule(Rule):
-    """WIRE001: RPC payloads are typed ``repro.wire`` messages.
-
-    A raw dict literal at a send-site bypasses the wire registry: no
-    schema check at the sender, no ``wire_size`` accounting, and the
-    receiving handler silently falls back to duck typing. Construct the
-    registered message class for the method instead.
-    """
-
-    rule_id = "WIRE001"
-    severity = Severity.ERROR
-    description = ("raw dict literal as an RPC payload; construct the "
-                   "registered repro.wire message class instead")
-
-    #: attribute name -> 0-based position of the payload argument.
-    PAYLOAD_POSITIONS = {
-        "call": 2,
-        "send_oneway": 2,
-        "replicate_to_backups": 3,
-    }
-
-    def _payload(self, call: ast.Call, attr: str) -> Optional[ast.AST]:
-        for keyword in call.keywords:
-            if keyword.arg == "payload":
-                return keyword.value
-        position = self.PAYLOAD_POSITIONS[attr]
-        if len(call.args) > position:
-            return call.args[position]
-        return None
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for call, qualname in ctx.calls():
-            func = call.func
-            attr = None
-            if isinstance(func, ast.Attribute) and \
-                    func.attr in ("call", "send_oneway"):
-                if _node_like(func.value):
-                    attr = func.attr
-            elif qualname is not None and \
-                    qualname.split(".")[-1] == "replicate_to_backups":
-                attr = "replicate_to_backups"
-            if attr is None:
-                continue
-            payload = self._payload(call, attr)
-            if isinstance(payload, (ast.Dict, ast.DictComp)):
-                yield self.finding(
-                    ctx.path, payload,
-                    f"dict literal passed as the {attr}() payload "
-                    f"bypasses the typed wire protocol; build the "
-                    f"registered repro.wire message for this method")
 
 
 @rule

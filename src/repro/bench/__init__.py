@@ -22,9 +22,9 @@ clocks, per-layer attribution) is measured by ``BENCHMARK.json`` and
 and :func:`~repro.bench.runner.host_metadata` from here.
 
 Wall-clock reads live here *only*: simulated components must never
-consult the host clock (simlint DET001); the benchmark harness is the
-one sanctioned exception because host seconds are exactly what it
-measures.
+consult the host clock (the golden fingerprints catch one that does);
+the benchmark harness is the one sanctioned exception because host
+seconds are exactly what it measures.
 """
 
 from .fingerprint import all_fingerprints, schedule_fingerprint

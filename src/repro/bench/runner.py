@@ -46,7 +46,7 @@ def host_clock() -> float:
     in the tree allowed to look at the machine's clock. Everything
     simulated keeps taking time from ``Simulator.now``.
     """
-    return time.perf_counter()  # simlint: disable=DET001
+    return time.perf_counter()
 
 
 @dataclass

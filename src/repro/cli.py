@@ -17,16 +17,17 @@ Commands
     Run a YCSB workload (A–F) on a configurable cluster.
 ``analyze``
     Run the simlint determinism/protocol-hygiene static analyzer
-    (see ``repro.analysis``); extra arguments are forwarded, e.g.
-    ``python -m repro analyze src/repro --format json``.
+    (see ``repro.analysis``), e.g.
+    ``python -m repro analyze src/repro --format json``;
+    ``python -m repro.analysis`` is an alias.
 ``sansim``
     Run the dynamic happens-before race sanitizer with schedule
-    exploration (see ``repro.sansim``); extra arguments are forwarded,
-    e.g. ``python -m repro sansim retwis --trials 25 --format json``.
+    exploration (see ``repro.sansim``), e.g.
+    ``python -m repro sansim retwis --trials 25 --format json``.
 ``wire``
     Print the message catalogue rendered from the typed wire-protocol
-    registry (PROTOCOL.md carries it verbatim). The registry is checked
-    against the call sites by simlint's PRO001 (``analyze``).
+    registry (PROTOCOL.md carries it verbatim). ``RpcNode`` checks
+    registrations and payloads against the registry at run time.
 ``nemesis``
     Run a named fault-injection scenario (partitions, message loss,
     clock storms) under a live workload, heal, and audit the aftermath
@@ -38,27 +39,32 @@ Commands
     content-addressed cell cache (see ``repro.sweep``); the merged
     report is byte-identical for every ``-j``.
 ``bench``
-    Measure host-side kernel performance (events/s, timeouts/s, store
-    handoffs/s, RPC round-trips/s), optionally under cProfile, write
-    ``BENCH_kernel.json``, and check for regressions against a
-    checked-in baseline (see docs/PERFORMANCE.md).
+    Measure host-side kernel performance (the ``kernel/*`` rows:
+    events, alloc, timeouts, rpc, device and histogram), optionally
+    under cProfile, write ``BENCH_kernel.json``, and check for
+    regressions against a checked-in baseline (see
+    docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from .analysis import cli as analysis_cli
 from .harness import EXPERIMENTS, ClusterConfig, run_retwis_on_cluster
 from .harness.cluster import BACKEND_KINDS, Cluster
 from .harness.metrics import merged_latency_histogram
+from .sansim import cli as sansim_cli
 from .workloads import YCSB_WORKLOADS, YcsbInstance
 
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser,
+                             Dict[str, argparse.ArgumentParser]]:
+    """The ``repro`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=("Reproduction of 'Enabling Lightweight Transactions "
@@ -104,17 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="B")
     ycsb.add_argument("--alpha", type=float, default=0.99)
 
-    analyze = sub.add_parser(
-        "analyze", add_help=False,
-        help="run the simlint static analyzer (repro.analysis)")
-    analyze.add_argument("analysis_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to repro.analysis")
-
-    sansim = sub.add_parser(
-        "sansim", add_help=False,
-        help="run the dynamic race sanitizer (repro.sansim)")
-    sansim.add_argument("sansim_args", nargs=argparse.REMAINDER,
-                        help="arguments forwarded to repro.sansim")
+    analysis_cli.add_arguments(sub.add_parser(
+        "analyze", help="run the simlint static analyzer (repro.analysis)"))
+    sansim_cli.add_arguments(sub.add_parser(
+        "sansim", help="run the dynamic race sanitizer (repro.sansim)"))
 
     sub.add_parser(
         "wire", help="print the wire-protocol message catalogue")
@@ -197,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fingerprints", action="store_true",
                        help="also print the schedule fingerprints that "
                             "gate kernel optimisations")
-    return parser
+    return parser, sub.choices
 
 
 def _command_list(_args) -> int:
@@ -433,22 +432,20 @@ def _command_wire(_args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse.REMAINDER cannot capture a leading option (bpo-17050), so
-    # forward everything after ``analyze`` to the analyzer CLI directly.
-    if argv and argv[0] == "analyze":
-        from .analysis.cli import main as analysis_main
-        return analysis_main(list(argv[1:]), prog="repro analyze")
-    if argv and argv[0] == "sansim":
-        from .sansim.cli import main as sansim_main
-        return sansim_main(list(argv[1:]), prog="repro sansim")
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    command = commands[args.command]
+    if extras:
+        # Reported by the command's own parser, so the usage line and
+        # the error name ``repro <command>``.
+        command.error(f"unrecognized arguments: {' '.join(extras)}")
     handlers: Dict[str, Callable] = {
         "list": _command_list,
         "experiment": _command_experiment,
         "retwis": _command_retwis,
         "ycsb": _command_ycsb,
+        "analyze": lambda args: analysis_cli.run(args, command),
+        "sansim": lambda args: sansim_cli.run(args, command),
         "wire": _command_wire,
         "nemesis": _command_nemesis,
         "sweep": _command_sweep,

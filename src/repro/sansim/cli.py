@@ -1,8 +1,8 @@
-"""sansim command line: ``python -m repro sansim [workloads ...]``.
+"""sansim command line: ``repro sansim [workloads ...]``.
 
 Runs the schedule explorer over the named workloads, reconciles the
 deduplicated witnesses with simlint's ATM findings, and renders the
-report. Exit codes mirror simlint: 0 clean (or all witnesses
+report. Exit codes are ``repro analyze``'s: 0 clean (or all witnesses
 baselined), 1 new witnesses (or stale baseline entries under
 ``--fail-on-stale``), 2 usage error. Under ``--expect-witness`` the
 polarity flips — the seeded-bug CI job *requires* a witness — and the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..analysis.baseline import (Baseline, BaselineError, apply_baseline,
                                  emit)
@@ -29,17 +29,16 @@ from .report import (build_report, render_payload, render_sarif_report,
                      render_text, witness_to_finding)
 from .workloads import workload_names
 
-__all__ = ["main", "build_parser"]
+__all__ = ["add_arguments", "run"]
 
 DEFAULT_WORKLOADS = ("retwis", "ycsb")
 
 
-def build_parser(prog: str = "repro sansim") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description=("sansim: happens-before race sanitizer with "
-                     "systematic schedule exploration for the "
-                     "SEMEL/MILANA simulation"))
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Fill in the ``repro sansim`` subparser."""
+    parser.description = ("sansim: happens-before race sanitizer with "
+                          "systematic schedule exploration for the "
+                          "SEMEL/MILANA simulation")
     parser.add_argument("workloads", nargs="*",
                         default=list(DEFAULT_WORKLOADS),
                         help="workloads to explore "
@@ -65,7 +64,6 @@ def build_parser(prog: str = "repro sansim") -> argparse.ArgumentParser:
                              "workload:trial:policy:seed spec")
     parser.add_argument("--list-workloads", action="store_true",
                         help="print the workload catalogue and exit")
-    return parser
 
 
 def _list_workloads() -> int:
@@ -106,10 +104,8 @@ def _replay_one(args: argparse.Namespace,
         trial_stats=[trial.stats])]
 
 
-def main(argv: Optional[Sequence[str]] = None,
-         prog: str = "repro sansim") -> int:
-    parser = build_parser(prog)
-    args = parser.parse_args(argv)
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run ``repro sansim``; ``parser`` reports usage errors (exit 2)."""
     if args.list_workloads:
         return _list_workloads()
     if args.trials < 1:
@@ -174,7 +170,3 @@ def main(argv: Optional[Sequence[str]] = None,
     if args.fail_on_stale and stale:
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

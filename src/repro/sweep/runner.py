@@ -68,10 +68,10 @@ def _ensure_child_import_path() -> None:
     # Host-side orchestration, not simulated code: this env var only
     # controls how worker interpreters find the package, never what the
     # simulation computes.
-    existing = os.environ.get("PYTHONPATH", "")  # simlint: disable=DET004
+    existing = os.environ.get("PYTHONPATH", "")
     parts = existing.split(os.pathsep) if existing else []
     if package_root not in parts:
-        os.environ["PYTHONPATH"] = (  # simlint: disable=DET004
+        os.environ["PYTHONPATH"] = (
             os.pathsep.join([package_root] + parts) if parts
             else package_root)
 

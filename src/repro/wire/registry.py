@@ -2,12 +2,9 @@
 
 The registry is the only table of the protocol surface:
 
-* :class:`repro.net.rpc.RpcNode` type-checks request and response
-  payloads of registered methods against it;
-* simlint's PRO001 (:mod:`repro.analysis.iprules`) cross-checks it
-  against the tree: every dotted ``register``/``call``/``send_oneway``/
-  ``replicate_to_backups`` method has a spec, and every spec of a
-  handled namespace has exactly one handler;
+* :class:`repro.net.rpc.RpcNode` checks it at run time: ``register``
+  refuses a dotted method without a spec, and request and response
+  payloads of registered methods are type-checked against it;
 * :func:`validate_registry` checks every row's example pair: frozen
   dataclasses of the spec's classes with a positive, deterministic
   ``wire_size()``;

@@ -1,7 +1,7 @@
 """DET fixture: interprocedural wall-clock taint for the golden test.
 
-``sample_latency`` reads the wall clock directly (DET001 on its own
-line), ``jitter`` launders the value through one more hop, and
+``sample_latency`` reads the wall clock directly, ``jitter``
+launders the value through one more hop, and
 ``Collector`` sinks it into server state and simulator scheduling —
 the DET101 cases no single-module rule can see.
 """

@@ -1,7 +1,7 @@
 """PRO fixture: seeded protocol-conformance bugs for the golden test.
 
-Uses the ``master`` namespace (two registry methods) so the
-"namespace handled here" completeness check stays small and pinned.
+PRO004 is pinned; registry drift, wrong reply types and unhandled
+call failures are left to the run-time checks and tier-1.
 """
 
 from repro.net.rpc import RpcError
@@ -17,17 +17,17 @@ class MasterLike:
         self.sim = sim
         self.node = node
         self.peers = ["peer-1", "peer-2"]
-        # PRO001: namespace "master" is handled here, but master.lookup
-        # never gets a handler.
+        # Registry drift, checked by RpcNode.register at run time:
+        # master.lookup never gets a handler.
         self.node.register("master.heartbeat", self._handle_heartbeat)
-        # PRO001: duplicate registration.
+        # A duplicate registration.
         self.node.register("master.heartbeat", self._handle_heartbeat)
-        # PRO001: no such method in the registry.
+        # No such method in the registry.
         self.node.register("master.bogus", self._handle_bogus)
 
     def _handle_heartbeat(self, request):
         yield from self._fanout(request)  # PRO004: QuorumError can leak
-        return Ack()  # PRO002: registered reply is MasterHeartbeatReply
+        return Ack()  # wrong reply type: _serve's runtime check rejects it
 
     def _handle_bogus(self, request):
         yield from ()
@@ -48,14 +48,14 @@ class MasterLike:
     def poll_daemon(self):
         while True:
             yield self.sim.timeout(0.1)
-            # PRO001: call to a method missing from the registry.
-            # PRO003: no RpcError handling anywhere on this chain.
+            # A call to a method missing from the registry.
+            # No RpcError handling anywhere on this chain.
             yield self.node.call("m", "milana.nonexistent", None,
                                  timeout=0.01)
             yield from self._lookup_unprotected()
 
     def _lookup_unprotected(self):
-        # PRO003: registered method, reachable only via the unprotected
+        # Registered method, reachable only via the unprotected
         # daemon above.
         reply = yield self.node.call("m", "master.lookup", None,
                                      timeout=0.01)

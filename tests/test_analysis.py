@@ -1,8 +1,9 @@
 """Tier-1 gate + unit tests for the simlint static analyzer.
 
 The headline test runs the analyzer over the real ``src/repro`` tree and
-asserts zero non-baselined findings — injecting a ``time.time()`` into
-any sim module makes this test (and ``python -m repro.analysis``) fail.
+asserts zero non-baselined findings — a ``time.sleep`` in a sim process
+or a poke at ``Network._crashed`` makes this test (and ``python -m
+repro.analysis``) fail.
 The rest exercises every rule on positive/negative/suppressed fixtures,
 the baseline round-trip, and the JSON output schema.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Baseline, analyze_paths
-from repro.analysis.cli import main as cli_main
+from repro.cli import main
 from repro.analysis.engine import SYNTAX_RULE_ID, all_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -61,169 +62,8 @@ class TestRepoIsClean:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_injected_wall_clock_read_is_caught(self, tmp_path):
-        """The acceptance scenario: a time.time() slipped into sim/core.py."""
-        victim = tmp_path / "sim" / "core.py"
-        victim.parent.mkdir(parents=True)
-        original = (SRC / "sim" / "core.py").read_text()
-        assert "time.time()" not in original
-        tampered = original.replace(
-            "import heapq",
-            "import heapq\nimport time", 1).replace(
-            "self._now = 0.0",
-            "self._now = time.time()", 1)
-        assert tampered != original
-        victim.write_text(tampered)
-        findings, _ = analyze_paths([str(victim)])
-        assert "DET001" in rule_ids(findings)
-
 
 # -- per-rule fixtures -----------------------------------------------------
-
-
-class TestDet001WallClock:
-    def test_positive_time_time(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            import time
-            def stamp():
-                return time.time()
-            """)
-        assert rule_ids(findings) == ["DET001"]
-
-    def test_positive_from_import_and_alias(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            from time import perf_counter
-            import time as t
-            def stamp():
-                return perf_counter() + t.monotonic()
-            """)
-        assert rule_ids(findings) == ["DET001", "DET001"]
-
-    def test_positive_datetime_now(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            from datetime import datetime
-            def stamp():
-                return datetime.now()
-            """)
-        assert rule_ids(findings) == ["DET001"]
-
-    def test_negative_sim_now(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def stamp(sim):
-                return sim.now
-            """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            import time
-            def stamp():
-                return time.time()  # simlint: disable=DET001
-            """)
-        assert findings == []
-
-
-class TestDet002DirectRandom:
-    def test_positive_import_and_call(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            import random
-            def draw():
-                return random.random()
-            """)
-        assert rule_ids(findings) == ["DET002", "DET002"]
-
-    def test_positive_from_import(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            from random import randint
-            """)
-        assert rule_ids(findings) == ["DET002"]
-
-    def test_negative_seeded_rng(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def draw(rng):
-                return rng.substream("jitter").random()
-            """)
-        assert findings == []
-
-    def test_rng_module_itself_is_exempt(self):
-        findings, _ = analyze_paths([str(SRC / "sim" / "rng.py")],
-                                    select=["DET002"])
-        assert findings == []
-
-    def test_file_level_suppression(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            # simlint: disable-file=DET002
-            import random
-            """)
-        assert findings == []
-
-
-class TestDet003UnorderedIteration:
-    def test_positive_set_call(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def fanout(replicas):
-                for r in set(replicas):
-                    yield r
-            """)
-        assert rule_ids(findings) == ["DET003"]
-
-    def test_positive_set_literal_and_comprehension(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def shards(a, b):
-                xs = [s for s in {a, b}]
-                ys = list(x for x in {n for n in a})
-                return xs, ys
-            """)
-        assert rule_ids(findings) == ["DET003", "DET003"]
-
-    def test_positive_set_method(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def diff(a, b):
-                for key in a.difference(b):
-                    print(key)
-            """)
-        assert rule_ids(findings) == ["DET003"]
-
-    def test_negative_sorted_wrapper(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def fanout(replicas):
-                for r in sorted(set(replicas)):
-                    yield r
-            """)
-        assert findings == []
-
-    def test_negative_dict_iteration_is_ordered(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def walk(table):
-                for key, value in table.items():
-                    yield key, value
-            """)
-        assert findings == []
-
-
-class TestDet004EnvironmentReads:
-    def test_positive_uuid_and_urandom(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            import os, uuid
-            def ident(key):
-                return uuid.uuid4(), os.urandom(8), hash(key)
-            """)
-        assert rule_ids(findings) == ["DET004", "DET004", "DET004"]
-
-    def test_positive_os_environ(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            import os
-            def config():
-                return os.environ["SEED"], os.getenv("MODE")
-            """)
-        assert sorted(rule_ids(findings)) == ["DET004", "DET004"]
-
-    def test_negative_explicit_seed(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def ident(rng, counter):
-                return f"txn-{counter}-{rng.randint(0, 2**31)}"
-            """)
-        assert findings == []
 
 
 class TestSim001Blocking:
@@ -306,72 +146,6 @@ class TestRpc001Timeouts:
         findings = run_on(tmp_path, """\
             def invoke(handler):
                 return handler.call("anything")
-            """)
-        assert findings == []
-
-
-class TestWire001Payloads:
-    def test_positive_dict_literal_in_call(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node):
-                yield node.call("dst", "ping", {"key": "k"},
-                                timeout=5e-3)
-            """)
-        assert rule_ids(findings) == ["WIRE001"]
-
-    def test_positive_dict_literal_in_send_oneway(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node):
-                node.send_oneway("dst", "tick", {"now": 1.0})
-            """)
-        assert rule_ids(findings) == ["WIRE001"]
-
-    def test_positive_dict_comprehension_payload(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node, keys):
-                node.send_oneway("dst", "bulk",
-                                 {k: 1 for k in keys})
-            """)
-        assert rule_ids(findings) == ["WIRE001"]
-
-    def test_positive_payload_keyword(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node):
-                yield node.call("dst", "ping", timeout=5e-3,
-                                payload={"key": "k"})
-            """)
-        assert rule_ids(findings) == ["WIRE001"]
-
-    def test_positive_replicate_to_backups(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            from repro.semel.replication import replicate_to_backups
-            def push(node, backups):
-                yield from replicate_to_backups(
-                    node, backups, "put", {"key": "k"}, 2,
-                    timeout=5e-3)
-            """)
-        assert rule_ids(findings) == ["WIRE001"]
-
-    def test_negative_message_object_payload(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node, request):
-                yield node.call("dst", "ping", request, timeout=5e-3)
-            """)
-        assert findings == []
-
-    def test_negative_unrelated_receiver(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def invoke(handler):
-                return handler.call("dst", "ping", {"key": "k"})
-            """)
-        assert findings == []
-
-    def test_suppression_comment(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node):
-                node.send_oneway(
-                    "dst", "tick",
-                    {"now": 1.0})  # simlint: disable=WIRE001
             """)
         assert findings == []
 
@@ -602,26 +376,26 @@ class TestEngine:
 
     def test_select_and_ignore(self, tmp_path):
         source = """\
-            import random
+            CRASHED = network._crashed
             __all__ = ["ghost"]
             """
         assert rule_ids(run_on(tmp_path, source,
-                               select=["DET002"])) == ["DET002"]
+                               select=["FLT001"])) == ["FLT001"]
         assert rule_ids(run_on(tmp_path, source,
-                               ignore=["DET002"])) == ["API001"]
+                               ignore=["FLT001"])) == ["API001"]
 
     def test_disable_all_rules_on_line(self, tmp_path):
         findings = run_on(tmp_path, """\
-            import random  # simlint: disable
+            CRASHED = network._crashed  # simlint: disable
             """)
         assert findings == []
 
     def test_findings_sorted_and_deterministic(self, tmp_path):
         source = """\
-            import random
             import time
-            def f():
-                return time.time(), random.random()
+            def f(network):
+                time.sleep(0)
+                yield network._crashed
             """
         first = run_on(tmp_path, source)
         second = run_on(tmp_path, source)
@@ -640,10 +414,8 @@ class TestEngine:
 class TestBaseline:
     def _findings(self, tmp_path):
         return run_on(tmp_path, """\
-            import random
-            import time
-            def f():
-                return time.time()
+            def f(network):
+                return network._crashed, network._crashed.copy()
             """)
 
     def test_round_trip(self, tmp_path):
@@ -681,46 +453,46 @@ class TestBaseline:
 class TestCli:
     def write_bad_file(self, tmp_path):
         path = tmp_path / "bad.py"
-        path.write_text("import random\n")
+        path.write_text("CRASHED = network._crashed\n")
         return path
 
     def test_exit_codes(self, tmp_path, capsys):
         bad = self.write_bad_file(tmp_path)
-        assert cli_main([str(bad)]) == 1
+        assert main(["analyze", str(bad)]) == 1
         capsys.readouterr()
         clean = tmp_path / "clean.py"
         clean.write_text("VALUE = 1\n")
-        assert cli_main([str(clean)]) == 0
+        assert main(["analyze", str(clean)]) == 0
 
     def test_json_schema(self, tmp_path, capsys):
         bad = self.write_bad_file(tmp_path)
-        code = cli_main([str(bad), "--format", "json"])
+        code = main(["analyze", str(bad), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["version"] == 1
         assert payload["files_checked"] == 1
         assert payload["baselined"] == 0
-        assert payload["counts_by_rule"] == {"DET002": 1}
+        assert payload["counts_by_rule"] == {"FLT001": 1}
         (finding,) = payload["findings"]
         assert set(finding) == {"path", "line", "col", "rule",
                                 "severity", "message", "fingerprint"}
-        assert finding["rule"] == "DET002"
+        assert finding["rule"] == "FLT001"
         assert finding["line"] == 1
 
     def test_baseline_flag_suppresses(self, tmp_path, capsys):
         bad = self.write_bad_file(tmp_path)
         baseline = tmp_path / "baseline.json"
-        assert cli_main([str(bad), "--write-baseline",
-                         str(baseline)]) == 0
+        assert main(["analyze", str(bad), "--write-baseline",
+                     str(baseline)]) == 0
         capsys.readouterr()
-        assert cli_main([str(bad), "--baseline", str(baseline)]) == 0
+        assert main(["analyze", str(bad), "--baseline", str(baseline)]) == 0
         err = capsys.readouterr().err
         assert "1 baselined" in err
 
     def test_nonexistent_path_is_a_usage_error(self, capsys):
         # A typo'd path must not green-light CI with "0 files checked".
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["does/not/exist"])
+            main(["analyze", "does/not/exist"])
         assert excinfo.value.code == 2
         assert "do not exist" in capsys.readouterr().err
 
@@ -729,22 +501,20 @@ class TestCli:
                                                 fmt):
         bad = self.write_bad_file(tmp_path)
         report = tmp_path / "report.json"
-        assert cli_main([str(bad), "--format", "json",
-                         "--output", str(report)]) == 1
+        assert main(["analyze", str(bad), "--format", "json",
+                     "--output", str(report)]) == 1
         assert json.loads(report.read_text())["findings"]
         capsys.readouterr()
-        cli_main([str(bad), "--format", fmt])
+        main(["analyze", str(bad), "--format", fmt])
         direct = capsys.readouterr()
-        assert cli_main(["--from-json", str(report), "--format", fmt]) == 0
+        assert main(["analyze", "--from-json", str(report), "--format", fmt]) == 0
         rendered = capsys.readouterr()
         assert (rendered.out, rendered.err) == (direct.out, direct.err)
 
     def test_list_rules(self, capsys):
-        assert cli_main(["--list-rules"]) == 0
+        assert main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "DET004",
-                        "SIM001", "RPC001", "WIRE001",
+        for rule_id in ("SIM001", "RPC001",
                         "FLT001", "API001", "SUP001", "ATM001",
-                        "ATM002", "PRO001", "PRO002", "PRO003",
-                        "PRO004", "DET101"):
+                        "ATM002", "PRO004", "DET101"):
             assert rule_id in out

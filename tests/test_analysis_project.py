@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Baseline, analyze_paths
-from repro.analysis.cli import main as cli_main
+from repro.cli import main
 from repro.analysis.engine import ModuleContext, all_rules
 from repro.analysis.project import InlineWalker, Project, uncaught
 from repro.analysis.sarif import render_sarif
@@ -42,7 +42,7 @@ def run_on(tmp_path, source, name="snippet.py", **kwargs):
 
 
 class TestGoldenFindings:
-    @pytest.mark.parametrize("family", ["atm", "pro", "det", "dur"])
+    @pytest.mark.parametrize("family", ["atm", "pro", "det", "dur", "census"])
     def test_family_matches_golden(self, family):
         root = FIXTURES / family
         golden = json.loads((root / "golden.json").read_text())
@@ -62,12 +62,21 @@ class TestGoldenFindings:
             got.append(entry)
         assert got == golden["findings"]
 
+    def test_every_rule_has_a_census_row(self):
+        """A rule stays while some planted bug at a served site is
+        caught by it and by no other gate; census/ pins one per rule."""
+        golden = json.loads((FIXTURES / "census" / "golden.json").read_text())
+        fired = {entry["rule"] for entry in golden["findings"]}
+        assert fired == set(golden["select"])
+        # ATM001 stays as the static half of sansim's reconciliation
+        # report (its dynamic twin is SAN002), not for a sole catch.
+        assert set(all_rules()) - fired == {"ATM001"}
+
     def test_each_family_catches_a_seeded_bug(self):
         for family, rules in [("atm", {"ATM001", "ATM002"}),
-                              ("pro", {"PRO001", "PRO002", "PRO003",
-                                       "PRO004"}),
+                              ("pro", {"PRO004"}),
                               ("det", {"DET101"}),
-                              ("dur", {"DUR001", "DUR002", "DUR003",
+                              ("dur", {"DUR001", "DUR003",
                                        "DUR004", "DUR005"})]:
             golden = json.loads(
                 (FIXTURES / family / "golden.json").read_text())
@@ -141,27 +150,6 @@ class TestDurRules:
                     " request.version, sync=False)"),
             applied="False")
         assert self._check("DUR001", source) == []
-
-    def test_dur002_unlogged_mutation_on_wal_enabled_path(self):
-        source = self.HANDLER.format(append="pass", applied="True")
-        findings = self._check("DUR002", source)
-        assert len(findings) == 1
-        assert "no WAL append" in findings[0].message
-
-    def test_dur002_logged_mutation_is_clean(self):
-        source = self.HANDLER.format(
-            append=("yield from self.wal.append_put(\n"
-                    "            request.key, request.value,"
-                    " request.version, sync=False)"),
-            applied="True")
-        assert self._check("DUR002", source) == []
-
-    def test_dur002_wal_free_class_is_out_of_scope(self):
-        # No self.wal anywhere: not a WAL-enabled surface, no debt.
-        source = self.HANDLER.format(
-            append="pass", applied="True").replace(
-            "                self.wal = wal\n", "")
-        assert self._check("DUR002", source) == []
 
     DUR003 = """\
         class Server:
@@ -263,101 +251,6 @@ class TestDurRules:
         # The suspend is the multi-line yield ending at the comment.
         assert f"line {witness - 1} loses the acked write" \
             in entry["message"]
-
-
-# -- PRO001: the registry against the call sites ---------------------------
-
-
-class TestPro001Rules:
-    """PRO001 over miniature projects: one test per kind of drift
-    between the wire registry and the code."""
-
-    SERVER = """\
-        from repro.semel.replication import replicate_to_backups
-
-
-        class Server:
-            def __init__(self, node):
-                self.node = node
-                self.node.register("master.heartbeat", self._handle)
-                self.node.register("master.lookup", self._handle)
-                {extra}
-
-            def _handle(self, request):
-                yield from ()
-                return None
-
-            def _push(self, request):
-                {push}
-    """
-
-    def _messages(self, extra="pass", push="yield from ()"):
-        source = self.SERVER.format(extra=extra, push=push)
-        project = make_project({"harness/mod.py": source})
-        rule = all_rules()["PRO001"]
-        return [finding.message for finding in rule.check_project(project)]
-
-    def test_complete_surface_is_clean(self):
-        push = ("yield from replicate_to_backups(\n"
-                "                    self.node, [], \"master.heartbeat\","
-                " request, 1,\n"
-                "                    timeout=0.01)")
-        assert self._messages(push=push) == []
-
-    def test_register_of_an_unregistered_method(self):
-        messages = self._messages(
-            extra='self.node.register("master.frobnicate", self._handle)')
-        assert messages == [
-            "register of 'master.frobnicate', which has no MethodSpec "
-            "in the repro.wire registry"]
-
-    @pytest.mark.parametrize("kind", ["call", "send_oneway"])
-    def test_send_of_an_unregistered_method_in_an_unknown_namespace(
-            self, kind):
-        messages = self._messages(
-            push=f'yield self.node.{kind}("dst", "frob.ping", request)')
-        assert messages == [
-            f"{kind}() to 'frob.ping', which has no MethodSpec in the "
-            f"repro.wire registry"]
-
-    def test_replicate_to_backups_of_an_unregistered_method(self):
-        push = ("yield from replicate_to_backups(\n"
-                "                    self.node, [], \"master.replicate\","
-                " request, 1,\n"
-                "                    timeout=0.01)")
-        assert self._messages(push=push) == [
-            "replicate_to_backups() to 'master.replicate', which has no "
-            "MethodSpec in the repro.wire registry"]
-
-    def test_method_keyword(self):
-        messages = self._messages(
-            extra=('self.node.register(method="master.bogus",\n'
-                   '                                   '
-                   'handler=self._handle)'),
-            push=('yield self.node.call("dst", method="master.nope",\n'
-                  '                                     payload=request)'))
-        assert messages == [
-            "register of 'master.bogus', which has no MethodSpec in the "
-            "repro.wire registry",
-            "call() to 'master.nope', which has no MethodSpec in the "
-            "repro.wire registry"]
-
-    def test_registry_entry_without_a_handler_in_a_handled_namespace(self):
-        source = self.SERVER.format(extra="pass", push="yield from ()")
-        source = source.replace(
-            'self.node.register("master.lookup", self._handle)', "pass")
-        project = make_project({"harness/mod.py": source})
-        messages = [finding.message for finding in
-                    all_rules()["PRO001"].check_project(project)]
-        assert messages == [
-            "registered wire method 'master.lookup' has no handler in the "
-            "analyzed tree (namespace 'master' is handled here)"]
-
-    def test_bare_methods_are_outside_the_registry(self):
-        messages = self._messages(
-            extra='self.node.register("ping", self._handle)',
-            push='yield self.node.call("dst", "ping", request)')
-        assert messages == []
 
 
 # -- project model ---------------------------------------------------------
@@ -502,17 +395,15 @@ class TestUselessSuppressions:
     def test_unused_named_suppression_reported(self, tmp_path):
         findings = run_on(tmp_path, """\
             def f():
-                return 1  # simlint: disable=DET001
+                return 1  # simlint: disable=FLT001
         """)
         assert [f.rule_id for f in findings] == ["SUP001"]
-        assert "DET001" in findings[0].message
+        assert "FLT001" in findings[0].message
 
     def test_used_suppression_not_reported(self, tmp_path):
         findings = run_on(tmp_path, """\
-            import time
-
-            def f():
-                return time.time()  # simlint: disable=DET001
+            def f(network):
+                return network._crashed  # simlint: disable=FLT001
         """)
         assert findings == []
 
@@ -534,7 +425,7 @@ class TestUselessSuppressions:
 
     def test_unused_file_suppression_reported(self, tmp_path):
         findings = run_on(tmp_path, """\
-            # simlint: disable-file=DET002
+            # simlint: disable-file=SIM001
             def f():
                 return 1
         """)
@@ -546,7 +437,7 @@ class TestUselessSuppressions:
         # only unknown ids are still reported.
         findings = run_on(tmp_path, """\
             def f():
-                return 1  # simlint: disable=DET001
+                return 1  # simlint: disable=FLT001
         """, select=["SUP001"])
         assert findings == []
 
@@ -554,7 +445,7 @@ class TestUselessSuppressions:
         findings = run_on(tmp_path, """\
             # simlint: disable-file=SUP001
             def f():
-                return 1  # simlint: disable=DET001
+                return 1  # simlint: disable=FLT001
         """)
         assert findings == []
 
@@ -565,8 +456,8 @@ class TestUselessSuppressions:
 class TestBaselineLifecycle:
     def _violating(self, tmp_path):
         path = tmp_path / "mod.py"
-        path.write_text("import time\n\ndef f():\n"
-                        "    return time.time()\n")
+        path.write_text("# probe\n\ndef f(network):\n"
+                        "    return network._crashed\n")
         return path
 
     def test_stale_entries_detected_and_pruned(self, tmp_path):
@@ -585,26 +476,26 @@ class TestBaselineLifecycle:
     def test_cli_fail_on_stale_and_update(self, tmp_path, capsys):
         path = self._violating(tmp_path)
         base = tmp_path / "base.json"
-        assert cli_main([str(path), "--write-baseline", str(base)]) == 0
+        assert main(["analyze", str(path), "--write-baseline", str(base)]) == 0
         path.write_text("def f():\n    return 0.0\n")
-        assert cli_main([str(path), "--baseline", str(base)]) == 0
-        assert cli_main([str(path), "--baseline", str(base),
-                         "--fail-on-stale"]) == 1
-        assert cli_main([str(path), "--baseline", str(base),
-                         "--update-baseline"]) == 0
+        assert main(["analyze", str(path), "--baseline", str(base)]) == 0
+        assert main(["analyze", str(path), "--baseline", str(base),
+                     "--fail-on-stale"]) == 1
+        assert main(["analyze", str(path), "--baseline", str(base),
+                     "--update-baseline"]) == 0
         assert len(Baseline.load(base)) == 0
-        assert cli_main([str(path), "--baseline", str(base),
-                         "--fail-on-stale"]) == 0
+        assert main(["analyze", str(path), "--baseline", str(base),
+                     "--fail-on-stale"]) == 0
         capsys.readouterr()
 
     def test_stale_count_in_json_output(self, tmp_path, capsys):
         path = self._violating(tmp_path)
         base = tmp_path / "base.json"
-        cli_main([str(path), "--write-baseline", str(base)])
+        main(["analyze", str(path), "--write-baseline", str(base)])
         path.write_text("def f():\n    return 0.0\n")
         capsys.readouterr()
-        cli_main([str(path), "--baseline", str(base), "--format",
-                  "json"])
+        main(["analyze", str(path), "--baseline", str(base), "--format",
+              "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
         assert payload["stale_baseline"] == 1
@@ -616,8 +507,8 @@ class TestBaselineLifecycle:
 class TestOutputFormats:
     def test_sarif_document_shape(self, tmp_path):
         path = tmp_path / "mod.py"
-        path.write_text("import time\n\ndef f():\n"
-                        "    return time.time()\n")
+        path.write_text("# probe\n\ndef f(network):\n"
+                        "    return network._crashed\n")
         findings, _ = analyze_paths([str(path)])
         log = json.loads(render_sarif(findings, all_rules()))
         assert log["version"] == "2.1.0"
@@ -625,9 +516,9 @@ class TestOutputFormats:
         driver = run["tool"]["driver"]
         assert driver["name"] == "simlint"
         ids = {r["id"] for r in driver["rules"]}
-        assert {"DET001", "ATM001", "PRO001", "DET101", "SUP001"} <= ids
+        assert {"FLT001", "ATM001", "PRO004", "DET101", "SUP001"} <= ids
         result = run["results"][0]
-        assert result["ruleId"] == "DET001"
+        assert result["ruleId"] == "FLT001"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 4
@@ -637,16 +528,16 @@ class TestOutputFormats:
         path = tmp_path / "mod.py"
         path.write_text("def f():\n    return 1\n")
         out = tmp_path / "report.sarif"
-        assert cli_main([str(path), "--format", "sarif",
-                         "--output", str(out)]) == 0
+        assert main(["analyze", str(path), "--format", "sarif",
+                     "--output", str(out)]) == 0
         log = json.loads(out.read_text())
         assert log["runs"][0]["results"] == []
 
     def test_github_annotations(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
-        path.write_text("import time\n\ndef f():\n"
-                        "    return time.time()\n")
-        assert cli_main([str(path), "--format", "github"]) == 1
+        path.write_text("# probe\n\ndef f(network):\n"
+                        "    return network._crashed\n")
+        assert main(["analyze", str(path), "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert "title=simlint DET001::" in out
+        assert "title=simlint FLT001::" in out

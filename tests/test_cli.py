@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.harness import EXPERIMENTS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestList:
@@ -100,3 +107,33 @@ class TestWorkloadCommands:
     def test_invalid_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["retwis", "--backend", "tape"])
+
+
+class TestToolCommands:
+    """``analyze`` and ``sansim`` are subcommands of the one parser."""
+
+    def test_catalogue_listings(self, capsys):
+        assert main(["analyze", "--list-rules"]) == 0
+        assert "SAN001" in capsys.readouterr().out
+        assert main(["sansim", "--list-workloads"]) == 0
+        assert "ctp-race" in capsys.readouterr().out
+
+    def test_analyze_matches_the_module_alias(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = ["tests/fixtures/analysis/dur", "--format", "json"]
+        assert main(["analyze", *argv]) == 1
+        out = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", *argv],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+        assert proc.returncode == 1
+        assert proc.stdout == out
+
+    def test_unknown_flag_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--no-such-flag"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro analyze" in err
+        assert "--no-such-flag" in err

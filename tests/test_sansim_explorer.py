@@ -25,7 +25,7 @@ from repro.sansim.report import (
     build_report,
     render_payload,
 )
-from repro.sansim.cli import main
+from repro.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "sansim",
                       "golden.json")
@@ -154,32 +154,32 @@ class TestReconciliation:
 
 class TestCli:
     def test_witnesses_fail_the_run(self, capsys):
-        assert main(["ctp-race", "--trials", "1"]) == 1
+        assert main(["sansim", "ctp-race", "--trials", "1"]) == 1
         out = capsys.readouterr().out
         assert "SAN001" in out
         assert "--replay ctp-race:0:fifo:0" in out
 
     def test_expect_witness_inverts_polarity(self, capsys):
-        assert main(["ctp-race", "--trials", "1",
+        assert main(["sansim", "ctp-race", "--trials", "1",
                      "--expect-witness"]) == 0
         capsys.readouterr()
 
     def test_replay_mode(self, capsys):
-        assert main(["ctp-race", "--replay", "ctp-race:0:fifo:1",
+        assert main(["sansim", "ctp-race", "--replay", "ctp-race:0:fifo:1",
                      "--expect-witness"]) == 0
         capsys.readouterr()
 
     def test_baseline_roundtrip(self, tmp_path, capsys):
         baseline = tmp_path / "sansim-baseline.json"
-        assert main(["ctp-race", "--trials", "1", "--write-baseline",
+        assert main(["sansim", "ctp-race", "--trials", "1", "--write-baseline",
                      str(baseline)]) == 0
-        assert main(["ctp-race", "--trials", "1", "--baseline",
+        assert main(["sansim", "ctp-race", "--trials", "1", "--baseline",
                      str(baseline)]) == 0
         capsys.readouterr()
 
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        main(["ctp-race", "--trials", "1", "--format", "json",
+        main(["sansim", "ctp-race", "--trials", "1", "--format", "json",
               "--output", str(out)])
         capsys.readouterr()
         payload = json.loads(out.read_text(encoding="utf-8"))
@@ -190,7 +190,7 @@ class TestCli:
 
     def test_sarif_format_carries_san_rules(self, tmp_path, capsys):
         out = tmp_path / "report.sarif"
-        main(["ctp-race", "--trials", "1", "--format", "sarif",
+        main(["sansim", "ctp-race", "--trials", "1", "--format", "sarif",
               "--output", str(out)])
         capsys.readouterr()
         sarif = json.loads(out.read_text(encoding="utf-8"))
@@ -201,13 +201,13 @@ class TestCli:
         assert run["results"]
 
     def test_list_workloads(self, capsys):
-        assert main(["--list-workloads"]) == 0
+        assert main(["sansim", "--list-workloads"]) == 0
         out = capsys.readouterr().out
         assert "ctp-race" in out
         assert "retwis" in out
 
     def test_unknown_workload_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["no-such-workload"])
+            main(["sansim", "no-such-workload"])
         assert excinfo.value.code == 2
         capsys.readouterr()
