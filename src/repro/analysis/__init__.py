@@ -13,7 +13,7 @@ output — with an AST-based analyzer:
 * module rules (``rules``) — SIM001, RPC001, PAR001, FLT001, API001,
   SUP001,
 * whole-program rules over a project model that walks each handler or
-  daemon once (``project``, ``iprules``, ``durrules``) — ATM001/ATM002,
+  daemon once (``project``, ``iprules``, ``durrules``) — ATM002,
   PRO004, DET101, DUR001, DUR003..DUR005,
 * inline ``# simlint: disable=RULE`` suppressions,
 * a checked-in baseline file for grandfathered findings (``baseline``),

@@ -7,11 +7,8 @@ the file) and the CLI only fails on *new* findings. The repo policy is
 to keep the baseline empty or near-empty: fix violations, don't bank
 them.
 
-The lifecycle around the file is the same for every checker CLI that
-reports :class:`Finding` objects (simlint here, sansim through
-``witness_to_finding``): :meth:`Baseline.add_arguments` declares the
-flags and :func:`apply_baseline` loads, splits, counts stale entries and
-prunes.
+:meth:`Baseline.add_arguments` declares the flags and
+:func:`apply_baseline` loads, splits, counts stale entries and prunes.
 """
 
 from __future__ import annotations
@@ -45,17 +42,16 @@ class Baseline:
         return sum(self._entries.values())
 
     @staticmethod
-    def add_arguments(parser: argparse.ArgumentParser, noun: str) -> None:
-        """Declare ``--output`` and the baseline flags on ``parser``;
-        ``noun`` is what the tool reports ("findings", "witnesses")."""
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
+        """Declare ``--output`` and the baseline flags on ``parser``."""
         parser.add_argument("--output", metavar="FILE",
                             help="write the report to FILE instead of "
                                  "stdout")
         parser.add_argument("--baseline", metavar="FILE",
-                            help=f"suppress {noun} recorded in this "
+                            help="suppress findings recorded in this "
                                  "baseline file")
         parser.add_argument("--write-baseline", metavar="FILE",
-                            help=f"record current {noun} as the new "
+                            help="record current findings as the new "
                                  "baseline and exit 0")
         parser.add_argument("--update-baseline", action="store_true",
                             help="prune --baseline entries that no longer "
@@ -147,9 +143,8 @@ class Baseline:
             if count > 0)
 
 
-def apply_baseline(findings: Sequence[Finding], args: argparse.Namespace,
-                   tool: str) -> Tuple[List[Finding], List[Finding],
-                                       Optional[int]]:
+def apply_baseline(findings: Sequence[Finding], args: argparse.Namespace
+                   ) -> Tuple[List[Finding], List[Finding], Optional[int]]:
     """Run the ``--baseline`` lifecycle over ``findings``.
 
     Returns ``(new, baselined, stale)``: the findings the baseline does
@@ -157,8 +152,8 @@ def apply_baseline(findings: Sequence[Finding], args: argparse.Namespace,
     objects, so a caller can pair them back by position), and the number
     of baseline entries nothing matched — ``None`` without
     ``--baseline``, 0 after ``--update-baseline`` pruned them. ``args``
-    holds the flags of :meth:`Baseline.add_arguments`; ``tool`` prefixes
-    the stderr note. Raises :class:`BaselineError` on a usage error.
+    holds the flags of :meth:`Baseline.add_arguments`. Raises
+    :class:`BaselineError` on a usage error.
     """
     if not args.baseline:
         if args.update_baseline or args.fail_on_stale:
@@ -173,7 +168,7 @@ def apply_baseline(findings: Sequence[Finding], args: argparse.Namespace,
     stale = len(baseline.stale_entries(findings))
     if args.update_baseline and stale:
         baseline.pruned(findings).save(args.baseline)
-        print(f"{tool}: pruned {stale} stale entr"
+        print(f"simlint: pruned {stale} stale entr"
               f"{'y' if stale == 1 else 'ies'} from {args.baseline}",
               file=sys.stderr)
         stale = 0

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .baseline import Baseline, BaselineError, apply_baseline, emit
 from .engine import all_rules, analyze_paths
@@ -42,7 +42,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "sarif",
                                              "github"),
                         default="text", dest="output_format")
-    Baseline.add_arguments(parser, "findings")
+    Baseline.add_arguments(parser)
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -63,23 +63,13 @@ def _split_rules(text: Optional[str]) -> Optional[List[str]]:
 
 
 def _list_rules() -> int:
-    """The full catalogue: static simlint rules plus the dynamic sansim
-    rules, with each rule's family, domain, and cross-domain
+    """The rule catalogue, with each rule's family and cross-domain
     counterpart."""
-    from ..sansim.rules import SANITIZER_RULES
-
-    rows: List[Tuple[str, str, str, str, str]] = []
     for rule_id, r in sorted(all_rules().items()):
-        rows.append((rule_id, r.severity, "static", r.counterpart,
-                     r.description))
-    for rule_id, dyn in sorted(SANITIZER_RULES.items()):
-        rows.append((rule_id, dyn.severity, "dynamic", dyn.counterpart,
-                     dyn.description))
-    for rule_id, severity, domain, counterpart, description in rows:
         family = "".join(ch for ch in rule_id if ch.isalpha())
-        twin = f" [twin: {counterpart}]" if counterpart else ""
-        print(f"{rule_id}  [{severity:7s}]  {family}/{domain:7s} "
-              f"{description}{twin}")
+        twin = f" [twin: {r.counterpart}]" if r.counterpart else ""
+        print(f"{rule_id}  [{r.severity:7s}]  {family}/static  "
+              f"{r.description}{twin}")
     return 0
 
 
@@ -203,7 +193,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
               f"{args.write_baseline}", file=sys.stderr)
         return 0
     try:
-        new, baselined, stale = apply_baseline(findings, args, "simlint")
+        new, baselined, stale = apply_baseline(findings, args)
     except BaselineError as exc:
         parser.error(str(exc))  # exits 2
         return 2  # unreachable; keeps type-checkers happy

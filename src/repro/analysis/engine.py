@@ -262,7 +262,8 @@ class Rule:
     implement ``check``. ``excluded_path_suffixes`` names files the rule
     never applies to (e.g. DET101 must not flag ``sim/rng.py``, the one
     sanctioned wrapper around ``random.Random``); ``required_path_parts``
-    restricts a rule to a sub-tree (e.g. ATM001 to ``milana/``).
+    restricts a rule to a sub-tree (e.g. ATM002 to ``milana/`` and
+    ``semel/``).
     """
 
     rule_id: str = ""
@@ -270,8 +271,8 @@ class Rule:
     description: str = ""
     excluded_path_suffixes: Tuple[str, ...] = ()
     required_path_parts: Tuple[str, ...] = ()
-    #: The rule id witnessing (or approximating) the same bug class in
-    #: the other domain, e.g. ATM001 <-> SAN002. Empty when none.
+    #: The rule or gate witnessing (or approximating) the same bug
+    #: class elsewhere, e.g. DUR004 <-> DET101. Empty when none.
     counterpart: str = ""
 
     @classmethod

@@ -6,9 +6,8 @@ Three families (see docs/ANALYSIS.md for the catalogue):
   *checks* shared server state, suspends (a yield anywhere in its
   transitive call chain), and then *acts* on the stale check has a
   time-of-check/time-of-use window: another handler interleaves at the
-  suspension. ATM001 is MILANA's validate → yield → record window,
-  inside one function or across calls; ATM002 is the general
-  check-then-act pattern over any ``self.<attr>`` state family.
+  suspension. ATM002 is that check-then-act pattern over any
+  ``self.<attr>`` state family, inside one function or across calls.
 * **PRO004 — exception leakage out of handlers and daemons.** It
   catches a ``QuorumError`` escaping through ``except RpcError``
   clauses, because it is *not* an RpcError.
@@ -30,80 +29,10 @@ from .project import Event, FunctionInfo, Project
 __all__ = [
     "is_volatile_source",
     "tainted_functions",
-    "InterproceduralValidateRaceRule",
     "CheckThenActRaceRule",
     "HandlerExceptionLeakRule",
     "InterproceduralTaintRule",
 ]
-
-@rule
-class InterproceduralValidateRaceRule(ProjectRule):
-    """ATM001: validate → suspension → outcome recording.
-
-    MILANA's Algorithm 1 checks, and the transaction-table/prepared-mark
-    updates that record their verdict, must happen on the same side of
-    any suspension: a yield in between lets a concurrent prepare
-    interleave so both transactions validate against pre-update state
-    (OCC time-of-check/time-of-use). The rule replays the whole
-    transitive call chain of each MILANA handler/daemon, so splitting
-    the validation or the recording into a helper does not hide the
-    window, and then of every other ``milana/`` generator that calls
-    ``*validate(...)`` itself. Re-validating after the yield is the
-    sanctioned escape hatch.
-    """
-
-    rule_id = "ATM001"
-    severity = Severity.ERROR
-    description = ("interprocedural OCC race: a suspension between "
-                   "validate(...) and recording its outcome, across the "
-                   "handler's call chain")
-    required_path_parts = ("milana",)
-    counterpart = "SAN002"
-
-    def roots(self, project: Project) -> List[FunctionInfo]:
-        """Handlers and daemons first, so a race they reach is reported
-        naming them; then the remaining validating generators."""
-        roots = super().roots(project)
-        seen = {fn.qualname for fn in roots}
-        return roots + [
-            fn for qualname, fn in sorted(project.functions.items())
-            if qualname not in seen and fn.is_generator
-            and self.applies_to(fn.module.path) and _calls_validate(fn)]
-
-    def check_events(self, root: FunctionInfo, events: List[Event]
-                     ) -> Iterator[Tuple[Event, str]]:
-        validate: Optional[Event] = None
-        validate_suspends = 0
-        suspends = 0
-        last_suspend: Optional[Event] = None
-        for event in events:
-            if event.kind == "suspend":
-                suspends += 1
-                last_suspend = event
-            elif event.kind == "validate":
-                validate = event
-                validate_suspends = suspends
-            elif event.kind == "record" and validate is not None \
-                    and suspends > validate_suspends:
-                assert last_suspend is not None
-                yield event, (
-                    f"{root.name!r} validates "
-                    f"(in {validate.function.name!r} line "
-                    f"{validate.lineno}) but records the outcome in "
-                    f"{event.function.name!r} after a suspension at "
-                    f"{last_suspend.function.name!r} line "
-                    f"{last_suspend.lineno}; revalidate after the "
-                    f"yield or record before it")
-
-
-def _calls_validate(info: FunctionInfo) -> bool:
-    """Whether ``info`` itself calls a ``*validate`` function."""
-    for site in info.call_sites:
-        qualname = info.module.qualname(site.node.func)
-        if qualname and qualname.split(".")[-1].endswith("validate"):
-            return True
-    return False
-
 
 #: Calls that read the host's wall clock.
 _WALL_CLOCK_CALLS = frozenset({
@@ -188,7 +117,6 @@ class CheckThenActRaceRule(ProjectRule):
                    "before a suspension point and written after it "
                    "without re-checking")
     required_path_parts = ("milana", "semel")
-    counterpart = "SAN001"
 
     #: State families that are monotonic counters / metrics, where the
     #: guard-write pattern is not a race.

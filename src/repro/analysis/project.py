@@ -588,7 +588,7 @@ class Project:
 class Event:
     """One event in a flattened handler execution: kind is one of
     ``guard_read`` (a state read in a condition), ``write``,
-    ``suspend``, ``validate``, ``record``, plus the durability kinds
+    ``suspend``, plus the durability kinds
     ``wal_append`` (detail = ``sync``/``nosync``/``config`` fsync
     discipline), ``durable_write`` (a storage-backend mutation the WAL
     must cover), and ``reply`` (a ``return WireClass(...)``; detail =
@@ -850,10 +850,6 @@ class InlineWalker:
                     self.lock_depth += 1
             return
         self._emit("write", family, frame, target)
-        if family == "txn_table" and isinstance(target, ast.Subscript):
-            # Storing a record in the transaction table records a
-            # validation outcome (ATM001's "record" event).
-            self._emit("record", family, frame, target)
 
     # -- expressions -------------------------------------------------------
 
@@ -916,10 +912,6 @@ class InlineWalker:
                 continue
             self._walk_expression(arg, frame, guard=guard)
         func = call.func
-        # validate(...) event for ATM001.
-        callee_name = simple_name(func)
-        if callee_name and callee_name.endswith("validate"):
-            self._emit("validate", None, frame, call)
         # Mutator / read on a state receiver: self.X.m(...) or tagged.m(...)
         if isinstance(func, ast.Attribute):
             receiver_family = self._family_of(func.value, frame)
@@ -942,8 +934,6 @@ class InlineWalker:
                                call)
                 elif func.attr in MUTATOR_METHODS:
                     self._emit("write", receiver_family, frame, call)
-                    if func.attr in ("mark_prepared", "mark_committed"):
-                        self._emit("record", receiver_family, frame, call)
                 elif guard:
                     self._emit("guard_read", receiver_family, frame, call)
             elif isinstance(func.value, ast.Name) and \

@@ -21,9 +21,10 @@ Commands
     ``python -m repro analyze src/repro --format json``;
     ``python -m repro.analysis`` is an alias.
 ``sansim``
-    Run the dynamic happens-before race sanitizer with schedule
-    exploration (see ``repro.sansim``), e.g.
-    ``python -m repro sansim retwis --trials 25 --format json``.
+    Explore same-timestamp schedules of a workload and audit every
+    trial's history with the nemesis audit (see ``repro.sansim``), e.g.
+    ``python -m repro sansim retwis --trials 25 --format json``; a
+    failing trial prints the ``--replay`` spec that reruns it.
 ``wire``
     Print the message catalogue rendered from the typed wire-protocol
     registry (PROTOCOL.md carries it verbatim). ``RpcNode`` checks
@@ -31,11 +32,12 @@ Commands
 ``nemesis``
     Run a named fault-injection scenario (partitions, message loss,
     clock storms) under a live workload, heal, and audit the aftermath
-    for serializability, lost committed writes, stuck PREPARED records
-    and replica divergence. Exits non-zero if the audit fails.
+    for serializability, lost committed writes, stuck PREPARED records,
+    replica divergence and handler errors. Exits non-zero if the audit
+    fails.
 ``sweep``
     Run an experiment sweep (figures, ablations, nemesis scenarios,
-    sansim trials) across spawn-context worker processes with a
+    audited sansim trials) across spawn-context worker processes with a
     content-addressed cell cache (see ``repro.sweep``); the merged
     report is byte-identical for every ``-j``.
 ``bench``
@@ -113,7 +115,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     analysis_cli.add_arguments(sub.add_parser(
         "analyze", help="run the simlint static analyzer (repro.analysis)"))
     sansim_cli.add_arguments(sub.add_parser(
-        "sansim", help="run the dynamic race sanitizer (repro.sansim)"))
+        "sansim", help="explore schedules, audit each trial "
+                       "(repro.sansim)"))
 
     sub.add_parser(
         "wire", help="print the wire-protocol message catalogue")

@@ -8,8 +8,7 @@ transaction table from the durable prefix.
 
 Durability is opt-in (``ClusterConfig.durability``); with it disabled a
 server's ``wal`` stays ``None`` and every hook is a single attribute
-check, so default-config schedules are byte-identical (the same
-zero-cost-seam pattern as the sansim tracer).
+check, so default-config schedules are byte-identical.
 """
 
 from .wal import (

@@ -16,7 +16,12 @@ is healed, the audit asserts:
 * **replica convergence** — after the :func:`sync_replicas` repair pass
   (primaries push decided records to backups, standing in for the
   anti-entropy a production system would run), every live replica agrees
-  on the newest version of every audited key.
+  on the newest version of every audited key;
+* **no handler errors** — no server, client or master ``RpcNode``
+  counted an exception escaping a handler (``handler_errors``): a
+  protocol path that lets, say, a ``QuorumError`` out instead of
+  answering with an ``AppError`` fails the audit even when the history
+  it leaves behind looks fine.
 
 All checks except the repair pass are pure reads of simulator state —
 they send no messages and draw no randomness, so auditing a run does not
@@ -68,6 +73,9 @@ class AuditReport:
     #: (replica, key, detail) replicas disagreeing on a key's newest
     #: version after the repair pass.
     divergent: List[Tuple[str, str, str]] = field(default_factory=list)
+    #: ``handler_errors`` summed over every server, client and master
+    #: RPC node.
+    handler_errors: int = 0
 
     @property
     def _vacuous(self) -> bool:
@@ -78,7 +86,7 @@ class AuditReport:
         return (not self._vacuous
                 and self.serializable and not self.lost_writes
                 and not self.stuck_prepared and not self.acked_aborted
-                and not self.divergent)
+                and not self.divergent and not self.handler_errors)
 
     def summary(self) -> str:
         lines = [
@@ -91,6 +99,7 @@ class AuditReport:
             f"  stuck PREPARED      {len(self.stuck_prepared)}",
             f"  acked-but-aborted   {len(self.acked_aborted)}",
             f"  divergent replicas  {len(self.divergent)}",
+            f"  handler errors      {self.handler_errors}",
         ]
         for txn_id, key, version in self.lost_writes[:5]:
             lines.append(f"    lost: {txn_id} {key!r} {version}")
@@ -209,6 +218,11 @@ def run_audit(cluster: Cluster) -> AuditReport:
                         replica, key,
                         f"newest {version} != {reference}"))
 
+    nodes = [server.node for server in cluster.servers.values()]
+    nodes.extend(client.node for client in cluster.clients)
+    if cluster.master is not None:
+        nodes.append(cluster.master.node)
+
     return AuditReport(
         serializable=serializable,
         witness=witness,
@@ -220,4 +234,5 @@ def run_audit(cluster: Cluster) -> AuditReport:
         stuck_prepared=stuck,
         acked_aborted=acked_aborted,
         divergent=divergent,
+        handler_errors=sum(node.handler_errors for node in nodes),
     )

@@ -54,6 +54,7 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "NemesisRunResult",
+    "history_client_factory",
     "nemesis_config",
     "run_nemesis",
 ]
@@ -216,8 +217,10 @@ class NemesisRunResult:
         return "\n".join(lines)
 
 
-def _history_client_factory(sim, network, directory, clock, client_id,
-                            local_validation):
+def history_client_factory(sim, network, directory, clock, client_id,
+                           local_validation):
+    """A ``ClusterConfig.client_factory`` whose clients record the
+    committed history :func:`~repro.harness.audit.run_audit` checks."""
     return MilanaClient(sim, network, directory, clock,
                         client_id=client_id,
                         local_validation=local_validation,
@@ -237,7 +240,7 @@ def nemesis_config(**overrides) -> ClusterConfig:
         seed=42,
         populate_keys=400,
         ctp_timeout=DEFAULT_CTP_TIMEOUT,
-        client_factory=_history_client_factory,
+        client_factory=history_client_factory,
         durability=DurabilityConfig(),
     )
     defaults.update(overrides)
@@ -306,7 +309,7 @@ def run_nemesis(
     if config is None:
         config = nemesis_config()
     if config.client_factory is None:
-        config = replace(config, client_factory=_history_client_factory)
+        config = replace(config, client_factory=history_client_factory)
     if config.ctp_timeout is None:
         config = replace(config, ctp_timeout=DEFAULT_CTP_TIMEOUT)
     if row.needs_master and not config.with_master:

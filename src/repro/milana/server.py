@@ -20,29 +20,16 @@ Extends the SEMEL storage server with the transaction API of §4.1:
 A Cooperative Termination daemon watches the transaction table for
 prepared transactions whose coordinator (the client) has gone quiet and
 resolves them with the 4-rule CTP of §4.5.
-
-Sanitizer notes: the state Algorithm 1 works on reports its own
-accesses to ``sim.tracer`` (repro.sansim), so the handlers below read
-like the pseudocode. The transaction table (:class:`TxnTable`) reports
-``("txn", server, txn_id)`` and the exclusive single-apply
-``("txn-apply", server, txn_id)``, the key states
-(:class:`KeyStateTable`) report ``("keystate", server, key)``, and the
-in-flight map's entries are locks. The handlers keep only their
-``begin_section`` calls and the relaxed ``("store", …)`` write of a put
-they waited for. Each report costs one ``sim.tracer`` load when nothing
-is attached (a plain Simulator's ``tracer`` is the class attribute
-None), and the schedule is untouched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..durability.wal import SEMEL_DELETE, SEMEL_PUT, TXN_RECORD
 from ..ftl.base import KVBackend
 from ..net.network import Network
 from ..net.rpc import AppError, RpcError
-from ..semel.inflight import InflightMap
 from ..semel.replication import QuorumError, replicate_to_backups
 from ..semel.server import StorageServer
 from ..semel.sharding import Directory
@@ -94,8 +81,8 @@ class MilanaServer(StorageServer):
         super().__init__(sim, network, directory, name, shard_name,
                          backend)
         #: txn_id -> TransactionRecord; the §4.1 transaction table.
-        self.txn_table = TxnTable(sim, name)
-        self.key_states = KeyStateTable(sim, name)
+        self.txn_table = TxnTable()
+        self.key_states = KeyStateTable()
         #: Set during failover: reads/prepares rejected until this time.
         self.serving_after = float("-inf")
         self.validation_failures = 0
@@ -110,7 +97,7 @@ class MilanaServer(StorageServer):
         #: processed, so a network-duplicated request coalesces with the
         #: original instead of acking early (prepare: before the record
         #: is quorum-durable) or double-applying writes (decide).
-        self._inflight_txn_ops = InflightMap(sim, name, "inflight")
+        self._inflight_txn_ops: Dict[str, Any] = {}
         self._register_milana_handlers()
         self.ctp_timeout = ctp_timeout
         #: The CTP daemon's process, kept so an amnesia crash can kill it.
@@ -181,9 +168,6 @@ class MilanaServer(StorageServer):
     def _handle_prepare(self, request: MilanaPrepare):
         self._require_serving()
         record = request.record.to_record()
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.begin_section("prepare", record.txn_id)
         inflight = self._inflight_txn_ops.get(record.txn_id)
         if inflight is not None:
             # A duplicate of a prepare still replicating: wait for the
@@ -265,9 +249,6 @@ class MilanaServer(StorageServer):
     # -- two-phase commit: decide ----------------------------------------------------------
 
     def _handle_decide(self, request: MilanaDecide):
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.begin_section("decide", request.txn_id)
         inflight = self._inflight_txn_ops.get(request.txn_id)
         if inflight is not None:
             # A duplicate racing the original decide (or a decide racing
@@ -334,7 +315,6 @@ class MilanaServer(StorageServer):
             self.key_states.mark_committed(key, version)
             self.key_states.clear_prepared(key, record.txn_id)
         record.status = COMMITTED
-        self.txn_table.applied(record)
         if puts:
             yield self.sim.all_of(puts)
         if self.wal is not None:
@@ -348,7 +328,6 @@ class MilanaServer(StorageServer):
         for key, _value in record.writes:
             self.key_states.clear_prepared(key, record.txn_id)
         record.status = ABORTED
-        self.txn_table.applied(record)
 
     # -- replication of transaction records --------------------------------------------------
 
@@ -387,12 +366,6 @@ class MilanaServer(StorageServer):
             for key, value in record.writes:
                 if version not in self.backend.versions_of(key):
                     yield self.backend.put(key, value, version)
-                    tracer = self.sim.tracer
-                    if tracer is not None:
-                        # Versioned MVCC stores tolerate concurrent puts
-                        # by design; record the edge, never flag it.
-                        tracer.on_write(("store", self.name, key),
-                                        relaxed=True)
         return Ack()
 
     # -- status queries (CTP / recovery) ------------------------------------------------------
@@ -420,13 +393,13 @@ class MilanaServer(StorageServer):
         if self._ctp_proc is not None and self._ctp_proc.is_alive:
             self._ctp_proc.interrupt("crash")
         self._ctp_proc = None
-        self.txn_table = TxnTable(self.sim, self.name)
-        self.key_states = KeyStateTable(self.sim, self.name)
+        self.txn_table = TxnTable()
+        self.key_states = KeyStateTable()
         # Nothing serves until recovery says so (primaries re-enter via
         # Algorithm 2; backups never consult serving_after).
         self.serving_after = float("inf")
         self.granted_leases = {}
-        self._inflight_txn_ops = InflightMap(self.sim, self.name, "inflight")
+        self._inflight_txn_ops = {}
         if self.lease_manager is not None:
             self.lease_manager.crash()
 
@@ -458,7 +431,7 @@ class MilanaServer(StorageServer):
         if delay > 0.0:
             yield self.sim.timeout(delay)
         puts: Dict[tuple, tuple] = {}
-        merged = TxnTable(self.sim, self.name)
+        merged = TxnTable()
         for entry in entries:
             if entry.kind == SEMEL_PUT:
                 key, value, version = entry.payload
@@ -589,16 +562,8 @@ class MilanaServer(StorageServer):
         coordinator termination query as the first move: if the client
         is reachable and already decided, its answer is authoritative
         and no peer round is needed."""
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # The CTP daemon is long-lived: each resolution is its own
-            # section so guard windows reset per transaction.
-            tracer.begin_section("ctp", record.txn_id)
-        # The resolution rests on the record and its keys' states.
-        self.txn_table.status(record)
-        self.key_states.read(key for key, _value in record.writes)
         outcome = yield from self._query_coordinator(record)
-        if self.txn_table.status(record) != PREPARED:
+        if record.status != PREPARED:
             return  # decided while we were querying
         if outcome is None:
             statuses = [PREPARED]  # this primary's own state
@@ -616,7 +581,7 @@ class MilanaServer(StorageServer):
                     # retry later.
                     return
                 statuses.append(reply.status)
-            if self.txn_table.status(record) != PREPARED:
+            if record.status != PREPARED:
                 return  # decided while we were querying
             if COMMITTED in statuses:
                 outcome = COMMITTED  # rule 1: someone saw the commit
@@ -632,7 +597,7 @@ class MilanaServer(StorageServer):
             # this very transaction: wait it out instead of applying the
             # outcome a second time underneath it.
             yield inflight
-        if self.txn_table.status(record) != PREPARED:
+        if record.status != PREPARED:
             return  # decided while we were querying / waiting
         self.ctp_resolutions += 1
         done = self.sim.event()

@@ -120,62 +120,17 @@ class TransactionRecord:
 
 
 class TxnTable(dict):
-    """txn_id -> TransactionRecord: one server's §4.1 transaction table.
-
-    The handlers' accesses report themselves to ``sim.tracer`` (the race
-    sanitizer, :mod:`repro.sansim`) as the location
-    ``("txn", node, txn_id)``: ``get`` and ``status`` are reads, an item
-    store is a write, and ``applied`` is a write plus the exclusive
-    ``("txn-apply", node, txn_id)`` single-apply location. Indexing,
-    iteration, ``restore`` and ``merge`` are not reported: the CTP
-    daemon's scan, ``fetch_log``, recovery, catch-up, WAL replay and
-    audits use those.
-    """
-
-    def __init__(self, sim: Any, node: str) -> None:
-        super().__init__()
-        self._sim = sim
-        self._node = node
-
-    def get(self, txn_id: str, default: Any = None) -> Any:
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_read(("txn", self._node, txn_id))
-        return dict.get(self, txn_id, default)
-
-    def __setitem__(self, txn_id: str, record: TransactionRecord) -> None:
-        dict.__setitem__(self, txn_id, record)
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_write(("txn", self._node, txn_id))
-
-    def status(self, record: TransactionRecord) -> str:
-        """``record.status``, read as this table's entry for it: CTP
-        holds the record it resolves and re-checks it across yields."""
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_read(("txn", self._node, record.txn_id))
-        return record.status
-
-    def applied(self, record: TransactionRecord) -> None:
-        """``record``'s outcome was just applied in place. A transaction's
-        outcome is applied exactly once per primary, which the exclusive
-        location asserts."""
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_write(("txn", self._node, record.txn_id))
-            tracer.on_write(("txn-apply", self._node, record.txn_id),
-                            exclusive=True)
+    """txn_id -> TransactionRecord: one server's §4.1 transaction table."""
 
     def restore(self, record: TransactionRecord) -> None:
-        dict.__setitem__(self, record.txn_id, record)
+        self[record.txn_id] = record
 
     def merge(self, record: TransactionRecord) -> bool:
         """Keep the most-decided record per transaction (a decided status
         always beats PREPARED); True when ``record`` was stored."""
-        existing = dict.get(self, record.txn_id)
+        existing = self.get(record.txn_id)
         if (existing is not None and STATUS_RANK[record.status]
                 <= STATUS_RANK[existing.status]):
             return False
-        dict.__setitem__(self, record.txn_id, record)
+        self[record.txn_id] = record
         return True

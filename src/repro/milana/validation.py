@@ -16,8 +16,7 @@ None of this is persisted; recovery rebuilds ``prepared`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..versioning import Version
 from .transaction import TransactionRecord
@@ -38,21 +37,9 @@ class KeyState:
 
 
 class KeyStateTable:
-    """All per-key validation state for one shard primary.
+    """All per-key validation state for one shard primary."""
 
-    Algorithm 1's accesses report themselves to ``sim.tracer`` (the race
-    sanitizer, :mod:`repro.sansim`) as the location
-    ``("keystate", node, key)``: ``read`` and ``observe_read`` are
-    reads, ``mark_prepared`` and ``clear_prepared`` are writes.
-    ``mark_committed`` is not reported on its own (a commit's
-    ``clear_prepared`` reports the key's write), nor are ``get`` and
-    ``peek`` (hydration, validation's checks) or ``restore_prepared``
-    (recovery's rebuild).
-    """
-
-    def __init__(self, sim: Any, node: str) -> None:
-        self._sim = sim
-        self._node = node
+    def __init__(self) -> None:
         self._states: Dict[str, KeyState] = {}
 
     def get(self, key: str) -> KeyState:
@@ -65,28 +52,15 @@ class KeyStateTable:
     def peek(self, key: str) -> Optional[KeyState]:
         return self._states.get(key)
 
-    def read(self, keys: Iterable[str]) -> None:
-        """A section's reads of several keys' states, in order."""
-        tracer = self._sim.tracer
-        if tracer is not None:
-            for key in keys:
-                tracer.on_read(("keystate", self._node, key))
-
     def observe_read(self, key: str, timestamp: float) -> KeyState:
         state = self.get(key)
         if timestamp > state.latest_read:
             state.latest_read = timestamp
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_read(("keystate", self._node, key))
         return state
 
     def mark_prepared(self, key: str, txn_id: str,
                       ts_commit: float) -> None:
         self.get(key).prepared = (txn_id, ts_commit)
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_write(("keystate", self._node, key))
 
     def restore_prepared(self, record: TransactionRecord) -> None:
         """Mark every key ``record`` writes as prepared by it."""
@@ -97,9 +71,6 @@ class KeyStateTable:
         state = self.get(key)
         if state.prepared is not None and state.prepared[0] == txn_id:
             state.prepared = None
-        tracer = self._sim.tracer
-        if tracer is not None:
-            tracer.on_write(("keystate", self._node, key))
 
     def mark_committed(self, key: str, version: Version) -> None:
         state = self.get(key)
@@ -123,12 +94,7 @@ def validate(record: TransactionRecord,
 
     Write-set checks (lines 9–18): no prepared version, no read newer
     than the new commit timestamp, no committed version at or above it.
-
-    The verdict depends on the state of every key the record reads or
-    writes, so each is read once up front (``table.read``): the checks
-    below stop at the first failure.
     """
-    table.read(key for key, _ in chain(record.reads, record.writes))
     for key, observed in record.reads:
         state = table.peek(key)
         latest_committed = state.latest_committed if state else None

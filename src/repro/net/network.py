@@ -215,8 +215,7 @@ class Network:
 
     def _finish_delivery(self, event: "_Delivery") -> None:
         """Complete an arrival: re-check crashes, hand the message to
-        the receiver. What the receiver pushes runs under the delivery
-        event's origin, the sender's causal clock under sansim."""
+        the receiver, inside the delivery event's step."""
         src = event.src
         dst = event.dst
         if dst in self._crashed or src in self._crashed:

@@ -226,12 +226,6 @@ class RpcNode:
                     request.request_id, ok=False,
                     payload=f"no handler for {request.method!r}"))
             return
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # Sanitizer seam: label this request's process so witnesses
-            # report "rpc:milana.prepare" rather than a generator name.
-            tracer.begin_section(f"rpc:{request.method}",
-                                 f"{request.src}->{self.name}")
         try:
             result = yield from handler(request.payload)
             spec = spec_for(request.method)

@@ -1,16 +1,12 @@
 """sansim command line: ``repro sansim [workloads ...]``.
 
-Runs the schedule explorer over the named workloads, reconciles the
-deduplicated witnesses with simlint's ATM findings, and renders the
-report. Exit codes are ``repro analyze``'s: 0 clean (or all witnesses
-baselined), 1 new witnesses (or stale baseline entries under
-``--fail-on-stale``), 2 usage error. Under ``--expect-witness`` the
-polarity flips — the seeded-bug CI job *requires* a witness — and the
-run exits 0 iff at least one witness was found.
+Runs the schedule explorer over the named workloads and audits every
+trial with :func:`~repro.harness.audit.run_audit`. Exit codes: 0 when
+every trial's audit passes, 1 when any fails, 2 on a usage error.
 
 ``--replay workload:trial:policy:seed`` re-runs exactly one trial (the
-spec every witness prints) instead of exploring; determinism of the
-kernel plus the seeded policies makes the witness reproduce bit-for-bit.
+spec every failing trial prints) instead of exploring; determinism of
+the kernel plus the seeded policies makes it fail the same way.
 """
 
 from __future__ import annotations
@@ -18,27 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List
+from typing import Any, Dict, List
 
-from ..analysis.baseline import (Baseline, BaselineError, apply_baseline,
-                                 emit)
-from .explorer import (ExplorationResult, explore, parse_replay_spec,
-                       replay_spec)
+from ..analysis.baseline import emit
+from .explorer import (ExplorationResult, TrialResult, explore,
+                       parse_replay_spec, replay_spec)
 from .policies import POLICY_NAMES
-from .report import (build_report, render_payload, render_sarif_report,
-                     render_text, witness_to_finding)
-from .workloads import workload_names
+from .workloads import DEFAULT_WORKLOADS, WORKLOADS
 
 __all__ = ["add_arguments", "run"]
-
-DEFAULT_WORKLOADS = ("retwis", "ycsb")
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Fill in the ``repro sansim`` subparser."""
-    parser.description = ("sansim: happens-before race sanitizer with "
-                          "systematic schedule exploration for the "
-                          "SEMEL/MILANA simulation")
+    parser.description = ("sansim: schedule exploration of the "
+                          "SEMEL/MILANA simulation, every trial checked "
+                          "by the history audit")
     parser.add_argument("workloads", nargs="*",
                         default=list(DEFAULT_WORKLOADS),
                         help="workloads to explore "
@@ -50,58 +41,70 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="exploration seed (default: 0)")
     parser.add_argument("--policy", choices=POLICY_NAMES,
                         help="force one tie-break policy for every trial "
-                             "(default: trial 0 fifo, then alternating "
-                             "random/targeted)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+                             "(default: trial 0 fifo, then random)")
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format")
-    Baseline.add_arguments(parser, "witnesses")
-    parser.add_argument("--expect-witness", action="store_true",
-                        help="invert the exit polarity: succeed iff at "
-                             "least one witness was found (seeded-bug "
-                             "CI jobs)")
+    parser.add_argument("--output", metavar="FILE",
+                        help="write the report to FILE instead of stdout")
     parser.add_argument("--replay", metavar="SPEC",
-                        help="re-run one trial from a witness's "
+                        help="re-run one trial from its "
                              "workload:trial:policy:seed spec")
     parser.add_argument("--list-workloads", action="store_true",
                         help="print the workload catalogue and exit")
 
 
 def _list_workloads() -> int:
-    from .workloads import STATIC_SCOPES
-    for name in workload_names():
-        scope = STATIC_SCOPES.get(name, "")
-        print(f"{name:10s}  reconciled against: {scope}")
+    for name in WORKLOADS:
+        default = " (default)" if name in DEFAULT_WORKLOADS else ""
+        print(f"{name}{default}")
     return 0
 
 
-def _explore_all(args: argparse.Namespace) -> List[ExplorationResult]:
-    results = []
-    for workload in args.workloads:
-        result = explore(workload, trials=args.trials, seed=args.seed,
-                         policy=args.policy)
-        print(f"sansim: explored {workload}: {args.trials} trial(s), "
-              f"{len(result.witnesses)} distinct witness(es)",
-              file=sys.stderr)
-        results.append(result)
-    return results
+def _trial_json(result: TrialResult) -> Dict[str, Any]:
+    audit = result.audit
+    return {
+        "spec": result.spec.render(),
+        "passed": audit.passed,
+        "committed_txns": audit.committed_txns,
+        "checked_writes": audit.checked_writes,
+        "serializable": audit.serializable,
+        "witness": None if audit.witness is None else list(audit.witness),
+        "lost_writes": len(audit.lost_writes),
+        "stuck_prepared": len(audit.stuck_prepared),
+        "acked_aborted": len(audit.acked_aborted),
+        "divergent": len(audit.divergent),
+        "handler_errors": audit.handler_errors,
+    }
 
 
-def _replay_one(args: argparse.Namespace,
-                parser: argparse.ArgumentParser
-                ) -> List[ExplorationResult]:
-    try:
-        spec = parse_replay_spec(args.replay)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise  # unreachable; keeps type-checkers happy
-    trial = replay_spec(spec)
-    print(f"sansim: replayed {spec.render()}: "
-          f"{len(trial.witnesses)} witness(es)", file=sys.stderr)
-    return [ExplorationResult(
-        workload=spec.workload, trials=1, seed=spec.seed,
-        witnesses=trial.witnesses,
-        flagged_locations=set(trial.flagged_locations),
-        trial_stats=[trial.stats])]
+def _render_json(results: List[ExplorationResult]) -> str:
+    payload = {
+        "version": 2,
+        "tool": "sansim",
+        "runs": [{"workload": run.workload, "seed": run.seed,
+                  "trials": [_trial_json(r) for r in run.results]}
+                 for run in results],
+        "failing": [r.spec.render() for run in results
+                    for r in run.failures],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def _render_text(results: List[ExplorationResult]) -> str:
+    lines: List[str] = []
+    for run in results:
+        for result in run.results:
+            audit = result.audit
+            lines.append(
+                f"{result.spec.render():28s} "
+                f"{'PASS' if audit.passed else 'FAIL'}  "
+                f"committed={audit.committed_txns}")
+            if not audit.passed:
+                lines.extend("    " + line
+                             for line in audit.summary().splitlines())
+                lines.append("    replay: python -m repro sansim "
+                             f"--replay {result.spec.render()}")
+    return "\n".join(lines)
 
 
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -110,63 +113,27 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return _list_workloads()
     if args.trials < 1:
         parser.error("--trials must be at least 1")
-    known = set(workload_names())
-    unknown = [w for w in args.workloads if w not in known]
+    unknown = [w for w in args.workloads if w not in WORKLOADS]
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}; "
-                     f"expected one of {', '.join(sorted(known))}")
-    # apply_baseline checks this too; here it costs no exploration.
-    if (args.update_baseline or args.fail_on_stale) and not args.baseline:
-        parser.error("--update-baseline/--fail-on-stale require "
-                     "--baseline FILE")
+                     f"expected one of {', '.join(sorted(WORKLOADS))}")
     if args.replay:
-        results = _replay_one(args, parser)
+        try:
+            spec = parse_replay_spec(args.replay)
+        except ValueError as exc:
+            parser.error(str(exc))
+        results = [ExplorationResult(workload=spec.workload, seed=spec.seed,
+                                     results=[replay_spec(spec)])]
     else:
-        results = _explore_all(args)
-    report = build_report(results)
-    findings = [witness_to_finding(w) for w in report.witnesses]
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(args.write_baseline)
-        print(f"sansim: wrote {len(findings)} entr"
-              f"{'y' if len(findings) == 1 else 'ies'} to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
-
-    try:
-        new_findings, baselined, stale = apply_baseline(
-            findings, args, "sansim")
-    except BaselineError as exc:
-        parser.error(str(exc))
-        raise  # unreachable; keeps type-checkers happy
-    # Findings and witnesses pair by position; apply_baseline hands the
-    # finding objects back, so identity picks the witnesses out.
-    new_ids = {id(finding) for finding in new_findings}
-    new = [witness for finding, witness in zip(findings, report.witnesses)
-           if id(finding) in new_ids]
-
+        results = [explore(workload, trials=args.trials, seed=args.seed,
+                           policy=args.policy)
+                   for workload in args.workloads]
     if args.output_format == "json":
-        payload = render_payload(results, report)
-        payload["new_witnesses"] = [w.fingerprint for w in new]
-        payload["baselined"] = len(baselined)
-        if stale is not None:
-            payload["stale_baseline"] = stale
-        emit(json.dumps(payload, indent=2), args.output)
-    elif args.output_format == "sarif":
-        emit(render_sarif_report(new), args.output)
+        emit(_render_json(results), args.output)
     else:
-        document = render_text(results, report, new_witnesses=new,
-                               baselined=len(baselined))
-        emit(document, args.output)
-
-    if args.expect_witness:
-        if report.witnesses:
-            return 0
-        print("sansim: expected at least one witness, found none",
+        emit(_render_text(results), args.output)
+    for result in results:
+        print(f"sansim: {result.workload}: {len(result.results)} "
+              f"trial(s), {len(result.failures)} failing the audit",
               file=sys.stderr)
-        return 1
-    if new:
-        return 1
-    if args.fail_on_stale and stale:
-        return 1
-    return 0
+    return 1 if any(result.failures for result in results) else 0

@@ -1,30 +1,27 @@
-"""Systematic schedule exploration: bounded trials, seeded replay.
+"""Systematic schedule exploration with the history audit as oracle.
 
-A *trial* runs one workload once under a tie-break policy: trial 0 is
-always ``fifo`` (the production schedule — any witness there is a bug
-on the default path), and subsequent trials alternate ``random`` and
-``targeted`` with per-trial derived seeds. Hot locations accumulate
-across trials, so the targeted policy explores the neighbourhood of
-earlier contention (DPOR-lite rather than full persistent sets: the
-kernel's ties are the only reorderable points, which keeps the trial
-budget honest).
+A *trial* runs one workload once on the tie-break kernel: trial 0 is
+always ``fifo`` (the production schedule — a failure there is a bug on
+the default path), and every later trial is ``random`` with a per-trial
+derived seed. After the workload the trial runs the
+:func:`~repro.harness.audit.sync_replicas` repair pass and
+:func:`~repro.harness.audit.run_audit`, the oracle the nemesis rows use:
+serializability of the committed history, no lost or acked-but-aborted
+writes, no stuck PREPARED, converged replicas, no handler errors.
 
-Every witness is stamped with its :class:`TrialSpec`; replaying that
-spec re-runs the exact schedule — policies are seeded and the kernel is
-otherwise deterministic — and must reproduce the same witness
-fingerprints. That replay loop (``replay_spec``) is what CI and the
-golden-snapshot test call.
+A failing trial carries its :class:`TrialSpec`; replaying that spec
+re-runs the exact schedule — policies are seeded and the kernel is
+otherwise deterministic — and fails the same way (``replay_spec``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import List, Optional
 
+from ..harness.audit import AuditReport, run_audit, sync_replicas
 from .kernel import TracedSimulator
-from .policies import make_policy
-from .runtime import SanitizerRuntime
-from .witnesses import Witness
+from .policies import POLICY_NAMES, make_policy
 from .workloads import WORKLOADS
 
 __all__ = [
@@ -66,6 +63,8 @@ def parse_replay_spec(text: str) -> TrialSpec:
     workload, trial, policy, seed = parts
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r} in replay spec")
+    if policy not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {policy!r} in replay spec")
     return TrialSpec(workload=workload, trial=int(trial), policy=policy,
                      seed=int(seed))
 
@@ -73,90 +72,56 @@ def parse_replay_spec(text: str) -> TrialSpec:
 @dataclass
 class TrialResult:
     spec: TrialSpec
-    witnesses: List[Witness]
-    flagged_locations: Set[str]
-    stats: Dict[str, int]
+    audit: AuditReport
+
+    @property
+    def passed(self) -> bool:
+        return self.audit.passed
 
 
 @dataclass
 class ExplorationResult:
-    """Deduplicated witnesses plus per-trial accounting."""
+    """Every trial of one workload, in trial order."""
 
     workload: str
-    trials: int
     seed: int
-    witnesses: List[Witness] = field(default_factory=list)
-    flagged_locations: Set[str] = field(default_factory=set)
-    trial_stats: List[Dict[str, int]] = field(default_factory=list)
+    results: List[TrialResult] = field(default_factory=list)
+
+    @property
+    def failures(self) -> List[TrialResult]:
+        return [result for result in self.results if not result.passed]
 
 
-def _policy_for_trial(trial: int) -> str:
-    if trial == 0:
-        return "fifo"
-    return "targeted" if trial % 2 == 0 else "random"
-
-
-def run_trial(spec: TrialSpec,
-              hot_locations: FrozenSet[str] = frozenset()) -> TrialResult:
-    """Run one workload trial under its policy; witnesses come back
-    stamped with the spec so they are replayable as-is."""
+def run_trial(spec: TrialSpec) -> TrialResult:
+    """Run one workload trial under its policy, then audit it."""
     workload = WORKLOADS.get(spec.workload)
     if workload is None:
         raise ValueError(
             f"unknown sansim workload {spec.workload!r}; expected one "
             f"of {sorted(WORKLOADS)}")
-    tracer = SanitizerRuntime(hot_locations=hot_locations)
-    policy = make_policy(spec.policy, spec.policy_seed, tracer)
-
-    def factory() -> TracedSimulator:
-        return TracedSimulator(tracer=tracer, tie_break=policy)
-
-    workload(factory)
-    witnesses = [
-        witness.stamped(spec.workload, spec.trial, spec.policy, spec.seed)
-        for witness in tracer.witnesses
-    ]
-    if spec.policy == "targeted" and hot_locations:
-        # Targeted trials depend on hot-location feedback from earlier
-        # trials; record it so such a witness stays replayable via
-        # run_trial(spec, hot_locations=...).
-        for witness in witnesses:
-            witness.extra["hot_locations"] = sorted(hot_locations)
-    return TrialResult(spec=spec, witnesses=witnesses,
-                       flagged_locations=set(tracer.flagged_locations),
-                       stats=tracer.stats())
+    policy = make_policy(spec.policy, spec.policy_seed)
+    cluster = workload(lambda: TracedSimulator(tie_break=policy))
+    cluster.sim.run_until_event(sync_replicas(cluster))
+    return TrialResult(spec=spec, audit=run_audit(cluster))
 
 
 def explore(workload: str, trials: int = 25, seed: int = 0,
             policy: Optional[str] = None) -> ExplorationResult:
-    """Bounded exploration: ``trials`` runs, deduplicated witnesses.
+    """Bounded exploration: ``trials`` audited runs of ``workload``.
 
     ``policy`` forces every trial onto one tie-break policy; the default
-    rotation is trial 0 fifo, then alternating random/targeted.
+    is trial 0 fifo, then random.
     """
-    result = ExplorationResult(workload=workload, trials=trials, seed=seed)
-    seen: Set[str] = set()
-    hot: Set[str] = set()
+    result = ExplorationResult(workload=workload, seed=seed)
     for trial in range(max(trials, 1)):
-        spec = TrialSpec(workload=workload, trial=trial,
-                         policy=policy or _policy_for_trial(trial),
-                         seed=seed)
-        trial_result = run_trial(spec, hot_locations=frozenset(hot))
-        hot |= trial_result.flagged_locations
-        result.flagged_locations |= trial_result.flagged_locations
-        result.trial_stats.append(trial_result.stats)
-        for witness in trial_result.witnesses:
-            fingerprint = witness.fingerprint
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                result.witnesses.append(witness)
-    result.witnesses.sort(key=lambda w: (w.rule_id, w.location,
-                                         w.acting.path, w.acting.line))
+        spec = TrialSpec(
+            workload=workload, trial=trial,
+            policy=policy or ("fifo" if trial == 0 else "random"),
+            seed=seed)
+        result.results.append(run_trial(spec))
     return result
 
 
 def replay_spec(spec: TrialSpec) -> TrialResult:
-    """Re-run exactly one trial (hot-location feedback excluded: a
-    replayed fifo/random trial needs none; a targeted trial replays its
-    own discoveries because hot state also accrues *within* a trial)."""
+    """Re-run exactly one trial; the same spec gives the same audit."""
     return run_trial(spec)

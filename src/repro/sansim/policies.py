@@ -8,10 +8,6 @@ choose which tied entry fires next:
 * :class:`FifoTieBreak` — index 0, i.e. scheduling order: byte-identical
   to the production kernel (the equivalence tests pin this).
 * :class:`RandomTieBreak` — uniform seeded choice; the breadth pass.
-* :class:`TargetedTieBreak` — DPOR-lite: prefers tied entries whose
-  pushes came from sections that touched *hot* (flagged or previously
-  raced) locations, biasing exploration toward the access pairs the
-  happens-before engine already suspects.
 
 Seeds flow through :class:`repro.sim.rng.SeededRng` named streams,
 which derive the underlying state with sha256 — deterministic across
@@ -22,21 +18,19 @@ perturbs workload randomness).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, Sequence, Tuple
+from typing import Any, Protocol, Sequence, Tuple
 
 from ..sim.rng import SeededRng
-from .runtime import SanitizerRuntime
 
 __all__ = [
     "FifoTieBreak",
     "RandomTieBreak",
-    "TargetedTieBreak",
     "TieBreakPolicy",
     "make_policy",
     "POLICY_NAMES",
 ]
 
-POLICY_NAMES = ("fifo", "random", "targeted")
+POLICY_NAMES = ("fifo", "random")
 
 
 class TieBreakPolicy(Protocol):
@@ -72,48 +66,12 @@ class RandomTieBreak:
         return self._rng.randint(0, len(tied) - 1)
 
 
-class TargetedTieBreak:
-    """DPOR-lite: bias reorderings toward flagged access pairs.
-
-    The runtime marks heap sequence numbers pushed by contexts that
-    touched hot locations (``SanitizerRuntime.hot_seqs``); with
-    probability ``bias`` the policy fires one of those first, otherwise
-    it falls back to a uniform choice. Hot locations accumulate across
-    trials (see :mod:`repro.sansim.explorer`), so later trials search
-    the neighbourhood of earlier near-misses.
-    """
-
-    name = "targeted"
-
-    def __init__(self, seed: int, tracer: SanitizerRuntime,
-                 bias: float = 0.8) -> None:
-        self.seed = seed
-        self.bias = bias
-        self._rng = SeededRng(seed, "sansim/targeted")
-        self._tracer = tracer
-
-    def choose(self, tied: Sequence[Tuple[float, int, Any]]) -> int:
-        if len(tied) > 1:
-            hot_seqs = self._tracer.hot_seqs
-            if hot_seqs:
-                hot = [index for index, entry in enumerate(tied)
-                       if entry[1] in hot_seqs]
-                if hot and self._rng.random() < self.bias:
-                    return hot[self._rng.randint(0, len(hot) - 1)]
-        return self._rng.randint(0, len(tied) - 1)
-
-
-def make_policy(name: str, seed: int,
-                tracer: Optional[SanitizerRuntime] = None) -> TieBreakPolicy:
+def make_policy(name: str, seed: int) -> TieBreakPolicy:
     """Instantiate a policy by name (the explorer's factory)."""
     if name == "fifo":
         return FifoTieBreak()
     if name == "random":
         return RandomTieBreak(seed)
-    if name == "targeted":
-        if tracer is None:
-            raise ValueError("targeted tie-break needs the trial's tracer")
-        return TargetedTieBreak(seed, tracer)
     raise ValueError(
         f"unknown tie-break policy {name!r}; expected one of "
         f"{POLICY_NAMES}")

@@ -1,71 +1,67 @@
-"""Workloads the sanitizer explores.
+"""Workloads the schedule explorer runs.
 
 Each workload is a callable taking a ``simulator_factory`` (producing
-the trial's :class:`~repro.sansim.kernel.TracedSimulator`) and running
-one bounded, deterministic protocol exercise under it:
+the trial's :class:`~repro.sansim.kernel.TracedSimulator`), running one
+bounded, deterministic protocol exercise under it, and returning the
+cluster for the audit. Clients record their committed history, so
+:func:`~repro.harness.audit.run_audit` has something to check.
 
 * ``retwis`` / ``ycsb`` — smoke-scale versions of the protocol
   workloads CI fingerprints (dram backend, 1x3 shard, 3 clients, ~20 ms
   of simulated time): enough prepare/decide/replicate traffic to
-  exercise every instrumented path while keeping 25 trials in budget.
-* ``ctp-race`` — the seeded-bug fixture
-  (``tests/fixtures/sansim/milana/ctp_race.py``): a MILANA server whose
-  CTP path reintroduces the pre-PR-4 commit-without-lock race, plus a
-  coordinator stub that deterministically lands a decide inside the
-  CTP window. The explorer must find a witness here; the real server
-  under the same scenario must stay clean.
+  exercise every protocol path while keeping 25 trials in budget.
+* ``retwis-mftl`` — the ``retwis`` configuration on the ``mftl``
+  backend, where the fractured read-only snapshot (EXPERIMENTS.md Known
+  bug 1) shows. Not in the default set: it fails until that is fixed.
 """
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-from types import ModuleType
 from typing import Callable, Dict
 
 from ..harness.cluster import Cluster, ClusterConfig
+from ..harness.nemesis import history_client_factory
 from ..harness.runner import run_retwis_on_cluster
 from ..sim.core import Simulator
 from ..workloads import YcsbInstance
 
 __all__ = [
-    "STATIC_SCOPES",
+    "DEFAULT_WORKLOADS",
     "WORKLOADS",
-    "fixture_path",
-    "run_ctp_race",
-    "run_ctp_race_safe",
+    "run_retwis_mftl_smoke",
     "run_retwis_smoke",
     "run_ycsb_smoke",
-    "workload_names",
 ]
 
-#: Paths (relative to the repository root) simlint analyzes when
-#: reconciling each workload's witnesses against static findings.
 #: A trial's kernel factory: zero-arg, returns the (traced) simulator
 #: every component of the exercised cluster shares.
 _SimFactory = Callable[[], Simulator]
 
-STATIC_SCOPES: Dict[str, str] = {
-    "retwis": "src/repro",
-    "ycsb": "src/repro",
-    "ctp-race": "tests/fixtures/sansim",
-}
 
-
-def _smoke_config(simulator_factory: _SimFactory,
-                  seed: int) -> ClusterConfig:
+def _smoke_config(simulator_factory: _SimFactory, seed: int,
+                  backend: str = "dram") -> ClusterConfig:
     return ClusterConfig(
         num_shards=1, replicas_per_shard=3, num_clients=3,
-        backend="dram", clock_preset="ptp-sw", seed=seed,
-        populate_keys=120, simulator_factory=simulator_factory)
+        backend=backend, clock_preset="ptp-sw", seed=seed,
+        populate_keys=120, client_factory=history_client_factory,
+        simulator_factory=simulator_factory)
 
 
-def run_retwis_smoke(simulator_factory: _SimFactory) -> None:
-    run_retwis_on_cluster(_smoke_config(simulator_factory, seed=11),
-                          alpha=0.9, duration=0.02, warmup=0.005)
+def _retwis(simulator_factory: _SimFactory, backend: str) -> Cluster:
+    return run_retwis_on_cluster(
+        _smoke_config(simulator_factory, seed=11, backend=backend),
+        alpha=0.9, duration=0.02, warmup=0.005).cluster
 
 
-def run_ycsb_smoke(simulator_factory: _SimFactory) -> None:
+def run_retwis_smoke(simulator_factory: _SimFactory) -> Cluster:
+    return _retwis(simulator_factory, "dram")
+
+
+def run_retwis_mftl_smoke(simulator_factory: _SimFactory) -> Cluster:
+    return _retwis(simulator_factory, "mftl")
+
+
+def run_ycsb_smoke(simulator_factory: _SimFactory) -> Cluster:
     cluster = Cluster(_smoke_config(simulator_factory, seed=13))
     instances = [
         YcsbInstance(cluster.sim, client, cluster.populated_keys,
@@ -76,52 +72,14 @@ def run_ycsb_smoke(simulator_factory: _SimFactory) -> None:
     procs = [instance.run(0.02) for instance in instances]
     for proc in procs:
         cluster.sim.run_until_event(proc)
+    return cluster
 
 
-def _repo_root() -> Path:
-    # src/repro/sansim/workloads.py -> repository root is three up from
-    # the package directory.
-    return Path(__file__).resolve().parents[3]
-
-
-def fixture_path() -> Path:
-    """Location of the seeded CTP-race fixture module."""
-    return (_repo_root() / "tests" / "fixtures" / "sansim" / "milana"
-            / "ctp_race.py")
-
-
-def _load_fixture() -> ModuleType:
-    path = fixture_path()
-    if not path.exists():
-        raise FileNotFoundError(
-            f"ctp-race fixture not found at {path}; the sansim seeded-bug "
-            f"workload needs the repository checkout")
-    spec = importlib.util.spec_from_file_location("sansim_ctp_race", path)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def run_ctp_race(simulator_factory: _SimFactory) -> None:
-    """The seeded pre-PR-4 CTP bug, racy server variant."""
-    _load_fixture().run_scenario(simulator_factory, racy=True)
-
-
-def run_ctp_race_safe(simulator_factory: _SimFactory) -> None:
-    """The same scenario against the real (fixed) MilanaServer: the
-    specificity control — it must produce zero witnesses."""
-    _load_fixture().run_scenario(simulator_factory, racy=False)
-
-
-WORKLOADS: Dict[str, Callable[[_SimFactory], None]] = {
+WORKLOADS: Dict[str, Callable[[_SimFactory], Cluster]] = {
     "retwis": run_retwis_smoke,
     "ycsb": run_ycsb_smoke,
-    "ctp-race": run_ctp_race,
-    "ctp-race-safe": run_ctp_race_safe,
+    "retwis-mftl": run_retwis_mftl_smoke,
 }
 
-
-def workload_names() -> list:
-    """Workloads exposed on the CLI (the safe control is test-only)."""
-    return [name for name in WORKLOADS if name != "ctp-race-safe"]
+#: What ``repro sansim`` explores when no workload is named.
+DEFAULT_WORKLOADS = ("retwis", "ycsb")

@@ -15,12 +15,6 @@ objects (§3.3):
 Backups apply replication records in whatever order they arrive —
 "inconsistent replication" (§3.2) — because version stamps recover the
 order. All handlers are idempotent.
-
-Sanitizer notes: ``_inflight_puts`` (:class:`InflightMap`) reports its
-entries to ``sim.tracer`` (repro.sansim) as locks, and a put reports its
-``("store", server, key)`` read and the relaxed write of the put it
-waited for. A backup's ``_inflight_replicas`` is a plain dict: its only
-tracked access is a relaxed store write, which no lock orders.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ from ..wire import (
     SemelReplicate,
     WatermarkReport,
 )
-from .inflight import InflightMap
 from .replication import QuorumError, replicate_to_backups
 from .sharding import Directory
 from .watermark import WatermarkTracker
@@ -57,9 +50,9 @@ class StorageServer:
     """One shard replica: RPC service over a versioned storage backend."""
 
     #: Optional :class:`repro.durability.WriteAheadLog`, attached by the
-    #: cluster when durability is configured. A class attribute (like
-    #: ``Simulator.tracer``) so the disabled path costs one attribute
-    #: load and schedules stay byte-identical.
+    #: cluster when durability is configured. A class attribute so the
+    #: disabled path costs one attribute load and schedules stay
+    #: byte-identical.
     wal = None
     #: How long a primary waits for its backups' replication acks (and
     #: the recovery and lease rounds built on them) before giving up.
@@ -87,7 +80,7 @@ class StorageServer:
         #: a retransmission arriving mid-write coalesces with the original
         #: instead of double-inserting; ``_inflight_replicas`` does the
         #: same for a backup's replication records.
-        self._inflight_puts = InflightMap(sim, name, "inflight-put")
+        self._inflight_puts: Dict[tuple, Any] = {}
         self._inflight_replicas: Dict[tuple, Any] = {}
         #: (key, version) pairs written locally but not yet acked by a
         #: backup quorum (replication failed or is still running). A
@@ -158,9 +151,6 @@ class StorageServer:
         value = request.value
         version = Version(*request.version)
         inflight_key = (key, version)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.begin_section("put", key)
         inflight = self._inflight_puts.get(inflight_key)
         if inflight is not None:
             # A duplicate of a put still being written: wait for the
@@ -169,8 +159,6 @@ class StorageServer:
             yield inflight
             yield from self._finish_replication(key, value, version)
             return SemelPutReply(applied=True, duplicate=True)
-        if tracer is not None:
-            tracer.on_read(("store", self.name, key))
         existing = self.backend.versions_of(key)
         if version in existing:
             # Retransmitted request: repeat the earlier success response —
@@ -191,12 +179,6 @@ class StorageServer:
         self._unreplicated.add(inflight_key)
         try:
             yield self.backend.put(key, value, version)
-            if tracer is not None:
-                # Relaxed: the MVCC backend tolerates unordered inserts
-                # by design (inconsistent replication, §3.2); version
-                # stamps recover the order, so concurrent writers to the
-                # same key are not a race.
-                tracer.on_write(("store", self.name, key), relaxed=True)
             if self.wal is not None:
                 # Durable before the ack that claims it (§3.3): the put
                 # must survive an amnesia crash of this primary.
@@ -245,10 +227,6 @@ class StorageServer:
                 self._inflight_replicas[inflight_key] = done
                 try:
                     yield self.backend.put(key, request.value, version)
-                    tracer = self.sim.tracer
-                    if tracer is not None:
-                        tracer.on_write(("store", self.name, key),
-                                        relaxed=True)
                     if self.wal is not None:
                         # The Ack below is this backup's durability
                         # claim toward the primary's quorum count.
@@ -285,8 +263,7 @@ class StorageServer:
         self.node.crash()
         if self.wal is not None:
             self.wal.crash()
-        self._inflight_puts = InflightMap(self.sim, self.name,
-                                          "inflight-put")
+        self._inflight_puts = {}
         self._inflight_replicas = {}
         self._unreplicated = set()
         self.watermarks = WatermarkTracker()

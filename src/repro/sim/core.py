@@ -61,15 +61,6 @@ class Simulator:
     __slots__ = ("_now", "_heap", "_seq", "_cancelled", "_compacted",
                  "events_processed")
 
-    #: Sanitizer seam (see :mod:`repro.sansim`): the traced subclass
-    #: carries a ``SanitizerRuntime`` here; on the base class this is a
-    #: plain class attribute, so instrumentation sites in the protocol
-    #: layers pay exactly one attribute load to observe ``None`` and the
-    #: hot loop below never consults it.
-    #: Typed ``Any`` rather than the concrete runtime: the sim layer
-    #: must not import upward into ``repro.sansim``.
-    tracer: Optional[Any] = None
-
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []

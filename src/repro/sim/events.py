@@ -216,13 +216,7 @@ class _Condition(Event):
         if not self.events:
             self.succeed({})
             return
-        # Sanitizer seam: choose the child callback once, at construction.
-        # Plain simulators keep registering the bound ``_check`` exactly as
-        # before (one class-attribute load here, zero per-fire cost); a
-        # traced simulator routes through ``_traced_check`` so the
-        # happens-before engine can join every child's clock into the
-        # condition — AllOf would otherwise only inherit the last child's.
-        check = self._check if sim.tracer is None else self._traced_check
+        check = self._check
         for event in self.events:
             if event._processed:
                 check(event)
@@ -243,11 +237,10 @@ class _Condition(Event):
         cycle only the cyclic collector can free. The child itself
         stays where it is: a losing timeout still fires, with nobody
         listening, so the event count does not change. The bound method
-        is rebuilt here, chosen as the constructor chose it, and never
-        stored on the condition, which would be a cycle of its own.
+        is rebuilt here and never stored on the condition, which would
+        be a cycle of its own.
         """
-        check = (self._check if self.sim.tracer is None
-                 else self._traced_check)
+        check = self._check
         for event in self.events:
             if not event._processed:
                 try:
@@ -265,13 +258,6 @@ class _Condition(Event):
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
-
-    def _traced_check(self, event: Event) -> None:
-        """Child callback used under a traced simulator (repro.sansim)."""
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_condition_child(self, event)
-        self._check(event)
 
 
 class AnyOf(_Condition):

@@ -31,10 +31,8 @@ per transaction would cost a third of a Retwis run's host time
 (docs/PERFORMANCE.md, "The collector"; ``tests/test_sim_gc.py``). A
 stale trigger that fires later holds its own bound method and returns
 at the first line of :meth:`Process._resume`. That method is the only
-resume body: ``repro.sansim``'s ``TracedProcess`` wraps it in
-happens-before bookkeeping (``_resume_cb`` binds the *overridden*
-``_resume`` for subclasses) and overrides :meth:`Process._relay`, the
-one branch whose heap push needs extra attribution.
+resume body, under the plain kernel and under ``repro.sansim``'s
+tie-break kernel alike.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ bit-identical results.
 
 :data:`TABLE` is the paper experiments and ablations declared in
 :mod:`repro.harness` plus the three sweep-only grids below (nemesis
-scenarios, sansim trials, the hidden ``selftest``). Cells are enumerated
-generically, in **canonical order** — the row's axes, outermost first —
-so results merged in cell order always give the same table. Grid
-parameters may be overridden per invocation (the benchmark drivers in
-``benchmarks/`` do).
+scenarios, audited sansim trials, the hidden ``selftest``). Cells are
+enumerated generically, in **canonical order** — the row's axes,
+outermost first — so results merged in cell order always give the same
+table. Grid parameters may be overridden per invocation (the benchmark
+drivers in ``benchmarks/`` do).
 
 Parallelism hygiene (simlint rule PAR001): this module keeps **no**
 module-level mutable state — the table is a tuple of frozen rows —
@@ -71,19 +71,15 @@ def _nemesis_point(scenario, workload, duration, fault_start,
 
 
 def _sansim_point(workload, trial, seed) -> Point:
-    # Deferred: only sansim cells pay for importing the sanitizer.
+    # Deferred: only sansim cells pay for importing the explorer.
     from ..sansim.explorer import TrialSpec, run_trial
 
-    # Targeted-policy trials feed hot locations discovered by earlier
-    # trials back into the scheduler, which is inherently sequential;
-    # the sweep therefore runs only the feedback-free fifo/random
-    # policies, which are independent per (workload, trial).
+    # The explorer's own policy rotation; every trial is independent.
     spec = TrialSpec(workload=workload, trial=trial,
                      policy="fifo" if trial == 0 else "random", seed=seed)
-    result = run_trial(spec)
-    fingerprints = sorted({w.fingerprint for w in result.witnesses})
-    return [[spec.workload, spec.trial, spec.policy,
-             len(result.witnesses), len(fingerprints)]], {}
+    audit = run_trial(spec).audit
+    return [[spec.workload, spec.trial, spec.policy, audit.passed,
+             audit.committed_txns]], {}
 
 
 def _selftest_point(value, fail_at, seed) -> Point:
@@ -112,15 +108,14 @@ TABLE: Tuple[Experiment, ...] = EXPERIMENTS + (
     Experiment(
         name="sansim",
         title="Sansim trial sweep",
-        headers=("workload", "trial", "policy", "witnesses",
-                 "distinct fingerprints"),
+        headers=("workload", "trial", "policy", "audit passed",
+                 "committed"),
         axes=(("workloads", "workload"), ("trials", "trial")),
-        full=dict(workloads=("retwis", "ycsb", "ctp-race"),
+        full=dict(workloads=("retwis", "ycsb"),
                   trials=tuple(range(8)), seed=0),
         quick=dict(trials=tuple(range(3))),
         point=_sansim_point,
-        notes="Feedback-free policies only (fifo/random); targeted "
-              "trials need cross-trial state and stay serial.",
+        notes="Every trial must pass its history audit.",
     ),
     # Used by the test suite: cheap deterministic cells with an optional
     # injected failure at the cell whose value is ``fail_at``.

@@ -1,47 +1,9 @@
 """ATM fixture: seeded yield-point atomicity races for the golden test.
 
 Not importable code — a miniature MILANA-shaped module whose only job
-is to make ATM001/ATM002 fire at pinned locations (and stay quiet on
-the safe variants).
+is to make ATM002 fire at a pinned location (and stay quiet on the
+safe variant).
 """
-
-
-def validate(record, table):
-    return bool(table)
-
-
-class Coordinator:
-    """Seeds ATM001: validate and record split across helpers with a
-    replication yield in between."""
-
-    def __init__(self, sim, net):
-        self.sim = sim
-        self.net = net
-        self.queue = []
-        self.key_states = {}
-        self.txn_table = {}
-
-    def prepare_daemon(self):
-        while True:
-            yield self.sim.timeout(0.1)
-            for txn in list(self.queue):
-                yield from self._prepare(txn)
-
-    def _prepare(self, txn):
-        if not self._validate_txn(txn):
-            return
-        yield from self._replicate(txn)  # suspension between the two
-        self._record(txn)  # ATM001: records a stale validation
-
-    def _validate_txn(self, txn):
-        return validate(txn, self.key_states)
-
-    def _replicate(self, txn):
-        yield self.net.call("backup-1", "milana.replicate_txn", txn,
-                            timeout=0.01)
-
-    def _record(self, txn):
-        self.txn_table[txn.txn_id] = txn
 
 
 class LeaseTable:

@@ -150,63 +150,6 @@ class TestRpc001Timeouts:
         assert findings == []
 
 
-class TestTxn001YieldAtomicity:
-    def test_positive_yield_between_validate_and_record(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Server:
-                def _handle_prepare(self, record):
-                    result = validate(record, self.key_states)
-                    yield from self._replicate(record)
-                    self.txn_table[record.txn_id] = record
-                    return result
-            """, name="milana/server_like.py")
-        assert rule_ids(findings) == ["ATM001"]
-
-    def test_positive_mark_prepared_after_yield(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Server:
-                def _handle_prepare(self, record):
-                    result = validate(record, self.key_states)
-                    yield self.backend.put(record)
-                    self.key_states.mark_prepared(record.key,
-                                                  record.txn_id, 1.0)
-            """, name="milana/server_like.py")
-        assert rule_ids(findings) == ["ATM001"]
-
-    def test_negative_record_before_yield(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Server:
-                def _handle_prepare(self, record):
-                    result = validate(record, self.key_states)
-                    self.txn_table[record.txn_id] = record
-                    yield from self._replicate(record)
-                    return result
-            """, name="milana/server_like.py")
-        assert findings == []
-
-    def test_negative_revalidation_after_yield(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Server:
-                def _handle_prepare(self, record):
-                    result = validate(record, self.key_states)
-                    yield from self._replicate(record)
-                    result = validate(record, self.key_states)
-                    self.txn_table[record.txn_id] = record
-                    return result
-            """, name="milana/server_like.py")
-        assert findings == []
-
-    def test_rule_is_scoped_to_milana(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Server:
-                def _handle_prepare(self, record):
-                    result = validate(record, self.key_states)
-                    yield from self._replicate(record)
-                    self.txn_table[record.txn_id] = record
-            """, name="elsewhere/server_like.py")
-        assert findings == []
-
-
 class TestApi001DunderAll:
     def test_positive_ghost_name(self, tmp_path):
         findings = run_on(tmp_path, """\
@@ -515,6 +458,6 @@ class TestCli:
         assert main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("SIM001", "RPC001",
-                        "FLT001", "API001", "SUP001", "ATM001",
+                        "FLT001", "API001", "SUP001",
                         "ATM002", "PRO004", "DET101"):
             assert rule_id in out

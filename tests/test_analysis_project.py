@@ -68,12 +68,10 @@ class TestGoldenFindings:
         golden = json.loads((FIXTURES / "census" / "golden.json").read_text())
         fired = {entry["rule"] for entry in golden["findings"]}
         assert fired == set(golden["select"])
-        # ATM001 stays as the static half of sansim's reconciliation
-        # report (its dynamic twin is SAN002), not for a sole catch.
-        assert set(all_rules()) - fired == {"ATM001"}
+        assert set(all_rules()) - fired == set()
 
     def test_each_family_catches_a_seeded_bug(self):
-        for family, rules in [("atm", {"ATM001", "ATM002"}),
+        for family, rules in [("atm", {"ATM002"}),
                               ("pro", {"PRO004"}),
                               ("det", {"DET101"}),
                               ("dur", {"DUR001", "DUR003",
@@ -516,7 +514,7 @@ class TestOutputFormats:
         driver = run["tool"]["driver"]
         assert driver["name"] == "simlint"
         ids = {r["id"] for r in driver["rules"]}
-        assert {"FLT001", "ATM001", "PRO004", "DET101", "SUP001"} <= ids
+        assert {"FLT001", "ATM002", "PRO004", "DET101", "SUP001"} <= ids
         result = run["results"][0]
         assert result["ruleId"] == "FLT001"
         assert result["level"] == "error"

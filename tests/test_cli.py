@@ -114,9 +114,9 @@ class TestToolCommands:
 
     def test_catalogue_listings(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
-        assert "SAN001" in capsys.readouterr().out
+        assert "ATM002" in capsys.readouterr().out
         assert main(["sansim", "--list-workloads"]) == 0
-        assert "ctp-race" in capsys.readouterr().out
+        assert "retwis-mftl" in capsys.readouterr().out
 
     def test_analyze_matches_the_module_alias(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

@@ -21,7 +21,9 @@ from repro.milana import (
     TransactionRecord,
 )
 from repro.net.faults import LinkFaults
-from repro.net.rpc import RpcTimeout
+from repro.net.rpc import AppError, RpcTimeout
+from repro.semel.client import SemelClient
+from repro.semel.replication import replicate_to_backups
 from repro.sim import SeededRng
 from repro.verify import TxnEntry
 from repro.versioning import Version
@@ -377,6 +379,35 @@ class TestAuditChecks:
         assert not report.passed
         assert not report.lost_writes  # the primary does have it
         assert len(report.divergent) == 2  # both backups lag
+
+    def test_detects_leaked_handler_error(self):
+        # The mutation of census row PRO004-a: semel.put's replication
+        # lets QuorumError escape instead of converting it to an
+        # AppError, so the RPC layer counts an opaque handler error.
+        # The history it leaves behind is clean.
+        cluster = self._history_cluster()
+        primary = cluster.primary_server("shard0")
+
+        def replicate_without_conversion(record):
+            yield from replicate_to_backups(
+                primary.node, primary.backups, "semel.replicate", record,
+                primary.quorum_acks, timeout=primary.replication_timeout)
+
+        primary._replicate = replicate_without_conversion
+        for backup in primary.backups:
+            cluster.network.crash(backup)
+        client = SemelClient(
+            cluster.sim, cluster.network, cluster.directory,
+            cluster.clock_ensemble.clock_for("semel-client"), client_id=9,
+            rpc_timeout=0.05, rpc_retries=0)
+        with pytest.raises(AppError, match="QuorumError"):
+            cluster.sim.run_until_event(client.put("key:3", "x"))
+        for backup in primary.backups:
+            cluster.network.recover(backup)
+        report = run_audit(cluster)
+        assert report.handler_errors == 1
+        assert not report.passed
+        assert "handler errors      1" in report.summary()
 
 
 class TestVacuousAudit:

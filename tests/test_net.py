@@ -10,7 +10,7 @@ from repro.net import (
     RpcNode,
     RpcTimeout,
 )
-from repro.sansim import FifoTieBreak, SanitizerRuntime, TracedSimulator
+from repro.sansim import FifoTieBreak, TracedSimulator
 from repro.sim import Interrupt, SeededRng, Simulator
 
 
@@ -511,8 +511,7 @@ class TestDeliveryFastPath:
         assert received == ["late"]
 
     def test_traced_kernel_sees_the_same_receive_log_under_faults(self):
-        traced = TracedSimulator(tracer=SanitizerRuntime(),
-                                 tie_break=FifoTieBreak())
+        traced = TracedSimulator(tie_break=FifoTieBreak())
         assert self._run_exchange(Simulator()) == self._run_exchange(traced)
 
     def test_fast_path_drops_on_crash_during_flight(self):

@@ -1,11 +1,10 @@
-"""Fingerprint equivalence with the sanitizer enabled.
+"""Fingerprint equivalence of the schedule explorer's kernel.
 
-The acceptance bar for the instrumentation seam is behavioural, not
-just perf: with the sanitizer off the production simulator is untouched
-(covered by ``test_fingerprints.py`` against the golden snapshot), and
-with the sanitizer ON under the default fifo tie-break the simulation
-must produce byte-identical outcomes — same schedule material, same
-golden fingerprints. Only non-default tie-break policies are allowed to
+The production simulator is pinned by ``test_fingerprints.py`` against
+the golden snapshot. The explorer's tie-break kernel under the default
+fifo policy must produce byte-identical outcomes — same schedule
+material, same golden fingerprints — so a fifo trial audits exactly the
+production schedule. Only non-default tie-break policies are allowed to
 perturb the schedule, and even then only among same-timestamp ties.
 """
 
@@ -15,7 +14,7 @@ import os
 import pytest
 
 from repro.bench.fingerprint import fingerprint_material, schedule_fingerprint
-from repro.sansim import FifoTieBreak, SanitizerRuntime, TracedSimulator
+from repro.sansim import FifoTieBreak, TracedSimulator
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "fingerprints.json")
@@ -31,8 +30,7 @@ def _golden():
 
 
 def _traced_factory():
-    return TracedSimulator(tracer=SanitizerRuntime(),
-                           tie_break=FifoTieBreak())
+    return TracedSimulator(tie_break=FifoTieBreak())
 
 
 class TestSanitizerOnFifoEquivalence:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.sansim import FifoTieBreak, SanitizerRuntime, TracedSimulator
+from repro.sansim import FifoTieBreak, TracedSimulator
 from repro.sim import (
     Interrupt,
     Resource,
@@ -14,8 +14,7 @@ from repro.sim import (
 
 
 def _traced_fifo():
-    return TracedSimulator(tracer=SanitizerRuntime(),
-                           tie_break=FifoTieBreak())
+    return TracedSimulator(tie_break=FifoTieBreak())
 
 
 class TestEventEdgeCases:

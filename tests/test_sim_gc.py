@@ -5,8 +5,8 @@ collector").
 Three angles: (i) with the collector switched off, finished kernel
 objects vanish the moment the last outside reference goes; (ii) under
 ``gc.DEBUG_SAVEALL`` whole fault-free workloads leave no kernel object
-for the collector to find; (iii) the traced kernel, which keeps every
-process alive in the sanitizer's context table by design, still
+for the collector to find; (iii) the tie-break kernel the schedule
+explorer runs, which keeps cancelled entries on the heap, still
 releases the same slots and detaches the same callbacks.
 """
 
@@ -510,7 +510,7 @@ class TestTracedKernelReleasesTheSame:
 
     @pytest.mark.parametrize("simulator", [Simulator, TracedSimulator])
     def test_condition_detaches_under_either_registration(self, simulator):
-        # Plain kernels register ``_check``, traced ones ``_traced_check``.
+        # Both kernels register the condition's bound ``_check``.
         sim = simulator()
         event = sim.event()
         deadline = sim.timeout(1.0)
