@@ -28,6 +28,7 @@ __all__ = [
     "ExplorationResult",
     "TrialResult",
     "TrialSpec",
+    "default_policy",
     "explore",
     "parse_replay_spec",
     "replay_spec",
@@ -92,6 +93,11 @@ class ExplorationResult:
         return [result for result in self.results if not result.passed]
 
 
+def default_policy(trial: int) -> str:
+    """Trial 0 is the production schedule; the rest draw at random."""
+    return "fifo" if trial == 0 else "random"
+
+
 def run_trial(spec: TrialSpec) -> TrialResult:
     """Run one workload trial under its policy, then audit it."""
     workload = WORKLOADS.get(spec.workload)
@@ -116,7 +122,7 @@ def explore(workload: str, trials: int = 25, seed: int = 0,
     for trial in range(max(trials, 1)):
         spec = TrialSpec(
             workload=workload, trial=trial,
-            policy=policy or ("fifo" if trial == 0 else "random"),
+            policy=policy or default_policy(trial),
             seed=seed)
         result.results.append(run_trial(spec))
     return result

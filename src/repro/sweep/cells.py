@@ -72,11 +72,10 @@ def _nemesis_point(scenario, workload, duration, fault_start,
 
 def _sansim_point(workload, trial, seed) -> Point:
     # Deferred: only sansim cells pay for importing the explorer.
-    from ..sansim.explorer import TrialSpec, run_trial
+    from ..sansim.explorer import TrialSpec, default_policy, run_trial
 
-    # The explorer's own policy rotation; every trial is independent.
     spec = TrialSpec(workload=workload, trial=trial,
-                     policy="fifo" if trial == 0 else "random", seed=seed)
+                     policy=default_policy(trial), seed=seed)
     audit = run_trial(spec).audit
     return [[spec.workload, spec.trial, spec.policy, audit.passed,
              audit.committed_txns]], {}
