@@ -181,7 +181,7 @@ def fingerprint_material(kind: str, simulator_factory=None) -> Dict[str, Any]:
 
     Use this to *diff* two kernels when a fingerprint mismatches: dump
     the material on each commit and compare JSON. ``simulator_factory``
-    swaps in an alternative kernel (e.g. sansim's TracedSimulator) for
+    swaps in an alternative kernel (e.g. the tie-break kernel's TracedSimulator) for
     equivalence checks; the material format is unchanged.
     """
     if kind not in _MATERIALS:

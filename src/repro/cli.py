@@ -20,26 +20,20 @@ Commands
     (see ``repro.analysis``), e.g.
     ``python -m repro analyze src/repro --format json``;
     ``python -m repro.analysis`` is an alias.
-``sansim``
-    Explore same-timestamp schedules of a workload and audit every
-    trial's history with the nemesis audit (see ``repro.sansim``), e.g.
-    ``python -m repro sansim retwis --trials 25 --format json``; a
-    failing trial prints the ``--replay`` spec that reruns it.
 ``wire``
     Print the message catalogue rendered from the typed wire-protocol
     registry (PROTOCOL.md carries it verbatim). ``RpcNode`` checks
     registrations and payloads against the registry at run time.
-``nemesis``
-    Run a named fault-injection scenario (partitions, message loss,
-    clock storms) under a live workload, heal, and audit the aftermath
-    for serializability, lost committed writes, stuck PREPARED records,
-    replica divergence and handler errors. Exits non-zero if the audit
-    fails.
+``audit``
+    Run audit cells (``repro.harness.nemesis``): a fault scenario under
+    a live workload, same-time ties in production order (trial 0) or
+    drawn at random (later trials), then heal and audit. Exits 1 if an
+    audit fails; a failing cell prints its ``--replay`` string.
 ``sweep``
-    Run an experiment sweep (figures, ablations, nemesis scenarios,
-    audited sansim trials) across spawn-context worker processes with a
-    content-addressed cell cache (see ``repro.sweep``); the merged
-    report is byte-identical for every ``-j``.
+    Run an experiment sweep (figures, ablations, audit cells) across
+    spawn-context worker processes with a content-addressed cell cache
+    (see ``repro.sweep``); the merged report is byte-identical for every
+    ``-j``, and exits 1 if a cell fails its row's verdict.
 ``bench``
     Measure host-side kernel performance (the ``kernel/*`` rows:
     events, alloc, timeouts, rpc, device and histogram), optionally
@@ -55,10 +49,10 @@ import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .analysis import cli as analysis_cli
+from .clocks.skew import CLOCK_PRESETS
 from .harness import EXPERIMENTS, ClusterConfig, run_retwis_on_cluster
 from .harness.cluster import BACKEND_KINDS, Cluster
 from .harness.metrics import merged_latency_histogram
-from .sansim import cli as sansim_cli
 from .workloads import YCSB_WORKLOADS, YcsbInstance
 
 __all__ = ["main"]
@@ -86,8 +80,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
         command.add_argument("--backend", choices=BACKEND_KINDS,
                              default="mftl")
         command.add_argument("--clock", default="ptp-sw",
-                             choices=("perfect", "dtp", "ptp-hw",
-                                      "ptp-sw", "ntp"))
+                             choices=tuple(CLOCK_PRESETS))
         command.add_argument("--shards", type=int, default=1)
         command.add_argument("--replicas", type=int, default=3)
         command.add_argument("--clients", type=int, default=8)
@@ -114,41 +107,35 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
 
     analysis_cli.add_arguments(sub.add_parser(
         "analyze", help="run the simlint static analyzer (repro.analysis)"))
-    sansim_cli.add_arguments(sub.add_parser(
-        "sansim", help="explore schedules, audit each trial "
-                       "(repro.sansim)"))
 
     sub.add_parser(
         "wire", help="print the wire-protocol message catalogue")
 
-    from .harness.nemesis import SCENARIOS
-    nemesis = sub.add_parser(
-        "nemesis",
-        help="inject faults under a workload, heal, audit consistency")
-    nemesis.add_argument("--scenario",
-                         choices=sorted(row.name for row in SCENARIOS),
-                         default="asymmetric-partition")
-    # No defaults here: a flag left out falls to run_nemesis (the run
-    # parameters) or nemesis_config (the deployment).
-    nemesis.add_argument("--workload", choices=("retwis", "ycsb"))
-    nemesis.add_argument("--duration", type=float,
-                         help="workload seconds of simulated time")
-    nemesis.add_argument("--fault-start", type=float,
-                         help="fault injection start (simulated seconds)")
-    nemesis.add_argument("--fault-duration", type=float,
-                         help="how long faults stay injected")
-    nemesis.add_argument("--alpha", type=float,
-                         help="Zipf contention parameter")
-    nemesis.add_argument("--shards", type=int, dest="num_shards")
-    nemesis.add_argument("--replicas", type=int,
-                         dest="replicas_per_shard")
-    nemesis.add_argument("--clients", type=int, dest="num_clients")
-    nemesis.add_argument("--keys", type=int, dest="populate_keys")
-    nemesis.add_argument("--backend", choices=BACKEND_KINDS)
-    nemesis.add_argument("--clock", dest="clock_preset",
-                         choices=("perfect", "dtp", "ptp-hw", "ptp-sw",
-                                  "ntp"))
-    nemesis.add_argument("--seed", type=int)
+    from .harness.nemesis import SCENARIOS, WORKLOADS, AuditSpec
+    default = AuditSpec("asymmetric-partition")
+    audit = sub.add_parser(
+        "audit",
+        help="run audit cells: a fault scenario and a schedule under a "
+             "workload, healed, then audited")
+    audit.add_argument("--scenario", default=default.scenario,
+                       choices=["none"] + sorted(row.name
+                                                 for row in SCENARIOS))
+    audit.add_argument("--workload", default=default.workload,
+                       choices=[row.name for row in WORKLOADS])
+    audit.add_argument("--backend", choices=BACKEND_KINDS,
+                       default=default.backend)
+    audit.add_argument("--clock", choices=tuple(CLOCK_PRESETS),
+                       default=default.clock)
+    audit.add_argument("--seed", type=int, default=default.seed,
+                       help="cluster seed (unless the workload pins "
+                            "it) and tie-break seed")
+    audit.add_argument("--trials", type=int, default=1,
+                       help="run trials 0..N-1: trial 0 in production "
+                            "order, later ones with random tie-breaks")
+    audit.add_argument("--replay", metavar="SPEC",
+                       help="rerun exactly one cell from its "
+                            "scenario:workload:backend:clock:policy:"
+                            "trial:seed string")
 
     sweep = sub.add_parser(
         "sweep",
@@ -327,22 +314,38 @@ def _command_ycsb(args) -> int:
     return 0
 
 
-def _command_nemesis(args) -> int:
-    from .harness.nemesis import nemesis_config, run_nemesis
+def _command_audit(args, parser) -> int:
+    from .harness.nemesis import AuditSpec, default_policy, run_spec
 
-    def given(*names):
-        return {name: getattr(args, name) for name in names
-                if getattr(args, name) is not None}
-
-    result = run_nemesis(
-        args.scenario,
-        config=nemesis_config(**given(
-            "num_shards", "replicas_per_shard", "num_clients", "backend",
-            "clock_preset", "seed", "populate_keys")),
-        **given("workload", "duration", "fault_start", "fault_duration",
-                "alpha"))
-    print(result.summary())
-    return 0 if result.passed else 1
+    if args.replay is not None:
+        if any(getattr(args, name) != parser.get_default(name)
+               for name in ("scenario", "workload", "backend", "clock",
+                            "seed", "trials")):
+            parser.error("--replay names the whole cell; give it alone")
+        try:
+            specs = [AuditSpec.parse(args.replay)]
+        except ValueError as exc:
+            parser.error(str(exc))
+    else:
+        if args.trials < 1:
+            parser.error("--trials must be at least 1")
+        specs = [AuditSpec(args.scenario, args.workload, args.backend,
+                           args.clock, default_policy(trial), trial,
+                           args.seed)
+                 for trial in range(args.trials)]
+    failing = 0
+    for spec in specs:
+        result = run_spec(spec)
+        failing += not result.passed
+        if len(specs) > 1:
+            print(f"{spec.render():48s} "
+                  f"{'PASS' if result.passed else 'FAIL'}  "
+                  f"committed={result.audit.committed_txns}")
+        if len(specs) == 1 or not result.passed:
+            print(result.summary())
+    print(f"audit: {len(specs)} cell(s), {failing} failing the audit",
+          file=sys.stderr)
+    return 1 if failing else 0
 
 
 def _command_sweep(args) -> int:
@@ -382,12 +385,16 @@ def _command_sweep(args) -> int:
         with open(args.out, "w") as handle:
             handle.write(result.report_json())
         print(f"[merged report written to {args.out}]", file=sys.stderr)
+    failures = result.failures()
+    for label in failures:
+        print(f"sweep: {args.name}: cell {label} fails its verdict",
+              file=sys.stderr)
     if (args.min_hit_rate is not None
             and result.hit_rate < args.min_hit_rate):
         print(f"sweep: cache hit rate {result.hit_rate:.0%} below "
               f"required {args.min_hit_rate:.0%}", file=sys.stderr)
         return 1
-    return 0
+    return 1 if failures else 0
 
 
 def _command_bench(args) -> int:
@@ -448,9 +455,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "retwis": _command_retwis,
         "ycsb": _command_ycsb,
         "analyze": lambda args: analysis_cli.run(args, command),
-        "sansim": lambda args: sansim_cli.run(args, command),
         "wire": _command_wire,
-        "nemesis": _command_nemesis,
+        "audit": lambda args: _command_audit(args, command),
         "sweep": _command_sweep,
         "bench": _command_bench,
     }

@@ -1,5 +1,6 @@
 """Experiment harness: cluster construction, metric windows, Retwis
-runner, the experiment table (one row per table/figure/ablation), and
+runner, the experiment table (one row per table/figure/ablation), audit
+cells (fault scenarios and explored schedules, each audited), and
 plain-text reporting."""
 
 from .ablations import ABLATIONS
@@ -20,10 +21,11 @@ from .experiments import FIGURES, Experiment, ExperimentResult
 from .metrics import StatsSnapshot, WindowMetrics, snapshot, window_metrics
 from .nemesis import (
     SCENARIOS,
-    NemesisRunResult,
+    AuditRun,
+    AuditSpec,
     Scenario,
     nemesis_config,
-    run_nemesis,
+    run_spec,
 )
 from .report import format_table, format_value, series_block
 from .runner import RetwisRunResult, run_retwis_on_cluster
@@ -62,7 +64,8 @@ __all__ = [
     "rolling_chaos",
     "SCENARIOS",
     "Scenario",
-    "NemesisRunResult",
+    "AuditRun",
+    "AuditSpec",
     "nemesis_config",
-    "run_nemesis",
+    "run_spec",
 ]

@@ -60,9 +60,9 @@ class ClusterConfig:
     #: local_validation) -> MilanaClient, for client variants (Centiman,
     #: caching, history-recording).
     client_factory: Optional[Callable] = None
-    #: Optional callable () -> Simulator; the schedule explorer
-    #: (repro.sansim) supplies a TracedSimulator with its tie-break
-    #: policy here. None keeps the production kernel.
+    #: Optional callable () -> Simulator; an audit cell with a random
+    #: policy supplies a TracedSimulator with its tie-break policy here.
+    #: None keeps the production kernel.
     simulator_factory: Optional[Callable[[], Simulator]] = None
     #: Run an active master with heartbeat failure detection and
     #: automatic primary failover (§3's global master).

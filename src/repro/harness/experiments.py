@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from ..baselines.centiman import CentimanClient, WatermarkBoard
 from ..clocks.perfect import PerfectClock
@@ -98,6 +99,9 @@ class Experiment:
     notes: str = ""
     #: Hidden rows are runnable but left out of the CLI listings.
     hidden: bool = False
+    #: Header of a column every row must hold true; ``repro sweep``
+    #: names each cell that fails it and exits 1.
+    verdict: Optional[str] = None
 
     def points(self, scale: str = "quick",
                **overrides: Any) -> Iterator[Dict[str, Any]]:

@@ -1,39 +1,42 @@
-"""Named nemesis scenarios: fault plan + workload + heal + audit.
+"""Audit cells: one spec names a run, :func:`run_spec` runs and audits it.
 
-One :func:`run_nemesis` call is a complete robustness experiment:
+1. Stand up the workload row's deployment (:data:`WORKLOADS`) on the
+   spec's backend and clock, with history-recording clients. Policy
+   ``fifo`` runs the production kernel; ``random`` runs
+   :class:`~repro.sim.tiebreak.TracedSimulator` with tie-break seed
+   ``seed * 10000 + trial``.
+2. Start the scenario's :class:`~repro.harness.chaos.NemesisPlan`
+   (:data:`SCENARIOS`; ``none`` injects nothing) and the load together.
+3. After the load window heal **everything** (link faults, crashed
+   nodes, clock anomalies), wait out every restart and, when the
+   deployment runs CTP, settle past the lease and three CTP timeouts.
+4. Run :func:`~repro.harness.audit.sync_replicas`, then
+   :func:`~repro.harness.audit.run_audit`.
 
-1. stand up a cluster whose clients record committed histories
-   (``MilanaClient(record_history=True)``) and whose CTP daemon is on;
-2. start the scenario's :class:`~repro.harness.chaos.NemesisPlan` and a
-   Retwis or YCSB workload side by side;
-3. after the workload window, heal **everything** — link faults, crashed
-   nodes, clock anomalies — and let the system settle past the lease
-   duration and CTP timeout so termination has a fair chance to finish;
-4. run the :func:`~repro.harness.audit.sync_replicas` repair pass and
-   the full post-heal audit (:func:`~repro.harness.audit.run_audit`).
-
-The result bundles the audit verdict with the run's window metrics, the
-fault-event timeline, and the link-fault counters, so a report can show
-*what was injected* next to *what the system guaranteed anyway*.
-
-Scenarios are the rows of :data:`SCENARIOS` (the CLI's
-``repro nemesis --scenario`` choices). A row's ``build`` takes
-``(cluster, rng, start, duration)`` and returns an unstarted plan: the
-named builders of :mod:`repro.harness.chaos` are rows as they stand, the
-composite scenarios are the functions below.
+An :class:`AuditSpec` renders to one replay string,
+``scenario:workload:backend:clock:policy:trial:seed``, and parses back
+from it; a failing cell's summary ends with the ``repro audit
+--replay`` command that reruns it. The spec's seed seeds the cluster
+unless the workload row pins the deployment seed, as the smoke rows do
+so that their trials vary only the schedule. A scenario row's ``build``
+takes ``(cluster, rng, start, duration)`` and returns an unstarted
+plan: the builders of :mod:`repro.harness.chaos` are rows as they
+stand, the composite scenarios are the functions below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
+from ..clocks.skew import CLOCK_PRESETS
 from ..durability import DurabilityConfig
 from ..milana.client import MilanaClient
 from ..milana.leases import DEFAULT_LEASE_DURATION
 from ..milana.server import DEFAULT_CTP_TIMEOUT
 from ..net.faults import FaultStats
+from ..sim.tiebreak import POLICY_NAMES, TracedSimulator, make_policy
 from ..workloads.retwis import RetwisInstance
 from ..workloads.ycsb import YcsbInstance
 from .audit import AuditReport, run_audit, sync_replicas
@@ -47,16 +50,20 @@ from .chaos import (
     partition_primary_from_backups,
     rolling_chaos,
 )
-from .cluster import Cluster, ClusterConfig
+from .cluster import BACKEND_KINDS, Cluster, ClusterConfig
 from .metrics import WindowMetrics, snapshot, window_metrics
 
 __all__ = [
+    "AuditRun",
+    "AuditSpec",
     "SCENARIOS",
     "Scenario",
-    "NemesisRunResult",
+    "WORKLOADS",
+    "Workload",
+    "default_policy",
     "history_client_factory",
     "nemesis_config",
-    "run_nemesis",
+    "run_spec",
 ]
 
 
@@ -174,17 +181,137 @@ SCENARIOS: Tuple[Scenario, ...] = (
 )
 
 
-@dataclass
-class NemesisRunResult:
-    """One scenario run: what was injected, what survived, what held."""
+def _retwis(cluster: Cluster, alpha: float) -> list:
+    return [
+        RetwisInstance(
+            cluster.sim, client, cluster.populated_keys,
+            cluster.rng.substream(f"retwis-{client.client_id}"),
+            alpha=alpha)
+        for client in cluster.clients
+    ]
+
+
+def _ycsb(cluster: Cluster, alpha: float, mix: str = "B",
+          stream: str = "ycsb-") -> list:
+    return [
+        YcsbInstance(
+            cluster.sim, client, cluster.populated_keys,
+            cluster.rng.substream(f"{stream}{client.client_id}"),
+            workload=mix, alpha=alpha)
+        for client in cluster.clients
+    ]
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One row of the workload table: a deployment and the load it runs."""
+
+    name: str
+    #: ``load(cluster)`` returns one unstarted instance per client, each
+    #: with ``run(duration)``.
+    load: Callable[[Cluster], list]
+    #: Seconds of simulated load, and the fault window inside it.
+    duration: float
+    fault_start: float
+    fault_duration: float
+    #: Client watermark report interval; None sends no reports.
+    watermark_interval: Optional[float] = 0.05
+    #: ``ClusterConfig`` fields over :func:`nemesis_config`.
+    config: Mapping[str, Any] = field(default_factory=dict)
+
+
+#: The smoke deployment: one 3-replica shard, 3 clients, no CTP daemon
+#: and no WAL, small enough for many schedules per second.
+_SMOKE = dict(num_shards=1, num_clients=3, populate_keys=120,
+              ctp_timeout=None, durability=None)
+
+#: The workload table; row names are the spec's workload choices. The
+#: smoke rows keep the substream names and seeds they were recorded
+#: with, so their schedules replay.
+WORKLOADS: Tuple[Workload, ...] = (
+    Workload("retwis", partial(_retwis, alpha=0.8), duration=0.3,
+             fault_start=0.05, fault_duration=0.15),
+    Workload("ycsb", partial(_ycsb, alpha=0.8), duration=0.3,
+             fault_start=0.05, fault_duration=0.15),
+    Workload("retwis-smoke", partial(_retwis, alpha=0.9), duration=0.025,
+             fault_start=0.005, fault_duration=0.01,
+             config=dict(_SMOKE, seed=11)),
+    Workload("ycsb-smoke", partial(_ycsb, alpha=0.99, mix="A",
+                                   stream="ycsb"),
+             duration=0.02, fault_start=0.005, fault_duration=0.01,
+             watermark_interval=None, config=dict(_SMOKE, seed=13)),
+)
+
+
+def default_policy(trial: int) -> str:
+    """Trial 0 is the production schedule; the rest draw at random."""
+    return "fifo" if trial == 0 else "random"
+
+
+def _choices(kind: str, value: str, names) -> None:
+    if value not in names:
+        raise ValueError(f"unknown {kind} {value!r}; choose from "
+                         f"{sorted(names)}")
+
+
+@dataclass(frozen=True)
+class AuditSpec:
+    """Everything needed to rerun one audit cell deterministically."""
 
     scenario: str
-    workload: str
+    workload: str = "retwis"
+    backend: str = "dram"
+    clock: str = "perfect"
+    policy: str = "fifo"
+    trial: int = 0
+    seed: int = 42
+
+    def __post_init__(self) -> None:
+        _choices("scenario", self.scenario,
+                 ["none"] + [row.name for row in SCENARIOS])
+        _choices("workload", self.workload, [row.name for row in WORKLOADS])
+        _choices("backend", self.backend, BACKEND_KINDS)
+        _choices("clock", self.clock, CLOCK_PRESETS)
+        _choices("policy", self.policy, POLICY_NAMES)
+        if self.trial < 0:
+            raise ValueError(f"trial must be >= 0, got {self.trial}")
+
+    @property
+    def policy_seed(self) -> int:
+        """The tie-break seed, derived from the seed and the trial."""
+        return self.seed * 10_000 + self.trial
+
+    def render(self) -> str:
+        return ":".join(str(getattr(self, f.name)) for f in fields(self))
+
+    @classmethod
+    def parse(cls, text: str) -> "AuditSpec":
+        """Parse a replay string; raises ``ValueError`` on a bad one."""
+        parts = text.split(":")
+        if len(parts) != 7:
+            raise ValueError(
+                f"bad audit spec {text!r}; expected "
+                "scenario:workload:backend:clock:policy:trial:seed")
+        *names, trial, seed = parts
+        try:
+            numbers = {"trial": int(trial), "seed": int(seed)}
+        except ValueError:
+            raise ValueError(f"bad audit spec {text!r}: trial and seed "
+                             "must be integers") from None
+        return cls(*names, **numbers)
+
+
+@dataclass
+class AuditRun:
+    """One cell: what was injected, what survived, what held."""
+
+    spec: AuditSpec
     metrics: WindowMetrics
     audit: AuditReport
     cluster: Cluster
-    plan: NemesisPlan
-    #: (time, description) of every fault event that fired.
+    #: The scenario's plan; None for scenario ``none``.
+    plan: Optional[NemesisPlan]
+    #: (time, description) of every fault and heal event that fired.
     timeline: List[Tuple[float, str]]
     fault_stats: Optional[FaultStats]
     records_synced: int
@@ -195,7 +322,7 @@ class NemesisRunResult:
 
     def summary(self) -> str:
         lines = [
-            f"nemesis scenario: {self.scenario} ({self.workload})",
+            f"nemesis scenario: {self.spec.scenario} ({self.spec.workload})",
             "fault timeline:",
         ]
         for at, label in self.timeline:
@@ -214,6 +341,9 @@ class NemesisRunResult:
         lines.append(f"repair: {self.records_synced} records synced "
                      "to backups")
         lines.append(self.audit.summary())
+        if not self.passed:
+            lines.append("replay: python -m repro audit --replay "
+                         + self.spec.render())
         return "\n".join(lines)
 
 
@@ -228,7 +358,7 @@ def history_client_factory(sim, network, directory, clock, client_id,
 
 
 def nemesis_config(**overrides) -> ClusterConfig:
-    """The default nemesis deployment: 2 shards x 3 replicas, 4 clients,
+    """The default audit deployment: 2 shards x 3 replicas, 4 clients,
     DRAM backend, CTP daemon on, history-recording clients, and durable
     per-server WALs (so amnesia-crash scenarios are survivable)."""
     defaults = dict(
@@ -247,76 +377,66 @@ def nemesis_config(**overrides) -> ClusterConfig:
     return ClusterConfig(**defaults)
 
 
-def _heal_everything(cluster: Cluster, plan: NemesisPlan) -> List:
+def _heal_everything(cluster: Cluster,
+                     timeline: List[Tuple[float, str]]) -> List:
     """Clear every outstanding fault, whatever the plan left behind.
 
-    Returns the restart Processes it spawned for still-crashed servers
-    (plus any the plan left in flight): the caller must wait these out
-    before auditing — an amnesia-crashed server is not healed until its
-    WAL replay and rejoin protocol actually finish.
+    Records each heal on ``timeline`` and returns the restart Processes
+    still running or spawned for still-crashed servers: the caller must
+    wait these out before auditing — an amnesia-crashed server is not
+    healed until its WAL replay and rejoin protocol actually finish.
     """
-    sim = cluster.sim
+    def healed(label: str) -> None:
+        timeline.append((cluster.sim.now, f"post-run heal: {label}"))
+
     faults = cluster.network.faults
     if faults is not None and faults.active:
         faults.heal()
-        plan.timeline.append((sim.now, "post-run heal: link faults"))
-    restarts = [proc for proc in plan.restarts if proc.is_alive]
-    restarts.extend(cluster.pending_restarts())
+        healed("link faults")
+    restarts = list(cluster.pending_restarts())
     for name in sorted(cluster.servers):
         state = cluster.server_state(name)
         if state == "paused":
             cluster.unpause_server(name)
-            plan.timeline.append(
-                (sim.now, f"post-run heal: unpause {name}"))
+            healed(f"unpause {name}")
         elif state == "crashed":
             restarts.append(cluster.restart_server(name))
-            plan.timeline.append(
-                (sim.now, f"post-run heal: restart {name}"))
+            healed(f"restart {name}")
         elif state == "up" and cluster.network.is_crashed(name):
             # Link-cut outside the cluster's bookkeeping (a plan acting
             # on the network directly): reconnect it.
             cluster.network.recover(name)
-            plan.timeline.append(
-                (sim.now, f"post-run heal: reconnect {name}"))
+            healed(f"reconnect {name}")
     for i, client in enumerate(cluster.clients):
         if cluster.network.is_crashed(client.name):
             cluster.network.recover(client.name)
-            plan.timeline.append(
-                (sim.now, f"post-run heal: reconnect {client.name}"))
+            healed(f"reconnect {client.name}")
         clock = cluster.clock_ensemble.clock_for(f"client-{i}")
         if getattr(clock, "faulted", False):
             clock.clear()
-            plan.timeline.append(
-                (sim.now, f"post-run heal: clear clock client-{i}"))
+            healed(f"clear clock client-{i}")
     return restarts
 
 
-def run_nemesis(
-    scenario: str,
-    config: Optional[ClusterConfig] = None,
-    workload: str = "retwis",
-    duration: float = 0.3,
-    fault_start: float = 0.05,
-    fault_duration: float = 0.15,
-    alpha: float = 0.8,
-) -> NemesisRunResult:
-    """Run one named scenario end to end and audit the aftermath."""
-    row = next((row for row in SCENARIOS if row.name == scenario), None)
-    if row is None:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; choose from "
-            f"{sorted(row.name for row in SCENARIOS)}")
-    if config is None:
-        config = nemesis_config()
-    if config.client_factory is None:
-        config = replace(config, client_factory=history_client_factory)
-    if config.ctp_timeout is None:
-        config = replace(config, ctp_timeout=DEFAULT_CTP_TIMEOUT)
-    if row.needs_master and not config.with_master:
-        config = replace(config, with_master=True)
-    # Settle past the lease horizon and several CTP rounds, so nothing
-    # can legitimately still be in doubt when the audit runs.
-    settle = DEFAULT_LEASE_DURATION + 3 * config.ctp_timeout
+
+
+def _row(table, name: str):
+    return next(row for row in table if row.name == name)
+
+
+def run_spec(spec: AuditSpec) -> AuditRun:
+    """Run one audit cell end to end and audit the aftermath."""
+    workload = _row(WORKLOADS, spec.workload)
+    scenario = (None if spec.scenario == "none"
+                else _row(SCENARIOS, spec.scenario))
+    overrides = {"seed": spec.seed, **workload.config,
+                 "backend": spec.backend, "clock_preset": spec.clock}
+    if scenario is not None and scenario.needs_master:
+        overrides["with_master"] = True
+    if spec.policy != "fifo":
+        policy = make_policy(spec.policy, spec.policy_seed)
+        overrides["simulator_factory"] = partial(TracedSimulator, policy)
+    config = nemesis_config(**overrides)
 
     cluster = Cluster(config)
     silent = [client.name for client in cluster.clients
@@ -325,41 +445,32 @@ def run_nemesis(
         # The audit reads the clients' recorded histories; without them
         # it would check nothing and pass.
         raise ValueError(
-            f"nemesis clients must be built with record_history=True "
+            f"audit clients must be built with record_history=True "
             f"(config.client_factory); not recording: {silent}")
     sim = cluster.sim
     base = sim.now
 
-    if workload == "retwis":
-        instances = [
-            RetwisInstance(
-                sim, client, cluster.populated_keys,
-                cluster.rng.substream(f"retwis-{client.client_id}"),
-                alpha=alpha)
-            for client in cluster.clients
-        ]
-    elif workload == "ycsb":
-        instances = [
-            YcsbInstance(
-                sim, client, cluster.populated_keys,
-                cluster.rng.substream(f"ycsb-{client.client_id}"),
-                alpha=alpha)
-            for client in cluster.clients
-        ]
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
-    for client in cluster.clients:
-        client.start_watermark_daemon(0.05)
-
-    plan = row.build(
-        cluster, cluster.rng.substream("nemesis"),
-        base + fault_start, fault_duration)
-    plan.start()
+    instances = workload.load(cluster)
+    if workload.watermark_interval:
+        for client in cluster.clients:
+            client.start_watermark_daemon(workload.watermark_interval)
+    plan: Optional[NemesisPlan] = None
+    timeline: List[Tuple[float, str]] = []
+    horizon = workload.duration
+    if scenario is not None:
+        plan = scenario.build(
+            cluster, cluster.rng.substream("nemesis"),
+            base + workload.fault_start, workload.fault_duration)
+        plan.start()
+        timeline = plan.timeline
+        horizon = max(horizon, plan.end_time + 1e-6)
 
     before = snapshot(sim.now, cluster.clients, cluster.network)
-    procs = [instance.run(duration) for instance in instances]
-    sim.run(until=base + max(duration, plan.end_time + 1e-6))
-    restarts = _heal_everything(cluster, plan)
+    procs = [instance.run(workload.duration) for instance in instances]
+    sim.run(until=base + horizon)
+    restarts = ([] if plan is None
+                else [proc for proc in plan.restarts if proc.is_alive])
+    restarts.extend(_heal_everything(cluster, timeline))
     for proc in procs:
         sim.run_until_event(proc)
     after = snapshot(sim.now, cluster.clients, cluster.network)
@@ -371,19 +482,21 @@ def run_nemesis(
         if proc.is_alive:
             sim.run_until_event(proc)
 
-    sim.run(until=sim.now + settle)
+    if config.ctp_timeout is not None:
+        # Settle past the lease horizon and several CTP rounds, so
+        # nothing can legitimately still be in doubt when the audit runs.
+        settle = DEFAULT_LEASE_DURATION + 3 * config.ctp_timeout
+        sim.run(until=sim.now + settle)
     records_synced = sim.run_until_event(sync_replicas(cluster))
-    audit = run_audit(cluster)
 
     faults = cluster.network.faults
-    return NemesisRunResult(
-        scenario=scenario,
-        workload=workload,
+    return AuditRun(
+        spec=spec,
         metrics=window_metrics(before, after),
-        audit=audit,
+        audit=run_audit(cluster),
         cluster=cluster,
         plan=plan,
-        timeline=list(plan.timeline),
+        timeline=list(timeline),
         fault_stats=faults.stats if faults is not None else None,
         records_synced=records_synced,
     )

@@ -31,8 +31,8 @@ per transaction would cost a third of a Retwis run's host time
 (docs/PERFORMANCE.md, "The collector"; ``tests/test_sim_gc.py``). A
 stale trigger that fires later holds its own bound method and returns
 at the first line of :meth:`Process._resume`. That method is the only
-resume body, under the plain kernel and under ``repro.sansim``'s
-tie-break kernel alike.
+resume body, under the plain kernel and under the tie-break kernel
+(:mod:`repro.sim.tiebreak`) alike.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Deterministic parallel experiment sweeps over the experiment table.
 
-Every table, figure, ablation, nemesis-scenario grid and sansim-trial
-grid is one row of a single table (:data:`TABLE`: the paper rows live in
+Every table, figure, ablation and the audit-cell grid is one row of a
+single table (:data:`TABLE`: the paper rows live in
 :mod:`repro.harness.experiments` / :mod:`repro.harness.ablations`, the
 sweep-only rows in :mod:`repro.sweep.cells`). A row declares its ordered
 axes, its full-scale parameters with the quick-scale differences, and a

@@ -9,8 +9,9 @@ so a point run alone, in any order, in any process, produces
 bit-identical results.
 
 :data:`TABLE` is the paper experiments and ablations declared in
-:mod:`repro.harness` plus the three sweep-only grids below (nemesis
-scenarios, audited sansim trials, the hidden ``selftest``). Cells are
+:mod:`repro.harness` plus the two sweep-only rows below: ``audit``,
+whose one axis is audit-cell replay strings (its named grids are the
+tuples below), and the hidden ``selftest``. Cells are
 enumerated generically, in **canonical order** — the row's axes,
 outermost first — so results merged in cell order always give the same
 table. Grid parameters may be overridden per invocation (the benchmark
@@ -26,13 +27,24 @@ between parent and workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence, Tuple
+from itertools import product
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from ..harness import EXPERIMENTS, Experiment
 from ..harness.experiments import Point
-from ..harness.nemesis import SCENARIOS, run_nemesis
+from ..harness.nemesis import SCENARIOS, AuditSpec, default_policy, run_spec
 
-__all__ = ["TABLE", "SweepCell", "experiment", "sweep_cells", "sweep_names"]
+__all__ = [
+    "CI_GRID",
+    "EXPLORER_GRID",
+    "NEMESIS_GRID",
+    "TABLE",
+    "SweepCell",
+    "experiment",
+    "spec_grid",
+    "sweep_cells",
+    "sweep_names",
+]
 
 
 @dataclass(frozen=True)
@@ -59,26 +71,41 @@ class SweepCell:
 # Sweep-only rows: grids that are not paper tables/figures.
 # ---------------------------------------------------------------------------
 
-def _nemesis_point(scenario, workload, duration, fault_start,
-                   fault_duration, alpha) -> Point:
-    result = run_nemesis(
-        scenario, workload=workload, duration=duration,
-        fault_start=fault_start, fault_duration=fault_duration, alpha=alpha)
+def spec_grid(scenarios: Iterable[str],
+              workloads: Iterable[str] = ("retwis",),
+              backends: Iterable[str] = ("dram",),
+              clocks: Iterable[str] = ("perfect",), trials: int = 1,
+              seeds: Iterable[int] = (42,)) -> Tuple[str, ...]:
+    """Replay strings of every combination, trial 0 fifo and later
+    trials random, outermost axis first."""
+    return tuple(
+        AuditSpec(scenario, workload, backend, clock,
+                  default_policy(trial), trial, seed).render()
+        for scenario, workload, backend, clock, seed, trial in product(
+            scenarios, workloads, backends, clocks, seeds, range(trials)))
+
+
+#: Every scenario on the default deployment: ``repro audit --scenario
+#: NAME`` for each row.
+NEMESIS_GRID = spec_grid(sorted(row.name for row in SCENARIOS))
+#: 25 fault-free schedules of each smoke workload.
+EXPLORER_GRID = spec_grid(("none",), ("retwis-smoke", "ycsb-smoke"),
+                          clocks=("ptp-sw",), trials=25, seeds=(1,))
+#: What CI runs: partitions, chaos, crashes, duplicates and the master
+#: cut-off on the default deployment, then the explorer grid.
+CI_GRID = spec_grid((
+    "asymmetric-partition", "chaos", "chaos-amnesia", "combo",
+    "crash-during-recovery", "crash-restart", "dup-storm",
+    "isolate-master", "rolling-restart")) + EXPLORER_GRID
+
+
+def _audit_point(spec: str) -> Point:
+    result = run_spec(AuditSpec.parse(spec))
     metrics = result.metrics
-    return [[scenario, metrics.committed, metrics.aborted,
-             metrics.abort_rate, metrics.throughput,
-             result.passed, result.records_synced]], {}
-
-
-def _sansim_point(workload, trial, seed) -> Point:
-    # Deferred: only sansim cells pay for importing the explorer.
-    from ..sansim.explorer import TrialSpec, default_policy, run_trial
-
-    spec = TrialSpec(workload=workload, trial=trial,
-                     policy=default_policy(trial), seed=seed)
-    audit = run_trial(spec).audit
-    return [[spec.workload, spec.trial, spec.policy, audit.passed,
-             audit.committed_txns]], {}
+    audit = result.audit
+    return [[spec, metrics.committed, metrics.aborted, metrics.abort_rate,
+             metrics.throughput, audit.committed_txns, audit.passed,
+             result.records_synced]], {}
 
 
 def _selftest_point(value, fail_at, seed) -> Point:
@@ -90,31 +117,17 @@ def _selftest_point(value, fail_at, seed) -> Point:
 
 TABLE: Tuple[Experiment, ...] = EXPERIMENTS + (
     Experiment(
-        name="nemesis",
-        title="Nemesis scenario sweep",
-        headers=("scenario", "committed", "aborted", "abort rate",
-                 "txn/s", "audit passed", "records synced"),
-        axes=(("scenarios", "scenario"),),
-        full=dict(scenarios=tuple(sorted(row.name for row in SCENARIOS)),
-                  workload="retwis",
-                  duration=0.3, fault_start=0.05, fault_duration=0.15,
-                  alpha=0.8),
-        quick=dict(scenarios=("partition", "crash-restart", "clock-storm"),
-                   duration=0.2, fault_duration=0.1),
-        point=_nemesis_point,
-        notes="Every scenario must pass its post-heal audit.",
-    ),
-    Experiment(
-        name="sansim",
-        title="Sansim trial sweep",
-        headers=("workload", "trial", "policy", "audit passed",
-                 "committed"),
-        axes=(("workloads", "workload"), ("trials", "trial")),
-        full=dict(workloads=("retwis", "ycsb"),
-                  trials=tuple(range(8)), seed=0),
-        quick=dict(trials=tuple(range(3))),
-        point=_sansim_point,
-        notes="Every trial must pass its history audit.",
+        name="audit",
+        title="Audit cells",
+        headers=("cell", "committed", "aborted", "abort rate", "txn/s",
+                 "audited txns", "audit passed", "records synced"),
+        axes=(("specs", "spec"),),
+        full=dict(specs=NEMESIS_GRID + EXPLORER_GRID),
+        quick=dict(specs=CI_GRID),
+        point=_audit_point,
+        notes="Every cell must pass its audit; a cell's label is its "
+              "replay string (repro audit --replay CELL).",
+        verdict="audit passed",
     ),
     # Used by the test suite: cheap deterministic cells with an optional
     # injected failure at the cell whose value is ``fail_at``.

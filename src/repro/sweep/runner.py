@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..bench.runner import host_clock
 from ..harness.experiments import ExperimentResult
 from .cache import CellCache
-from .cells import SweepCell, sweep_cells
+from .cells import SweepCell, experiment, sweep_cells
 from .worker import CellResult, run_cell
 
 __all__ = [
@@ -160,6 +160,15 @@ class SweepResult:
             lines.append(f"  {result.index:3d}  {result.label:<28} "
                          f"{result.fingerprint}")
         return "\n".join(lines)
+
+    def failures(self) -> List[str]:
+        """Labels of the cells with a row failing the row's verdict."""
+        row = experiment(self.sweep)
+        if row.verdict is None:
+            return []
+        column = row.headers.index(row.verdict)
+        return [result.label for result in self.results
+                if not all(line[column] for line in result.payload["rows"])]
 
     def summary(self) -> str:
         """Provenance line: timing, workers, cache accounting."""

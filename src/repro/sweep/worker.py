@@ -5,7 +5,7 @@ cell's parameters. Every cell yields the same payload shape — a
 JSON-safe dict with ``name``/``headers``/``rows``/``series``/``notes``,
 i.e. a one-point :class:`~repro.harness.experiments.ExperimentResult`
 flattened to plain lists — so merging is uniform across figures,
-ablations, nemesis scenarios and sansim trials, and the merged report
+ablations and audit cells, and the merged report
 serializes identically whether a cell was computed in-process, in a
 spawn worker, or loaded from the on-disk cache.
 

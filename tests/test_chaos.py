@@ -5,7 +5,7 @@ import pytest
 from repro.durability import DurabilityConfig
 from repro.harness.chaos import NemesisPlan, rolling_chaos
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.nemesis import run_nemesis
+from repro.harness.nemesis import AuditSpec, run_spec
 from repro.milana import COMMITTED
 from repro.sim import SeededRng
 from repro.workloads import RetwisInstance
@@ -225,6 +225,6 @@ class TestRollingChaos:
 
 @pytest.mark.parametrize("scenario", ["chaos", "chaos-amnesia"])
 def test_chaos_rows_pass_their_audit(scenario):
-    result = run_nemesis(scenario)
+    result = run_spec(AuditSpec(scenario))
     assert result.passed, result.summary()
     assert len(kills(result.plan)) >= 3

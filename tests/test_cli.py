@@ -54,7 +54,7 @@ class TestSweepCommand:
         assert main(["sweep", "--list"]) == 0
         out = capsys.readouterr().out
         assert "figure8" in out
-        assert "nemesis" in out
+        assert "audit" in out
         assert "selftest" not in out  # hidden test-only sweep
 
     def test_no_name_is_a_usage_error(self):
@@ -110,13 +110,15 @@ class TestWorkloadCommands:
 
 
 class TestToolCommands:
-    """``analyze`` and ``sansim`` are subcommands of the one parser."""
+    """``analyze`` and ``audit`` are subcommands of the one parser."""
 
     def test_catalogue_listings(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
         assert "ATM002" in capsys.readouterr().out
-        assert main(["sansim", "--list-workloads"]) == 0
-        assert "retwis-mftl" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "--help"])
+        assert excinfo.value.code == 0
+        assert "retwis-smoke" in capsys.readouterr().out
 
     def test_analyze_matches_the_module_alias(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

@@ -27,7 +27,7 @@ from repro.harness import nemesis
 from repro.harness.audit import run_audit, sync_replicas
 from repro.harness.chaos import NemesisPlan
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.nemesis import nemesis_config, run_nemesis
+from repro.harness.nemesis import AuditSpec, run_spec
 from repro.milana import (
     COMMITTED,
     DEFAULT_CTP_TIMEOUT,
@@ -521,7 +521,7 @@ class TestNemesisAcceptance:
         """The PR's acceptance run: seeded crash of a shard primary
         mid-workload recovers through WAL replay + Algorithm 2 and the
         post-heal audit holds."""
-        result = run_nemesis("crash-restart")
+        result = run_spec(AuditSpec("crash-restart"))
         assert result.passed, result.summary()
         assert result.metrics.committed > 0
         primary = result.cluster.directory.shard("shard0").primary
@@ -537,14 +537,20 @@ class TestNemesisAcceptance:
             nemesis, "SCENARIOS",
             nemesis.SCENARIOS + (nemesis.Scenario("shard-wipe",
                                                   _shard_wipe),))
-        durable = run_nemesis("shard-wipe")
+        durable = run_spec(AuditSpec("shard-wipe"))
         assert durable.passed, durable.summary()
 
         lossy = DurabilityConfig(
             sync_prepares=False, sync_decides=False,
             sync_semel=False, fsync_latency=20e-3)
-        control = run_nemesis(
-            "shard-wipe", config=nemesis_config(durability=lossy))
+        retwis = next(row for row in nemesis.WORKLOADS
+                      if row.name == "retwis")
+        monkeypatch.setattr(
+            nemesis, "WORKLOADS",
+            nemesis.WORKLOADS + (dataclasses.replace(
+                retwis, name="retwis-lossy",
+                config={"durability": lossy}),))
+        control = run_spec(AuditSpec("shard-wipe", workload="retwis-lossy"))
         assert not control.passed, (
             "ack-before-fsync control unexpectedly passed the "
             "audit:\n" + control.summary())

@@ -5,13 +5,15 @@ import pytest
 
 from repro.clocks.anomalies import FaultyClock
 from repro.harness import (
+    AuditSpec,
     NemesisPlan,
     clock_storm,
     partition_primary_from_backups,
     run_audit,
-    run_nemesis,
+    run_spec,
     nemesis_config,
 )
+from repro.harness import nemesis
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.milana import (
     ABORTED,
@@ -433,14 +435,18 @@ class TestVacuousAudit:
         assert not report.passed
         assert "recorded no history" in report.summary()
 
-    def test_run_nemesis_rejects_non_recording_factory(self):
+    def test_run_nemesis_rejects_non_recording_factory(self, monkeypatch):
         def factory(sim, network, directory, clock, client_id, lv):
             return MilanaClient(sim, network, directory, clock,
                                 client_id=client_id, local_validation=lv)
 
+        silent = nemesis.Workload(
+            "silent", lambda cluster: [], duration=0.05, fault_start=0.01,
+            fault_duration=0.02, config={"client_factory": factory})
+        monkeypatch.setattr(nemesis, "WORKLOADS",
+                            nemesis.WORKLOADS + (silent,))
         with pytest.raises(ValueError, match="record_history"):
-            run_nemesis("partition", duration=0.05,
-                        config=nemesis_config(client_factory=factory))
+            run_spec(AuditSpec("partition", workload="silent"))
 
 
 class TestNemesisScenarios:
@@ -448,7 +454,7 @@ class TestNemesisScenarios:
         """The PR's acceptance scenario: clients reach the primary but
         the primary cannot reach its backups; the workload runs to
         completion, the partition heals, and every audit check holds."""
-        result = run_nemesis("asymmetric-partition", duration=0.25)
+        result = run_spec(AuditSpec("asymmetric-partition"))
         assert result.passed, result.audit.summary()
         assert result.audit.committed_txns > 0
         assert result.audit.checked_writes > 0
@@ -458,28 +464,27 @@ class TestNemesisScenarios:
         assert any("heal" in label for _, label in result.timeline)
 
     def test_loss_storm_under_ycsb(self):
-        result = run_nemesis("loss-storm", workload="ycsb",
-                             duration=0.15, fault_duration=0.08)
+        result = run_spec(AuditSpec("loss-storm", workload="ycsb"))
         assert result.passed, result.audit.summary()
         assert result.fault_stats.messages_lost > 0
 
     def test_dup_storm_delivers_duplicates_and_passes(self):
-        result = run_nemesis("dup-storm")
+        result = run_spec(AuditSpec("dup-storm"))
         assert result.passed, result.summary()
         assert result.cluster.network.stats.messages_duplicated > 0
 
     def test_runs_are_deterministic(self):
-        first = run_nemesis("clock-storm", duration=0.15)
-        second = run_nemesis("clock-storm", duration=0.15)
+        first = run_spec(AuditSpec("clock-storm"))
+        second = run_spec(AuditSpec("clock-storm"))
         assert first.summary() == second.summary()
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            run_nemesis("nope")
+            AuditSpec("nope")
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
-            run_nemesis("partition", workload="tpcc")
+            AuditSpec.parse("partition:tpcc:dram:perfect:fifo:0:42")
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -487,5 +492,21 @@ class TestNemesisScenarios:
     "on mftl), not yet diagnosed: the partition row on mftl fails "
     "serializability with witness ('cycle', 't3.234', 't3.233')"))
 def test_partition_on_mftl_is_serializable():
-    result = run_nemesis("partition", config=nemesis_config(backend="mftl"))
+    result = run_spec(AuditSpec("partition", backend="mftl"))
     assert result.audit.serializable, result.audit.witness
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "EXPERIMENTS.md Known bug 2: a coordinator's decided ABORT is "
+    "overruled by CTP rule 4 while the coordinator is unreachable. "
+    "Client 1's prepare of t1.99 timed out, so it decided ABORTED and "
+    "told the application at once; its reliable decide could not leave "
+    "while the client was crashed, and at 110 ms both primaries' CTP "
+    "found the coordinator unreachable and committed t1.99. The audit "
+    "history holds only what clients were told, so it omits t1.99, "
+    "and t4.226 reading t1.99's key:103 version closes the cycle "
+    "('cycle', 't4.226', 't2.59')"))
+def test_coordinator_crash_seed_4_is_serializable():
+    result = run_spec(AuditSpec.parse(
+        "coordinator-crash:retwis:dram:perfect:fifo:0:4"))
+    assert result.passed, result.summary()

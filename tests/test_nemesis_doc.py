@@ -5,7 +5,7 @@ import io
 import re
 from pathlib import Path
 
-from repro.harness import Cluster, nemesis_config, run_nemesis
+from repro.harness import AuditSpec, Cluster, nemesis_config, run_spec
 
 DOC = (Path(__file__).resolve().parent.parent / "docs" / "NEMESIS.md"
        ).read_text()
@@ -33,5 +33,5 @@ def test_python_blocks_run_in_order_on_a_small_cluster():
 def test_console_excerpt_is_the_cli_output():
     (console,) = fenced("console")
     command, output = console.split("\n", 1)
-    assert command.endswith("python -m repro nemesis --scenario combo")
-    assert output.rstrip("\n") == run_nemesis("combo").summary()
+    assert command.endswith("python -m repro audit --scenario combo")
+    assert output.rstrip("\n") == run_spec(AuditSpec("combo")).summary()

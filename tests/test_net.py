@@ -10,7 +10,7 @@ from repro.net import (
     RpcNode,
     RpcTimeout,
 )
-from repro.sansim import FifoTieBreak, TracedSimulator
+from repro.sim.tiebreak import FifoTieBreak, TracedSimulator
 from repro.sim import Interrupt, SeededRng, Simulator
 
 

@@ -1,23 +1,22 @@
-"""Unit tests for the sansim tie-break kernel and its policies.
+"""Unit tests for the tie-break kernel and its policies
+(``repro.sim.tiebreak``).
 
-End-to-end exploration (audited trials, replay, CLI) lives in
+Audited cells that run on it (replay, CLI) live in
 ``test_sansim_explorer.py``; schedule-equivalence against the golden
 fingerprints lives in ``test_sansim_fingerprints.py``. This file covers
-the pieces in isolation: tie-break policies, trial specs, and the
-kernel's lockstep behaviour.
+the pieces in isolation: tie-break policies and the kernel's lockstep
+behaviour.
 """
 
 import pytest
 
-from repro.sansim import (
+from repro.sim.core import Simulator
+from repro.sim.tiebreak import (
     FifoTieBreak,
     RandomTieBreak,
     TracedSimulator,
-    TrialSpec,
+    make_policy,
 )
-from repro.sansim.explorer import parse_replay_spec
-from repro.sansim.policies import make_policy
-from repro.sim.core import Simulator
 
 
 class TestPolicies:
@@ -41,22 +40,6 @@ class TestPolicies:
             make_policy("targeted", 1)
         with pytest.raises(ValueError, match="unknown tie-break"):
             make_policy("bogus", 0)
-
-
-class TestTrialSpec:
-    def test_render_parse_roundtrip(self):
-        spec = TrialSpec(workload="retwis-mftl", trial=4, policy="random",
-                         seed=9)
-        assert parse_replay_spec(spec.render()) == spec
-        assert spec.policy_seed == 9 * 10_000 + 4
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(ValueError, match="bad replay spec"):
-            parse_replay_spec("retwis:0:fifo")
-        with pytest.raises(ValueError, match="unknown workload"):
-            parse_replay_spec("nope:0:fifo:0")
-        with pytest.raises(ValueError, match="unknown policy"):
-            parse_replay_spec("retwis:0:targeted:0")
 
 
 def _run_schedule(sim):

@@ -1,46 +1,58 @@
-"""End-to-end tests for sansim schedule exploration.
+"""End-to-end tests for audit cells run under explored schedules.
 
-Every trial is checked by the history audit (``run_audit``), the oracle
-the nemesis scenarios use. These pin the audited trials of the default
-workloads, the first fractured snapshot the explorer finds on ``mftl``
-(a strict xfail until the read path is fixed), replay determinism, and
-the ``repro sansim`` CLI contract the CI job depends on.
+Every cell is checked by the history audit (``run_audit``). These pin
+the audited trials of the smoke workloads, the first fractured snapshot
+random tie-breaks find on ``mftl`` (a strict xfail until the read path
+is fixed), the replay string of every cell of the ``audit`` sweep row,
+and the ``repro audit`` CLI contract.
 """
-
-import json
 
 import pytest
 
 from repro.cli import main
-from repro.sansim.explorer import explore, parse_replay_spec, run_trial
+from repro.harness.nemesis import AuditSpec, default_policy, run_spec
+from repro.sweep import run_sweep, sweep_cells
 
 #: (audit passed, committed transactions) of each trial, seed 1. A
 #: schedule or workload change moves the count; a protocol bug the
 #: explorer reaches flips the verdict.
 AUDIT_PINS = {
-    "retwis:0:fifo:1": (True, 122),
-    "retwis:1:random:1": (True, 121),
-    "retwis:2:random:1": (True, 122),
-    "ycsb:0:fifo:1": (True, 375),
-    "ycsb:1:random:1": (True, 377),
-    "ycsb:2:random:1": (True, 377),
+    "none:retwis-smoke:dram:ptp-sw:fifo:0:1": (True, 122),
+    "none:retwis-smoke:dram:ptp-sw:random:1:1": (True, 121),
+    "none:retwis-smoke:dram:ptp-sw:random:2:1": (True, 122),
+    "none:ycsb-smoke:dram:ptp-sw:fifo:0:1": (True, 375),
+    "none:ycsb-smoke:dram:ptp-sw:random:1:1": (True, 377),
+    "none:ycsb-smoke:dram:ptp-sw:random:2:1": (True, 377),
 }
 
-#: The first failing trial ``explore("retwis-mftl", seed=0)`` reports.
-MFTL_FRACTURE = "retwis-mftl:2:random:0"
+#: The first failing trial of the smoke Retwis workload on mftl, seed 0.
+MFTL_FRACTURE = "none:retwis-smoke:mftl:ptp-sw:random:2:0"
 
 
 class TestAuditPins:
     @pytest.mark.parametrize("spec", sorted(AUDIT_PINS))
     def test_trial_audit(self, spec):
-        audit = run_trial(parse_replay_spec(spec)).audit
+        audit = run_spec(AuditSpec.parse(spec)).audit
         assert (audit.passed, audit.committed_txns) == AUDIT_PINS[spec]
+
+
+class TestAuditSpec:
+    @pytest.mark.parametrize(
+        "cell", sweep_cells("audit", scale="full"),
+        ids=lambda cell: cell.label)
+    def test_round_trip(self, cell):
+        text = cell.params_dict()["spec"]
+        assert AuditSpec.parse(text).render() == text
 
 
 class TestMftlFracture:
     def test_explorer_reports_the_pinned_spec_first(self):
-        result = explore("retwis-mftl", trials=3, seed=0)
-        assert [r.spec.render() for r in result.failures] == [MFTL_FRACTURE]
+        specs = [AuditSpec("none", "retwis-smoke", "mftl", "ptp-sw",
+                           default_policy(trial), trial, 0)
+                 for trial in range(3)]
+        failing = [spec.render() for spec in specs
+                   if not run_spec(spec).passed]
+        assert failing == [MFTL_FRACTURE]
 
     @pytest.mark.xfail(strict=True, reason=(
         "Known bug 1 (EXPERIMENTS.md): a locally validated read-only "
@@ -54,43 +66,45 @@ class TestMftlFracture:
         "after the page read resumes, so a commit that becomes visible "
         "in between goes unseen."))
     def test_replayed_fracture_audits_clean(self):
-        assert run_trial(parse_replay_spec(MFTL_FRACTURE)).passed
+        assert run_spec(AuditSpec.parse(MFTL_FRACTURE)).passed
 
 
 class TestCli:
     def test_failing_audit_fails_the_run(self, capsys):
-        assert main(["sansim", "--replay", MFTL_FRACTURE]) == 1
+        assert main(["audit", "--replay", MFTL_FRACTURE]) == 1
         out = capsys.readouterr().out
         assert "serializable        False" in out
         assert f"--replay {MFTL_FRACTURE}" in out
 
     def test_replay_mode(self, capsys):
-        assert main(["sansim", "--replay", "retwis:0:fifo:1"]) == 0
+        spec = "none:retwis-smoke:dram:ptp-sw:fifo:0:1"
+        assert main(["audit", "--replay", spec]) == 0
         out = capsys.readouterr().out
-        assert out.split() == ["retwis:0:fifo:1", "PASS", "committed=122"]
+        assert out.startswith("nemesis scenario: none (retwis-smoke)\n")
+        assert "committed txns      122" in out
+        assert "replay:" not in out
 
-    def test_json_format(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert main(["sansim", "retwis", "--trials", "2", "--seed", "1",
-                     "--format", "json", "--output", str(out)]) == 0
-        capsys.readouterr()
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["tool"] == "sansim"
-        assert payload["failing"] == []
-        trials = payload["runs"][0]["trials"]
-        assert [t["spec"] for t in trials] == ["retwis:0:fifo:1",
-                                               "retwis:1:random:1"]
-        assert [t["committed_txns"] for t in trials] == [122, 121]
-        assert all(t["passed"] and t["handler_errors"] == 0
-                   for t in trials)
+    @pytest.mark.parametrize("argv", [
+        ["--replay", "retwis:0:fifo:1"],
+        ["--replay", "none:retwis-smoke:dram:ptp-sw:fifo:x:1"],
+        ["--replay", "none:retwis-smoke:dram:ptp-sw:fifo:0:1",
+         "--seed", "3"],
+        ["--trials", "0"],
+    ])
+    def test_bad_spec_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", *argv])
+        assert excinfo.value.code == 2
+        assert "usage: repro audit" in capsys.readouterr().err
 
-    def test_list_workloads(self, capsys):
-        assert main(["sansim", "--list-workloads"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == ["retwis (default)", "ycsb (default)", "retwis-mftl"]
+    def test_sweep_names_the_failing_cell(self):
+        passing = "none:retwis-smoke:dram:ptp-sw:fifo:0:1"
+        result = run_sweep("audit", overrides={
+            "specs": (passing, MFTL_FRACTURE)})
+        assert result.failures() == [MFTL_FRACTURE]
 
     def test_unknown_workload_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sansim", "no-such-workload"])
+            main(["audit", "--workload", "no-such-workload"])
         assert excinfo.value.code == 2
         capsys.readouterr()

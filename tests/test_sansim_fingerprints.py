@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.bench.fingerprint import fingerprint_material, schedule_fingerprint
-from repro.sansim import FifoTieBreak, TracedSimulator
+from repro.sim.tiebreak import FifoTieBreak, TracedSimulator
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "fingerprints.json")

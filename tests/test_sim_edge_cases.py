@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.sansim import FifoTieBreak, TracedSimulator
+from repro.sim.tiebreak import FifoTieBreak, TracedSimulator
 from repro.sim import (
     Interrupt,
     Resource,

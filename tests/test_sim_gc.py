@@ -27,7 +27,7 @@ from repro.ftl import MFTLBackend
 from repro.harness import ClusterConfig, run_retwis_on_cluster
 from repro.net import (AppError, FixedLatency, Network, RpcNode, RpcTimeout,
                        rpc)
-from repro.sansim import TracedSimulator
+from repro.sim.tiebreak import TracedSimulator
 from repro.semel.replication import replicate_to_backups
 from repro.sim import Interrupt, SeededRng, Simulator, resources
 from repro.sim.events import AnyOf, Event, Timeout
