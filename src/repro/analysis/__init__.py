@@ -10,27 +10,24 @@ output — with an AST-based analyzer:
 
 * one rule framework (``engine``): per-module import maps, the rule
   registry, ``Rule.applies_to`` scoping and ``Rule.finding``,
-* module rules (``rules``) — SIM001, RPC001, PAR001, FLT001, API001,
-  SUP001,
+* module rules (``rules``) — SIM001, PAR001,
 * whole-program rules over a project model that walks each handler or
   daemon once (``project``, ``iprules``, ``durrules``) — ATM002,
-  PRO004, DET101, DUR001, DUR003..DUR005,
-* inline ``# simlint: disable=RULE`` suppressions,
-* a checked-in baseline file for grandfathered findings (``baseline``),
-* the ``repro analyze`` subcommand's arguments and run body (``cli``);
-  ``python -m repro.analysis`` is an alias of it.
+  DET101, DUR001, DUR003..DUR005,
+* the ``repro analyze`` subcommand's arguments and run body (``cli``),
+  the one entry point.
 
-See ``docs/ANALYSIS.md`` for the rule catalogue and rationale.
+Every finding fails the run: there are no suppression comments and no
+baseline. See ``docs/ANALYSIS.md`` for the rule catalogue, its
+rationale, and the gates that replaced the retired rules.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .engine import ModuleContext, Rule, all_rules, analyze_paths, rule
 from .findings import Finding, Severity
 
 __all__ = [
-    "Baseline",
     "Finding",
     "ModuleContext",
     "Rule",

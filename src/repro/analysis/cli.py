@@ -1,18 +1,15 @@
-"""simlint command line: ``repro analyze [paths ...]`` (``python -m
-repro.analysis`` is an alias of it).
+"""simlint command line: ``repro analyze [paths ...]``.
 
-Exit codes: 0 clean (or all findings baselined), 1 findings (or stale
-baseline entries under ``--fail-on-stale``), 2 usage error. ``--format
+Exit codes: 0 clean, 1 any finding, 2 usage error. ``--format
 json`` emits a machine-readable report (schema pinned by
 ``tests/test_analysis.py``); ``--format sarif`` emits SARIF 2.1.0 for
 code-scanning backends; ``--format github`` emits GitHub Actions
 workflow commands so findings annotate the PR diff.
 
 ``--from-json FILE`` re-renders a report previously saved with
-``--format json`` without re-analyzing — CI analyzes once (against the
-baseline, producing the JSON artifact) and derives the SARIF upload and
-PR annotations from that single run. As a pure renderer it always
-exits 0.
+``--format json`` without re-analyzing — CI analyzes once (producing
+the JSON artifact) and derives the SARIF upload and PR annotations from
+that single run. As a pure renderer it always exits 0.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .baseline import Baseline, BaselineError, apply_baseline, emit
 from .engine import all_rules, analyze_paths
 from .findings import Finding, Severity
 
@@ -42,7 +38,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "sarif",
                                              "github"),
                         default="text", dest="output_format")
-    Baseline.add_arguments(parser)
+    parser.add_argument("--output", metavar="FILE",
+                        help="write the report to FILE instead of stdout")
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -73,39 +70,42 @@ def _list_rules() -> int:
     return 0
 
 
-def _render_text(new: List[Finding], baselined: int,
-                 files: int, stale: int,
-                 output: Optional[str]) -> None:
-    if new or output:
-        emit("\n".join(f.render() for f in new), output)
+def _emit(document: str, output: Optional[str]) -> None:
+    """Write a rendered report to ``--output`` or stdout."""
+    if output:
+        Path(output).write_text(document + "\n", encoding="utf-8")
+    else:
+        print(document)
+
+
+def _summary(findings: List[Finding], files: int) -> None:
     noun = "file" if files == 1 else "files"
-    suffix = f" ({baselined} baselined)" if baselined else ""
-    if stale:
-        suffix += f" ({stale} stale baseline entr" \
-                  f"{'y' if stale == 1 else 'ies'})"
-    print(f"simlint: {len(new)} finding(s) in {files} {noun}{suffix}",
+    print(f"simlint: {len(findings)} finding(s) in {files} {noun}",
           file=sys.stderr)
 
 
-def _render_json(new: List[Finding], baselined: int,
-                 files: int, stale: Optional[int],
+def _render_text(findings: List[Finding], files: int,
+                 output: Optional[str]) -> None:
+    if findings or output:
+        _emit("\n".join(f.render() for f in findings), output)
+    _summary(findings, files)
+
+
+def _render_json(findings: List[Finding], files: int,
                  output: Optional[str]) -> None:
     counts: Dict[str, int] = {}
-    for finding in new:
+    for finding in findings:
         counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
     payload = {
         "version": 1,
         "files_checked": files,
-        "findings": [f.to_json() for f in new],
-        "baselined": baselined,
+        "findings": [f.to_json() for f in findings],
         "counts_by_rule": counts,
     }
-    if stale is not None:  # additive key, only on --baseline runs
-        payload["stale_baseline"] = stale
-    emit(json.dumps(payload, indent=2), output)
+    _emit(json.dumps(payload, indent=2), output)
 
 
-def _render_sarif(new: List[Finding], select: Optional[List[str]],
+def _render_sarif(findings: List[Finding], select: Optional[List[str]],
                   ignore: Optional[List[str]],
                   output: Optional[str]) -> None:
     from .sarif import render_sarif
@@ -113,13 +113,13 @@ def _render_sarif(new: List[Finding], select: Optional[List[str]],
     active = {rid: r for rid, r in registry.items()
               if (not select or rid in select)
               and not (ignore and rid in ignore)}
-    emit(render_sarif(new, active), output)
+    _emit(render_sarif(findings, active), output)
 
 
-def _render_github(new: List[Finding], baselined: int,
-                   files: int, output: Optional[str]) -> None:
+def _render_github(findings: List[Finding], files: int,
+                   output: Optional[str]) -> None:
     lines = []
-    for f in new:
+    for f in findings:
         kind = "error" if f.severity == Severity.ERROR else "warning"
         # Workflow-command escaping: the message ends at the first
         # newline/percent unless encoded.
@@ -128,11 +128,22 @@ def _render_github(new: List[Finding], baselined: int,
         lines.append(f"::{kind} file={f.path},line={f.line},"
                      f"col={f.col + 1},title=simlint {f.rule_id}::"
                      f"{message}")
-    emit("\n".join(lines), output)
-    noun = "file" if files == 1 else "files"
-    suffix = f" ({baselined} baselined)" if baselined else ""
-    print(f"simlint: {len(new)} finding(s) in {files} {noun}{suffix}",
-          file=sys.stderr)
+    _emit("\n".join(lines), output)
+    _summary(findings, files)
+
+
+def _render(findings: List[Finding], files: int,
+            args: argparse.Namespace, select: Optional[List[str]] = None,
+            ignore: Optional[List[str]] = None) -> None:
+    """Emit ``findings`` in the requested ``--format``."""
+    if args.output_format == "json":
+        _render_json(findings, files, args.output)
+    elif args.output_format == "sarif":
+        _render_sarif(findings, select, ignore, args.output)
+    elif args.output_format == "github":
+        _render_github(findings, files, args.output)
+    else:
+        _render_text(findings, files, args.output)
 
 
 def _render_from_json(args: argparse.Namespace,
@@ -148,19 +159,7 @@ def _render_from_json(args: argparse.Namespace,
         raise  # unreachable; keeps type-checkers happy
     findings = [Finding.from_json(item)
                 for item in payload.get("findings", [])]
-    files = int(payload.get("files_checked", 0))
-    baselined = int(payload.get("baselined", 0))
-    stale = payload.get("stale_baseline")
-    stale_count = int(stale) if stale is not None else None
-    if args.output_format == "json":
-        _render_json(findings, baselined, files, stale_count, args.output)
-    elif args.output_format == "sarif":
-        _render_sarif(findings, None, None, args.output)
-    elif args.output_format == "github":
-        _render_github(findings, baselined, files, args.output)
-    else:
-        _render_text(findings, baselined, files, stale_count or 0,
-                     args.output)
+    _render(findings, int(payload.get("files_checked", 0)), args)
     return 0
 
 
@@ -169,11 +168,9 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.list_rules:
         return _list_rules()
     if args.from_json:
-        if (args.baseline or args.write_baseline or args.update_baseline
-                or args.fail_on_stale or args.select or args.ignore):
-            parser.error("--from-json renders a saved report; baseline "
-                         "and rule-selection flags apply only when "
-                         "analyzing")
+        if args.select or args.ignore:
+            parser.error("--from-json renders a saved report; "
+                         "rule-selection flags apply only when analyzing")
         return _render_from_json(args, parser)
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
@@ -186,27 +183,5 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
         return 2  # unreachable; keeps type-checkers happy
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(args.write_baseline)
-        print(f"simlint: wrote {len(findings)} entr"
-              f"{'y' if len(findings) == 1 else 'ies'} to "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
-    try:
-        new, baselined, stale = apply_baseline(findings, args)
-    except BaselineError as exc:
-        parser.error(str(exc))  # exits 2
-        return 2  # unreachable; keeps type-checkers happy
-    if args.output_format == "json":
-        _render_json(new, len(baselined), files, stale, args.output)
-    elif args.output_format == "sarif":
-        _render_sarif(new, select, ignore, args.output)
-    elif args.output_format == "github":
-        _render_github(new, len(baselined), files, args.output)
-    else:
-        _render_text(new, len(baselined), files, stale or 0, args.output)
-    if new:
-        return 1
-    if args.fail_on_stale and stale:
-        return 1
-    return 0
+    _render(findings, files, args, select, ignore)
+    return 1 if findings else 0

@@ -4,24 +4,20 @@ A :class:`ModuleContext` wraps one parsed source file and precomputes
 everything rules keep asking for: the module's one import map (so
 ``import time as t; t.time()`` still resolves to ``time.time``, and a
 relative ``from .validation import validate`` to its absolute name),
-generator-function discovery (sim processes are generators), and the
-``# simlint: disable=...`` suppression map.
+and generator-function discovery (sim processes are generators).
 
 Rules subclass :class:`Rule`, register themselves with the
 :func:`rule` decorator, and yield :class:`Finding` objects from
 ``check``; :meth:`Rule.applies_to` is the only path-scope test and
 :meth:`Rule.finding` the only finding constructor.
-:func:`analyze_paths` walks files, runs every selected rule, and
-filters suppressed findings.
+:func:`analyze_paths` walks files and runs every selected rule; every
+finding is reported.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
 from pathlib import Path, PurePath
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple, Type)
@@ -35,7 +31,6 @@ __all__ = [
     "ModuleContext",
     "Rule",
     "ProjectRule",
-    "Suppression",
     "rule",
     "all_rules",
     "analyze_paths",
@@ -43,48 +38,15 @@ __all__ = [
     "module_name_for_path",
     "simple_name",
     "SYNTAX_RULE_ID",
-    "SUPPRESSION_RULE_ID",
 ]
 
 #: Pseudo-rule reported when a file cannot be parsed at all.
 SYNTAX_RULE_ID = "SYN001"
 
-#: The meta-rule that reports useless suppression comments; the driver
-#: runs it in a dedicated pass after every other rule has had the chance
-#: to mark suppressions as used.
-SUPPRESSION_RULE_ID = "SUP001"
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*simlint:\s*(disable-file|disable)\s*(?:=\s*([A-Za-z0-9_,\s]+))?")
-
-#: Sentinel meaning "every rule" in suppression sets.
-_ALL = "*"
-
-
-class Suppression:
-    """One ``# simlint: disable[-file]`` comment, with usage tracking.
-
-    ``used_rules`` records the ids of findings this comment actually
-    suppressed during a run; the SUP001 meta-rule reports comments whose
-    rules never fired.
-    """
-
-    __slots__ = ("kind", "lineno", "rules", "used_rules")
-
-    #: A comment anchors its SUP001 finding at the start of its line.
-    col_offset = 0
-
-    def __init__(self, kind: str, lineno: int, rules: Set[str]) -> None:
-        self.kind = kind  # "file" or "line"
-        self.lineno = lineno  # the comment's line, even for file-scoped
-        self.rules = rules  # rule ids, or {_ALL}
-        self.used_rules: Set[str] = set()
-
 
 def simple_name(expr: Optional[ast.AST]) -> Optional[str]:
-    """The last name of ``f`` / ``a.b.f`` (what a callee, receiver or
-    exception class is called at its use site); None for any other
-    expression."""
+    """The last name of ``f`` / ``a.b.f`` (what a callee or a reply
+    class is called at its use site); None for any other expression."""
     if isinstance(expr, ast.Name):
         return expr.id
     if isinstance(expr, ast.Attribute):
@@ -117,15 +79,7 @@ class ModuleContext:
     def __init__(self, path: str, source: str) -> None:
         self.path = path
         self.module_name = module_name_for_path(path)
-        self.source = source
         self.tree = ast.parse(source)  # may raise SyntaxError
-        #: every suppression comment in the file, in source order.
-        self.suppressions: List[Suppression] = []
-        #: line -> set of suppressed rule ids ("*" means all rules).
-        self.line_suppressions: Dict[int, Set[str]] = {}
-        #: rule ids suppressed for the whole file ("*" means all).
-        self.file_suppressions: Set[str] = set()
-        self._parse_suppressions()
         #: ``import x.y as z`` -> {"z": "x.y"}; ``import time`` -> {"time": "time"}
         self.import_aliases: Dict[str, str] = {}
         #: ``from a.b import c as d`` -> {"d": "a.b.c"}
@@ -221,39 +175,6 @@ class ModuleContext:
                         break
         return result
 
-    # -- suppressions ------------------------------------------------------
-
-    def _parse_suppressions(self) -> None:
-        try:
-            tokens = tokenize.generate_tokens(io.StringIO(self.source).readline)
-            comments = [(tok.start[0], tok.string)
-                        for tok in tokens if tok.type == tokenize.COMMENT]
-        except tokenize.TokenError:
-            comments = []
-        for line, text in comments:
-            match = _SUPPRESS_RE.search(text)
-            if not match:
-                continue
-            kind, rules_text = match.groups()
-            rules = ({part.strip() for part in rules_text.split(",")
-                      if part.strip()} if rules_text else {_ALL})
-            if kind == "disable-file":
-                self.suppressions.append(Suppression("file", line, rules))
-                self.file_suppressions |= rules
-            else:
-                self.suppressions.append(Suppression("line", line, rules))
-                self.line_suppressions.setdefault(line, set()).update(rules)
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        hit = False
-        for sup in self.suppressions:
-            if sup.kind == "line" and sup.lineno != finding.line:
-                continue
-            if _ALL in sup.rules or finding.rule_id in sup.rules:
-                sup.used_rules.add(finding.rule_id)
-                hit = True
-        return hit
-
 
 class Rule:
     """Base class for simlint rules.
@@ -292,9 +213,9 @@ class Rule:
         raise NotImplementedError
 
     def finding(self, path: str, at: Any, message: str) -> Finding:
-        """A finding in ``path`` anchored at ``at``: an AST node, a
-        walker :class:`~.project.Event` or a :class:`Suppression`
-        (anything with ``lineno``/``col_offset``)."""
+        """A finding in ``path`` anchored at ``at``: an AST node or a
+        walker :class:`~.project.Event` (anything with
+        ``lineno``/``col_offset``)."""
         return Finding(
             path=path,
             line=getattr(at, "lineno", 1),
@@ -406,8 +327,7 @@ def analyze_paths(
 ) -> Tuple[List[Finding], int]:
     """Run every (selected) rule over every file under ``paths``.
 
-    Returns ``(findings, files_checked)`` with inline-suppressed findings
-    already removed; baseline filtering is the caller's job.
+    Returns ``(findings, files_checked)``, findings sorted by location.
     """
     registry = all_rules()
     active = {rid: r for rid, r in registry.items()
@@ -434,15 +354,11 @@ def analyze_paths(
 
     # Pass 1: per-module rules.
     module_rules = [r for r in active.values()
-                    if not isinstance(r, ProjectRule)
-                    and r.rule_id != SUPPRESSION_RULE_ID]
+                    if not isinstance(r, ProjectRule)]
     for ctx in contexts.values():
         for r in module_rules:
-            if not r.applies_to(ctx.path):
-                continue
-            for finding in r.check(ctx):
-                if not ctx.is_suppressed(finding):
-                    findings.append(finding)
+            if r.applies_to(ctx.path):
+                findings.extend(r.check(ctx))
 
     # Pass 2: whole-program rules over the project model.
     project_rules = [r for r in active.values()
@@ -451,23 +367,7 @@ def analyze_paths(
         from .project import Project
         project = Project(contexts.values())
         for r in project_rules:
-            for finding in r.check_project(project):
-                ctx_for = contexts.get(finding.path)
-                if ctx_for is not None and ctx_for.is_suppressed(finding):
-                    continue
-                findings.append(finding)
-
-    # Pass 3: the useless-suppression meta-rule, now that every other
-    # rule has marked the suppressions it consumed.
-    meta = active.get(SUPPRESSION_RULE_ID)
-    if meta is not None:
-        filtering = bool(select or ignore)
-        known_ids = set(registry) | {SYNTAX_RULE_ID}
-        for ctx in contexts.values():
-            if not meta.applies_to(ctx.path):
-                continue
-            findings.extend(
-                meta.unused_findings(ctx, known_ids, filtering))
+            findings.extend(r.check_project(project))
 
     findings.sort(key=lambda f: f.sort_key)
     return findings, len(files)

@@ -29,10 +29,10 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Location-independent identity used for baseline matching.
+        """Location-independent identity (SARIF ``partialFingerprints``).
 
         Deliberately excludes line/col so that unrelated edits above a
-        grandfathered finding do not invalidate the baseline entry.
+        finding do not turn it into a new code-scanning alert.
         """
         raw = f"{self.path}::{self.rule_id}::{self.message}"
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]

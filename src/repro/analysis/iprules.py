@@ -1,6 +1,6 @@
 """Interprocedural simlint rules over the :class:`~.project.Project`.
 
-Three families (see docs/ANALYSIS.md for the catalogue):
+Two families (see docs/ANALYSIS.md for the catalogue):
 
 * **ATM0xx — yield-point atomicity races.** A coroutine handler that
   *checks* shared server state, suspends (a yield anywhere in its
@@ -8,9 +8,6 @@ Three families (see docs/ANALYSIS.md for the catalogue):
   time-of-check/time-of-use window: another handler interleaves at the
   suspension. ATM002 is that check-then-act pattern over any
   ``self.<attr>`` state family, inside one function or across calls.
-* **PRO004 — exception leakage out of handlers and daemons.** It
-  catches a ``QuorumError`` escaping through ``except RpcError``
-  clauses, because it is *not* an RpcError.
 * **DET1xx — interprocedural nondeterminism taint.** A helper that
   returns a wall-clock/``random`` value poisons every caller that
   stores it into simulator-visible state.
@@ -21,7 +18,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..wire.registry import REGISTRY
 from .engine import ProjectRule, rule
 from .findings import Finding, Severity
 from .project import Event, FunctionInfo, Project
@@ -30,7 +26,6 @@ __all__ = [
     "is_volatile_source",
     "tainted_functions",
     "CheckThenActRaceRule",
-    "HandlerExceptionLeakRule",
     "InterproceduralTaintRule",
 ]
 
@@ -167,63 +162,6 @@ class CheckThenActRaceRule(ProjectRule):
                     f"suspension at {last_suspend.function.name!r} line "
                     f"{last_suspend.lineno}; re-check after the yield or "
                     f"hold an in-flight guard")
-
-
-@rule
-class HandlerExceptionLeakRule(ProjectRule):
-    """PRO004: handlers and daemons do not leak transport/quorum errors.
-
-    ``_serve`` converts an ``AppError`` into a protocol-level rejection;
-    anything else escaping a handler is counted as ``handler_errors``
-    and flattened into an opaque failure — and an exception escaping a
-    daemon's generator kills the daemon permanently. ``QuorumError`` is
-    the classic leak: it is *not* an ``RpcError``, so ``except
-    RpcError`` clauses on the path do not stop it.
-    """
-
-    rule_id = "PRO004"
-    severity = Severity.ERROR
-    description = ("transport/quorum exception can escape a wire handler "
-                   "(opaque handler error) or a daemon (daemon death)")
-    required_path_parts = ("milana", "semel", "harness")
-
-    HANDLER_LEAKS = frozenset({"RpcError", "RpcTimeout", "QuorumError"})
-    DAEMON_LEAKS = frozenset(
-        {"RpcError", "RpcTimeout", "QuorumError", "AppError"})
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        seen: Set[str] = set()
-        for site in project.register_sites:
-            handler = site.handler
-            if handler is None or site.method not in REGISTRY:
-                continue
-            if handler.qualname in seen:
-                continue
-            seen.add(handler.qualname)
-            leaks = sorted(
-                project.transitive_raises(handler) & self.HANDLER_LEAKS)
-            if leaks:
-                yield self.finding(
-                    handler.module.path, handler.node,
-                    f"handler {handler.name!r} for {site.method!r} may "
-                    f"leak {', '.join(leaks)} to the RPC layer (opaque "
-                    f"handler_errors failure); convert to AppError or a "
-                    f"protocol reply")
-        for info in sorted(project.functions.values(),
-                           key=lambda fn: fn.qualname):
-            if not info.is_daemon or not info.is_generator or \
-                    info.qualname in seen:
-                continue
-            if not self.applies_to(info.module.path):
-                continue
-            leaks = sorted(
-                project.transitive_raises(info) & self.DAEMON_LEAKS)
-            if leaks:
-                yield self.finding(
-                    info.module.path, info.node,
-                    f"daemon {info.name!r} dies permanently if "
-                    f"{', '.join(leaks)} escapes its loop; catch it and "
-                    f"retry on the next round")
 
 
 @rule

@@ -7,23 +7,19 @@ analyzer invocation and layers three artifacts over the per-module
 * a **symbol table** — every class and (possibly nested) function,
   keyed by a dotted qualified name derived from the file path
   (``src/repro/milana/server.py`` → ``repro.milana.server``);
-* a **call graph** — each call site resolved to a project function
-  where possible: ``self.method(...)`` through the class hierarchy,
-  bare names through module scope and the module's import map
-  (absolute and relative ``from``-imports), dotted names through import
-  aliases, and, as a last resort, a unique-bare-name match across the
-  whole project.
-  ``sim.process(fn(...))`` spawn sites are kept separate from plain
-  call edges because exceptions do not propagate across a spawn;
-* **effect summaries** per function — own-level suspension points,
-  raised exception classes (a ``event.fail(Exc(...))`` inside a nested
-  worker counts against the enclosing function, which is where the
-  failure surfaces when the event is yielded on), wire-method
-  registration and call sites, and return-expression shapes.
+* a **call graph** — :meth:`Project.resolve_call` maps a call site to
+  a project function where possible: ``self.method(...)`` through the
+  class hierarchy, bare names through module scope and the module's
+  import map (absolute and relative ``from``-imports), dotted names
+  through import aliases, and, as a last resort, a unique-bare-name
+  match across the whole project;
+* **effect summaries** per function — whether it is a generator, its
+  call sites (a ``register("<wire method>", handler)`` call makes the
+  handler a root), and its return statements.
 
 Rules built on top (see :mod:`repro.analysis.iprules`) either consume
-the summaries directly (protocol conformance, exception-leak fixpoints)
-or replay a root through :class:`InlineWalker`, which flattens the
+the summaries directly (DET101's return-taint fixpoint) or replay a
+root through :class:`InlineWalker`, which flattens the
 transitive call chain into one ordered event stream with local-variable
 tag propagation — the machinery that makes a check-then-act race
 visible even when the check and the act live in different functions.
@@ -44,28 +40,9 @@ __all__ = [
     "Project",
     "ClassInfo",
     "FunctionInfo",
-    "CallSite",
-    "RegisterSite",
     "InlineWalker",
     "Event",
-    "EXCEPTION_BASES",
-    "exception_matches",
-    "uncaught",
 ]
-
-#: Known exception hierarchy (class name -> direct base name) for the
-#: classes protocol rules reason about. ``AppError`` deliberately
-#: subclasses ``RpcError`` in ``repro.net.rpc``; ``QuorumError`` is a
-#: plain ``Exception`` — which is exactly why it slips past
-#: ``except RpcError`` clauses.
-EXCEPTION_BASES: Dict[str, str] = {
-    "RpcTimeout": "RpcError",
-    "AppError": "RpcError",
-    "RpcError": "Exception",
-    "QuorumError": "Exception",
-    "TransactionAborted": "Exception",
-    "Exception": "BaseException",
-}
 
 #: Method names that mutate the object they are called on, for
 #: state-write detection on ``self.<attr>.<method>(...)`` receivers.
@@ -131,52 +108,6 @@ def _literal_method(call: ast.Call) -> Optional[str]:
     return None
 
 
-def exception_matches(raised: str, caught: Set[str]) -> bool:
-    """True when an exception class named ``raised`` is covered by an
-    ``except`` clause catching any of ``caught`` (bare ``except:`` is
-    represented by ``BaseException``)."""
-    name: Optional[str] = raised
-    seen: Set[str] = set()
-    while name is not None and name not in seen:
-        if name in caught:
-            return True
-        seen.add(name)
-        name = EXCEPTION_BASES.get(name)
-    return False
-
-
-def uncaught(raised: Iterable[str], caught: Set[str]) -> Set[str]:
-    """The subset of ``raised`` that escapes an except-set ``caught``."""
-    return {name for name in raised if not exception_matches(name, caught)}
-
-
-class CallSite:
-    """One call expression inside a function, with resolution info."""
-
-    def __init__(self, node: ast.Call, callee: Optional["FunctionInfo"],
-                 caught: Set[str], is_spawn: bool) -> None:
-        self.node = node
-        self.callee = callee
-        #: Exception class names caught by ``try`` blocks enclosing the
-        #: call *within the same function* (bare except → BaseException).
-        self.caught = caught
-        #: True when the call is the argument of ``sim.process(...)`` or
-        #: ``sim.start(...)`` —
-        #: a spawned process, whose failures do not propagate here.
-        self.is_spawn = is_spawn
-
-
-class RegisterSite:
-    """One ``node.register("<method>", handler)`` call."""
-
-    def __init__(self, method: str, node: ast.Call, path: str,
-                 handler: Optional["FunctionInfo"]) -> None:
-        self.method = method
-        self.node = node
-        self.path = path
-        self.handler = handler
-
-
 class FunctionInfo:
     """One function or method, with its effect summary."""
 
@@ -195,17 +126,12 @@ class FunctionInfo:
         self.qualname = f"{owner}.{node.name}" if owner else node.name
         self.params: List[str] = [a.arg for a in node.args.args]
         # -- summaries, filled by Project._summarize -----------------------
-        #: Own-level suspension points (yield/yield-from lines), with the
-        #: no-op ``yield from ()`` generator-protocol idiom excluded.
-        self.suspension_lines: List[int] = []
+        #: A yield at the function's own level (a sim process).
         self.is_generator: bool = False
-        #: Exception class names raised at this function's own level,
-        #: including ``event.fail(Exc(...))`` in nested workers (the
-        #: failure surfaces where the event is yielded on — here).
-        self.own_raises: Set[str] = set()
-        self.call_sites: List[CallSite] = []
+        #: Own-level call expressions, in source order; rules resolve
+        #: the ones they need with :meth:`Project.resolve_call`.
+        self.calls: List[ast.Call] = []
         self.returns: List[ast.Return] = []
-        self._transitive_raises: Optional[Set[str]] = None
 
     @property
     def is_daemon(self) -> bool:
@@ -238,8 +164,7 @@ class ClassInfo:
 
 def _is_spawn(call: ast.Call) -> bool:
     """``*.process(...)`` / ``*.start(...)``: its generator arguments
-    run as a separate process, so no exception propagates back and
-    nothing is inlined."""
+    run as a separate process, so nothing is inlined."""
     return (isinstance(call.func, ast.Attribute)
             and call.func.attr in ("process", "start"))
 
@@ -252,60 +177,6 @@ def _is_noop_yield_from(node: ast.AST) -> bool:
             and not node.value.elts)
 
 
-def _spawn_argument_calls(func: ast.AST) -> Set[int]:
-    """ids of Call nodes that appear as arguments of a spawn
-    (spawned generators: separate process, no exception propagation)."""
-    spawned: Set[int] = set()
-    for node in ModuleContext.own_nodes(func):
-        if isinstance(node, ast.Call) and _is_spawn(node):
-            for arg in node.args:
-                if isinstance(arg, ast.Call):
-                    spawned.add(id(arg))
-    return spawned
-
-
-def _caught_map(func: ast.AST) -> Dict[int, Set[str]]:
-    """node id -> exception names caught by enclosing try blocks.
-
-    Only ``try`` *bodies* are protected; handlers/else/finally are not
-    covered by their own clauses. Nested defs are not entered.
-    """
-    caught: Dict[int, Set[str]] = {}
-
-    def names_for(handler: ast.ExceptHandler) -> Set[str]:
-        if handler.type is None:
-            return {"BaseException"}
-        types = handler.type.elts \
-            if isinstance(handler.type, ast.Tuple) else [handler.type]
-        return {name for name in map(simple_name, types) if name}
-
-    def walk(node: ast.AST, active: Set[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Try):
-                handler_names: Set[str] = set()
-                for handler in child.handlers:
-                    handler_names |= names_for(handler)
-                for stmt in child.body:
-                    caught[id(stmt)] = active | handler_names
-                    walk(stmt, active | handler_names)
-                for handler in child.handlers:
-                    for stmt in handler.body:
-                        caught[id(stmt)] = set(active)
-                        walk(stmt, active)
-                for stmt in child.orelse + child.finalbody:
-                    caught[id(stmt)] = set(active)
-                    walk(stmt, active)
-            else:
-                caught[id(child)] = set(active)
-                walk(child, active)
-
-    walk(func, set())
-    return caught
-
-
 class Project:
     """Symbol table + call graph + summaries over one analyzed tree."""
 
@@ -315,12 +186,10 @@ class Project:
         self.functions: Dict[str, FunctionInfo] = {}
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
         self.classes_by_name: Dict[str, List[ClassInfo]] = {}
-        self.register_sites: List[RegisterSite] = []
         for ctx in contexts:
             self._collect_module(ctx)
         for info in list(self.functions.values()):
             self._summarize(info)
-        self._collect_register_sites()
         #: Coroutine entry points in qualname order: registered wire
         #: handlers plus daemon/loop generators (rules narrow them to
         #: their scope with ``Rule.applies_to``).
@@ -457,64 +326,28 @@ class Project:
     # -- summaries ---------------------------------------------------------
 
     def _summarize(self, info: FunctionInfo) -> None:
-        func = info.node
-        spawned = _spawn_argument_calls(func)
-        caught = _caught_map(func)
-        for node in ModuleContext.own_nodes(func):
+        for node in ModuleContext.own_nodes(info.node):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 info.is_generator = True
-                if not _is_noop_yield_from(node):
-                    info.suspension_lines.append(node.lineno)
-            elif isinstance(node, ast.Raise):
-                name = self._exception_name(node.exc)
-                if name:
-                    info.own_raises.add(name)
             elif isinstance(node, ast.Return):
                 info.returns.append(node)
             elif isinstance(node, ast.Call):
-                if (isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "fail" and node.args
-                        and isinstance(node.args[0], ast.Call)):
-                    # event.fail(Exc(...)): surfaces at the yield site.
-                    name = self._exception_name(node.args[0])
-                    target = info.enclosing or info
-                    if name:
-                        target.own_raises.add(name)
-                info.call_sites.append(CallSite(
-                    node, None, caught.get(id(node), set()),
-                    id(node) in spawned))
-        # Fold nested workers' fail-raises upward (done above via
-        # ``target``); resolve callees now that all functions exist.
-        for site in info.call_sites:
-            site.callee = self.resolve_call(info, site.node)
-
-    @staticmethod
-    def _exception_name(expr: Optional[ast.AST]) -> Optional[str]:
-        if isinstance(expr, ast.Call):
-            expr = expr.func
-        return simple_name(expr)
-
-    def _collect_register_sites(self) -> None:
-        for info in self.functions.values():
-            for site in info.call_sites:
-                call = site.node
-                func = call.func
-                if not (isinstance(func, ast.Attribute)
-                        and func.attr == "register"):
-                    continue
-                method = _literal_method(call)
-                if method is None:
-                    continue
-                handler = None
-                if len(call.args) > 1:
-                    handler = self._handler_for(info, call.args[1])
-                self.register_sites.append(RegisterSite(
-                    method, call, info.module.path, handler))
+                info.calls.append(node)
 
     def _entry_points(self) -> List[FunctionInfo]:
-        roots = {site.handler.qualname: site.handler
-                 for site in self.register_sites
-                 if site.handler is not None and site.method in REGISTRY}
+        """Handlers ``node.register("<wire method>", handler)`` names,
+        plus daemon/loop generators."""
+        roots: Dict[str, FunctionInfo] = {}
+        for info in self.functions.values():
+            for call in info.calls:
+                func = call.func
+                if not (isinstance(func, ast.Attribute)
+                        and func.attr == "register" and len(call.args) > 1
+                        and _literal_method(call) in REGISTRY):
+                    continue
+                handler = self._handler_for(info, call.args[1])
+                if handler is not None:
+                    roots[handler.qualname] = handler
         for info in self.functions.values():
             if info.is_daemon and info.is_generator:
                 roots.setdefault(info.qualname, info)
@@ -537,49 +370,6 @@ class Project:
         if isinstance(expr, ast.Name):
             return self._unique_by_name(expr.id)
         return None
-
-    # -- exception propagation --------------------------------------------
-
-    def transitive_raises(self, info: FunctionInfo) -> Set[str]:
-        """Exception names that may escape ``info``: own raises plus
-        callees' escapes not caught at the call site. Spawned processes
-        are excluded (their failures surface in the spawned process)."""
-        if info._transitive_raises is not None:
-            return info._transitive_raises
-        # Fixpoint over the (possibly cyclic) call graph.
-        order: List[FunctionInfo] = []
-        seen: Set[str] = set()
-
-        def collect(fn: FunctionInfo) -> None:
-            if fn.qualname in seen:
-                return
-            seen.add(fn.qualname)
-            for site in fn.call_sites:
-                if site.callee is not None and not site.is_spawn:
-                    collect(site.callee)
-            order.append(fn)
-
-        collect(info)
-        results: Dict[str, Set[str]] = {
-            fn.qualname: set(fn.own_raises) for fn in order}
-        changed = True
-        while changed:
-            changed = False
-            for fn in order:
-                for site in fn.call_sites:
-                    if site.callee is None or site.is_spawn:
-                        continue
-                    known = results.get(site.callee.qualname)
-                    if known is None:
-                        # Callee already finalized by an earlier query.
-                        known = site.callee._transitive_raises or set()
-                    escaped = uncaught(known, site.caught)
-                    if not escaped <= results[fn.qualname]:
-                        results[fn.qualname] |= escaped
-                        changed = True
-        for fn in order:
-            fn._transitive_raises = results[fn.qualname]
-        return results[info.qualname]
 
 
 # -- flattened event-stream walker ----------------------------------------

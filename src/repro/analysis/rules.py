@@ -1,29 +1,24 @@
-"""The built-in simlint rules (see docs/ANALYSIS.md for the catalogue).
+"""The built-in module rules (see docs/ANALYSIS.md for the catalogue).
 
-The simulation rule (SIM001) keeps simulated time honest; the protocol
-rule (RPC001) keeps the failure detection budget the correctness
-arguments rely on visible; FLT001 and PAR001 keep fault state and sweep
-parallelism on their sanctioned paths; API001 keeps the public surface
-coherent; SUP001 audits suppressions. Wall-clock, random, unordered and
-environment reads that reach a result are caught by the fingerprint,
-digest and nemesis gates, which is why no DET0xx module rule remains.
+SIM001 keeps simulated time honest and PAR001 keeps sweep parallelism
+on its spawn-only path. Wall-clock, random, unordered and environment
+reads that reach a result are caught by the fingerprint, digest and
+nemesis gates, which is why no DET0xx module rule remains; the RPC
+timeout, the crashed set and ``__all__`` are kept honest by the API and
+by tier-1 tests (docs/ANALYSIS.md "Retired rules").
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable
 
-from .engine import ModuleContext, Rule, rule, simple_name
+from .engine import ModuleContext, Rule, rule
 from .findings import Finding, Severity
 
 __all__ = [
     "BlockingInProcessRule",
-    "RpcTimeoutRule",
-    "CrashStatePokeRule",
     "ParallelismHygieneRule",
-    "DunderAllRule",
-    "UnusedSuppressionRule",
 ]
 
 
@@ -63,97 +58,6 @@ class BlockingInProcessRule(Rule):
                         f"sim process {func.name!r} calls {qualname}(), "
                         f"which blocks the host; use sim.timeout(...) or "
                         f"move the I/O outside the simulation")
-
-
-def _node_like(receiver: ast.AST) -> bool:
-    """An ``RpcNode``-looking receiver: ``node``, ``*_node``, or an
-    attribute of either name (``self.node``)."""
-    name = simple_name(receiver)
-    return name is not None and (name == "node" or name.endswith("_node"))
-
-
-@rule
-class RpcTimeoutRule(Rule):
-    """RPC001: every RPC send-site carries an explicit timeout policy.
-
-    ``RpcNode.call`` has a default timeout, but protocol code relying on
-    it hides the failure-detection budget that CTP/recovery correctness
-    arguments depend on — the timeout is part of the protocol, so it
-    must be visible at the call site.
-    """
-
-    rule_id = "RPC001"
-    severity = Severity.ERROR
-    description = ("RPC call without an explicit timeout=; the failure "
-                   "detection budget must be visible at the send-site")
-
-    #: call(dst, method, payload, timeout, retries) — timeout is the
-    #: 4th positional parameter.
-    TIMEOUT_POSITION = 4
-
-    def _is_rpc_call(self, node: ast.Call) -> bool:
-        func = node.func
-        return (isinstance(func, ast.Attribute) and func.attr == "call"
-                and _node_like(func.value))
-
-    def _has_timeout(self, node: ast.Call, position: int) -> bool:
-        if len(node.args) >= position:
-            return True
-        for keyword in node.keywords:
-            if keyword.arg == "timeout" or keyword.arg is None:  # **kwargs
-                return True
-        return False
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for call, qualname in ctx.calls():
-            if self._is_rpc_call(call):
-                if not self._has_timeout(call, self.TIMEOUT_POSITION):
-                    yield self.finding(
-                        ctx.path, call,
-                        "RpcNode.call without an explicit timeout=; state "
-                        "the failure-detection budget at the send-site")
-            elif qualname is not None and \
-                    qualname.split(".")[-1] == "replicate_to_backups":
-                # replicate_to_backups(node, backups, method, payload,
-                #                      need_acks, timeout)
-                if not self._has_timeout(call, 6):
-                    yield self.finding(
-                        ctx.path, call,
-                        "replicate_to_backups without an explicit "
-                        "timeout=; quorum waits need a visible budget")
-
-
-@rule
-class CrashStatePokeRule(Rule):
-    """FLT001: fault state is mutated through the fault API only.
-
-    Poking ``network._crashed`` directly bypasses the fault-injection
-    surface: the nemesis timeline never records it, so
-    ``can_communicate`` and the post-heal audit see state that no plan
-    made, and in-flight delivery checks can disagree with the poked
-    set. Use ``Network.crash`` / ``Network.recover`` /
-    ``Network.is_crashed`` (or a ``NemesisPlan``), and
-    ``Network.install_faults`` for link faults.
-    """
-
-    rule_id = "FLT001"
-    severity = Severity.ERROR
-    description = ("direct access to Network._crashed outside the network "
-                   "module; use crash()/recover()/is_crashed() or a "
-                   "NemesisPlan")
-    excluded_path_suffixes = ("net/network.py",)
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and \
-                    node.attr == "_crashed":
-                yield self.finding(
-                    ctx.path, node,
-                    "touching Network._crashed bypasses the fault API "
-                    "(absent from the nemesis timeline, so "
-                    "can_communicate audits disagree with the poked "
-                    "set); go through crash()/recover()/is_crashed() "
-                    "or a NemesisPlan")
 
 
 @rule
@@ -258,159 +162,3 @@ class ParallelismHygieneRule(Rule):
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id in self.MUTABLE_CONSTRUCTORS)
-
-
-@rule
-class DunderAllRule(Rule):
-    """API001: ``__all__`` matches what the module actually defines.
-
-    A stale ``__all__`` breaks ``from module import *`` and misleads
-    both readers and the API docs about the supported surface.
-    """
-
-    rule_id = "API001"
-    severity = Severity.WARNING
-    description = "__all__ inconsistent with module-level definitions"
-
-    def _top_level_bindings(self, body: List[ast.stmt]) -> Set[str]:
-        names: Set[str] = set()
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    names.update(self._target_names(target))
-            elif isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name):
-                names.add(node.target.id)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(alias.asname or alias.name)
-            elif isinstance(node, (ast.If, ast.Try)):
-                names.update(self._top_level_bindings(node.body))
-                for handler in getattr(node, "handlers", []):
-                    names.update(self._top_level_bindings(handler.body))
-                names.update(self._top_level_bindings(
-                    getattr(node, "orelse", [])))
-                names.update(self._top_level_bindings(
-                    getattr(node, "finalbody", [])))
-        return names
-
-    @staticmethod
-    def _target_names(target: ast.AST) -> Set[str]:
-        if isinstance(target, ast.Name):
-            return {target.id}
-        if isinstance(target, (ast.Tuple, ast.List)):
-            names: Set[str] = set()
-            for element in target.elts:
-                names.update(DunderAllRule._target_names(element))
-            return names
-        return set()
-
-    def _declared_all(self, ctx: ModuleContext
-                      ) -> Tuple[Optional[ast.stmt], Optional[List[str]]]:
-        for node in ctx.tree.body:
-            value = None
-            if isinstance(node, ast.Assign):
-                if any(isinstance(t, ast.Name) and t.id == "__all__"
-                       for t in node.targets):
-                    value = node.value
-            elif isinstance(node, ast.AnnAssign):
-                if isinstance(node.target, ast.Name) and \
-                        node.target.id == "__all__":
-                    value = node.value
-            if value is None:
-                continue
-            if isinstance(value, (ast.List, ast.Tuple)):
-                names = []
-                for element in value.elts:
-                    if isinstance(element, ast.Constant) and \
-                            isinstance(element.value, str):
-                        names.append(element.value)
-                    else:
-                        return node, None  # dynamic __all__: skip module
-                return node, names
-            return node, None
-        return None, None
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        node, declared = self._declared_all(ctx)
-        if node is None or declared is None:
-            return
-        bindings = self._top_level_bindings(ctx.tree.body)
-        for name in declared:
-            if name not in bindings:
-                yield self.finding(
-                    ctx.path, node,
-                    f"__all__ lists {name!r} but the module never "
-                    f"defines it")
-        declared_set = set(declared)
-        for child in ctx.tree.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                if not child.name.startswith("_") and \
-                        child.name not in declared_set:
-                    yield self.finding(
-                        ctx.path, child,
-                        f"public {child.name!r} is missing from __all__; "
-                        f"export it or rename it with a leading underscore")
-
-
-@rule
-class UnusedSuppressionRule(Rule):
-    """SUP001: a suppression comment that suppresses nothing.
-
-    After every other rule has run, any ``# simlint: disable[=RULE]``
-    comment whose rules never fired is dead weight: either the offending
-    code was fixed (delete the comment) or the comment was misspelled
-    and is silently masking nothing. References to unknown rule ids are
-    always reported; "never fired" is only judged on full runs (no
-    ``--select``/``--ignore``), since a filtered run cannot tell.
-
-    The driver runs this rule in a dedicated pass (it needs the usage
-    marks left behind by the others); ``check`` is intentionally empty.
-    To silence it, use an explicit file-level
-    ``# simlint: disable-file=SUP001``.
-    """
-
-    rule_id = "SUP001"
-    severity = Severity.WARNING
-    description = ("suppression comment that suppresses nothing "
-                   "(rule never fires there, or unknown rule id)")
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        return ()
-
-    def unused_findings(self, ctx: ModuleContext, known_ids: Set[str],
-                        filtering: bool) -> Iterable[Finding]:
-        from .engine import _ALL
-        if self.rule_id in ctx.file_suppressions:
-            return
-        for sup in ctx.suppressions:
-            if self.rule_id in sup.rules:
-                continue  # meta-suppressions are never self-reported
-            where = ("anywhere in this file" if sup.kind == "file"
-                     else "on this line")
-            for rid in sorted(sup.rules):
-                if rid == _ALL:
-                    continue
-                if rid not in known_ids:
-                    yield self.finding(
-                        ctx.path, sup,
-                        f"suppression references unknown rule id "
-                        f"{rid!r}")
-                elif not filtering and rid not in sup.used_rules:
-                    yield self.finding(
-                        ctx.path, sup,
-                        f"useless suppression: {rid} does not fire "
-                        f"{where}; remove the comment")
-            if _ALL in sup.rules and not filtering and not sup.used_rules:
-                yield self.finding(
-                    ctx.path, sup,
-                    f"useless blanket suppression: no rule fires "
-                    f"{where}; remove the comment")

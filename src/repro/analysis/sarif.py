@@ -5,8 +5,7 @@ of code-scanning backends — GitHub code scanning ingests it directly,
 so CI can surface simlint findings as first-class alerts instead of log
 lines. The emitter is deliberately minimal: one run, one tool driver,
 ``partialFingerprints`` carrying the same stable fingerprint the JSON
-output uses (so alert identity survives line churn, mirroring the
-baseline's line-free matching).
+output uses (line-free, so alert identity survives line churn).
 """
 
 from __future__ import annotations

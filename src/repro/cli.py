@@ -18,8 +18,8 @@ Commands
 ``analyze``
     Run the simlint determinism/protocol-hygiene static analyzer
     (see ``repro.analysis``), e.g.
-    ``python -m repro analyze src/repro --format json``;
-    ``python -m repro.analysis`` is an alias.
+    ``python -m repro analyze src/repro --format json``. It is the
+    analyzer's one entry point.
 ``wire``
     Print the message catalogue rendered from the typed wire-protocol
     registry (PROTOCOL.md carries it verbatim). ``RpcNode`` checks

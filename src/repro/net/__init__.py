@@ -11,7 +11,6 @@ from .faults import FaultStats, LinkFaults
 from .network import Network, NetworkStats
 from .rpc import (
     AppError,
-    DEFAULT_RPC_TIMEOUT,
     Request,
     Response,
     RpcError,
@@ -33,5 +32,4 @@ __all__ = [
     "RpcError",
     "RpcTimeout",
     "AppError",
-    "DEFAULT_RPC_TIMEOUT",
 ]

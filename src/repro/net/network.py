@@ -24,9 +24,11 @@ taxonomy):
   that never installed the table.
 
 Use :meth:`can_communicate` to ask whether a directed path is currently
-healthy under both layers; chaos schedulers (e.g. the quorum check of
-:func:`~repro.harness.chaos.rolling_chaos`) must consult it rather than
-``_crashed``.
+healthy under both layers, and :meth:`is_crashed` for one node. The
+crashed set itself is name-mangled (``__crashed``): code outside
+``Network`` cannot read or poke it, so every crash goes through
+:meth:`crash`/:meth:`recover` (or a ``NemesisPlan``) and shows on the
+fault timeline.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Network:
         self.stats = NetworkStats()
         #: node name -> the callable every message for it is handed to.
         self._receivers: Dict[str, Callable[[Any], None]] = {}
-        self._crashed: Set[str] = set()
+        self.__crashed: Set[str] = set()
         self._faults: Optional[LinkFaults] = None
         # Bound once so every delivery shares one callback object
         # instead of allocating a new bound method per message.
@@ -131,14 +133,14 @@ class Network:
 
     def crash(self, name: str) -> None:
         """Fail-stop ``name``: drop all of its traffic until recovery."""
-        self._crashed.add(name)
+        self.__crashed.add(name)
 
     def recover(self, name: str) -> None:
         """Allow traffic to/from ``name`` again."""
-        self._crashed.discard(name)
+        self.__crashed.discard(name)
 
     def is_crashed(self, name: str) -> bool:
-        return name in self._crashed
+        return name in self.__crashed
 
     def install_faults(self) -> LinkFaults:
         """Attach (or return) the per-link fault table.
@@ -161,7 +163,7 @@ class Network:
         """True when a ``src -> dst`` message would currently be carried
         (no crashed endpoint, no blocked edge). Probabilistic loss does
         not count: the edge still exists."""
-        if src in self._crashed or dst in self._crashed:
+        if src in self.__crashed or dst in self.__crashed:
             return False
         if self._faults is not None and self._faults.is_blocked(src, dst):
             return False
@@ -178,7 +180,7 @@ class Network:
         if dst not in self._receivers:
             raise KeyError(f"unknown destination node {dst!r}")
         self.stats.messages_sent += 1
-        if src in self._crashed or dst in self._crashed:
+        if src in self.__crashed or dst in self.__crashed:
             self.stats.messages_dropped += 1
             return
         # Link faults are checked at send time: a message already in
@@ -218,7 +220,7 @@ class Network:
         the receiver, inside the delivery event's step."""
         src = event.src
         dst = event.dst
-        if dst in self._crashed or src in self._crashed:
+        if dst in self.__crashed or src in self.__crashed:
             # Crashed while the message was in flight.
             self.stats.messages_dropped += 1
             return

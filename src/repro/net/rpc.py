@@ -48,14 +48,9 @@ __all__ = [
     "RpcTimeout",
     "AppError",
     "RpcNode",
-    "DEFAULT_RPC_TIMEOUT",
     "RETRY_BACKOFF_BASE",
     "RETRY_BACKOFF_CAP",
 ]
-
-#: Generous relative to ~50 µs one-way latency; failed nodes answer never,
-#: so this mostly bounds failure detection time in recovery tests.
-DEFAULT_RPC_TIMEOUT = 10e-3
 
 #: First retry backs off this long (doubling per attempt), scaled by a
 #: deterministic jitter draw in [0.5, 1.5) so concurrent callers that
@@ -261,7 +256,8 @@ class RpcNode:
         dst: str,
         method: str,
         payload: Any = None,
-        timeout: float = DEFAULT_RPC_TIMEOUT,
+        *,
+        timeout: float,
         retries: int = 0,
     ) -> Event:
         """Asynchronously call ``method`` on ``dst``.
@@ -271,7 +267,9 @@ class RpcNode:
         attempts, or with :class:`AppError` if the handler rejected the
         request. Retries reuse the request id, so the callee can
         deduplicate, and back off exponentially with deterministic
-        jitter between attempts.
+        jitter between attempts. ``timeout`` is keyword-only and has no
+        default: the failure-detection budget that the CTP and recovery
+        arguments rely on is stated at every send-site.
         """
         _check_request_payload(method, payload)
         request = Request(self.network.next_request_id(), self.name,

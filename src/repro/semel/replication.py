@@ -34,13 +34,15 @@ def replicate_to_backups(
     method: str,
     payload: Any,
     need_acks: int,
-    timeout: float = 10e-3,
+    *,
+    timeout: float,
 ):
     """Generator: send ``method`` to every backup, return after
     ``need_acks`` succeed.
 
-    Raises :class:`QuorumError` once enough backups have *failed* that the
-    quorum can no longer be reached. Late acknowledgements beyond the
+    ``timeout`` is each call's, stated by the caller as for
+    :meth:`RpcNode.call`. Raises :class:`QuorumError` once enough backups
+    have *failed* that the quorum can no longer be reached. Late acknowledgements beyond the
     quorum land on calls nobody waits for any more.
     """
     if need_acks <= 0:

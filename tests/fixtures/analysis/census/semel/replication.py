@@ -6,8 +6,8 @@ class QuorumError(Exception):
     """Fewer than the required number of backups acknowledged."""
 
 
-def replicate_to_backups(node, backups, method, payload, need_acks,
-                         timeout=10e-3):
+def replicate_to_backups(node, backups, method, payload, need_acks, *,
+                         timeout):
     if need_acks > len(backups):
         raise QuorumError(
             f"need {need_acks} acks but only {len(backups)} backups")

@@ -1,28 +1,35 @@
 """Tier-1 gate + unit tests for the simlint static analyzer.
 
 The headline test runs the analyzer over the real ``src/repro`` tree and
-asserts zero non-baselined findings — a ``time.sleep`` in a sim process
-or a poke at ``Network._crashed`` makes this test (and ``python -m
-repro.analysis``) fail.
-The rest exercises every rule on positive/negative/suppressed fixtures,
-the baseline round-trip, and the JSON output schema.
+asserts zero findings — there is no baseline and no suppression comment,
+so a ``time.sleep`` in a sim process makes this test (and ``python -m
+repro analyze``) fail. The rest exercises the module rules on
+positive/negative fixtures, the CLI and its JSON output schema, and the
+gates that replaced the retired rules RPC001, FLT001 and API001.
 """
 
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, analyze_paths
+import repro
+from repro.analysis import analyze_paths
 from repro.cli import main
 from repro.analysis.engine import SYNTAX_RULE_ID, all_rules
+from repro.net import FixedLatency, Network, RpcNode
+from repro.semel.replication import replicate_to_backups
+from repro.sim import SeededRng, Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE_FILE = REPO_ROOT / "simlint-baseline.json"
 
 
 def run_on(tmp_path, source, name="snippet.py", **kwargs):
@@ -45,19 +52,12 @@ def rule_ids(findings):
 class TestRepoIsClean:
     def test_src_repro_has_zero_findings(self):
         findings, files = analyze_paths([str(SRC)])
-        baseline = Baseline.load(BASELINE_FILE)
-        new, _ = baseline.split(findings)
         assert files > 80
-        assert new == [], "\n".join(f.render() for f in new)
-
-    def test_checked_in_baseline_is_near_empty(self):
-        # Repo policy: fix findings, don't bank them. Allow a little
-        # slack for future grandfathering, but not silent rot.
-        assert len(Baseline.load(BASELINE_FILE)) <= 5
+        assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_cli_exits_zero_on_repo(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(SRC)],
+            [sys.executable, "-m", "repro", "analyze", str(SRC)],
             cwd=REPO_ROOT, capture_output=True, text=True,
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -98,123 +98,6 @@ class TestSim001Blocking:
             def proc(sim):
                 yield sim.timeout(0.1)
             """)
-        assert findings == []
-
-
-class TestRpc001Timeouts:
-    def test_positive_bare_call(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node, request):
-                reply = yield node.call("dst", "ping", request)
-                return reply
-            """)
-        assert rule_ids(findings) == ["RPC001"]
-
-    def test_positive_self_node(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Client:
-                def send(self, request):
-                    return self.node.call("dst", "ping", request,
-                                          retries=2)
-            """)
-        assert rule_ids(findings) == ["RPC001"]
-
-    def test_negative_keyword_timeout(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node, request):
-                yield node.call("dst", "ping", request, timeout=5e-3)
-            """)
-        assert findings == []
-
-    def test_negative_positional_timeout(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def send(node, request):
-                yield node.call("dst", "ping", request, 5e-3)
-            """)
-        assert findings == []
-
-    def test_positive_replicate_without_timeout(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            from repro.semel.replication import replicate_to_backups
-            def push(node, backups, payload):
-                yield from replicate_to_backups(
-                    node, backups, "put", payload, 2)
-            """)
-        assert rule_ids(findings) == ["RPC001"]
-
-    def test_negative_unrelated_call_method(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def invoke(handler):
-                return handler.call("anything")
-            """)
-        assert findings == []
-
-
-class TestApi001DunderAll:
-    def test_positive_ghost_name(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            __all__ = ["missing"]
-            """)
-        assert rule_ids(findings) == ["API001"]
-
-    def test_positive_unexported_public_def(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            __all__ = []
-            def helper():
-                return 1
-            """)
-        assert rule_ids(findings) == ["API001"]
-
-    def test_negative_consistent(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            from typing import Dict
-            __all__ = ["Thing", "CONSTANT", "TABLE"]
-            CONSTANT = 1
-            TABLE: Dict[str, int] = {}
-            class Thing:
-                pass
-            def _private():
-                pass
-            """)
-        assert findings == []
-
-    def test_negative_module_without_all(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def helper():
-                return 1
-            """)
-        assert findings == []
-
-
-class TestFlt001CrashStatePoke:
-    def test_positive_direct_mutation(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def sabotage(network, name):
-                network._crashed.add(name)
-            """)
-        assert rule_ids(findings) == ["FLT001"]
-
-    def test_positive_direct_read(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def peek(cluster, name):
-                return name in cluster.network._crashed
-            """)
-        assert rule_ids(findings) == ["FLT001"]
-
-    def test_negative_fault_api(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def fail(network, name):
-                network.crash(name)
-                return network.is_crashed(name)
-            """)
-        assert findings == []
-
-    def test_rule_skips_the_network_module(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            class Network:
-                def crash(self, name):
-                    self._crashed.add(name)
-            """, name="net/network.py")
         assert findings == []
 
 
@@ -317,29 +200,24 @@ class TestEngine:
         with pytest.raises(ValueError, match="unknown rule"):
             analyze_paths([str(tmp_path)], select=["NOPE99"])
 
-    def test_select_and_ignore(self, tmp_path):
-        source = """\
-            CRASHED = network._crashed
-            __all__ = ["ghost"]
-            """
-        assert rule_ids(run_on(tmp_path, source,
-                               select=["FLT001"])) == ["FLT001"]
-        assert rule_ids(run_on(tmp_path, source,
-                               ignore=["FLT001"])) == ["API001"]
+    TWO_RULES = """\
+        import os
+        import time
+        def proc(sim):
+            time.sleep(0)
+            yield sim.timeout(0)
+        def child():
+            return os.fork()
+        """
 
-    def test_disable_all_rules_on_line(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            CRASHED = network._crashed  # simlint: disable
-            """)
-        assert findings == []
+    def test_select_and_ignore(self, tmp_path):
+        assert rule_ids(run_on(tmp_path, self.TWO_RULES,
+                               select=["SIM001"])) == ["SIM001"]
+        assert rule_ids(run_on(tmp_path, self.TWO_RULES,
+                               ignore=["SIM001"])) == ["PAR001"]
 
     def test_findings_sorted_and_deterministic(self, tmp_path):
-        source = """\
-            import time
-            def f(network):
-                time.sleep(0)
-                yield network._crashed
-            """
+        source = self.TWO_RULES
         first = run_on(tmp_path, source)
         second = run_on(tmp_path, source)
         assert first == second
@@ -354,49 +232,10 @@ class TestEngine:
             assert r.description
 
 
-class TestBaseline:
-    def _findings(self, tmp_path):
-        return run_on(tmp_path, """\
-            def f(network):
-                return network._crashed, network._crashed.copy()
-            """)
-
-    def test_round_trip(self, tmp_path):
-        findings = self._findings(tmp_path)
-        assert findings
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(baseline_path)
-        reloaded = Baseline.load(baseline_path)
-        new, matched = reloaded.split(findings)
-        assert new == []
-        assert len(matched) == len(findings)
-
-    def test_new_finding_not_masked(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline = Baseline.from_findings(findings[:1])
-        new, matched = baseline.split(findings)
-        assert len(matched) == 1
-        assert len(new) == len(findings) - 1
-
-    def test_duplicate_findings_consume_entries(self, tmp_path):
-        findings = self._findings(tmp_path)
-        doubled = findings + findings
-        baseline = Baseline.from_findings(findings)
-        new, matched = baseline.split(doubled)
-        assert len(matched) == len(findings)
-        assert len(new) == len(findings)
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"entries\": [{\"oops\": 1}], \"version\": 1}")
-        with pytest.raises(ValueError):
-            Baseline.load(bad)
-
-
 class TestCli:
     def write_bad_file(self, tmp_path):
         path = tmp_path / "bad.py"
-        path.write_text("CRASHED = network._crashed\n")
+        path.write_text("import os\nPID = os.fork()\n")
         return path
 
     def test_exit_codes(self, tmp_path, capsys):
@@ -412,25 +251,16 @@ class TestCli:
         code = main(["analyze", str(bad), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
+        assert set(payload) == {"version", "files_checked", "findings",
+                                "counts_by_rule"}
         assert payload["version"] == 1
         assert payload["files_checked"] == 1
-        assert payload["baselined"] == 0
-        assert payload["counts_by_rule"] == {"FLT001": 1}
+        assert payload["counts_by_rule"] == {"PAR001": 1}
         (finding,) = payload["findings"]
         assert set(finding) == {"path", "line", "col", "rule",
                                 "severity", "message", "fingerprint"}
-        assert finding["rule"] == "FLT001"
-        assert finding["line"] == 1
-
-    def test_baseline_flag_suppresses(self, tmp_path, capsys):
-        bad = self.write_bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["analyze", str(bad), "--write-baseline",
-                     str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["analyze", str(bad), "--baseline", str(baseline)]) == 0
-        err = capsys.readouterr().err
-        assert "1 baselined" in err
+        assert finding["rule"] == "PAR001"
+        assert finding["line"] == 2
 
     def test_nonexistent_path_is_a_usage_error(self, capsys):
         # A typo'd path must not green-light CI with "0 files checked".
@@ -456,8 +286,106 @@ class TestCli:
 
     def test_list_rules(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("SIM001", "RPC001",
-                        "FLT001", "API001", "SUP001",
-                        "ATM002", "PRO004", "DET101"):
-            assert rule_id in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["ATM002", "DET101", "DUR001", "DUR003",
+                          "DUR004", "DUR005", "PAR001", "SIM001"]
+
+
+# -- the gates that replaced retired rules ---------------------------------
+
+
+def dunder_all_problems(module):
+    """What API001 checked, at run time: every ``__all__`` name resolves,
+    and every public class or function the module itself defines is
+    listed. Modules without ``__all__`` are not checked."""
+    declared = getattr(module, "__all__", None)
+    if declared is None:
+        return []
+    problems = [f"{module.__name__}: __all__ lists {name!r}, which does "
+                f"not resolve" for name in declared
+                if not hasattr(module, name)]
+    for name, value in vars(module).items():
+        if (not name.startswith("_") and name not in declared
+                and (inspect.isclass(value) or inspect.isfunction(value))
+                and value.__module__ == module.__name__):
+            problems.append(f"{module.__name__}: public {name!r} is "
+                            f"missing from __all__")
+    return problems
+
+
+def synthetic_module(source, name="synthetic"):
+    module = types.ModuleType(name)
+    exec(textwrap.dedent(source), module.__dict__)
+    return module
+
+
+def rpc_pair():
+    sim = Simulator()
+    network = Network(sim, SeededRng(7), latency=FixedLatency(50e-6))
+    return network, RpcNode(sim, network, "a"), RpcNode(sim, network, "b")
+
+
+class TestRetiredRuleGates:
+    """Each retired rule's census mutations (docs/ANALYSIS.md "Retired
+    rules") now fail in the language or in tier-1."""
+
+    def test_rpc_call_without_timeout_raises(self):
+        # RPC001-a/b: a send-site that drops ``timeout=``.
+        _, client, _ = rpc_pair()
+        with pytest.raises(TypeError, match="timeout"):
+            client.call("b", "echo", 1)
+        with pytest.raises(TypeError):
+            client.call("b", "echo", 1, 5e-3)  # positional budget
+
+    def test_replicate_without_timeout_raises(self):
+        _, client, _ = rpc_pair()
+        with pytest.raises(TypeError, match="timeout"):
+            replicate_to_backups(client, ["b"], "echo", 1, 1)
+
+    def test_crashed_set_is_private(self):
+        # FLT001-a/b: poking or reading the crashed set directly.
+        network, _, _ = rpc_pair()
+        with pytest.raises(AttributeError):
+            network._crashed.add("a")
+        with pytest.raises(AttributeError):
+            "a" in network._crashed
+        network.crash("a")
+        assert network.is_crashed("a")
+        assert not network.can_communicate("a", "b")
+
+    def test_all_check_flags_a_ghost_name(self):
+        # API001-a: ``histogram.py``'s ``__all__`` names a ghost.
+        module = synthetic_module("""\
+            __all__ = ["Histogram", "merge_histograms"]
+            class Histogram:
+                pass
+            """)
+        assert dunder_all_problems(module) == [
+            "synthetic: __all__ lists 'merge_histograms', which does not "
+            "resolve"]
+
+    def test_all_check_flags_a_dropped_public_name(self):
+        # API001-b: ``sweep/cache.py`` drops ``code_fingerprint``.
+        module = synthetic_module("""\
+            from pathlib import Path
+            __all__ = ["SweepCache"]
+            class SweepCache:
+                pass
+            def code_fingerprint():
+                return Path
+            def _private():
+                pass
+            """)
+        assert dunder_all_problems(module) == [
+            "synthetic: public 'code_fingerprint' is missing from __all__"]
+
+    def test_every_repro_all_is_consistent(self):
+        names = [info.name for info in pkgutil.walk_packages(
+            repro.__path__, "repro.")
+            if not info.name.endswith("__main__")]
+        assert len(names) > 80
+        problems = []
+        for name in names:
+            problems += dunder_all_problems(importlib.import_module(name))
+        assert problems == []

@@ -1,10 +1,9 @@
 """Tests for the whole-program simlint engine.
 
-Covers the project model (symbol table, call-graph resolution,
-exception-propagation fixpoint, the InlineWalker event stream), the
-interprocedural rule families via golden snapshots over
-``tests/fixtures/analysis/``, the SUP001 useless-suppression meta-rule,
-the baseline staleness lifecycle, and the SARIF/github output formats.
+Covers the project model (symbol table, call-graph resolution, the
+InlineWalker event stream), the interprocedural rule families via golden
+snapshots over ``tests/fixtures/analysis/``, and the SARIF/github output
+formats.
 """
 
 import json
@@ -13,13 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, analyze_paths
+from repro.analysis import analyze_paths
 from repro.cli import main
 from repro.analysis.engine import ModuleContext, all_rules
-from repro.analysis.project import InlineWalker, Project, uncaught
+from repro.analysis.project import InlineWalker, Project
 from repro.analysis.sarif import render_sarif
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
+
+#: A module whose line 4 is a PAR001 finding.
+PLANTED = "# probe\n\nimport os\nPID = os.fork()\n"
 
 
 def make_project(sources):
@@ -29,20 +31,11 @@ def make_project(sources):
     return Project(contexts)
 
 
-def run_on(tmp_path, source, name="snippet.py", **kwargs):
-    path = tmp_path / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source))
-    findings, files = analyze_paths([str(path)], **kwargs)
-    assert files == 1
-    return findings
-
-
 # -- golden snapshots per rule family --------------------------------------
 
 
 class TestGoldenFindings:
-    @pytest.mark.parametrize("family", ["atm", "pro", "det", "dur", "census"])
+    @pytest.mark.parametrize("family", ["atm", "det", "dur", "census"])
     def test_family_matches_golden(self, family):
         root = FIXTURES / family
         golden = json.loads((root / "golden.json").read_text())
@@ -72,7 +65,6 @@ class TestGoldenFindings:
 
     def test_each_family_catches_a_seeded_bug(self):
         for family, rules in [("atm", {"ATM002"}),
-                              ("pro", {"PRO004"}),
                               ("det", {"DET101"}),
                               ("dur", {"DUR001", "DUR003",
                                        "DUR004", "DUR005"})]:
@@ -285,55 +277,9 @@ class TestProjectModel:
                     return self._shared()
         """})
         run_info = project.functions["pkg.mod.Child.run"]
-        call = run_info.call_sites[0]
-        assert call.callee is not None
-        assert call.callee.qualname == "pkg.mod.Base._shared"
-
-    def test_transitive_raises_crosses_functions(self):
-        project = make_project({"pkg/mod.py": """\
-            class QuorumError(Exception):
-                pass
-
-            class S:
-                def outer(self):
-                    yield from self.inner()
-
-                def inner(self):
-                    if True:
-                        raise QuorumError("lost")
-                    yield None
-
-                def guarded(self):
-                    try:
-                        yield from self.inner()
-                    except QuorumError:
-                        pass
-        """})
-        outer = project.functions["pkg.mod.S.outer"]
-        guarded = project.functions["pkg.mod.S.guarded"]
-        assert "QuorumError" in project.transitive_raises(outer)
-        assert "QuorumError" not in project.transitive_raises(guarded)
-
-    def test_transitive_raises_terminates_on_cycles(self):
-        project = make_project({"pkg/mod.py": """\
-            class S:
-                def ping(self, n):
-                    if n:
-                        return self.pong(n - 1)
-                    raise ValueError("done")
-
-                def pong(self, n):
-                    return self.ping(n)
-        """})
-        ping = project.functions["pkg.mod.S.ping"]
-        pong = project.functions["pkg.mod.S.pong"]
-        assert "ValueError" in project.transitive_raises(ping)
-        assert "ValueError" in project.transitive_raises(pong)
-
-    def test_except_rpcerror_does_not_cover_quorumerror(self):
-        assert uncaught({"QuorumError"}, {"RpcError"})
-        assert not uncaught({"QuorumError"}, {"Exception"})
-        assert not uncaught({"RpcTimeout", "AppError"}, {"RpcError"})
+        callee = project.resolve_call(run_info, run_info.calls[0])
+        assert callee is not None
+        assert callee.qualname == "pkg.mod.Base._shared"
 
     def test_inline_walker_sees_through_helpers(self):
         project = make_project({"milana/mod.py": """\
@@ -386,127 +332,13 @@ class TestProjectModel:
         assert list(rule.check_project(project)) == []
 
 
-# -- SUP001: useless suppressions ------------------------------------------
-
-
-class TestUselessSuppressions:
-    def test_unused_named_suppression_reported(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def f():
-                return 1  # simlint: disable=FLT001
-        """)
-        assert [f.rule_id for f in findings] == ["SUP001"]
-        assert "FLT001" in findings[0].message
-
-    def test_used_suppression_not_reported(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def f(network):
-                return network._crashed  # simlint: disable=FLT001
-        """)
-        assert findings == []
-
-    def test_unused_blanket_suppression_reported(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def f():
-                return 1  # simlint: disable
-        """)
-        assert [f.rule_id for f in findings] == ["SUP001"]
-        assert "blanket" in findings[0].message
-
-    def test_unknown_rule_id_in_suppression_reported(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            def f():
-                return 1  # simlint: disable=NOPE999
-        """)
-        assert [f.rule_id for f in findings] == ["SUP001"]
-        assert "NOPE999" in findings[0].message
-
-    def test_unused_file_suppression_reported(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            # simlint: disable-file=SIM001
-            def f():
-                return 1
-        """)
-        assert [f.rule_id for f in findings] == ["SUP001"]
-        assert "file" in findings[0].message
-
-    def test_filtered_runs_skip_usefulness_judgement(self, tmp_path):
-        # With --select the suppressed rule may simply not be running;
-        # only unknown ids are still reported.
-        findings = run_on(tmp_path, """\
-            def f():
-                return 1  # simlint: disable=FLT001
-        """, select=["SUP001"])
-        assert findings == []
-
-    def test_sup001_suppressible_per_file(self, tmp_path):
-        findings = run_on(tmp_path, """\
-            # simlint: disable-file=SUP001
-            def f():
-                return 1  # simlint: disable=FLT001
-        """)
-        assert findings == []
-
-
-# -- baseline lifecycle ----------------------------------------------------
-
-
-class TestBaselineLifecycle:
-    def _violating(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("# probe\n\ndef f(network):\n"
-                        "    return network._crashed\n")
-        return path
-
-    def test_stale_entries_detected_and_pruned(self, tmp_path):
-        path = self._violating(tmp_path)
-        findings, _ = analyze_paths([str(path)])
-        baseline = Baseline.from_findings(findings)
-        assert baseline.stale_entries(findings) == []
-        path.write_text("def f():\n    return 0.0\n")
-        clean, _ = analyze_paths([str(path)])
-        stale = baseline.stale_entries(clean)
-        assert len(stale) == len(findings)
-        assert len(baseline.pruned(clean)) == 0
-        # Pruning with the findings still firing keeps the entries.
-        assert len(baseline.pruned(findings)) == len(findings)
-
-    def test_cli_fail_on_stale_and_update(self, tmp_path, capsys):
-        path = self._violating(tmp_path)
-        base = tmp_path / "base.json"
-        assert main(["analyze", str(path), "--write-baseline", str(base)]) == 0
-        path.write_text("def f():\n    return 0.0\n")
-        assert main(["analyze", str(path), "--baseline", str(base)]) == 0
-        assert main(["analyze", str(path), "--baseline", str(base),
-                     "--fail-on-stale"]) == 1
-        assert main(["analyze", str(path), "--baseline", str(base),
-                     "--update-baseline"]) == 0
-        assert len(Baseline.load(base)) == 0
-        assert main(["analyze", str(path), "--baseline", str(base),
-                     "--fail-on-stale"]) == 0
-        capsys.readouterr()
-
-    def test_stale_count_in_json_output(self, tmp_path, capsys):
-        path = self._violating(tmp_path)
-        base = tmp_path / "base.json"
-        main(["analyze", str(path), "--write-baseline", str(base)])
-        path.write_text("def f():\n    return 0.0\n")
-        capsys.readouterr()
-        main(["analyze", str(path), "--baseline", str(base), "--format",
-              "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert payload["stale_baseline"] == 1
-
-
 # -- output formats --------------------------------------------------------
 
 
 class TestOutputFormats:
     def test_sarif_document_shape(self, tmp_path):
         path = tmp_path / "mod.py"
-        path.write_text("# probe\n\ndef f(network):\n"
-                        "    return network._crashed\n")
+        path.write_text(PLANTED)
         findings, _ = analyze_paths([str(path)])
         log = json.loads(render_sarif(findings, all_rules()))
         assert log["version"] == "2.1.0"
@@ -514,9 +346,9 @@ class TestOutputFormats:
         driver = run["tool"]["driver"]
         assert driver["name"] == "simlint"
         ids = {r["id"] for r in driver["rules"]}
-        assert {"FLT001", "ATM002", "PRO004", "DET101", "SUP001"} <= ids
+        assert ids == set(all_rules())
         result = run["results"][0]
-        assert result["ruleId"] == "FLT001"
+        assert result["ruleId"] == "PAR001"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 4
@@ -533,9 +365,8 @@ class TestOutputFormats:
 
     def test_github_annotations(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
-        path.write_text("# probe\n\ndef f(network):\n"
-                        "    return network._crashed\n")
+        path.write_text(PLANTED)
         assert main(["analyze", str(path), "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert "title=simlint FLT001::" in out
+        assert "title=simlint PAR001::" in out

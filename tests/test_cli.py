@@ -120,13 +120,15 @@ class TestToolCommands:
         assert excinfo.value.code == 0
         assert "retwis-smoke" in capsys.readouterr().out
 
-    def test_analyze_matches_the_module_alias(self, capsys, monkeypatch):
+    def test_analyze_subprocess_matches_in_process(self, capsys,
+                                                   monkeypatch):
+        # ``python -m repro analyze`` is the analyzer's one entry point.
         monkeypatch.chdir(REPO_ROOT)
         argv = ["tests/fixtures/analysis/dur", "--format", "json"]
         assert main(["analyze", *argv]) == 1
         out = capsys.readouterr().out
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *argv],
+            [sys.executable, "-m", "repro", "analyze", *argv],
             cwd=REPO_ROOT, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
         assert proc.returncode == 1

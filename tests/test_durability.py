@@ -472,11 +472,13 @@ class TestBackgroundAppendFailure:
         # failure path: ABORT vote plus the background sync=False append.
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            self._prepare("blocker", "key:0", "x", sim.now + 1e-3)))
+            self._prepare("blocker", "key:0", "x", sim.now + 1e-3),
+            timeout=10e-3))
         before = server.node.handler_errors
         reply = sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            self._prepare("loser", "key:0", "y", sim.now + 2e-3)))
+            self._prepare("loser", "key:0", "y", sim.now + 2e-3),
+            timeout=10e-3))
         assert reply.vote == "ABORT"
         # Pre-fix, the RuntimeError escapes Simulator.run before this
         # point; post-fix it lands on the handler error counter.
@@ -490,10 +492,12 @@ class TestBackgroundAppendFailure:
         server = cluster.servers["srv-0-0"]
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            self._prepare("blocker", "key:0", "x", sim.now + 1e-3)))
+            self._prepare("blocker", "key:0", "x", sim.now + 1e-3),
+            timeout=10e-3))
         reply = sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            self._prepare("loser", "key:0", "y", sim.now + 2e-3)))
+            self._prepare("loser", "key:0", "y", sim.now + 2e-3),
+            timeout=10e-3))
         assert reply.vote == "ABORT"
         sim.run(until=sim.now + 0.1)
         assert server.node.handler_errors == 0

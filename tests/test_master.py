@@ -144,7 +144,7 @@ class TestLookupService:
         cluster.sim.run(until=0.05)
         reply = cluster.sim.run_until_event(
             client.node.call("master", "master.lookup",
-                             MasterLookup(key="key:0")))
+                             MasterLookup(key="key:0"), timeout=10e-3))
         assert reply.shard == "shard0"
         assert reply.primary == "srv-0-0"
         assert reply.epoch == 0
@@ -154,7 +154,8 @@ class TestLookupService:
         client = cluster.clients[0]
         cluster.sim.run(until=0.05)
         reply = cluster.sim.run_until_event(
-            client.node.call("master", "master.lookup", MasterLookup()))
+            client.node.call("master", "master.lookup", MasterLookup(),
+                             timeout=10e-3))
         assert set(reply.shards) == {"shard0", "shard1"}
         assert all(len(info["replicas"]) == 3
                    for info in reply.shards.values())
@@ -167,6 +168,6 @@ class TestLookupService:
         cluster.sim.run(until=cluster.sim.now + 0.3)
         reply = cluster.sim.run_until_event(
             client.node.call("master", "master.lookup",
-                             MasterLookup(key="key:0")))
+                             MasterLookup(key="key:0"), timeout=10e-3))
         assert reply.primary != "srv-0-0"
         assert reply.epoch == 1

@@ -447,7 +447,8 @@ class TestSnapshotMiss:
 class TestQuorumLossHardening:
     """A lost replication quorum must surface as a protocol outcome.
 
-    Regression tests for the simlint PRO004/ATM002 findings:
+    Regression tests for the simlint PRO004/ATM002 findings (PRO004 is
+    retired; these tests are now its gate):
     ``QuorumError`` is *not* an ``RpcError``, so before the fixes it
     sailed past every ``except RpcError`` on the handler chain and
     landed in the RPC layer as an opaque handler error — or killed the

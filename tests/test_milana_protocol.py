@@ -52,9 +52,11 @@ class TestPrepareIdempotence:
         request = prepare_request("tx-1", [("key:0", "v")],
                                   ts_commit=sim.now + 1e-3)
         first = sim.run_until_event(
-            client.node.call("srv-0-0", "milana.prepare", request))
+            client.node.call("srv-0-0", "milana.prepare", request,
+                             timeout=10e-3))
         second = sim.run_until_event(
-            client.node.call("srv-0-0", "milana.prepare", request))
+            client.node.call("srv-0-0", "milana.prepare", request,
+                             timeout=10e-3))
         assert first.vote == "SUCCESS"
         assert second.vote == "SUCCESS"
         # Only one prepared record exists.
@@ -69,13 +71,13 @@ class TestPrepareIdempotence:
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
             prepare_request("blocker", [("key:0", "x")],
-                            ts_commit=sim.now + 1e-3)))
+                            ts_commit=sim.now + 1e-3), timeout=10e-3))
         conflicting = prepare_request("loser", [("key:0", "y")],
                                       ts_commit=sim.now + 2e-3)
         first = sim.run_until_event(client.node.call(
-            "srv-0-0", "milana.prepare", conflicting))
+            "srv-0-0", "milana.prepare", conflicting, timeout=10e-3))
         second = sim.run_until_event(client.node.call(
-            "srv-0-0", "milana.prepare", conflicting))
+            "srv-0-0", "milana.prepare", conflicting, timeout=10e-3))
         assert first.vote == "ABORT"
         assert second.vote == "ABORT"
 
@@ -86,7 +88,8 @@ class TestDecideHandler:
         client = cluster.clients[0]
         reply = cluster.sim.run_until_event(client.node.call(
             "srv-0-0", "milana.decide",
-            MilanaDecide(txn_id="never-heard-of-it", outcome=COMMITTED)))
+            MilanaDecide(txn_id="never-heard-of-it", outcome=COMMITTED),
+            timeout=10e-3))
         assert reply == MilanaDecideReply(status=UNKNOWN)
 
     def test_decide_twice_is_idempotent(self):
@@ -96,11 +99,11 @@ class TestDecideHandler:
         ts = sim.now + 1e-3
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            prepare_request("tx-2", [("key:1", "once")], ts)))
+            prepare_request("tx-2", [("key:1", "once")], ts), timeout=10e-3))
         for _ in range(2):
             sim.run_until_event(client.node.call(
                 "srv-0-0", "milana.decide",
-                MilanaDecide(txn_id="tx-2", outcome=COMMITTED)))
+                MilanaDecide(txn_id="tx-2", outcome=COMMITTED), timeout=10e-3))
         server = cluster.servers["srv-0-0"]
         assert server.txn_table["tx-2"].status == COMMITTED
         versions = server.backend.versions_of("key:1")
@@ -113,12 +116,12 @@ class TestDecideHandler:
         ts = sim.now + 1e-3
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            prepare_request("tx-3", [("key:2", "nope")], ts)))
+            prepare_request("tx-3", [("key:2", "nope")], ts), timeout=10e-3))
         server = cluster.servers["srv-0-0"]
         assert server.key_states.peek("key:2").prepared is not None
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.decide",
-            MilanaDecide(txn_id="tx-3", outcome=ABORTED)))
+            MilanaDecide(txn_id="tx-3", outcome=ABORTED), timeout=10e-3))
         assert server.key_states.peek("key:2").prepared is None
         # The aborted write never reached the store.
         assert Version(ts, 9) not in server.backend.versions_of("key:2")
@@ -138,13 +141,13 @@ class TestRelaxedBackupUpdates:
             "tx-4", [("key:3", "ooo")], ts))
         backup = "srv-0-1"
         sim.run_until_event(client.node.call(
-            backup, "milana.replicate_txn", committed))
+            backup, "milana.replicate_txn", committed, timeout=10e-3))
         server = cluster.servers[backup]
         assert server.txn_table["tx-4"].status == COMMITTED
         assert Version(ts, 9) in server.backend.versions_of("key:3")
         # The late prepare record must not downgrade the status.
         sim.run_until_event(client.node.call(
-            backup, "milana.replicate_txn", prepared))
+            backup, "milana.replicate_txn", prepared, timeout=10e-3))
         assert server.txn_table["tx-4"].status == COMMITTED
 
     def test_duplicate_commit_records_apply_once(self):
@@ -157,7 +160,7 @@ class TestRelaxedBackupUpdates:
         backup = "srv-0-1"
         for _ in range(3):
             sim.run_until_event(client.node.call(
-                backup, "milana.replicate_txn", record))
+                backup, "milana.replicate_txn", record, timeout=10e-3))
         versions = cluster.servers[backup].backend.versions_of("key:4")
         assert versions.count(Version(ts, 9)) == 1
 
@@ -171,17 +174,17 @@ class TestStatusQueries:
         def status(txn_id):
             return sim.run_until_event(client.node.call(
                 "srv-0-0", "milana.txn_status",
-                MilanaTxnStatus(txn_id=txn_id))).status
+                MilanaTxnStatus(txn_id=txn_id), timeout=10e-3)).status
 
         assert status("tx-6") == UNKNOWN
         ts = sim.now + 1e-3
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            prepare_request("tx-6", [("key:5", "s")], ts)))
+            prepare_request("tx-6", [("key:5", "s")], ts), timeout=10e-3))
         assert status("tx-6") == PREPARED
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.decide",
-            MilanaDecide(txn_id="tx-6", outcome=COMMITTED)))
+            MilanaDecide(txn_id="tx-6", outcome=COMMITTED), timeout=10e-3))
         assert status("tx-6") == COMMITTED
 
     def test_fetch_log_returns_wire_records(self):
@@ -191,9 +194,9 @@ class TestStatusQueries:
         ts = sim.now + 1e-3
         sim.run_until_event(client.node.call(
             "srv-0-0", "milana.prepare",
-            prepare_request("tx-7", [("key:6", "log")], ts)))
+            prepare_request("tx-7", [("key:6", "log")], ts), timeout=10e-3))
         reply = sim.run_until_event(client.node.call(
-            "srv-0-0", "milana.fetch_log", MilanaFetchLog()))
+            "srv-0-0", "milana.fetch_log", MilanaFetchLog(), timeout=10e-3))
         txn_ids = [record.txn_id for record in reply.records]
         assert "tx-7" in txn_ids
         assert all(isinstance(record, TxnRecordWire)

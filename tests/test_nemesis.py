@@ -382,6 +382,32 @@ class TestAuditChecks:
         assert not report.lost_writes  # the primary does have it
         assert len(report.divergent) == 2  # both backups lag
 
+    def _put_without_backups(self, cluster, rejection):
+        """A ``semel.put`` whose replication quorum is lost and which is
+        rejected with ``rejection``, then the audit of what it left
+        behind."""
+        primary = cluster.primary_server("shard0")
+        for backup in primary.backups:
+            cluster.network.crash(backup)
+        client = SemelClient(
+            cluster.sim, cluster.network, cluster.directory,
+            cluster.clock_ensemble.clock_for("semel-client"), client_id=9,
+            rpc_timeout=0.05, rpc_retries=0)
+        with pytest.raises(AppError, match=rejection):
+            cluster.sim.run_until_event(client.put("key:3", "x"))
+        for backup in primary.backups:
+            cluster.network.recover(backup)
+        return run_audit(cluster)
+
+    def test_quorum_loss_is_not_a_handler_error(self):
+        # semel.put converts QuorumError to an AppError, the rejection
+        # the sender retries; census row PRO004-a (the conversion
+        # removed) fails here.
+        report = self._put_without_backups(
+            self._history_cluster(), "^semel.replicate: only 0 backups")
+        assert report.handler_errors == 0
+        assert report.passed
+
     def test_detects_leaked_handler_error(self):
         # The mutation of census row PRO004-a: semel.put's replication
         # lets QuorumError escape instead of converting it to an
@@ -396,17 +422,7 @@ class TestAuditChecks:
                 primary.quorum_acks, timeout=primary.replication_timeout)
 
         primary._replicate = replicate_without_conversion
-        for backup in primary.backups:
-            cluster.network.crash(backup)
-        client = SemelClient(
-            cluster.sim, cluster.network, cluster.directory,
-            cluster.clock_ensemble.clock_for("semel-client"), client_id=9,
-            rpc_timeout=0.05, rpc_retries=0)
-        with pytest.raises(AppError, match="QuorumError"):
-            cluster.sim.run_until_event(client.put("key:3", "x"))
-        for backup in primary.backups:
-            cluster.network.recover(backup)
-        report = run_audit(cluster)
+        report = self._put_without_backups(cluster, "QuorumError")
         assert report.handler_errors == 1
         assert not report.passed
         assert "handler errors      1" in report.summary()

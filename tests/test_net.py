@@ -136,7 +136,8 @@ class TestRpc:
             return ("echo", payload)
 
         server.register("echo", echo)
-        result = sim.run_until_event(client.call("server", "echo", 42))
+        result = sim.run_until_event(client.call("server", "echo", 42,
+                                                 timeout=10e-3))
         assert result == ("echo", 42)
         # 2 network hops + 10 µs service time.
         assert sim.now == pytest.approx(110e-6)
@@ -152,7 +153,8 @@ class TestRpc:
         server.register("double", slow_double)
 
         def caller():
-            calls = [client.call("server", "double", n) for n in (5, 1, 3)]
+            calls = [client.call("server", "double", n,
+                                 timeout=10e-3) for n in (5, 1, 3)]
             results = []
             for call in calls:
                 value = yield call
@@ -174,7 +176,7 @@ class TestRpc:
 
         def caller():
             try:
-                yield client.call("server", "commit", None)
+                yield client.call("server", "commit", None, timeout=10e-3)
             except AppError as exc:
                 return str(exc)
 
@@ -187,7 +189,7 @@ class TestRpc:
 
         def caller():
             try:
-                yield client.call("server", "nope", None)
+                yield client.call("server", "nope", None, timeout=10e-3)
             except AppError as exc:
                 return str(exc)
 
@@ -281,7 +283,7 @@ class TestRpc:
             return len(calls)
 
         server.register("count", count)
-        sim.run_until_event(client.call("server", "count", "x"))
+        sim.run_until_event(client.call("server", "count", "x", timeout=10e-3))
         sim.run()
         assert len(calls) == 2
 

@@ -376,6 +376,45 @@ class TestCooperativeTermination:
                                 for s in cluster.servers.values())
         assert total_resolutions >= 1
 
+    def test_ctp_asks_the_coordinator_first(self):
+        """A reachable coordinator's decided ABORTED overrules rule 4:
+        CTP's first move is the ``milana.txn_outcome`` query."""
+        cluster = make_cluster(ctp_timeout=20e-3)
+        client = cluster.clients[0]
+        blocked, orphaned = cluster.populated_keys[:2]
+        server = cluster.servers[cluster.directory.shard("shard0").primary]
+        ts = cluster.sim.now + 1e-3
+        server.txn_table["blocker"] = TransactionRecord(
+            txn_id="blocker", client_id=9, client_name="ghost",
+            ts_commit=ts, reads=[], writes=[(blocked, "blocked")],
+            participants=["shard0"], status=PREPARED,
+            prepared_at=cluster.sim.now)
+        server.key_states.mark_prepared(blocked, "blocker", ts)
+
+        def aborted():
+            txn = client.begin()
+            yield client.txn_get(txn, blocked)
+            client.put(txn, blocked, "mine")
+            assert (yield client.commit(txn)) == ABORTED
+            return txn.txn_id
+
+        txn_id = run(cluster, cluster.sim.process(aborted()))
+        cluster.sim.run(until=cluster.sim.now + 5e-3)
+        # The only participant holds the transaction PREPARED, as if its
+        # decide were lost: rule 4 alone would commit it.
+        ts = cluster.sim.now + 1e-3
+        server.txn_table[txn_id] = TransactionRecord(
+            txn_id=txn_id, client_id=client.client_id,
+            client_name=client.node.name, ts_commit=ts, reads=[],
+            writes=[(orphaned, "must-not-commit")], participants=["shard0"],
+            status=PREPARED, prepared_at=cluster.sim.now)
+        server.key_states.mark_prepared(orphaned, txn_id, ts)
+
+        cluster.sim.run(until=cluster.sim.now + 0.2)
+        assert server.txn_table[txn_id].status == ABORTED
+        assert server.key_states.peek(orphaned).prepared is None
+        assert server.txn_table["blocker"].status == COMMITTED
+
     def test_ctp_aborts_when_participant_never_prepared(self):
         """Client died between prepares: CTP rule 2."""
         cluster = make_cluster(num_shards=2, populate_keys=30,

@@ -290,7 +290,7 @@ class TestSemelService:
         def direct_to_backup():
             try:
                 yield client.node.call(
-                    "srv-0-1", "semel.get", SemelGet(key="k"))
+                    "srv-0-1", "semel.get", SemelGet(key="k"), timeout=10e-3)
             except AppError as exc:
                 return str(exc)
 

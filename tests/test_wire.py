@@ -254,7 +254,7 @@ class TestTypedEnforcement:
         node = RpcNode(sim, network, "a")
         network.register("b", lambda message: None)
         with pytest.raises(TypeError, match="SemelGet"):
-            node.call("b", "semel.get", {"key": "k"})
+            node.call("b", "semel.get", {"key": "k"}, timeout=10e-3)
 
     def test_send_oneway_rejects_wrong_message_type(self):
         sim, network = make_net()
@@ -285,7 +285,7 @@ class TestTypedEnforcement:
 
         server.register("echo", echo)
         assert sim.run_until_event(
-            client.call("srv", "echo", {"free": "form"})) == \
+            client.call("srv", "echo", {"free": "form"}, timeout=10e-3)) == \
             {"free": "form"}
 
     def test_mistyped_handler_result_is_an_error_response(self):
@@ -301,7 +301,8 @@ class TestTypedEnforcement:
 
         def attempt():
             try:
-                yield client.call("srv", "semel.get", SemelGet(key="k"))
+                yield client.call("srv", "semel.get", SemelGet(key="k"),
+                                  timeout=10e-3)
             except AppError as exc:
                 return str(exc)
 
