@@ -335,21 +335,46 @@ class TestRetiredRuleGates:
         _, client, _ = rpc_pair()
         with pytest.raises(TypeError, match="timeout"):
             client.call("b", "echo", 1)
+
+    def test_self_node_call_without_timeout_raises(self):
+        # The same drop through a component that holds its node.
+        class Client:
+            def __init__(self, node):
+                self.node = node
+
+            def send(self, request):
+                return self.node.call("b", "echo", request, retries=2)
+
+        _, node, _ = rpc_pair()
+        with pytest.raises(TypeError, match="timeout"):
+            Client(node).send(1)
+
+    def test_rpc_call_with_positional_timeout_raises(self):
+        # A positional budget no longer binds to ``timeout``.
+        _, client, _ = rpc_pair()
         with pytest.raises(TypeError):
-            client.call("b", "echo", 1, 5e-3)  # positional budget
+            client.call("b", "echo", 1, 5e-3)
 
     def test_replicate_without_timeout_raises(self):
         _, client, _ = rpc_pair()
         with pytest.raises(TypeError, match="timeout"):
             replicate_to_backups(client, ["b"], "echo", 1, 1)
 
-    def test_crashed_set_is_private(self):
-        # FLT001-a/b: poking or reading the crashed set directly.
+    def test_crashed_set_mutation_raises(self):
+        # FLT001-a: poking the crashed set directly.
         network, _, _ = rpc_pair()
         with pytest.raises(AttributeError):
             network._crashed.add("a")
+        assert not network.is_crashed("a")
+
+    def test_crashed_set_read_raises(self):
+        # FLT001-b: reading the crashed set directly.
+        network, _, _ = rpc_pair()
         with pytest.raises(AttributeError):
             "a" in network._crashed
+
+    def test_crash_is_visible_through_fault_api(self):
+        network, _, _ = rpc_pair()
         network.crash("a")
         assert network.is_crashed("a")
         assert not network.can_communicate("a", "b")
