@@ -45,8 +45,8 @@ def main():
         else:
             skew_text = f"{skew * 1e9:.0f} ns"
         print(f"{preset:>9} {skew_text:>14} "
-              f"{result.abort_rate:>11.3f} "
-              f"{result.throughput:>9.0f}")
+              f"{result.metrics.abort_rate:>11.3f} "
+              f"{result.metrics.throughput:>9.0f}")
     print()
     print("Expect: abort rates flat from perfect through hardware PTP "
           "(skew << write latency), a modest rise at software PTP, and a "

@@ -88,10 +88,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
         command.add_argument("--duration", type=float, default=0.2,
                              help="measured seconds of simulated time")
         command.add_argument("--seed", type=int, default=42)
-        command.add_argument(
-            "--bandwidth", type=float, default=None,
-            help="link bandwidth in bytes/s of simulated time "
-                 "(default: infinitely fast links)")
 
     retwis = sub.add_parser("retwis", help="run the Retwis benchmark")
     add_cluster_arguments(retwis)
@@ -224,7 +220,6 @@ def _cluster_config(args) -> ClusterConfig:
         seed=args.seed,
         populate_keys=args.keys,
         local_validation=not getattr(args, "no_local_validation", False),
-        network_bandwidth=getattr(args, "bandwidth", None),
     )
 
 

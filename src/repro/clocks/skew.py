@@ -1,61 +1,82 @@
-"""Skew measurement utilities and clock-ensemble construction.
+"""The clock disciplines, clock-ensemble construction and skew measurement.
 
-Experiments need two things beyond individual clocks: a way to build one
-clock per node from a single configuration ("all clients run NTP"), and a
-way to report the realized skew the way the paper does (mean pairwise
-offset among clients).
+:data:`CLOCK_PRESETS` is the one table of clock disciplines: every name
+accepted where a clock source is configured maps to its row (or to
+``None`` for a perfect clock), and :func:`make_clock` builds a clock from
+that row. Experiments also need one clock per node from a single
+configuration ("all clients run NTP") and a way to report the realized
+skew the way the paper does (mean pairwise offset among clients).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..sim.rng import SeededRng
 from .anomalies import FaultyClock
 from .base import Clock
-from .ntp import NTPClock
 from .perfect import PerfectClock
-from .ptp import (
-    PTP_DTP_MEAN_SKEW,
-    PTP_HARDWARE_MEAN_SKEW,
-    PTP_SOFTWARE_MEAN_SKEW,
-    PTPClock,
-)
+from .synced import SyncedClock
 
 __all__ = [
     "CLOCK_PRESETS",
+    "ClockDiscipline",
+    "PAIRWISE_TO_STD",
     "make_clock",
     "ClockEnsemble",
     "mean_pairwise_skew",
     "max_pairwise_skew",
 ]
 
-#: Named presets accepted everywhere a clock source is configured.
-CLOCK_PRESETS: Dict[str, dict] = {
-    "perfect": {},
-    "ptp-sw": {"mean_pairwise_skew": PTP_SOFTWARE_MEAN_SKEW},
-    "ptp-hw": {"mean_pairwise_skew": PTP_HARDWARE_MEAN_SKEW},
-    "dtp": {"mean_pairwise_skew": PTP_DTP_MEAN_SKEW},
-    "ntp": {},
+#: Divide a target mean pairwise skew by this to get the Gaussian std
+#: dev: for independent zero-mean Gaussian offsets with std dev σ, the
+#: expected pairwise skew E|o_i − o_j| is 2σ/√π ≈ 1.1284 σ.
+PAIRWISE_TO_STD = 2.0 / math.sqrt(math.pi)
+
+
+class ClockDiscipline(NamedTuple):
+    """One synchronization protocol, as a :class:`SyncedClock` runs it."""
+
+    #: Average pairwise skew among clients (seconds).
+    mean_pairwise_skew: float
+    #: Seconds between synchronization rounds.
+    sync_interval: float
+    #: Frequency error bound between rounds (parts per million).
+    drift_ppm: float
+
+
+#: Named clock disciplines, accepted everywhere a clock source is
+#: configured. PTP-class rows sync every 2 s (the IEEE 1588 default) with
+#: 1 ppm of drift; NTP polls every 16 s (its default minimum poll) with
+#: 50 ppm, which its millisecond residual dominates anyway.
+CLOCK_PRESETS: Dict[str, Optional[ClockDiscipline]] = {
+    "perfect": None,
+    # Paper §5.2: "software timestamped PTP has average skew of 53.2 µs".
+    "ptp-sw": ClockDiscipline(53.2e-6, 2.0, 1.0),
+    # IEEE 1588 with hardware timestamping: < 1 µs; we model 0.5 µs mean.
+    "ptp-hw": ClockDiscipline(0.5e-6, 2.0, 1.0),
+    # DTP-class datacenter synchronization (~150 ns across the DC).
+    "dtp": ClockDiscipline(150e-9, 2.0, 1.0),
+    # Paper §5.2: "NTP shows an average skew of 1.51 ms among clients".
+    "ntp": ClockDiscipline(1.51e-3, 16.0, 50.0),
 }
 
 
 def make_clock(preset: str, sim, rng: SeededRng, name: str) -> Clock:
-    """Build one clock from a preset name.
-
-    Presets: ``perfect``, ``ptp-sw``, ``ptp-hw``, ``dtp``, ``ntp``.
-    """
-    if preset == "perfect":
+    """Build one clock from the :data:`CLOCK_PRESETS` row ``preset``."""
+    if preset not in CLOCK_PRESETS:
+        raise ValueError(
+            f"unknown clock preset {preset!r}; expected one of "
+            f"{sorted(CLOCK_PRESETS)}")
+    row = CLOCK_PRESETS[preset]
+    if row is None:
         return PerfectClock(sim, name=name)
-    if preset in ("ptp-sw", "ptp-hw", "dtp"):
-        skew = CLOCK_PRESETS[preset]["mean_pairwise_skew"]
-        return PTPClock(sim, rng, mean_pairwise_skew=skew, name=name)
-    if preset == "ntp":
-        return NTPClock(sim, rng, name=name)
-    raise ValueError(
-        f"unknown clock preset {preset!r}; expected one of "
-        f"{sorted(CLOCK_PRESETS)}")
+    return SyncedClock(
+        sim, rng, residual_std=row.mean_pairwise_skew / PAIRWISE_TO_STD,
+        drift_ppm=row.drift_ppm, sync_interval=row.sync_interval,
+        name=name)
 
 
 class ClockEnsemble:

@@ -1,12 +1,12 @@
 """Generic periodically-synchronized clock model.
 
-Both PTP and NTP follow the same structure: a slave clock accumulates
-frequency drift between synchronization rounds and, at each round, corrects
-itself to within some *residual offset* of the master. The protocols differ
-only in the magnitude of the residual (sub-µs for hardware PTP, tens of µs
-for software-timestamped PTP, milliseconds for NTP) and the round interval
-(2 s for PTP per the IEEE 1588 default; NTP polls far less often but we keep
-the interval as a parameter).
+Every clock discipline but ``perfect`` is this one model: a slave clock
+accumulates frequency drift between synchronization rounds and, at each
+round, corrects itself to within some *residual offset* of the master. The
+disciplines differ only in the magnitude of the residual (sub-µs for
+hardware PTP, tens of µs for software-timestamped PTP, milliseconds for
+NTP), the round interval and the drift bound: the rows of
+:data:`~repro.clocks.skew.CLOCK_PRESETS`.
 
 The model evaluates lazily — no simulation process is required — which keeps
 clock reads O(1) and allows millions of timestamp calls per run:
@@ -15,7 +15,8 @@ clock reads O(1) and allows millions of timestamp calls per run:
 
 where ``t_k`` is the most recent sync instant at or before ``t`` and
 ``residual(k)`` is an i.i.d. draw for round ``k`` from a Gaussian with the
-configured standard deviation.
+configured standard deviation. Each node's sync schedule starts at a random
+phase of the interval, so that all nodes do not correct at the same instant.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class SyncedClock(Clock):
         round draws a drift rate uniformly in ``[-drift_ppm, +drift_ppm]``.
     sync_interval:
         Seconds between synchronization rounds.
-    phase:
-        Offset (seconds) of this node's sync schedule, so that all nodes do
-        not correct at the same instant. Defaults to a random fraction of
-        the interval.
     """
 
     def __init__(
@@ -59,7 +56,6 @@ class SyncedClock(Clock):
         drift_ppm: float = 10.0,
         sync_interval: float = 2.0,
         name: str = "synced-clock",
-        phase: Optional[float] = None,
     ) -> None:
         super().__init__(sim, name=name)
         if residual_std < 0:
@@ -71,9 +67,7 @@ class SyncedClock(Clock):
         self.residual_std = residual_std
         self.drift_rate_bound = drift_ppm * 1e-6
         self.sync_interval = sync_interval
-        if phase is None:
-            phase = rng.uniform(0.0, sync_interval)
-        self.phase = phase % sync_interval
+        self._phase = rng.uniform(0.0, sync_interval)
         # The clock is modelled as having been disciplined long before the
         # simulation starts: the sync schedule extends backwards in time,
         # so even time zero falls inside some round with a drawn residual.
@@ -84,7 +78,7 @@ class SyncedClock(Clock):
 
     def _round_index(self, true_time: float) -> int:
         """Index of the sync round covering ``true_time`` (may be < 0)."""
-        return int((true_time - self.phase) // self.sync_interval)
+        return int((true_time - self._phase) // self.sync_interval)
 
     def _load_round(self, index: int) -> None:
         """Set residual/drift for round ``index``.
@@ -107,6 +101,6 @@ class SyncedClock(Clock):
         index = self._round_index(true_time)
         if index != self._round:
             self._load_round(index)
-        last_sync = self.phase + self._round * self.sync_interval
+        last_sync = self._phase + self._round * self.sync_interval
         elapsed = max(0.0, true_time - last_sync)
         return true_time + self._residual + self._drift_rate * elapsed

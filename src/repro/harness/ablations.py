@@ -78,14 +78,14 @@ def _replication_factor_point(replicas, num_clients, num_keys, alpha,
         num_shards=1, replicas_per_shard=replicas,
         num_clients=num_clients, backend="dram",
         clock_preset="ptp-sw", seed=seed, populate_keys=num_keys)
-    result = run_retwis_on_cluster(
-        config, alpha=alpha, duration=duration, warmup=warmup)
+    metrics = run_retwis_on_cluster(
+        config, alpha=alpha, duration=duration, warmup=warmup).metrics
     return [[
         replicas,
         (replicas - 1) // 2,
-        result.throughput,
-        result.mean_latency * 1e3,
-        result.abort_rate,
+        metrics.throughput,
+        metrics.mean_latency * 1e3,
+        metrics.abort_rate,
     ]], {}
 
 
@@ -109,7 +109,7 @@ def _watermark_interval_point(interval, num_clients, num_keys, alpha,
                 for key in result.cluster.populated_keys[:200]]
     return [[
         interval * 1e3,
-        result.throughput,
+        result.metrics.throughput,
         sum(versions) / len(versions),
         max(versions),
     ]], {}

@@ -46,10 +46,6 @@ class ClusterConfig:
     seed: int = 42
     local_validation: bool = True
     network_base_latency: float = 50e-6
-    #: Link bandwidth in bytes per simulated second; None models an
-    #: infinitely fast link (zero transmission delay), preserving the
-    #: pre-bandwidth behaviour of existing experiments.
-    network_bandwidth: Optional[float] = None
     #: Flash geometry per storage server; None picks one sized for
     #: ``populate_keys`` (about 3x the live data set).
     geometry: Optional[FlashGeometry] = None
@@ -110,9 +106,7 @@ class Cluster:
         self.rng = SeededRng(config.seed)
         self.network = Network(
             self.sim, self.rng,
-            latency=JitteredLatency(
-                base=config.network_base_latency,
-                bandwidth=config.network_bandwidth))
+            latency=JitteredLatency(base=config.network_base_latency))
         self.clock_ensemble = ClockEnsemble(
             self.sim, self.rng, preset=config.clock_preset)
         shards = {

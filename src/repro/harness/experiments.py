@@ -256,10 +256,10 @@ def _figure6_point(backend, alpha, num_clients, num_keys, duration, warmup,
         clock_preset="perfect", seed=seed,
         populate_keys=num_keys,
         network_base_latency=20e-6)
-    result = run_retwis_on_cluster(
-        config, alpha=alpha, duration=duration, warmup=warmup)
-    return ([[backend, alpha, num_clients, result.abort_rate]],
-            {f"{backend} a={alpha}": (num_clients, result.abort_rate)})
+    metrics = run_retwis_on_cluster(
+        config, alpha=alpha, duration=duration, warmup=warmup).metrics
+    return ([[backend, alpha, num_clients, metrics.abort_rate]],
+            {f"{backend} a={alpha}": (num_clients, metrics.abort_rate)})
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +278,10 @@ def _figure7_point(clock_preset, backend, alpha, num_clients, num_keys,
         num_clients=num_clients, backend=backend,
         clock_preset=clock_preset, seed=seed,
         populate_keys=num_keys)
-    result = run_retwis_on_cluster(
-        config, alpha=alpha, duration=duration, warmup=warmup)
-    return ([[clock_preset, backend, alpha, result.abort_rate]],
-            {f"{clock_preset}/{backend}": (alpha, result.abort_rate)})
+    metrics = run_retwis_on_cluster(
+        config, alpha=alpha, duration=duration, warmup=warmup).metrics
+    return ([[clock_preset, backend, alpha, metrics.abort_rate]],
+            {f"{clock_preset}/{backend}": (alpha, metrics.abort_rate)})
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +297,16 @@ def _figure8_point(backend, local_validation, num_clients, alpha, num_keys,
         num_clients=num_clients, backend=backend,
         clock_preset="ptp-sw", seed=seed,
         populate_keys=num_keys, local_validation=local_validation)
-    result = run_retwis_on_cluster(
+    metrics = run_retwis_on_cluster(
         config, alpha=alpha, duration=duration, warmup=warmup,
-        mix=RETWIS_MIX_75_READONLY)
+        mix=RETWIS_MIX_75_READONLY).metrics
     mode = "LV" if local_validation else "noLV"
     return ([[backend, mode, num_clients,
-              result.throughput,
-              result.mean_latency * 1e3,
-              result.metrics.network_bandwidth_used / 1e6]],
-            {f"{backend}/{mode}": (result.throughput,
-                                   result.mean_latency * 1e3)})
+              metrics.throughput,
+              metrics.mean_latency * 1e3,
+              metrics.network_bandwidth_used / 1e6]],
+            {f"{backend}/{mode}": (metrics.throughput,
+                                   metrics.mean_latency * 1e3)})
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +347,10 @@ def _figure9_point(system, alpha, num_clients, num_keys, duration, warmup,
             c.local_validation_successes
             for c in result.cluster.clients)
         lv_fraction = successes / attempts if attempts else 0.0
-    return ([[system, alpha, result.throughput, lv_fraction,
-              result.abort_rate]],
-            {system: (alpha, result.throughput)})
+    metrics = result.metrics
+    return ([[system, alpha, metrics.throughput, lv_fraction,
+              metrics.abort_rate]],
+            {system: (alpha, metrics.throughput)})
 
 
 FIGURES: Tuple[Experiment, ...] = (

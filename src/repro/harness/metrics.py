@@ -36,13 +36,9 @@ class StatsSnapshot:
     """Point-in-time sum of client counters."""
 
     time: float
-    started: int
     committed: int
     aborted: int
     latency_total: float
-    latency_committed_total: float
-    local_validations: int
-    remote_validations: int
     network_bytes: int = 0
     messages_sent: int = 0
 
@@ -55,9 +51,6 @@ class WindowMetrics:
     committed: int
     aborted: int
     mean_latency: float
-    mean_commit_latency: float
-    local_validations: int
-    remote_validations: int
     network_bytes: int = 0
     messages_sent: int = 0
 
@@ -91,15 +84,9 @@ def snapshot(sim_now: float,
     """
     return StatsSnapshot(
         time=sim_now,
-        started=sum(c.stats.started for c in clients),
         committed=sum(c.stats.committed for c in clients),
         aborted=sum(c.stats.aborted for c in clients),
         latency_total=sum(c.stats.latency_total for c in clients),
-        latency_committed_total=sum(
-            c.stats.latency_committed_total for c in clients),
-        local_validations=sum(c.stats.local_validations for c in clients),
-        remote_validations=sum(
-            c.stats.remote_validations for c in clients),
         network_bytes=network.stats.total_bytes if network else 0,
         messages_sent=network.stats.messages_sent if network else 0,
     )
@@ -112,18 +99,11 @@ def window_metrics(before: StatsSnapshot,
     aborted = after.aborted - before.aborted
     decided = committed + aborted
     latency = after.latency_total - before.latency_total
-    commit_latency = (after.latency_committed_total
-                      - before.latency_committed_total)
     return WindowMetrics(
         duration=after.time - before.time,
         committed=committed,
         aborted=aborted,
         mean_latency=latency / decided if decided else 0.0,
-        mean_commit_latency=commit_latency / committed if committed else 0.0,
-        local_validations=(after.local_validations
-                           - before.local_validations),
-        remote_validations=(after.remote_validations
-                            - before.remote_validations),
         network_bytes=after.network_bytes - before.network_bytes,
         messages_sent=after.messages_sent - before.messages_sent,
     )

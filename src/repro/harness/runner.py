@@ -36,18 +36,6 @@ class RetwisRunResult:
     #: ``metrics``.
     latency_histogram: LatencyHistogram
 
-    @property
-    def abort_rate(self) -> float:
-        return self.metrics.abort_rate
-
-    @property
-    def throughput(self) -> float:
-        return self.metrics.throughput
-
-    @property
-    def mean_latency(self) -> float:
-        return self.metrics.mean_latency
-
 
 def run_retwis_on_cluster(
     config: ClusterConfig,

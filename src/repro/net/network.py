@@ -206,7 +206,6 @@ class Network:
     def _schedule_delivery(self, src: str, dst: str, message: Any,
                            size: int) -> None:
         delay = self.latency.sample(self.rng)
-        delay += self.latency.transmission_delay(size)
         stats = self.stats
         edge = (src, dst)
         stats.bytes_by_edge[edge] = stats.bytes_by_edge.get(edge, 0) + size

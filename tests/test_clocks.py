@@ -9,10 +9,6 @@ from hypothesis import strategies as st
 from repro.clocks import (
     CLOCK_PRESETS,
     ClockEnsemble,
-    NTPClock,
-    NTP_MEAN_SKEW,
-    PTP_SOFTWARE_MEAN_SKEW,
-    PTPClock,
     PerfectClock,
     SyncedClock,
     make_clock,
@@ -60,7 +56,7 @@ class TestSyncedClock:
         sim = Simulator()
         rng = SeededRng(5)
         clock = SyncedClock(sim, rng, residual_std=1e-3, drift_ppm=0,
-                            sync_interval=1.0, phase=0.0)
+                            sync_interval=1.0)
         offsets = set()
         for step in range(10):
             sim.run(until=step + 0.5)
@@ -90,10 +86,10 @@ class TestSyncedClock:
 
 class TestCalibration:
     @staticmethod
-    def _measured_mean_skew(clock_factory, n_clients=40, samples=50):
+    def _measured_mean_skew(preset, n_clients=40, samples=50):
         sim = Simulator()
         rng = SeededRng(123)
-        clocks = [clock_factory(sim, rng.substream(f"c{i}"), f"c{i}")
+        clocks = [make_clock(preset, sim, rng.substream(f"c{i}"), f"c{i}")
                   for i in range(n_clients)]
         total = 0.0
         for step in range(samples):
@@ -102,22 +98,18 @@ class TestCalibration:
         return total / samples
 
     def test_ptp_software_mean_skew_matches_paper(self):
-        measured = self._measured_mean_skew(
-            lambda sim, rng, name: PTPClock(sim, rng, name=name))
-        assert measured == pytest.approx(PTP_SOFTWARE_MEAN_SKEW, rel=0.25)
+        measured = self._measured_mean_skew("ptp-sw")
+        paper = CLOCK_PRESETS["ptp-sw"].mean_pairwise_skew
+        assert measured == pytest.approx(paper, rel=0.25)
 
     def test_ntp_mean_skew_matches_paper(self):
-        measured = self._measured_mean_skew(
-            lambda sim, rng, name: NTPClock(sim, rng, name=name))
-        assert measured == pytest.approx(NTP_MEAN_SKEW, rel=0.25)
+        measured = self._measured_mean_skew("ntp")
+        paper = CLOCK_PRESETS["ntp"].mean_pairwise_skew
+        assert measured == pytest.approx(paper, rel=0.25)
 
     def test_ntp_skew_much_larger_than_ptp(self):
-        ptp = self._measured_mean_skew(
-            lambda sim, rng, name: PTPClock(sim, rng, name=name),
-            n_clients=10, samples=20)
-        ntp = self._measured_mean_skew(
-            lambda sim, rng, name: NTPClock(sim, rng, name=name),
-            n_clients=10, samples=20)
+        ptp = self._measured_mean_skew("ptp-sw", n_clients=10, samples=20)
+        ntp = self._measured_mean_skew("ntp", n_clients=10, samples=20)
         assert ntp > 10 * ptp
 
 
@@ -128,6 +120,31 @@ class TestPresetsAndEnsemble:
         for preset in CLOCK_PRESETS:
             clock = make_clock(preset, sim, rng.substream(preset), preset)
             assert clock.now() is not None
+
+    def test_first_readings_of_every_preset_are_pinned(self):
+        # offset() at 0.5 s, 3 s and 40 s under seed 2017: a change to a
+        # row, or to how SyncedClock draws from its stream, moves one.
+        expected = {
+            "perfect": [0.0, 0.0, 0.0],
+            "ptp-sw": [-1.5175714210058366e-05, 6.249910808397985e-05,
+                       9.23739521851985e-06],
+            "ptp-hw": [-4.0105975468440747e-07, -4.39481711911327e-07,
+                       5.705031895786306e-07],
+            "dtp": [2.4923762165229846e-07, -3.4032881002232784e-07,
+                    -4.3736041988040597e-07],
+            "ntp": [-0.0017165412248922318, -0.001778809728286923,
+                    0.0006560739071090893],
+        }
+        assert list(CLOCK_PRESETS) == list(expected)
+        for preset, offsets in expected.items():
+            sim = Simulator()
+            clock = make_clock(
+                preset, sim, SeededRng(2017).substream(preset), preset)
+            readings = []
+            for until in (0.5, 3.0, 40.0):
+                sim.run(until=until)
+                readings.append(clock.offset())
+            assert readings == offsets, preset
 
     def test_unknown_preset_rejected(self):
         sim = Simulator()
@@ -187,6 +204,6 @@ class TestMonotonicityProperty:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_offset_is_finite(self, seed):
         sim = Simulator()
-        clock = NTPClock(sim, SeededRng(seed))
+        clock = make_clock("ntp", sim, SeededRng(seed), "ntp")
         sim.run(until=3.0)
         assert math.isfinite(clock.offset())

@@ -86,7 +86,6 @@ class TestClusterBuild:
         assert cluster.sim.run_until_event(
             cluster.sim.process(work())) == COMMITTED
         totals = snapshot(cluster.sim.now, cluster.clients)
-        assert totals.started == 1
         assert totals.committed == 1
         assert totals.aborted == 0
 
@@ -94,10 +93,8 @@ class TestClusterBuild:
 class TestMetrics:
     def _snap(self, time, committed, aborted, latency):
         return StatsSnapshot(
-            time=time, started=committed + aborted, committed=committed,
-            aborted=aborted, latency_total=latency,
-            latency_committed_total=latency, local_validations=0,
-            remote_validations=0)
+            time=time, committed=committed, aborted=aborted,
+            latency_total=latency)
 
     def test_window_diff(self):
         before = self._snap(1.0, 10, 2, 0.012)
@@ -123,7 +120,7 @@ class TestMetrics:
             backend="dram", populate_keys=5))
         snap = snapshot(cluster.sim.now, cluster.clients)
         assert snap.committed == 0
-        assert snap.started == 0
+        assert snap.aborted == 0
 
 
 class TestRunner:
@@ -134,9 +131,9 @@ class TestRunner:
         result = run_retwis_on_cluster(
             config, alpha=0.5, duration=0.1, warmup=0.02)
         assert result.metrics.committed > 0
-        assert result.throughput > 0
-        assert 0.0 <= result.abort_rate < 1.0
-        assert result.mean_latency > 0
+        assert result.metrics.throughput > 0
+        assert 0.0 <= result.metrics.abort_rate < 1.0
+        assert result.metrics.mean_latency > 0
 
     def test_mix_override(self):
         from repro.workloads import RETWIS_MIX_75_READONLY

@@ -29,16 +29,12 @@ class TestLatencyModels:
             FixedLatency(-1.0)
 
     def test_jittered_positive_and_near_base(self):
-        model = JitteredLatency(base=50e-6, jitter_fraction=0.2)
+        model = JitteredLatency(base=50e-6)
         rng = SeededRng(1)
         draws = [model.sample(rng) for _ in range(500)]
         assert all(d > 0 for d in draws)
         mean = sum(draws) / len(draws)
         assert 0.7 * 50e-6 < mean < 1.5 * 50e-6
-
-    def test_jittered_zero_jitter_is_fixed(self):
-        model = JitteredLatency(base=50e-6, jitter_fraction=0.0)
-        assert model.sample(SeededRng(1)) == 50e-6
 
 
 def register_pair(net, src="src", dst="dst"):
@@ -475,7 +471,7 @@ class TestDeliveryFastPath:
     def _run_exchange(self, sim):
         received = []
         network = self._faulty_net(
-            sim, JitteredLatency(base=50e-6, jitter_fraction=0.3),
+            sim, JitteredLatency(base=50e-6),
             lambda message: received.append((repr(sim.now), message)))
 
         def sender():

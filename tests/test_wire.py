@@ -331,18 +331,10 @@ class TestSizeAwareTransport:
         (arrival,) = arrivals
         return sim, network, arrival
 
-    def test_no_bandwidth_means_no_transmission_delay(self):
+    def test_arrival_is_send_time_plus_latency_whatever_the_size(self):
         message = SemelPut(key="k", value="x" * 100, version=(1.0, 1))
         _, _, arrival = self._timed_delivery(FixedLatency(1e-3), message)
         assert arrival == 1e-3
-
-    def test_bandwidth_charges_size_proportional_delay(self):
-        message = SemelPut(key="k", value="x" * 100, version=(1.0, 1))
-        bandwidth = 1e6  # bytes per simulated second
-        _, _, arrival = self._timed_delivery(
-            FixedLatency(1e-3, bandwidth=bandwidth), message)
-        expected = 1e-3 + wire_size_of(message) / bandwidth
-        assert arrival == pytest.approx(expected, rel=1e-12)
 
     def test_bytes_by_edge_accounts_each_message(self):
         message = SemelGet(key="key:1")
@@ -358,10 +350,6 @@ class TestSizeAwareTransport:
         network.crash("b")
         network.send("a", "b", SemelGet(key="k"))
         assert network.stats.bytes_by_edge == {}
-
-    def test_latency_model_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            FixedLatency(1e-3, bandwidth=0.0)
 
 
 # -- duplicate-delivery idempotence under the typed protocol ----------------
