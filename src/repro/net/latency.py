@@ -10,6 +10,7 @@ replication protocol must tolerate by design.
 from __future__ import annotations
 
 import abc
+from math import exp, log, sqrt
 
 from ..sim.rng import SeededRng
 
@@ -18,6 +19,9 @@ __all__ = [
     "FixedLatency",
     "JitteredLatency",
 ]
+
+#: ``random.NV_MAGICCONST``, by the same expression.
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
 class LatencyModel(abc.ABC):
@@ -58,5 +62,17 @@ class JitteredLatency(LatencyModel):
         self.base = base
 
     def sample(self, rng: SeededRng) -> float:
-        draw = self.base * rng.lognormvariate(0.0, self.sigma)
-        return max(draw, self.floor)
+        """``max(base * rng.lognormvariate(0.0, sigma), floor)``, draw
+        for draw: the Kinderman-Monahan loop of
+        ``random.Random.normalvariate`` over ``rng.random``, inlined,
+        since a draw is taken for every message sent."""
+        random = rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        draw = self.base * exp(z * self.sigma)
+        floor = self.floor
+        return floor if floor > draw else draw

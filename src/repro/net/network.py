@@ -179,40 +179,42 @@ class Network:
         """
         if dst not in self._receivers:
             raise KeyError(f"unknown destination node {dst!r}")
-        self.stats.messages_sent += 1
+        stats = self.stats
+        stats.messages_sent += 1
         if src in self.__crashed or dst in self.__crashed:
-            self.stats.messages_dropped += 1
+            stats.messages_dropped += 1
             return
         # Link faults are checked at send time: a message already in
         # flight when a partition begins is a packet on the wire and
         # still arrives. The `active` gate keeps the default path free
         # of fault-table lookups (and of fault-rng draws).
         faults = self._faults
+        copies = 1
         if faults is not None and faults.active:
             dropped, duplicate = faults.apply(src, dst)
             if dropped:
-                self.stats.messages_dropped += 1
+                stats.messages_dropped += 1
                 return
-            size = wire_size_of(message)
-            self._schedule_delivery(src, dst, message, size)
             if duplicate:
-                # The copy travels on its own latency draw and is
-                # charged on the wire like the original.
-                self.stats.messages_duplicated += 1
-                self._schedule_delivery(src, dst, message, size)
-            return
-        self._schedule_delivery(src, dst, message, wire_size_of(message))
-
-    def _schedule_delivery(self, src: str, dst: str, message: Any,
-                           size: int) -> None:
-        delay = self.latency.sample(self.rng)
-        stats = self.stats
+                stats.messages_duplicated += 1
+                copies = 2
+        # An RPC envelope sizes itself; a raw test payload has no
+        # ``wire_size`` and is sized by the structural model. A
+        # duplicate is charged on the wire like the original.
+        try:
+            size = message.wire_size() * copies
+        except AttributeError:
+            size = wire_size_of(message) * copies
         edge = (src, dst)
         stats.bytes_by_edge[edge] = stats.bytes_by_edge.get(edge, 0) + size
         stats.total_bytes += size
-        # A single arrival event per message (one heap entry, no
-        # generator frames); crashes are re-checked when it fires.
-        _Delivery(self, src, dst, message, delay)
+        # One arrival event per copy (one heap entry, no generator
+        # frames), each after its own latency draw; crashes are
+        # re-checked when it fires.
+        latency, rng = self.latency, self.rng
+        _Delivery(self, src, dst, message, latency.sample(rng))
+        if copies == 2:
+            _Delivery(self, src, dst, message, latency.sample(rng))
 
     def _finish_delivery(self, event: "_Delivery") -> None:
         """Complete an arrival: re-check crashes, hand the message to

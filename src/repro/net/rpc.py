@@ -26,19 +26,25 @@ Methods listed in the :mod:`repro.wire` registry are type-checked at
 both ends: ``call``/``send_oneway`` reject request payloads that are not
 the registered request message, and ``_serve`` turns a mistyped handler
 result into an error response. Ad-hoc (non-dotted) methods — used by
-net-layer tests and demos — bypass the registry.
+net-layer tests and demos — bypass the registry. ``register`` keeps each
+handler's spec beside it, so serving a request looks nothing up.
+
+The envelopes are :func:`~repro.wire.messages.frozen_dataclass` values,
+built by a generated ``__init__`` like the messages they carry, and each
+sizes itself in one call: its header, the remembered sizes of its names
+and its payload's own ``wire_size()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.core import Simulator
 from ..sim.events import PENDING, Event, Interrupt, Timeout
 from ..sim.process import Process
-from ..wire.registry import spec_for
-from ..wire.sizing import LENGTH_PREFIX_SIZE, SCALAR_SIZE, payload_size
+from ..wire.messages import frozen_dataclass
+from ..wire.registry import REGISTRY, MethodSpec
+from ..wire.sizing import SCALAR_SIZE, payload_size
 from .network import Network
 
 __all__ = [
@@ -74,7 +80,19 @@ class AppError(RpcError):
     """Raised by a handler; propagated to the caller as a failed call."""
 
 
-@dataclass(frozen=True)
+class _NameSizes(Dict[str, int]):
+    """Modelled size of each node and method name, sized on first use:
+    the names an envelope carries are few and never change."""
+
+    def __missing__(self, name: str) -> int:
+        size = self[name] = payload_size(name)
+        return size
+
+
+_NAME_SIZES = _NameSizes()
+
+
+@frozen_dataclass
 class Request:
     request_id: int
     src: str
@@ -83,26 +101,36 @@ class Request:
     oneway: bool = False
 
     def wire_size(self) -> int:
-        """Envelope + addressing + method tag + payload bytes."""
-        return (_ENVELOPE_SIZE
-                + LENGTH_PREFIX_SIZE + len(self.src.encode("utf-8"))
-                + LENGTH_PREFIX_SIZE + len(self.method.encode("utf-8"))
-                + payload_size(self.payload))
+        """Envelope + addressing + method tag + payload bytes. A payload
+        without a ``wire_size`` method (ad-hoc methods' raw values) is
+        sized by the structural model."""
+        payload = self.payload
+        try:
+            size = payload.wire_size()
+        except AttributeError:
+            size = payload_size(payload)
+        return (_ENVELOPE_SIZE + _NAME_SIZES[self.src]
+                + _NAME_SIZES[self.method] + size)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Response:
     request_id: int
     ok: bool
     payload: Any
 
     def wire_size(self) -> int:
-        """Envelope + payload bytes."""
-        return _ENVELOPE_SIZE + payload_size(self.payload)
+        """Envelope + payload bytes (an error's payload is its text)."""
+        payload = self.payload
+        try:
+            size = payload.wire_size()
+        except AttributeError:
+            size = payload_size(payload)
+        return _ENVELOPE_SIZE + size
 
 
 def _check_request_payload(method: str, payload: Any) -> None:
-    spec = spec_for(method)
+    spec = REGISTRY.get(method)
     if spec is not None and not isinstance(payload, spec.request):
         raise TypeError(
             f"{method} request payload must be {spec.request.__name__}, "
@@ -145,7 +173,8 @@ class RpcNode:
         self.sim = sim
         self.network = network
         self.name = name
-        self._handlers: Dict[str, Callable] = {}
+        #: method -> (handler, its registry spec or None when ad hoc).
+        self._handlers: Dict[str, Tuple[Callable, Optional[MethodSpec]]] = {}
         #: request id -> pending-call record, in call order.
         self._pending: Dict[int, _Call] = {}
         # Bound once: every deadline and backoff timer shares it.
@@ -183,11 +212,12 @@ class RpcNode:
         """
         if method in self._handlers:
             raise ValueError(f"handler for {method!r} already registered")
-        if "." in method and spec_for(method) is None:
+        spec = REGISTRY.get(method)
+        if "." in method and spec is None:
             raise ValueError(
                 f"{method!r} is not in the repro.wire registry; add a "
                 f"MethodSpec before registering a handler")
-        self._handlers[method] = handler
+        self._handlers[method] = (handler, spec)
 
     def _receive(self, message: Any) -> None:
         """The node's receive callable; runs inside the message's
@@ -214,16 +244,16 @@ class RpcNode:
             raise TypeError(f"unexpected message {message!r}")
 
     def _serve(self, request: Request):
-        handler = self._handlers.get(request.method)
-        if handler is None:
+        entry = self._handlers.get(request.method)
+        if entry is None:
             if not request.oneway:
                 self.network.send(self.name, request.src, Response(
                     request.request_id, ok=False,
                     payload=f"no handler for {request.method!r}"))
             return
+        handler, spec = entry
         try:
             result = yield from handler(request.payload)
-            spec = spec_for(request.method)
             if spec is not None and not isinstance(result, spec.response):
                 raise TypeError(
                     f"{request.method} handler must return "

@@ -6,8 +6,9 @@ The registry is the only table of the protocol surface:
   refuses a dotted method without a spec, and request and response
   payloads of registered methods are type-checked against it;
 * :func:`validate_registry` checks every row's example pair: frozen
-  dataclasses of the spec's classes with a positive, deterministic
-  ``wire_size()``;
+  dataclasses of the spec's classes, declared with ``@wire_message``,
+  whose generated ``wire_size()`` is positive and equals the byte
+  model's walk (:meth:`WireMessage.wire_size`);
 * the PROTOCOL.md message catalogue is rendered from it
   (:func:`render_catalogue`, printed by ``repro wire``).
 """
@@ -177,19 +178,25 @@ def _check_message(method: str, expected: Type[WireMessage],
     params = getattr(expected, "__dataclass_params__", None)
     if params is None or not params.frozen:
         problems.append(f"{method}: {expected.__name__} is not frozen")
+    if expected.wire_size is WireMessage.wire_size:
+        problems.append(
+            f"{method}: {expected.__name__} is not declared with "
+            f"@wire_message")
     size = example.wire_size()
+    model = WireMessage.wire_size(example)
     if not isinstance(size, int) or size <= 0:
         problems.append(
             f"{method}: {expected.__name__}.wire_size() returned {size!r}")
-    elif example.wire_size() != size:
+    elif size != model:
         problems.append(
-            f"{method}: {expected.__name__}.wire_size() is not "
-            f"deterministic")
+            f"{method}: {expected.__name__}.wire_size() is {size}, the "
+            f"byte model says {model}")
 
 
 def validate_registry() -> List[str]:
     """Check every row's example pair: frozen dataclasses of the spec's
-    request and reply classes, each with a positive deterministic size.
+    request and reply classes, each with a generated size that is
+    positive and equals the byte model's.
     Returns a list of problems (empty = healthy)."""
     problems: List[str] = []
     for method in sorted(REGISTRY):

@@ -14,13 +14,18 @@ patterned on a compact schema'd binary encoding:
   tags, which the per-message 2-byte header in
   :class:`repro.wire.messages.WireMessage` stands in for.
 
-Sizes are pure functions of the value: no RNG draws, no host state, so
-charging transmission delay from them preserves seeded determinism.
-That is also why a message may remember its size
-(:meth:`repro.wire.messages.WireMessage.wire_size` walks its fields
-once per object): a value handed to the wire is treated as immutable
-from then on, which the value semantics of :mod:`repro.wire.messages`
-already demand.
+Sizes are pure functions of the value: no RNG draws, no host state.
+They feed only the network's byte counters (``net.bytes_per_op``,
+figure 8's MB/s column), never a timestamp. A message may remember its
+size (the ``wire_size`` that :func:`repro.wire.messages.wire_message`
+generates sizes each object once): a value handed to the wire is
+treated as immutable from then on, which the value semantics of
+:mod:`repro.wire.messages` already demand.
+
+:func:`payload_size` is the model itself. The generated sizers fold
+fixed-width fields into constants and call it for the rest (``Any``
+values, variable-length tuples, dicts, nested messages); it also sizes
+ad-hoc test payloads that have no ``wire_size`` of their own.
 """
 
 from __future__ import annotations
@@ -61,8 +66,7 @@ def payload_size(value: Any) -> int:
     envelope types) are delegated to; everything else falls back to a
     structural model so ad-hoc test payloads still get a finite size.
 
-    Hot-path note: this runs for every field of every message sent, so
-    what messages are made of — atoms, plain strings, tuples, nested
+    What messages are made of — atoms, plain strings, tuples, nested
     messages — is dispatched on exact type (or asked for its own
     ``wire_size()``) before the structural walk below, which still
     decides everything else, subclasses of the atoms included.
